@@ -391,57 +391,28 @@ def delta2(k: Fraction, m: Fraction, n: Fraction, p: Fraction,
 
 @dataclass(frozen=True)
 class Dias316Branch:
+    """One printed row of the case table; ``branch_for_params`` resolves
+    which row a parameter point falls in."""
+
     index: int
     conditions: str
-    predicate: Callable[..., bool]
     dim_text: str
 
 
-def _d1(k, m, n, p, q):
-    return delta1(k, m, n, p, q)
-
-
-def _d2(k, m, n, p, q):
-    return delta2(k, m, n, p, q)
-
-
 BRANCHES: tuple[Dias316Branch, ...] = (
-    Dias316Branch(1, "m != 0; D1 != 0, D2 != 0",
-                  lambda k, m, n, p, q: m != 0 and _d1(k, m, n, p, q) != 0
-                  and _d2(k, m, n, p, q) != 0, "2"),
-    Dias316Branch(2, "m != 0; D1 = 0, D2 != 0",
-                  lambda k, m, n, p, q: m != 0 and _d1(k, m, n, p, q) == 0
-                  and _d2(k, m, n, p, q) != 0, "3"),
-    Dias316Branch(3, "m != 0; D1 != 0, D2 = 0",
-                  lambda k, m, n, p, q: m != 0 and _d1(k, m, n, p, q) != 0
-                  and _d2(k, m, n, p, q) == 0, "3"),
-    Dias316Branch(4, "m != 0; D1 = D2 = 0",
-                  lambda k, m, n, p, q: m != 0 and _d1(k, m, n, p, q) == 0
-                  and _d2(k, m, n, p, q) == 0, "4"),
-    Dias316Branch(5, "m != 0; additionally p = -1, q = 0",
-                  lambda k, m, n, p, q: m != 0 and p == -1 and q == 0, "+1"),
-    Dias316Branch(6, "m = 0; n+k != 0, k != np",
-                  lambda k, m, n, p, q: m == 0 and n + k != 0
-                  and k != n * p, "2"),
-    Dias316Branch(7, "m = 0; n+k != 0, k = np",
-                  lambda k, m, n, p, q: m == 0 and n + k != 0
-                  and k == n * p, "3"),
-    Dias316Branch(8, "m = 0; n+k != 0, k = np, p = -1, q = 0",
-                  lambda k, m, n, p, q: m == 0 and n + k != 0 and k == n * p
-                  and p == -1 and q == 0, "4"),
-    Dias316Branch(9, "m = 0; n+k = 0, q != 0",
-                  lambda k, m, n, p, q: m == 0 and n + k == 0 and q != 0, "3"),
-    Dias316Branch(10, "m = 0; n+k = 0, q != 0, k = -1",
-                  lambda k, m, n, p, q: m == 0 and n + k == 0 and q != 0
-                  and k == -1, "4"),
-    Dias316Branch(11, "m = 0; n+k = 0, q = 0",
-                  lambda k, m, n, p, q: m == 0 and n + k == 0 and q == 0, "4"),
-    Dias316Branch(12, "m = n = k = q = 0; p != -1",
-                  lambda k, m, n, p, q: m == 0 and n == 0 and k == 0
-                  and q == 0 and p != -1, "5"),
-    Dias316Branch(13, "m = n = k = q = 0; p = -1",
-                  lambda k, m, n, p, q: m == 0 and n == 0 and k == 0
-                  and q == 0 and p == -1, "6"),
+    Dias316Branch(1, "m != 0; D1 != 0, D2 != 0", "2"),
+    Dias316Branch(2, "m != 0; D1 = 0, D2 != 0", "3"),
+    Dias316Branch(3, "m != 0; D1 != 0, D2 = 0", "3"),
+    Dias316Branch(4, "m != 0; D1 = D2 = 0", "4"),
+    Dias316Branch(5, "m != 0; additionally p = -1, q = 0", "+1"),
+    Dias316Branch(6, "m = 0; n+k != 0, k != np", "2"),
+    Dias316Branch(7, "m = 0; n+k != 0, k = np", "3"),
+    Dias316Branch(8, "m = 0; n+k != 0, k = np, p = -1, q = 0", "4"),
+    Dias316Branch(9, "m = 0; n+k = 0, q != 0", "3"),
+    Dias316Branch(10, "m = 0; n+k = 0, q != 0, k = -1", "4"),
+    Dias316Branch(11, "m = 0; n+k = 0, q = 0", "4"),
+    Dias316Branch(12, "m = n = k = q = 0; p != -1", "5"),
+    Dias316Branch(13, "m = n = k = q = 0; p = -1", "6"),
 )
 
 _BRANCH_BY_INDEX = {b.index: b for b in BRANCHES}
@@ -791,15 +762,33 @@ def _point_text(values: Iterable[Fraction]) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
 
+def _point_key(name: str, params: Params | None) -> tuple:
+    return name, tuple(sorted(params.items())) if params else ()
+
+
+def _kernel(kernels: dict[tuple, Subspace], name: str, params: Params | None,
+            d: Dialgebra) -> Subspace:
+    """Diderivation kernel of the catalog point ``d`` = ``name`` at
+    ``params``, solved only if ``kernels`` does not hold it yet.
+
+    Keys carry the entry name, so two entries with one relation list
+    (Dias3_9 and Dias3_11) are still solved separately.
+    """
+    key = _point_key(name, params)
+    if key not in kernels:
+        kernels[key] = spaces.diderivation_space(d)
+    return kernels[key]
+
+
 def _entry_result(name: str, params: dict[str, Fraction] | None,
                   expected_dim: int, expected_basis: tuple[Matrix, ...] | None,
-                  failures: list[str]) -> dict:
+                  failures: list[str], kernels: dict[tuple, Subspace]) -> dict:
     d = instantiate(name, params)
     violations = d.verify_axioms()
     if violations:
         where = f" at {_point_text(params.values())}" if params else ""
         failures.append(f"{name}: axiom violations{where}")
-    actual = spaces.diderivation_space(d)
+    actual = _kernel(kernels, name, params, d)
     basis_match: bool | None = None
     if expected_basis is not None:
         basis_match = _basis_subspace(expected_basis, d.dim) == actual
@@ -821,10 +810,12 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
     The exact solver is the ground truth; tabled values are expectations.
     Disagreements are collected as findings (the sweep never edits the
     expectations to match), and only internal errors -- an instantiation
-    failing the axioms -- count as failures.
+    failing the axioms -- count as failures.  Each point is solved once
+    per call, however often the sweep compares it.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
+    kernels: dict[tuple, Subspace] = {}
     entry_rows: list[dict] = []
     findings: list[str] = []
     failures: list[str] = []
@@ -836,7 +827,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
             exp_dim, exp_basis = _TABLED_DIDER[entry.name]
             for lam in LAMBDA_SAMPLES:
                 row = _entry_result(entry.name, {"lam": lam}, exp_dim,
-                                    exp_basis, failures)
+                                    exp_basis, failures, kernels)
                 entry_rows.append(row)
                 if row["status"] == "finding":
                     findings.append(
@@ -849,7 +840,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
                 values = dict(zip(("l", "m", "n", "p", "q"),
                                   (frac(v) for v in raw)))
                 row = _entry_result(entry.name, values, exp_dim, exp_basis,
-                                    failures)
+                                    failures, kernels)
                 entry_rows.append(row)
                 if row["status"] == "finding":
                     findings.append(
@@ -860,22 +851,23 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
                 as16 = dict(zip(("k", "m", "n", "p", "q"),
                                 (values["l"], values["m"], values["n"],
                                  values["p"], values["q"])))
-                twin = spaces.diderivation_space(instantiate("Dias3_16", as16))
-                own = spaces.diderivation_space(instantiate("Dias3_17", values))
-                if twin != own:
+                twin = _kernel(kernels, "Dias3_16", as16,
+                               instantiate("Dias3_16", as16))
+                if twin != kernels[_point_key("Dias3_17", values)]:
                     failures.append(
                         f"Dias3_17 kernel differs from Dias3_16 twin at {raw}")
         else:
             exp_dim, exp_basis = _TABLED_DIDER[entry.name]
-            row = _entry_result(entry.name, None, exp_dim, exp_basis, failures)
+            row = _entry_result(entry.name, None, exp_dim, exp_basis, failures,
+                                kernels)
             entry_rows.append(row)
             if row["status"] == "finding":
                 findings.append(
                     f"{entry.name}: tabled dim {exp_dim}, solver dim "
                     f"{row['actual_dim']}")
 
-    if spaces.diderivation_space(instantiate("Dias3_9")) == \
-            spaces.diderivation_space(instantiate("Dias3_11")):
+    if kernels[_point_key("Dias3_9", None)] == \
+            kernels[_point_key("Dias3_11", None)]:
         findings.append(
             "Dias3_9 and Dias3_11 share one printed relation list and one "
             "computed kernel, yet the table assigns them different spaces")
@@ -891,7 +883,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
             if d.verify_axioms():
                 failures.append(
                     f"Dias3_16 axiom violations at {_point_text(point)}")
-            actual = spaces.diderivation_space(d).dim
+            actual = _kernel(kernels, "Dias3_16", params, d).dim
             sample_rows.append({"params": point, "tabled_dim": tabled,
                                 "actual_dim": actual,
                                 "match": actual == tabled})

@@ -202,20 +202,21 @@ def cmd_spaces(selector: str, which: str) -> Report:
     sec.add("dim", space.dim)
     for idx, mat in enumerate(spaces.subspace_matrices(space, d.dim), start=1):
         sec.add_matrix(f"basis {idx}", mat)
-    if which in ("der", "dider"):
-        routes = spaces.check_characterizations(d)
+    if which == "der":
+        routes = [
+            ("left operator route equal", spaces.derivation_space_via_left_ops(d)),
+            ("right operator route equal", spaces.derivation_space_via_right_ops(d)),
+        ]
+    elif which == "dider":
+        routes = [("operator route equal", spaces.diderivation_space_via_ops(d))]
+    else:
+        routes = []
+    if routes:
         rsec = report.section("route cross-check")
-        if which == "der":
-            info = routes["derivations"]
-            rsec.add("left operator route equal", info["left_route_equal"])
-            rsec.add("right operator route equal", info["right_route_equal"])
-            agreed = info["left_route_equal"] and info["right_route_equal"]
-        else:
-            info = routes["diderivations"]
-            rsec.add("operator route equal", info["operator_route_equal"])
-            agreed = info["operator_route_equal"]
-        if not agreed:
-            report.worsen(FAIL)
+        for label, route in routes:
+            rsec.add(label, route == space)
+            if route != space:
+                report.worsen(FAIL)
     return report
 
 
@@ -234,14 +235,14 @@ def cmd_invariants(selector: str) -> Report:
     sec.add("bar-center dim", zb.dim)
     for idx, mat in enumerate(zb.basis, start=1):
         sec.add(f"bar-center basis {idx}", tuple(mat))
-    sec.add("unital", invariants.is_unital(d))
+    sec.add("unital", not h.is_empty)
     if h.is_empty:
         sec.add("halo", "empty")
     else:
         sec.add("halo point", tuple(h.point))
         sec.add("halo direction dim", h.direction.dim)
 
-    leib = invariants.leibniz_of(d)
+    leib = invariants.LeibnizAlgebra(d)
     lsec = report.section("induced bracket")
     left = leib.left_identity_violations()
     right = leib.right_identity_violations()
@@ -259,7 +260,7 @@ def cmd_invariants(selector: str) -> Report:
     if right:
         report.worsen(FAIL)
 
-    actions = invariants.check_invariant_actions(d)
+    actions = invariants.invariant_actions(d, ann, zb, h)
     asec = report.section("actions")
     for key in sorted(actions):
         if key.endswith("dim") or key == "unital":
@@ -330,6 +331,10 @@ _FAMILY_POINTS = {
 
 
 def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
+    if name_filter is not None and name_filter not in catalog.ENTRY_NAMES:
+        raise InputError(f"unknown catalog entry: {name_filter!r}")
+    if samples < 1:
+        raise InputError("catalog checks need --samples of at least 1")
     subject = name_filter or "catalog"
     report = Report(subject, "catalog")
     sweep = catalog.verify_catalog(samples, seed)

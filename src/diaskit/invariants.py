@@ -13,8 +13,15 @@ identity in one chirality only; rather than hard-coding which one, the
 checks below evaluate both on all basis triples and report what holds.
 
 The combined space pairs diderivations with derivations under the
-bracket ``<(s, d), (s', d')> = ([s, d'], [d, d'])``; its Leibniz identity
-and two distinguished ideals are checked the same computed way.
+bracket ``<(s, d), (s', d')> = ([s, d'], [d, d'])``.  Its basis is the
+Dider block followed by the Der block; flattened, that is already the
+RREF basis of the combined space, so the coordinates of a bracket are
+its entries at the pivots.  ``check_bider_leibniz`` solves both spaces
+once, forms the table of brackets of basis elements once (b^2 brackets
+for a basis of size b) and reads their coordinates.  Closure, both
+Leibniz identities and the span of symmetrised squares follow from that
+table by bilinearity; the two ideal checks bracket the ideal generators
+directly.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .ratlin import (
     Matrix,
     Subspace,
     Vector,
+    add_vectors,
     commutator,
     nullspace,
     solve_affine,
@@ -87,20 +95,13 @@ def halo(d: Dialgebra) -> AffineSubspace:
     return AffineSubspace(point, Subspace(n, kernel))
 
 
-bar_units = halo
-
-
-def is_unital(d: Dialgebra) -> bool:
-    return not halo(d).is_empty
-
-
 # -- the skew bracket ----------------------------------------------------
 
 
 class LeibnizAlgebra:
     """The bracket algebra ``[a, b] = a dashv b - b vdash a``."""
 
-    __slots__ = ("dim", "cube", "left_identity_holds", "right_identity_holds")
+    __slots__ = ("dim", "cube")
 
     def __init__(self, d: Dialgebra):
         n = d.dim
@@ -112,8 +113,6 @@ class LeibnizAlgebra:
             ]
             for i in range(n)
         ]
-        self.left_identity_holds = not self.left_identity_violations()
-        self.right_identity_holds = not self.right_identity_violations()
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         n = self.dim
@@ -169,13 +168,10 @@ class LeibnizAlgebra:
         return bad
 
 
-def leibniz_of(d: Dialgebra) -> LeibnizAlgebra:
-    return LeibnizAlgebra(d)
-
-
 # -- combined derivation space -------------------------------------------
 
 BiderElement = tuple[Matrix, Matrix]
+Coords = dict[int, Fraction]
 
 
 def bider_bracket(x: BiderElement, y: BiderElement) -> BiderElement:
@@ -195,17 +191,25 @@ def _pair_space(n: int, firsts: Sequence[Matrix], seconds: Sequence[Matrix]) -> 
     return Subspace(2 * n * n, gens)
 
 
-def bider_basis(d: Dialgebra) -> list[BiderElement]:
-    """Basis of the combined space: diderivations paired with zero, then
-    zero paired with derivations."""
-    n = d.dim
-    zero = Matrix.zero(n, n)
-    out: list[BiderElement] = []
-    for m in subspace_matrices(diderivation_space(d), n):
-        out.append((m, zero))
-    for m in subspace_matrices(derivation_space(d), n):
-        out.append((zero, m))
-    return out
+def _coordinates(v: Vector, basis: Sequence[Vector], pivots: Sequence[int]) -> Coords | None:
+    """Coordinates of v in an RREF basis with the given pivot columns,
+    or None when v lies outside its span."""
+    coords = {k: v[p] for k, p in enumerate(pivots) if v[p]}
+    rest = list(v)
+    for k, c in coords.items():
+        for idx, x in enumerate(basis[k]):
+            if x:
+                rest[idx] -= c * x
+    return None if any(rest) else coords
+
+
+def _lincomb(terms) -> Coords:
+    """Sparse ``sum c * v`` over (c, v) pairs, zero entries dropped."""
+    out: Coords = {}
+    for c, vec in terms:
+        for m, x in vec.items():
+            out[m] = out.get(m, 0) + c * x
+    return {m: x for m, x in out.items() if x}
 
 
 def check_bider_leibniz(d: Dialgebra) -> dict:
@@ -215,42 +219,41 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     bracket, both Leibniz chiralities, that inner-diderivations-plus-
     derivations and inner-diderivations-plus-inner-derivations are
     two-sided ideals, and where the span of symmetrised squares lands.
+    A closure failure can only come from a wrong kernel, since [s, d] is
+    a diderivation and [d, d'] a derivation whenever both kernels are
+    right; the identities are then reported as failing too.
     """
     n = d.dim
-    basis = bider_basis(d)
-    der = derivation_space(d)
-    dider = diderivation_space(d)
-    inn = inner_derivations(d)
-    dinn = inner_diderivations(d)
+    zero = Matrix.zero(n, n)
+    der_mats = subspace_matrices(derivation_space(d), n)
+    dider_mats = subspace_matrices(diderivation_space(d), n)
+    inn_mats = subspace_matrices(inner_derivations(d), n)
+    dinn_mats = subspace_matrices(inner_diderivations(d), n)
+    basis = [(m, zero) for m in dider_mats] + [(zero, m) for m in der_mats]
+    flat = [_flatten_pair(x) for x in basis]
+    pivots = [next(j for j, v in enumerate(b) if v) for b in flat]
 
-    ambient = _pair_space(n, subspace_matrices(dider, n), subspace_matrices(der, n))
-    ideal_a = _pair_space(n, subspace_matrices(dinn, n), subspace_matrices(der, n))
-    ideal_b = _pair_space(n, subspace_matrices(dinn, n), subspace_matrices(inn, n))
+    table = [[_flatten_pair(bider_bracket(x, y)) for y in basis] for x in basis]
+    coords = [[_coordinates(t, flat, pivots) for t in row] for row in table]
+    closed = all(c is not None for row in coords for c in row)
 
-    brackets = [[bider_bracket(x, y) for y in basis] for x in basis]
-    closed = all(
-        ambient.contains(_flatten_pair(b)) for row in brackets for b in row
-    )
-
-    def pair_eq(a: BiderElement, b: BiderElement) -> bool:
-        return a[0] == b[0] and a[1] == b[1]
-
-    def pair_add(a: BiderElement, b: BiderElement) -> BiderElement:
-        return (a[0] + b[0], a[1] + b[1])
-
-    right_ok = True
-    left_ok = True
-    for x in basis:
-        for y in basis:
-            for z in basis:
-                xy_z = bider_bracket(bider_bracket(x, y), z)
-                xz_y = bider_bracket(bider_bracket(x, z), y)
-                x_yz = bider_bracket(x, bider_bracket(y, z))
-                y_xz = bider_bracket(y, bider_bracket(x, z))
-                if not pair_eq(xy_z, pair_add(xz_y, x_yz)):
-                    right_ok = False
-                if not pair_eq(x_yz, pair_add(xy_z, y_xz)):
-                    left_ok = False
+    # With coords[i][j] the coordinates of [b_i, b_j], bilinearity gives
+    # [[b_i, b_j], b_l] = sum_k coords[i][j][k] * coords[k][l], and so on.
+    right_ok = left_ok = closed
+    if closed:
+        b = len(basis)
+        columns = [[coords[k][l] for k in range(b)] for l in range(b)]
+        for i in range(b):
+            for j in range(b):
+                for l in range(b):
+                    xy_z = _lincomb((c, columns[l][k]) for k, c in coords[i][j].items())
+                    xz_y = _lincomb((c, columns[j][k]) for k, c in coords[i][l].items())
+                    x_yz = _lincomb((c, coords[i][k]) for k, c in coords[j][l].items())
+                    y_xz = _lincomb((c, coords[j][k]) for k, c in coords[i][l].items())
+                    if _lincomb(((1, xy_z), (-1, xz_y), (-1, x_yz))):
+                        right_ok = False
+                    if _lincomb(((1, x_yz), (-1, xy_z), (-1, y_xz))):
+                        left_ok = False
 
     def is_ideal(space: Subspace, members: Sequence[BiderElement]) -> bool:
         return all(
@@ -260,30 +263,27 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
             for m in members
         )
 
-    zero = Matrix.zero(n, n)
-    ideal_a_members = [(m, zero) for m in subspace_matrices(dinn, n)]
-    ideal_a_members += [(zero, m) for m in subspace_matrices(der, n)]
-    ideal_b_members = [(m, zero) for m in subspace_matrices(dinn, n)]
-    ideal_b_members += [(zero, m) for m in subspace_matrices(inn, n)]
+    dinn_members = [(m, zero) for m in dinn_mats]
+    ideal_a = _pair_space(n, dinn_mats, der_mats)
+    ideal_b = _pair_space(n, dinn_mats, inn_mats)
 
-    squares = []
-    for x in basis:
-        for y in basis:
-            squares.append(
-                _flatten_pair(pair_add(bider_bracket(x, y), bider_bracket(y, x)))
-            )
+    squares = [
+        add_vectors(table[i][j], table[j][i])
+        for i in range(len(basis))
+        for j in range(i + 1)
+    ]
     square_span = Subspace(2 * n * n, squares)
-    dider_component = _pair_space(n, subspace_matrices(dider, n), [])
 
     return {
-        "bider_dim": ambient.dim,
+        "bider_dim": len(basis),
         "bracket_closed": closed,
         "right_identity": right_ok,
         "left_identity": left_ok,
-        "dinn_der_ideal": is_ideal(ideal_a, ideal_a_members),
-        "dinn_inn_ideal": is_ideal(ideal_b, ideal_b_members),
+        "dinn_der_ideal": is_ideal(ideal_a, dinn_members + [(zero, m) for m in der_mats]),
+        "dinn_inn_ideal": is_ideal(ideal_b, dinn_members + [(zero, m) for m in inn_mats]),
         "square_span_dim": square_span.dim,
-        "square_span_in_dider_component": square_span.is_subspace_of(dider_component),
+        "square_span_in_dider_component": square_span.is_subspace_of(
+            _pair_space(n, dider_mats, [])),
     }
 
 
@@ -299,10 +299,15 @@ def check_invariant_actions(d: Dialgebra) -> dict:
     with derivations sending bar units into the annihilator and
     diderivations killing bar units and the bar-center.
     """
+    return invariant_actions(d, annihilator(d), bar_center(d), halo(d))
+
+
+def invariant_actions(
+    d: Dialgebra, ann: Subspace, zb: Subspace, h: AffineSubspace
+) -> dict:
+    """``check_invariant_actions`` on the annihilator, bar-center and halo
+    of ``d`` already computed by the caller."""
     n = d.dim
-    ann = annihilator(d)
-    zb = bar_center(d)
-    h = halo(d)
     der_mats = subspace_matrices(derivation_space(d), n)
     dider_mats = subspace_matrices(diderivation_space(d), n)
 

@@ -19,13 +19,18 @@ inner diderivation h |-> p * (h(x,x) - h(y,y)).  Geometric sums are always
 assembled term by term, never via division by (x-y); the one place a
 division appears (the annihilator divisibility oracle) is an independent
 synthetic-division cross-check, not a computational shortcut.
+
+The derivation and diderivation identities are checked by one bounded
+sweep over monomial pairs that differs only in the right-hand side of the
+rule.  ``format_poly`` renders polynomials for reports; nothing reads
+polynomials back from text, so there is no parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Mapping
 
 from .ratlin import Scalar, frac
 
@@ -36,10 +41,6 @@ Exponents = tuple[int, int]
 
 class DegreeBoundError(ValueError):
     """A result would exceed the ambient total-degree bound."""
-
-
-class PolyParseError(ValueError):
-    pass
 
 
 class BivariatePoly:
@@ -452,20 +453,15 @@ def inner_derivation_spec(h: BivariatePoly) -> KxyOperatorSpec:
 # Identity sweeps
 
 
-def _derivation_growth(f: BivariatePoly, g: BivariatePoly) -> int:
-    return max(f.total_degree() - 1, g.total_degree() + 1, 0)
-
-
-def check_derivation_identity(f: BivariatePoly, g: BivariatePoly,
-                              bound: int | None = None) -> dict:
-    """Check d(a*b) = d(a)*b + a*d(b) for both products on monomial pairs.
+def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
+                    rhs: Callable[..., BivariatePoly]) -> dict:
+    """Compare ``spec(a*b)`` with ``rhs(mul, u, spec(u), v, spec(v))`` for
+    both products on monomial pairs.
 
     Pairs are restricted so that every term of both sides stays within the
-    bound; the sweep is exact on that set.
+    bound, given that ``spec`` raises degrees by at most ``growth``; the
+    sweep is exact on that set.
     """
-    bound = min(f.bound, g.bound) if bound is None else bound
-    spec = KxyOperatorSpec("derivation", f=f, g=g)
-    growth = _derivation_growth(f, g)
     limit = bound - growth
     violations = []
     pairs = 0
@@ -479,12 +475,20 @@ def check_derivation_identity(f: BivariatePoly, g: BivariatePoly,
             v = BivariatePoly.monomial(a2, b2, 1, bound)
             du, dv = spec.apply(u), spec.apply(v)
             for label, mul in (("dashv", dashv), ("vdash", vdash)):
-                lhs = spec.apply(mul(u, v))
-                rhs = mul(du, v) + mul(u, dv)
-                if lhs != rhs:
+                if spec.apply(mul(u, v)) != rhs(mul, u, du, v, dv):
                     violations.append(
                         {"product": label, "pair": ((a1, b1), (a2, b2))})
     return {"pairs": pairs, "violations": violations}
+
+
+def check_derivation_identity(f: BivariatePoly, g: BivariatePoly,
+                              bound: int | None = None) -> dict:
+    """Check d(a*b) = d(a)*b + a*d(b) for both products on monomial pairs."""
+    bound = min(f.bound, g.bound) if bound is None else bound
+    return _identity_sweep(
+        KxyOperatorSpec("derivation", f=f, g=g),
+        max(f.total_degree() - 1, g.total_degree() + 1, 0), bound,
+        lambda mul, u, du, v, dv: mul(du, v) + mul(u, dv))
 
 
 def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
@@ -496,36 +500,15 @@ def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
     product vanishes as well, where the identity is a genuine constraint.
     """
     bound = min(f.bound, g.bound) if bound is None else bound
-    spec = KxyOperatorSpec("diderivation", f=f, g=g)
-    growth = max(f.total_degree(), g.total_degree(), 1) - 1
-    limit = bound - growth
-    violations = []
-    pairs = 0
-    monos = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
-    for (a1, b1) in monos:
-        for (a2, b2) in monos:
-            if a1 + b1 + a2 + b2 > limit:
-                continue
-            pairs += 1
-            u = BivariatePoly.monomial(a1, b1, 1, bound)
-            v = BivariatePoly.monomial(a2, b2, 1, bound)
-            du, dv = spec.apply(u), spec.apply(v)
-            for label, mul in (("dashv", dashv), ("vdash", vdash)):
-                lhs = spec.apply(mul(u, v))
-                rhs = dashv(du, v) + vdash(u, dv)
-                if lhs != rhs:
-                    violations.append(
-                        {"product": label, "pair": ((a1, b1), (a2, b2))})
-    return {"pairs": pairs, "violations": violations}
+    return _identity_sweep(
+        KxyOperatorSpec("diderivation", f=f, g=g),
+        max(f.total_degree(), g.total_degree(), 1) - 1, bound,
+        lambda mul, u, du, v, dv: dashv(du, v) + vdash(u, dv))
 
 
 # ---------------------------------------------------------------------------
-# Plain-text polynomial form (CLI interchange)
+# Plain-text polynomial form
 #
-# Grammar:  poly  := term (('+' | '-') term)*  with an optional leading sign
-#           term  := coeff ('*' factor)* | factor ('*' factor)*
-#           factor:= 'x' ['^' int] | 'y' ['^' int]
-#           coeff := rational like 3, -1/2, 4/3
 # Examples: "1", "x - y", "3*x^2*y - 1/2", "-x*y"
 
 
@@ -557,70 +540,3 @@ def format_poly(p: BivariatePoly) -> str:
         else:
             parts.append(f"+ {body}" if c > 0 else f"- {body}")
     return " ".join(parts)
-
-
-def parse_poly(text: str, bound: int = DEFAULT_BOUND) -> BivariatePoly:
-    """Parse the plain-text polynomial form."""
-    stripped = text.strip()
-    if not stripped:
-        raise PolyParseError("empty polynomial text")
-    # normalize: make every term start with an explicit sign, then split
-    normalized = stripped.replace("-", "+-")
-    if normalized.startswith("+-"):
-        normalized = normalized[1:]
-    coeffs: dict[Exponents, Fraction] = {}
-    for index, raw_term in enumerate(normalized.split("+")):
-        term = raw_term.strip()
-        if not term:
-            # only a leading '+' may produce an empty piece
-            if index == 0:
-                continue
-            raise PolyParseError(f"dangling operator in {stripped!r}")
-        sign = Fraction(1)
-        if term.startswith("-"):
-            sign = Fraction(-1)
-            term = term[1:].strip()
-        coeff = sign
-        a = b = 0
-        saw_factor = False
-        for factor in term.split("*"):
-            factor = factor.strip()
-            if not factor:
-                raise PolyParseError(f"malformed term {raw_term.strip()!r}")
-            if factor[0] in "xy":
-                var = factor[0]
-                if factor == var:
-                    power = 1
-                elif factor.startswith(f"{var}^"):
-                    try:
-                        power = int(factor[2:])
-                    except ValueError:
-                        raise PolyParseError(
-                            f"bad exponent in {factor!r}") from None
-                    if power < 0:
-                        raise PolyParseError(f"negative exponent in {factor!r}")
-                else:
-                    raise PolyParseError(f"malformed factor {factor!r}")
-                if var == "x":
-                    a += power
-                else:
-                    b += power
-                saw_factor = True
-            else:
-                try:
-                    coeff *= Fraction(factor)
-                except (ValueError, ZeroDivisionError):
-                    raise PolyParseError(
-                        f"bad coefficient {factor!r}") from None
-                saw_factor = True
-        if not saw_factor:
-            raise PolyParseError(f"malformed term {raw_term.strip()!r}")
-        if a + b > bound:
-            raise DegreeBoundError(
-                f"degree bound exceeded: x^{a}*y^{b} with bound {bound}")
-        s = coeffs.get((a, b), Fraction(0)) + coeff
-        if s == 0:
-            coeffs.pop((a, b), None)
-        else:
-            coeffs[(a, b)] = s
-    return BivariatePoly(coeffs, bound)

@@ -1,0 +1,108 @@
+"""Each public call computes each space, invariant set and basis bracket once.
+
+The counts are taken by wrapping the solvers through monkeypatch, so a
+change that solves a space twice, re-runs a sweep or goes back to a cubic
+bracket loop fails here even when every report stays the same.
+"""
+
+import contextlib
+import io
+from collections import Counter
+
+import pytest
+
+from diaskit import catalog, cli, invariants, spaces
+
+
+def counting(monkeypatch, owner, name, calls, key=None):
+    """Replace ``owner.name`` by a wrapper that tallies each call under
+    ``key(*args)``, or under ``name`` when no key is given."""
+    original = getattr(owner, name)
+
+    def wrapper(*args, **kwargs):
+        calls[key(*args, **kwargs) if key else name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def run_cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(list(argv))
+
+
+def kernel_calls(monkeypatch) -> Counter:
+    """Tally both solver cores: the rule system by twist, the operator route."""
+    calls = Counter()
+    counting(monkeypatch, spaces, "_rule_kernel", calls,
+             key=lambda d, twisted: "dider" if twisted else "der")
+    counting(monkeypatch, spaces, "_operator_route_kernel", calls)
+    return calls
+
+
+# Both ideal checks hold on these entries, so neither stops early at a
+# bracket outside its ideal and the bracket count is exact.
+@pytest.mark.parametrize("selector", [
+    "catalog:Dias3_8", "catalog:Dias3_9", "catalog:Dias3_10",
+])
+def test_bider_solves_once_and_tables_b_squared_brackets(monkeypatch, selector):
+    _, d = cli.load_input(selector)
+    der = spaces.derivation_space(d).dim
+    b = der + spaces.diderivation_space(d).dim
+    dinn = spaces.inner_diderivations(d).dim
+    members = (dinn + der) + (dinn + spaces.inner_derivations(d).dim)
+
+    solves = kernel_calls(monkeypatch)
+    brackets = Counter()
+    counting(monkeypatch, invariants, "bider_bracket", brackets)
+    assert run_cli("bider", selector) == 0
+
+    assert solves == {"der": 1, "dider": 1}
+    # the b x b table, plus each ideal member bracketed with each basis
+    # element from both sides
+    assert brackets["bider_bracket"] == b * b + 2 * b * members
+
+
+@pytest.mark.parametrize("which, expected", [
+    ("der", {"der": 1, "_operator_route_kernel": 2}),
+    ("dider", {"dider": 1, "_operator_route_kernel": 1}),
+    ("inn", {}),
+    ("dinn", {}),
+])
+def test_spaces_checks_only_the_printed_kind(monkeypatch, which, expected):
+    solves = kernel_calls(monkeypatch)
+    assert run_cli("spaces", "catalog:Dias3_10", "--which", which) == 0
+    assert solves == expected
+
+
+def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
+    calls = kernel_calls(monkeypatch)
+    for name in ("annihilator", "bar_center", "halo"):
+        counting(monkeypatch, invariants, name, calls)
+    for name in ("left_identity_violations", "right_identity_violations"):
+        counting(monkeypatch, invariants.LeibnizAlgebra, name, calls)
+    assert run_cli("invariants", "catalog:Dias3_1") == 0
+    assert calls == {
+        "annihilator": 1, "bar_center": 1, "halo": 1,
+        "left_identity_violations": 1, "right_identity_violations": 1,
+        "der": 1, "dider": 1,
+    }
+
+
+def test_verify_catalog_solves_each_point_once(monkeypatch):
+    calls = Counter()
+    counting(monkeypatch, spaces, "diderivation_space", calls)
+    sweep = catalog.verify_catalog(3, 0)
+
+    def key(name, params):
+        return name, tuple(sorted((params or {}).items()))
+
+    points = {key(row["name"], row["params"]) for row in sweep["entries"]}
+    # the Dias3_16 twin of each Dias3_17 point
+    points |= {key("Dias3_16", dict(zip("kmnpq", row["params"].values())))
+               for row in sweep["entries"] if row["name"] == "Dias3_17"}
+    points |= {key("Dias3_16", dict(zip("kmnpq", s["params"])))
+               for row in sweep["dias316_rows"] for s in row["samples"]}
+    # row 13 prints its single point once per requested sample
+    assert [len(r["samples"]) for r in sweep["dias316_rows"] if r["row"] == 13] == [3]
+    assert calls["diderivation_space"] == len(points)

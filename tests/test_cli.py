@@ -75,6 +75,20 @@ class TestInputErrors:
         assert code == 2
         assert "missing parameter" in err
 
+    def test_unknown_catalog_filter(self, capsys):
+        code, out, err = run(capsys, "catalog", "NoSuch")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: unknown catalog entry: 'NoSuch'"]
+
+    @pytest.mark.parametrize("samples", ["0", "-1"])
+    def test_catalog_samples_below_one(self, capsys, samples):
+        code, out, err = run(capsys, "catalog", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: catalog checks need --samples of at least 1"]
+
 
 class TestSpaces:
     def test_default_space_dimension_and_basis(self, capsys):

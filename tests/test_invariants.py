@@ -5,18 +5,21 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diaskit import invariants
 from diaskit.catalog import ENTRY_NAMES, instantiate
 from diaskit.core import phi_dialgebra
 from diaskit.invariants import (
+    LeibnizAlgebra,
     annihilator,
     bar_center,
     check_bider_leibniz,
     check_invariant_actions,
     halo,
-    is_unital,
-    leibniz_of,
 )
 from diaskit.ratlin import Subspace
+from diaskit.spaces import derivation_space, diderivation_space
+
+import exact_oracle as oracle
 
 phis = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
@@ -33,7 +36,7 @@ class TestInvariantSets:
         d = instantiate("Dias2_1")
         assert annihilator(d) == Subspace(2, [(0, 1)])
         assert bar_center(d) == Subspace(2, [(0, 1)])
-        assert not is_unital(d)
+        assert halo(d).is_empty
 
     def test_three_dim_sample(self):
         d = instantiate("Dias3_1")
@@ -65,20 +68,20 @@ class TestInvariantSets:
 
 class TestBracket:
     def test_chirality_is_computed_not_assumed(self):
-        leib = leibniz_of(instantiate("Dias3_1"))
+        leib = LeibnizAlgebra(instantiate("Dias3_1"))
         assert not leib.right_identity_violations()
         assert leib.left_identity_violations()
 
     def test_right_identity_on_all_fixed_entries(self):
         for name in FIXED_ENTRIES:
-            leib = leibniz_of(instantiate(name))
+            leib = LeibnizAlgebra(instantiate(name))
             assert not leib.right_identity_violations(), name
 
     @given(phis)
     @settings(max_examples=15, deadline=None)
     def test_phi_bracket_vanishes(self, weights):
         d = phi_dialgebra(weights)
-        leib = leibniz_of(d)
+        leib = LeibnizAlgebra(d)
         n = d.dim
         basis = [tuple(Fraction(int(t == i)) for t in range(n))
                  for i in range(n)]
@@ -125,6 +128,58 @@ class TestCombinedSpace:
         report = check_bider_leibniz(
             instantiate("Dias2_3", {"lam": Fraction(1)}))
         assert report["dinn_der_ideal"] is False
+
+    def test_left_identity_and_squares_match_oracle(self):
+        # The report reads these from the bracket table by bilinearity;
+        # the oracle brackets the basis operators directly.
+        cases = [(name, None) for name in FIXED_ENTRIES] + [
+            ("Dias2_3", {"lam": Fraction(1)}),
+            ("Dias3_16", dict(zip("kmnpq", map(Fraction, (0, 0, 0, -1, 0))))),
+            ("Dias3_16", dict(zip("kmnpq", map(Fraction, (1, 1, 1, 1, 1))))),
+        ]
+        for name, params in cases:
+            d = instantiate(name, params)
+            n = d.dim
+            zero = [[Fraction(0)] * n for _ in range(n)]
+
+            def mats(space):
+                return [[list(v[r * n:(r + 1) * n]) for r in range(n)]
+                        for v in space.basis]
+
+            dider = mats(diderivation_space(d))
+            basis = [(s, zero) for s in dider]
+            basis += [(zero, t) for t in mats(derivation_space(d))]
+
+            def br(x, y):
+                return oracle.bider_bracket(x, y)
+
+            def flat(x):
+                return oracle.flatten(x[0]) + oracle.flatten(x[1])
+
+            def add(x, y):
+                return [a + b for a, b in zip(flat(x), flat(y))]
+
+            left = all(flat(br(x, br(y, z))) == add(br(br(x, y), z), br(y, br(x, z)))
+                       for x in basis for y in basis for z in basis)
+            squares = [add(br(x, y), br(y, x)) for x in basis for y in basis]
+            component = [flat((s, zero)) for s in dider]
+            report = check_bider_leibniz(d)
+            assert report["left_identity"] is left, name
+            assert report["square_span_dim"] == oracle.rank(squares), name
+            assert report["square_span_in_dider_component"] is all(
+                oracle.in_span(component, v) for v in squares), name
+
+    def test_wrong_kernel_breaks_closure(self, monkeypatch):
+        # span(E12, E21) is not closed under commutators: [E12, E21] =
+        # E11 - E22.  Served as the derivation space, closure must fail
+        # and both identities must be reported as failing with it.
+        monkeypatch.setattr(invariants, "derivation_space",
+                            lambda d: Subspace(4, [(0, 1, 0, 0), (0, 0, 1, 0)]))
+        report = check_bider_leibniz(instantiate("Dias2_4"))
+        assert report["bider_dim"] == 2
+        assert report["bracket_closed"] is False
+        assert report["right_identity"] is False
+        assert report["left_identity"] is False
 
     @given(phis)
     @settings(max_examples=6, deadline=None)

@@ -10,7 +10,6 @@ from diaskit.kxy import (
     BivariatePoly,
     DegreeBoundError,
     KxyOperatorSpec,
-    PolyParseError,
     ann_membership,
     check_axioms_truncated,
     check_derivation_identity,
@@ -24,7 +23,6 @@ from diaskit.kxy import (
     halo_membership,
     inner_derivation_spec,
     inner_dider_apply,
-    parse_poly,
     vdash,
 )
 
@@ -234,23 +232,13 @@ class TestInnerDiderivations:
 
 
 class TestTextForm:
-    @given(polys)
-    @settings(max_examples=80)
-    def test_format_parse_roundtrip(self, p):
-        assert parse_poly(format_poly(p), B) == p
-
-    def test_parse_examples(self):
-        assert parse_poly("x - y", B) == \
-            BivariatePoly.var_x(B) - BivariatePoly.var_y(B)
-        assert parse_poly("3*x^2*y - 1/2", B) == \
-            mono(2, 1, 3) + mono(0, 0, Fraction(-1, 2))
-        assert parse_poly("-x*y", B) == mono(1, 1, -1)
-
-    def test_parse_rejects_junk(self):
-        for text in ("x +", "2**x", "z", "x^-1", ""):
-            with pytest.raises(PolyParseError):
-                parse_poly(text, B)
-
-    def test_parse_respects_bound(self):
-        with pytest.raises(DegreeBoundError):
-            parse_poly("x^5*y^4", B)
+    def test_format_examples(self):
+        assert format_poly(BivariatePoly.zero(B)) == "0"
+        assert format_poly(BivariatePoly.one(B)) == "1"
+        assert format_poly(
+            BivariatePoly.var_x(B) - BivariatePoly.var_y(B)) == "x - y"
+        assert format_poly(
+            mono(2, 1, 3) + mono(0, 0, Fraction(-1, 2))) == "3*x^2*y - 1/2"
+        assert format_poly(mono(1, 1, -1)) == "-x*y"
+        assert format_poly(mono(0, 2, Fraction(4, 3)) + mono(3, 0, 1)
+                           + mono(1, 2, -2)) == "x^3 - 2*x*y^2 + 4/3*y^2"
