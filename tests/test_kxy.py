@@ -231,7 +231,48 @@ class TestInnerDiderivations:
         assert ann_membership(out)
 
 
+def read_poly(text):
+    """Read `format_poly` output back into a polynomial.
+
+    A reader kept beside the tests: the round trip shows that the text form
+    loses nothing (every term, sign, coefficient and exponent is recoverable).
+    """
+    if text == "0":
+        return BivariatePoly.zero(B)
+    tokens = text.split(" ")
+    signs = ["-" if tokens[0].startswith("-") else "+"] + tokens[1::2]
+    bodies = [tokens[0].removeprefix("-")] + tokens[2::2]
+    assert len(signs) == len(bodies) and set(signs) <= {"+", "-"}, text
+    coeffs = {}
+    for sign, body in zip(signs, bodies):
+        c, a, b = Fraction(1), 0, 0
+        for factor in body.split("*"):
+            var, _, exp = factor.partition("^")
+            if var == "x":
+                a = int(exp or 1)
+            elif var == "y":
+                b = int(exp or 1)
+            else:
+                c = Fraction(factor)
+        assert (a, b) not in coeffs, text
+        coeffs[(a, b)] = -c if sign == "-" else c
+    return BivariatePoly(coeffs, B)
+
+
 class TestTextForm:
+    @given(polys)
+    @settings(max_examples=80)
+    def test_format_parse_roundtrip(self, p):
+        assert read_poly(format_poly(p)) == p
+
+    def test_parse_examples(self):
+        for text, p in (
+                ("x - y", BivariatePoly.var_x(B) - BivariatePoly.var_y(B)),
+                ("3*x^2*y - 1/2", mono(2, 1, 3) + mono(0, 0, Fraction(-1, 2))),
+                ("-x*y", mono(1, 1, -1))):
+            assert read_poly(text) == p
+            assert format_poly(p) == text
+
     def test_format_examples(self):
         assert format_poly(BivariatePoly.zero(B)) == "0"
         assert format_poly(BivariatePoly.one(B)) == "1"
