@@ -10,7 +10,8 @@ operator identities that characterise derivations and diderivations.
 Modules
 -------
 ratlin
-    Dense rational linear algebra: matrices, RREF, kernels, subspaces.
+    Exact rational linear algebra: matrices and one sparse elimination
+    core behind RREF, kernels, determinants and subspaces.
 core
     The ``Dialgebra`` structure-constant container, axiom checking,
     multiplication operators, and the text file format.

@@ -726,8 +726,16 @@ def _dider_identity_holds(d: Dialgebra, op: Matrix) -> bool:
 def check_solution_families(params: Params, case: str) -> dict:
     """Substitute a boxed solution family into the defining identity and the
     solver kernel at one admissible parameter point."""
+    return solution_families(params, case, {})
+
+
+def solution_families(params: Params, case: str,
+                      kernels: dict[tuple, Subspace]) -> dict:
+    """``check_solution_families`` reading the kernel from ``kernels``, the
+    per-call kernels of a ``verify_catalog`` sweep; the point is solved only
+    if the sweep did not solve it."""
     d = instantiate("Dias3_16", params)
-    kernel = spaces.diderivation_space(d)
+    kernel = _kernel(kernels, "Dias3_16", params, d)
     vectors = case_family_vectors(case, params)
     results = []
     for label, op in vectors + [("t=0", Matrix.zero(3, 3))]:
@@ -811,7 +819,8 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
     Disagreements are collected as findings (the sweep never edits the
     expectations to match), and only internal errors -- an instantiation
     failing the axioms -- count as failures.  Each point is solved once
-    per call, however often the sweep compares it.
+    per call, however often the sweep compares it; the result's
+    ``kernels`` maps (entry name, sorted params) to each solved kernel.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -904,6 +913,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
 
     entry_match = sum(1 for r in entry_rows if r["status"] == "match")
     return {
+        "kernels": kernels,
         "entries": entry_rows,
         "dias316_rows": branch_rows,
         "findings": list(dict.fromkeys(findings)),

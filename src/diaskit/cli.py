@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass, field
@@ -43,6 +44,12 @@ from .core import Dialgebra, DialgebraError, parse_dialgebra
 from .ratlin import Matrix, Subspace
 
 PASS, FINDINGS, FAIL = "pass", "findings", "fail"
+# Upper limits of the run-length options.  Case-table row 12 of Dias3_16
+# (k = n = q = m = 0, p != -1 drawn from -4..4) has exactly 8 sample
+# points, so ``branch_samples`` cannot give a ninth.  ``kxy --bound 12``
+# takes about 17 s (Python 3.11, one core of a shared 2-vCPU Xeon).
+MAX_SAMPLES = 8
+MAX_BOUND = 12
 
 
 class InputError(ValueError):
@@ -335,6 +342,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
         raise InputError(f"unknown catalog entry: {name_filter!r}")
     if samples < 1:
         raise InputError("catalog checks need --samples of at least 1")
+    if samples > MAX_SAMPLES:
+        raise InputError(f"catalog checks take --samples of at most {MAX_SAMPLES}")
     subject = name_filter or "catalog"
     report = Report(subject, "catalog")
     sweep = catalog.verify_catalog(samples, seed)
@@ -383,7 +392,7 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
         for case, point in _FAMILY_POINTS.items():
             params = dict(zip(("k", "m", "n", "p", "q"),
                               (Fraction(v) for v in point)))
-            fam = catalog.check_solution_families(params, case)
+            fam = catalog.solution_families(params, case, sweep["kernels"])
             for vec in fam["vectors"]:
                 fsec.add(
                     f"case {case} at {point} {vec['label']}",
@@ -414,6 +423,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
 def cmd_kxy(bound: int) -> Report:
     if bound < 4:
         raise InputError("kxy checks need --bound of at least 4")
+    if bound > MAX_BOUND:
+        raise InputError(f"kxy checks take --bound of at most {MAX_BOUND}")
     report = Report(f"polynomial dialgebra (bound {bound})", "kxy")
     P = kxy.BivariatePoly
 
@@ -611,7 +622,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(render_machine(report) if args.machine else render_human(report))
+    try:
+        print(render_machine(report) if args.machine else render_human(report),
+              flush=True)
+    except BrokenPipeError:
+        # The reader has gone (``diaskit catalog | head -1``).  Point stdout
+        # at the null device so the flush at exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if report.verdict == FAIL else 0
 
 

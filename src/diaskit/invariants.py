@@ -37,7 +37,7 @@ from .ratlin import (
     Vector,
     add_vectors,
     commutator,
-    nullspace,
+    kernel,
     solve_affine,
     sub_vectors,
     unit_vector,
@@ -66,12 +66,12 @@ def annihilator(d: Dialgebra) -> Subspace:
 def bar_center(d: Dialgebra) -> Subspace:
     """Elements z with ``z vdash x = 0`` and ``x dashv z = 0`` for all x."""
     n = d.dim
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for j in range(n):
         ej = unit_vector(n, j)
         for m in (d.right_op("vdash", ej), d.left_op("dashv", ej)):
-            rows.extend(list(r) for r in m.rows)
-    return Subspace(n, nullspace(Matrix(rows, ncols=n)))
+            rows.extend(dict(enumerate(r)) for r in m.rows)
+    return kernel(n, rows)
 
 
 def halo(d: Dialgebra) -> AffineSubspace:

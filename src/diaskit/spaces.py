@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .core import Dialgebra
-from .ratlin import Matrix, Subspace, commutator, nullspace, unit_vector
+from .ratlin import Matrix, Subspace, commutator, kernel, unit_vector
 
 
 def operator_subspace(n: int, matrices: Sequence[Matrix]) -> Subspace:
@@ -46,37 +46,45 @@ def subspace_matrices(space: Subspace, n: int) -> list[Matrix]:
 # -- defining-identity solvers ------------------------------------------
 
 
+def _add(row: dict[int, Fraction], key: int, value: Fraction) -> None:
+    y = row.get(key)
+    row[key] = value if y is None else y + value
+
+
 def _rule_kernel(d: Dialgebra, twisted: bool) -> Subspace:
     """Kernel of the Leibniz-rule system.
 
     ``twisted=False`` solves the derivation rule, where each product
     appears on both sides.  ``twisted=True`` solves the diderivation
     rule, where the first summand always multiplies with dashv and the
-    second with vdash.  Unknown T[a][b] sits at flat index a*n + b.
+    second with vdash.  Unknown T[a][b] sits at flat index a*n + b.  Rows
+    are built sparse, from the nonzero structure constants only.
     """
     n = d.dim
-    rows: list[list[Fraction]] = []
-    for product in ("dashv", "vdash"):
-        c = d.c_dashv if product == "dashv" else d.c_vdash
-        c_first = d.c_dashv if twisted else c
-        c_second = d.c_vdash if twisted else c
-        for i in range(n):
-            for j in range(n):
-                cij = c[i][j]
-                for r in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for l in range(n):
-                        if cij[l]:
-                            row[r * n + l] += cij[l]
-                    for k in range(n):
-                        a = c_first[k][j][r]
-                        if a:
-                            row[k * n + i] -= a
-                        b = c_second[i][k][r]
-                        if b:
-                            row[k * n + j] -= b
-                    rows.append(row)
-    return Subspace(n * n, nullspace(Matrix(rows, ncols=n * n)))
+
+    def rows():
+        for product in ("dashv", "vdash"):
+            c = d.c_dashv if product == "dashv" else d.c_vdash
+            c_first = d.c_dashv if twisted else c
+            c_second = d.c_vdash if twisted else c
+            # first[j][r]: the (k, -c_first[k][j][r]) that are nonzero;
+            # second[i][r]: the (k, -c_second[i][k][r]) that are nonzero.
+            first = [[[(k, -c_first[k][j][r]) for k in range(n) if c_first[k][j][r]]
+                      for r in range(n)] for j in range(n)]
+            second = [[[(k, -c_second[i][k][r]) for k in range(n) if c_second[i][k][r]]
+                       for r in range(n)] for i in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    cij = [(l, x) for l, x in enumerate(c[i][j]) if x]
+                    for r in range(n):
+                        row = {r * n + l: x for l, x in cij}
+                        for k, a in first[j][r]:
+                            _add(row, k * n + i, a)
+                        for k, b in second[i][r]:
+                            _add(row, k * n + j, b)
+                        yield row
+
+    return kernel(n * n, rows())
 
 
 def derivation_space(d: Dialgebra) -> Subspace:
@@ -131,28 +139,31 @@ def _operator_route_kernel(
     to ``T(e_i)``, and ``commutator_op(i)`` sits inside the commutator.
     """
     n = d.dim
-    rows: list[list[Fraction]] = []
-    for subscript_op, commutator_op in conditions:
-        subs = [subscript_op(k) for k in range(n)]
-        comms = [commutator_op(i) for i in range(n)]
-        for i in range(n):
-            m = comms[i]
-            for r in range(n):
-                for s in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        v = subs[k].rows[r][s]
-                        if v:
-                            row[k * n + i] += v
-                    for t in range(n):
-                        v = m.rows[t][s]
-                        if v:
-                            row[r * n + t] -= v
-                        w = m.rows[r][t]
-                        if w:
-                            row[t * n + s] += w
-                    rows.append(row)
-    return Subspace(n * n, nullspace(Matrix(rows, ncols=n * n)))
+
+    def nonzero(m: Matrix) -> list[list[tuple[int, Fraction]]]:
+        return [[(t, x) for t, x in enumerate(row) if x] for row in m.rows]
+
+    def rows():
+        for subscript_op, commutator_op in conditions:
+            subs = [subscript_op(k).rows for k in range(n)]
+            # subs_at[r][s]: the (k, S_k[r][s]) that are nonzero
+            subs_at = [[[(k, subs[k][r][s]) for k in range(n) if subs[k][r][s]]
+                        for s in range(n)] for r in range(n)]
+            for i in range(n):
+                m = commutator_op(i)
+                by_row, by_col = nonzero(m), nonzero(-m.transpose())
+                for r in range(n):
+                    for s in range(n):
+                        row: dict[int, Fraction] = {}
+                        for k, v in subs_at[r][s]:
+                            _add(row, k * n + i, v)
+                        for t, v in by_col[s]:
+                            _add(row, r * n + t, v)
+                        for t, w in by_row[r]:
+                            _add(row, t * n + s, w)
+                        yield row
+
+    return kernel(n * n, rows())
 
 
 def _basis_op(d: Dialgebra, side: str, product: str) -> Callable[[int], Matrix]:

@@ -7,8 +7,8 @@ taken as plain data: its structure constants ``c_vdash[i][j][k]`` and
 the image of ``e_j``.
 
 The identities are evaluated by multiplying vectors, never by assembling
-the solver's constraint rows, and every rank and determinant comes from the
-``Fraction`` elimination below:
+the solver's constraint rows, and every rank, kernel and determinant comes
+from the dense ``Fraction`` elimination below:
 
     derivation      T(a * b) = T(a) * b + a * T(b)          (same product)
     diderivation    T(a * b) = T(a) dashv b + a vdash T(b)   (both products)
@@ -31,18 +31,20 @@ def matrix_unit(n, a, b):
 
 
 def product(c, x, y):
-    n = len(c)
-    out = [Fraction(0)] * n
-    for i in range(n):
-        for j in range(n):
-            if x[i] and y[j]:
-                for k in range(n):
-                    out[k] += x[i] * y[j] * c[i][j][k]
+    out = [Fraction(0)] * len(c)
+    ys = [(j, b) for j, b in enumerate(y) if b]
+    for i, a in enumerate(x):
+        if a:
+            for j, b in ys:
+                for k, z in enumerate(c[i][j]):
+                    if z:
+                        out[k] += a * b * z
     return out
 
 
 def apply(t, v):
-    return [sum((row[j] * v[j] for j in range(len(v))), Fraction(0))
+    nonzero = [(j, x) for j, x in enumerate(v) if x]
+    return [sum((row[j] * x for j, x in nonzero if row[j]), Fraction(0))
             for row in t]
 
 
@@ -89,24 +91,47 @@ def satisfies(c_vdash, c_dashv, t, twisted=True):
                residuals(c_vdash, c_dashv, t, twisted).values())
 
 
-def rank(rows):
-    """Rank over Q by Gaussian elimination on Fraction copies of the rows."""
+def rref(rows):
+    """Textbook reduced row echelon form over Q, lowest column first.
+
+    Returns the nonzero reduced rows and their pivot columns.
+    """
     work = [[Fraction(x) for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    r = 0
+    ncols = len(work[0]) if work else 0
+    pivots = []
     for col in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, len(work)) if work[i][col]), None)
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, len(work)):
-            if work[i][col]:
-                f = work[i][col] / work[r][col]
+        lead = work[r][col]
+        work[r] = [x / lead for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col]:
+                f = work[i][col]
                 work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        r += 1
-    return r
+        pivots.append(col)
+    return work[:len(pivots)], pivots
+
+
+def rank(rows):
+    return len(rref(rows)[1])
+
+
+def nullspace(rows, ncols):
+    """Kernel basis of the rows read off their RREF: the vector of each
+    free column has 1 there, 0 at the other free columns."""
+    reduced, pivots = rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            v = [Fraction(0)] * ncols
+            v[f] = Fraction(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            basis.append(v)
+    return basis
 
 
 def det(rows):
@@ -140,6 +165,22 @@ def kernel_dim(c_vdash, c_dashv, twisted=True):
             res = residuals(c_vdash, c_dashv, matrix_unit(n, a, b), twisted)
             rows.append([x for key in sorted(res) for x in res[key]])
     return n * n - rank(rows)
+
+
+def kernel_basis(c_vdash, c_dashv, twisted=True):
+    """The RREF basis of the (di)derivation space, flattened row-major.
+
+    Column (a, b) of the system is the residual of the matrix unit E_ab,
+    so each row of the system is one component of one residual.
+    """
+    n = len(c_vdash)
+    columns = []
+    for a in range(n):
+        for b in range(n):
+            res = residuals(c_vdash, c_dashv, matrix_unit(n, a, b), twisted)
+            columns.append([x for key in sorted(res) for x in res[key]])
+    system = [list(row) for row in zip(*columns) if any(row)]
+    return rref(nullspace(system, n * n))[0]
 
 
 def in_span(vectors, v):

@@ -89,11 +89,8 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
     }
 
 
-def test_verify_catalog_solves_each_point_once(monkeypatch):
-    calls = Counter()
-    counting(monkeypatch, spaces, "diderivation_space", calls)
-    sweep = catalog.verify_catalog(3, 0)
-
+def sweep_points(sweep) -> set:
+    """The distinct (entry, params) points a ``verify_catalog`` sweep compares."""
     def key(name, params):
         return name, tuple(sorted((params or {}).items()))
 
@@ -103,6 +100,25 @@ def test_verify_catalog_solves_each_point_once(monkeypatch):
                for row in sweep["entries"] if row["name"] == "Dias3_17"}
     points |= {key("Dias3_16", dict(zip("kmnpq", s["params"])))
                for row in sweep["dias316_rows"] for s in row["samples"]}
+    return points
+
+
+def test_verify_catalog_solves_each_point_once(monkeypatch):
+    calls = Counter()
+    counting(monkeypatch, spaces, "diderivation_space", calls)
+    sweep = catalog.verify_catalog(3, 0)
     # row 13 prints its single point once per requested sample
     assert [len(r["samples"]) for r in sweep["dias316_rows"] if r["row"] == 13] == [3]
-    assert calls["diderivation_space"] == len(points)
+    assert calls["diderivation_space"] == len(sweep_points(sweep))
+    assert set(sweep["kernels"]) == sweep_points(sweep)
+
+
+def test_catalog_command_solves_each_point_once(monkeypatch):
+    points = sweep_points(catalog.verify_catalog(3, 0))
+    # the solution-family points are case-table samples (rows 2, 3, 4)
+    for point in cli._FAMILY_POINTS.values():
+        assert ("Dias3_16", tuple(sorted(zip("kmnpq", point)))) in points
+    calls = Counter()
+    counting(monkeypatch, spaces, "diderivation_space", calls)
+    assert run_cli("catalog", "--samples", "3") == 0
+    assert calls["diderivation_space"] == len(points) == 62

@@ -1,10 +1,13 @@
 """Command-line interface: selectors, verdicts, exit codes, machine mode."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from diaskit.cli import main
+from diaskit.cli import MAX_BOUND, MAX_SAMPLES, main
 
 GOOD = """dialgebra v1
 dim 2
@@ -88,6 +91,47 @@ class TestInputErrors:
         assert out == ""
         assert err.splitlines() == [
             "error: catalog checks need --samples of at least 1"]
+
+
+    def test_catalog_samples_above_cap(self, capsys):
+        code, out, err = run(capsys, "catalog", "--samples", str(MAX_SAMPLES + 1))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: catalog checks take --samples of at most {MAX_SAMPLES}"]
+
+    def test_kxy_bound_above_cap(self, capsys):
+        code, out, err = run(capsys, "kxy", "--bound", str(MAX_BOUND + 1))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: kxy checks take --bound of at most {MAX_BOUND}"]
+
+    def test_file_dimension_above_cap(self, tmp_path, capsys):
+        path = tmp_path / "big.dlg"
+        path.write_text("dialgebra v1\ndim 33\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: {path}: line 2: dimension 33 outside supported range 1..32"]
+
+
+def test_closed_pipe_ends_quietly():
+    """``diaskit catalog | head -1``: the reader is gone before the report
+    is written, so the write fails with EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "diaskit.cli", "verify", "catalog:Dias2_1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == 0
 
 
 class TestSpaces:

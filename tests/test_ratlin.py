@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diaskit.catalog import ENTRY_NAMES, instantiate
+from diaskit.core import Dialgebra, phi_dialgebra
 from diaskit.ratlin import (
     AffineSubspace,
     Matrix,
@@ -19,9 +21,15 @@ from diaskit.ratlin import (
     solve_affine,
     unit_vector,
 )
+from diaskit.spaces import derivation_space, diderivation_space
+
+import exact_oracle as oracle
 
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=4).map(Fraction)
+# About three entries in four are zero, as in the structure-constant systems.
+sparse_entries = st.one_of(st.just(Fraction(0)), st.just(Fraction(0)),
+                           st.just(Fraction(0)), rationals)
 
 
 def square(n):
@@ -177,3 +185,91 @@ class TestAffineSubspace:
         d = Subspace(2, [(0, 1)])
         assert AffineSubspace((1, 0), d) == AffineSubspace((1, 7), d)
         assert AffineSubspace((1, 0), d) != AffineSubspace((2, 0), d)
+
+
+def sparse_matrix(nrows, ncols):
+    return st.lists(st.lists(sparse_entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows).map(lambda rows: Matrix(rows, ncols=ncols))
+
+
+sparse_matrices = st.tuples(st.integers(1, 6), st.integers(1, 6)).flatmap(
+    lambda shape: sparse_matrix(*shape))
+sparse_squares = st.integers(1, 5).flatmap(lambda n: sparse_matrix(n, n))
+
+
+def direct_sum(*parts):
+    """Block structure constants of a direct sum of dialgebras."""
+    n = sum(d.dim for d in parts)
+    cubes = {"vdash": [[[0] * n for _ in range(n)] for _ in range(n)],
+             "dashv": [[[0] * n for _ in range(n)] for _ in range(n)]}
+    offset = 0
+    for d in parts:
+        for name, c in (("vdash", d.c_vdash), ("dashv", d.c_dashv)):
+            for i in range(d.dim):
+                for j in range(d.dim):
+                    for k in range(d.dim):
+                        cubes[name][offset + i][offset + j][offset + k] = c[i][j][k]
+        offset += d.dim
+    return Dialgebra(n, cubes["vdash"], cubes["dashv"])
+
+
+def kernel_cases():
+    cases = []
+    for name in ENTRY_NAMES:
+        if name == "Dias2_3":
+            cases += [(f"{name}[lam={lam}]", instantiate(name, {"lam": Fraction(lam)}))
+                      for lam in ("0", "1", "-1", "1/2")]
+        elif name in ("Dias3_16", "Dias3_17"):
+            letters = "kmnpq" if name == "Dias3_16" else "lmnpq"
+            cases += [(f"{name}{pt}", instantiate(name, dict(zip(letters, map(Fraction, pt)))))
+                      for pt in [(1, 1, 1, 1, 1), (1, 1, -3, 1, -4), (0, 0, 0, -1, 0)]]
+        else:
+            cases.append((name, instantiate(name)))
+    point = dict(zip("kmnpq", map(Fraction, (1, 1, 1, 1, 1))))
+    cases.append(("Dias3_10+Dias3_13+Dias3_16", direct_sum(
+        instantiate("Dias3_10"), instantiate("Dias3_13"), instantiate("Dias3_16", point))))
+    cases += [(f"phi{n}", phi_dialgebra([(-1) ** i * (i % 3 + 1) for i in range(n)]))
+              for n in range(2, 7)]
+    return cases
+
+
+class TestCoreAgainstOracle:
+    """The sparse elimination core against the textbook dense RREF of
+    ``exact_oracle``, which shares no code with it."""
+
+    @given(sparse_matrices)
+    def test_rref_rank_and_nullspace(self, m):
+        reduced, pivots = oracle.rref(m.rows)
+        padding = [[0] * m.ncols] * (m.nrows - len(pivots))
+        assert rref(m) == (Matrix(reduced + padding, ncols=m.ncols), pivots)
+        assert rank(m) == len(pivots)
+        kernel = nullspace(m)
+        # the canonical kernel basis is the RREF of any kernel basis
+        assert [list(v) for v in kernel] == oracle.rref(oracle.nullspace(m.rows, m.ncols))[0]
+
+    @given(sparse_squares)
+    def test_det(self, m):
+        assert det(m) == oracle.det(m.rows)
+
+    @given(sparse_matrices, st.data())
+    def test_solve_affine(self, a, data):
+        b = data.draw(st.lists(sparse_entries, min_size=a.nrows, max_size=a.nrows))
+        reduced, pivots = oracle.rref([row + [y] for row, y in zip(a.rows, b)])
+        solution = solve_affine(a, b)
+        if a.ncols in pivots:
+            assert solution is None
+            return
+        # the particular point of the RREF: every free variable is 0
+        point = [Fraction(0)] * a.ncols
+        for row, p in zip(reduced, pivots):
+            point[p] = row[a.ncols]
+        assert solution[0] == tuple(point)
+        assert oracle.rref(solution[1])[0] == oracle.rref(oracle.nullspace(a.rows, a.ncols))[0]
+
+    @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
+    def test_kernels_match_oracle_and_are_rref_fixed_points(self, d):
+        n = d.dim
+        for solve, twisted in ((derivation_space, False), (diderivation_space, True)):
+            k = solve(d)
+            assert [list(v) for v in k.basis] == oracle.kernel_basis(d.c_vdash, d.c_dashv, twisted)
+            assert Subspace(n * n, k.basis).basis == k.basis
