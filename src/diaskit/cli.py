@@ -34,6 +34,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -41,7 +42,7 @@ from typing import Sequence
 
 from . import catalog, invariants, kxy, spaces
 from .core import Dialgebra, DialgebraError, parse_dialgebra
-from .ratlin import Matrix, Subspace
+from .ratlin import Matrix
 
 PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
@@ -281,7 +282,10 @@ def cmd_invariants(selector: str) -> Report:
 def cmd_bider(selector: str) -> Report:
     subject, d = load_input(selector)
     report = Report(subject, "bider")
-    res = invariants.check_bider_leibniz(d)
+    try:
+        res = invariants.check_bider_leibniz(d)
+    except invariants.BiderSizeError as exc:
+        raise InputError(str(exc)) from None
     sec = report.section("combined bracket")
     sec.add("space dim", res["bider_dim"])
     sec.add("bracket closed", res["bracket_closed"])
@@ -406,7 +410,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
 
     nsec = report.section("findings")
     for finding in sweep["findings"]:
-        if name_filter and name_filter not in finding:
+        # whole names only: the findings of Dias3_16 are not those of Dias3_1
+        if name_filter and not re.search(rf"\b{re.escape(name_filter)}\b", finding):
             continue
         nsec.add("finding", finding)
         report.worsen(FINDINGS)
@@ -572,22 +577,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--machine", action="store_true",
                        help="emit one JSON document instead of text")
 
+    # Each ``run`` looks its ``cmd_*`` up when called, so a wrapper put on
+    # the module attribute afterwards is the one that runs.
     p = sub.add_parser("verify", help="check the five axioms")
     p.add_argument("input")
+    p.set_defaults(run=lambda a: cmd_verify(a.input))
     add_machine(p)
 
     p = sub.add_parser("spaces", help="compute operator spaces")
     p.add_argument("input")
     p.add_argument("--which", choices=sorted(_WHICH), default="dider")
+    p.set_defaults(run=lambda a: cmd_spaces(a.input, a.which))
     add_machine(p)
 
     p = sub.add_parser("invariants",
                        help="annihilator, bar-center, halo, bracket")
     p.add_argument("input")
+    p.set_defaults(run=lambda a: cmd_invariants(a.input))
     add_machine(p)
 
     p = sub.add_parser("bider", help="combined-bracket checks")
     p.add_argument("input")
+    p.set_defaults(run=lambda a: cmd_bider(a.input))
     add_machine(p)
 
     p = sub.add_parser("catalog", help="reproduce the classification tables")
@@ -595,10 +606,12 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to one entry name")
     p.add_argument("--samples", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
+    p.set_defaults(run=lambda a: cmd_catalog(a.filter, a.samples, a.seed))
     add_machine(p)
 
     p = sub.add_parser("kxy", help="polynomial dialgebra checks")
     p.add_argument("--bound", type=int, default=6)
+    p.set_defaults(run=lambda a: cmd_kxy(a.bound))
     add_machine(p)
 
     return parser
@@ -607,18 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            report = cmd_verify(args.input)
-        elif args.command == "spaces":
-            report = cmd_spaces(args.input, args.which)
-        elif args.command == "invariants":
-            report = cmd_invariants(args.input)
-        elif args.command == "bider":
-            report = cmd_bider(args.input)
-        elif args.command == "catalog":
-            report = cmd_catalog(args.filter, args.samples, args.seed)
-        else:
-            report = cmd_kxy(args.bound)
+        report = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

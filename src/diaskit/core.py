@@ -18,10 +18,11 @@ the text format is 1-based).
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .ratlin import Matrix, Scalar, Vector, frac, unit_vector, vector, zero_vector
+from .ratlin import Matrix, Row, Scalar, Vector, bilinear, dense, frac, unit_vector, vector
 
 PRODUCTS = ("dashv", "vdash")
 
@@ -169,6 +170,12 @@ class Dialgebra:
 
     # -- structural checks ----------------------------------------------
 
+    def table(self, product: str) -> list[list[Row]]:
+        """Sparse structure constants: ``table[i][j]`` holds the nonzero
+        coordinates of e_i * e_j, the form ``ratlin.bilinear`` evaluates."""
+        return [[{k: x for k, x in enumerate(row) if x} for row in plane]
+                for plane in self._cube(product)]
+
     def verify_axioms(self) -> list[dict]:
         """Check all five axioms on every basis triple.
 
@@ -177,42 +184,24 @@ class Dialgebra:
         axiom name, the offending basis triple (0-based), and both sides.
         """
         n = self.dim
+        dashv, vdash = self.table("dashv"), self.table("vdash")
+        unit: list[Row] = [{i: Fraction(1)} for i in range(n)]
         violations = []
-        basis = [unit_vector(n, i) for i in range(n)]
-
-        def check(name: str, i: int, j: int, k: int, lhs: Vector, rhs: Vector) -> None:
-            if lhs != rhs:
-                violations.append(
-                    {"axiom": name, "triple": (i, j, k), "lhs": lhs, "rhs": rhs}
-                )
-
-        for i in range(n):
-            for j in range(n):
-                ij_d = self.dashv(basis[i], basis[j])
-                ij_v = self.vdash(basis[i], basis[j])
-                for k in range(n):
-                    jk_d = self.dashv(basis[j], basis[k])
-                    jk_v = self.vdash(basis[j], basis[k])
-                    check(
-                        "assoc_dashv", i, j, k,
-                        self.dashv(ij_d, basis[k]), self.dashv(basis[i], jk_d),
-                    )
-                    check(
-                        "absorb_dashv", i, j, k,
-                        self.dashv(basis[i], jk_d), self.dashv(basis[i], jk_v),
-                    )
-                    check(
-                        "inner", i, j, k,
-                        self.dashv(ij_v, basis[k]), self.vdash(basis[i], jk_d),
-                    )
-                    check(
-                        "absorb_vdash", i, j, k,
-                        self.vdash(ij_d, basis[k]), self.vdash(ij_v, basis[k]),
-                    )
-                    check(
-                        "assoc_vdash", i, j, k,
-                        self.vdash(ij_v, basis[k]), self.vdash(basis[i], jk_v),
-                    )
+        for i, j, k in itertools.product(range(n), repeat=3):
+            x, z = unit[i], unit[k]
+            x_jkd = bilinear(dashv, x, dashv[j][k])
+            ijv_z = bilinear(vdash, vdash[i][j], z)
+            sides = (
+                (bilinear(dashv, dashv[i][j], z), x_jkd),
+                (x_jkd, bilinear(dashv, x, vdash[j][k])),
+                (bilinear(dashv, vdash[i][j], z), bilinear(vdash, x, dashv[j][k])),
+                (bilinear(vdash, dashv[i][j], z), ijv_z),
+                (ijv_z, bilinear(vdash, x, vdash[j][k])),
+            )
+            for name, (lhs, rhs) in zip(AXIOM_NAMES, sides):
+                if lhs != rhs:
+                    violations.append({"axiom": name, "triple": (i, j, k),
+                                       "lhs": dense(n, lhs), "rhs": dense(n, rhs)})
         return violations
 
     def is_dialgebra(self) -> bool:

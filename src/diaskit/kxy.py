@@ -332,36 +332,24 @@ class KxyOperatorSpec:
     kind:
       * ``derivation``: data (f, g) with f univariate in x
       * ``diderivation``: data (f, g) = images of x and y
-      * ``inner_diderivation``: data p
     """
 
     kind: str
     f: BivariatePoly | None = None
     g: BivariatePoly | None = None
-    p: BivariatePoly | None = None
 
     def __post_init__(self):
-        if self.kind == "derivation":
-            if self.f is None or self.g is None:
-                raise ValueError("derivation spec needs f and g")
-            if not self.f.is_univariate_x():
-                raise ValueError("derivation spec requires univariate f(x)")
-        elif self.kind == "diderivation":
-            if self.f is None or self.g is None:
-                raise ValueError("diderivation spec needs f and g")
-        elif self.kind == "inner_diderivation":
-            if self.p is None:
-                raise ValueError("inner diderivation spec needs p")
-        else:
+        if self.kind not in ("derivation", "diderivation"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
+        if self.f is None or self.g is None:
+            raise ValueError(f"{self.kind} spec needs f and g")
+        if self.kind == "derivation" and not self.f.is_univariate_x():
+            raise ValueError("derivation spec requires univariate f(x)")
 
     def apply_monomial(self, m: int, n: int) -> BivariatePoly:
         if self.kind == "derivation":
             return derivation_apply((self.f, self.g), m, n)
-        if self.kind == "diderivation":
-            return diderivation_apply((self.f, self.g), m, n)
-        bound = self.p.bound
-        return inner_dider_apply(self.p, BivariatePoly.monomial(m, n, 1, bound))
+        return diderivation_apply((self.f, self.g), m, n)
 
     def apply(self, h: BivariatePoly) -> BivariatePoly:
         out = BivariatePoly.zero(h.bound)

@@ -14,6 +14,12 @@ form (see ``kernel``), so the structure-constant systems, which have
 pass.  Where the usual lowest-column RREF is wanted (``rref``,
 ``Subspace``, ``solve_affine``) the column order is mirrored on the way
 in and out.
+
+The same sparse rows carry coordinates: ``lincomb`` forms linear
+combinations of them, and ``bilinear`` evaluates a bilinear map given by
+the coordinates of its values on basis pairs.  Every identity checked on
+basis triples (the dialgebra axioms, both Leibniz identities of a
+bracket) goes through these two.
 """
 
 from __future__ import annotations
@@ -217,6 +223,21 @@ def _eliminate(rows: Iterable[Row]) -> tuple[dict[int, Row], list[Fraction]]:
     return reduced, scales
 
 
+def lincomb(terms: Iterable[tuple[int | Fraction, Row]]) -> Row:
+    """Sparse ``sum c * v`` over (c, v) pairs, zero entries dropped."""
+    out: Row = {}
+    for c, v in terms:
+        if c:
+            _axpy(out, c, v)
+    return out
+
+
+def bilinear(table: Sequence[Sequence[Row]], u: Row, v: Row) -> Row:
+    """The image of (u, v) under the bilinear map whose value on the basis
+    pair (e_i, e_j) has the coordinates ``table[i][j]``."""
+    return lincomb((a * b, table[i][j]) for i, a in u.items() for j, b in v.items())
+
+
 def _sparse(rows: Iterable[Sequence[Fraction]]) -> list[Row]:
     return [dict(enumerate(row)) for row in rows]
 
@@ -226,10 +247,10 @@ def _mirrored(rows: Iterable[Sequence[Fraction]], last: int) -> list[Row]:
     return [{last - j: x for j, x in enumerate(row) if x} for row in rows]
 
 
-def _dense(ncols: int, pivot: int, rest: Row) -> Vector:
+def dense(ncols: int, row: Row) -> Vector:
+    """The sparse row as a vector of Q^ncols."""
     v = [_ZERO] * ncols
-    v[pivot] = _ONE
-    for j, x in rest.items():
+    for j, x in row.items():
         v[j] = x
     return tuple(v)
 
@@ -249,7 +270,7 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
             free[f][p] = -x
     space = Subspace.__new__(Subspace)
     space.ambient_dim, space._rows = ncols, tuple(free.items())
-    space.basis = tuple(_dense(ncols, f, rest) for f, rest in space._rows)
+    space.basis = tuple(dense(ncols, {f: _ONE, **rest}) for f, rest in space._rows)
     return space
 
 
@@ -258,7 +279,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     last = m.ncols - 1
     reduced, _ = _eliminate(_mirrored(m.rows, last))
     pivots = sorted(last - p for p in reduced)
-    rows = [_dense(m.ncols, c, {last - j: x for j, x in reduced[last - c].items()})
+    rows = [dense(m.ncols, {c: _ONE, **{last - j: x for j, x in reduced[last - c].items()}})
             for c in pivots]
     rows += [(_ZERO,) * m.ncols] * (m.nrows - len(rows))
     return Matrix(rows, ncols=m.ncols), pivots
@@ -293,7 +314,7 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]
     Returns ``None`` when inconsistent, else ``(particular, kernel_basis)``
     describing the full solution set ``particular + span(kernel_basis)``.
     The particular solution sets every free variable of the usual RREF of
-    ``[a | b]`` to 0."""
+    ``[a | b]`` to 0; the kernel basis is read off the same elimination."""
     if len(b) != a.nrows:
         raise ValueError("right-hand side length mismatch")
     n = a.ncols
@@ -305,10 +326,18 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]
     reduced, _ = _eliminate(rows)
     if 0 in reduced:
         return None
+    # The kernel of ``a`` comes off the same reduction: the vector of free
+    # column f has 1 there and, at each pivot column, minus that row's entry
+    # at f.
     particular = [_ZERO] * n
+    free: dict[int, Row] = {f: {f: _ONE} for f in range(n) if n - f not in reduced}
     for p, row in reduced.items():
-        particular[n - p] = row.get(0, _ZERO)
-    return tuple(particular), nullspace(a)
+        for j, x in row.items():
+            if j:
+                free[n - j][n - p] = -x
+            else:
+                particular[n - p] = x
+    return tuple(particular), [dense(n, v) for v in free.values()]
 
 
 class Subspace:

@@ -42,6 +42,66 @@ def product(c, x, y):
     return out
 
 
+AXIOMS = ("assoc_dashv", "absorb_dashv", "inner", "absorb_vdash", "assoc_vdash")
+
+
+def axiom_records(c_vdash, c_dashv):
+    """(axiom, triple, lhs, rhs) for every basis triple and axiom that fails,
+    triples in lexicographic order, axioms in Loday's order:
+
+        (x -| y) -| z = x -| (y -| z)      x -| (y -| z) = x -| (y |- z)
+        (x |- y) -| z = x |- (y -| z)      (x -| y) |- z = (x |- y) |- z
+        (x |- y) |- z = x |- (y |- z)
+    """
+    n = len(c_vdash)
+
+    def dv(x, y):
+        return product(c_dashv, x, y)
+
+    def vd(x, y):
+        return product(c_vdash, x, y)
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = unit(n, i), unit(n, j), unit(n, k)
+                sides = ((dv(dv(x, y), z), dv(x, dv(y, z))),
+                         (dv(x, dv(y, z)), dv(x, vd(y, z))),
+                         (dv(vd(x, y), z), vd(x, dv(y, z))),
+                         (vd(dv(x, y), z), vd(vd(x, y), z)),
+                         (vd(vd(x, y), z), vd(x, vd(y, z))))
+                out += [(name, (i, j, k), lhs, rhs)
+                        for name, (lhs, rhs) in zip(AXIOMS, sides) if lhs != rhs]
+    return out
+
+
+def leibniz_violations(c_vdash, c_dashv, right):
+    """Basis triples, in order, where [x, y] = x -| y - y |- x breaks the
+    right identity [[x,y],z] = [[x,z],y] + [x,[y,z]] or the left identity
+    [x,[y,z]] = [[x,y],z] + [y,[x,z]]."""
+    n = len(c_vdash)
+
+    def br(x, y):
+        return [a - b for a, b in zip(product(c_dashv, x, y), product(c_vdash, y, x))]
+
+    def add(u, v):
+        return [a + b for a, b in zip(u, v)]
+
+    out = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                x, y, z = unit(n, i), unit(n, j), unit(n, k)
+                if right:
+                    holds = br(br(x, y), z) == add(br(br(x, z), y), br(x, br(y, z)))
+                else:
+                    holds = br(x, br(y, z)) == add(br(br(x, y), z), br(y, br(x, z)))
+                if not holds:
+                    out.append((i, j, k))
+    return out
+
+
 def apply(t, v):
     nonzero = [(j, x) for j, x in enumerate(v) if x]
     return [sum((row[j] * x for j, x in nonzero if row[j]), Fraction(0))

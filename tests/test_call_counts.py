@@ -11,7 +11,8 @@ from collections import Counter
 
 import pytest
 
-from diaskit import catalog, cli, invariants, spaces
+from diaskit import catalog, cli, invariants, ratlin, spaces
+from diaskit.core import phi_dialgebra
 
 
 def counting(monkeypatch, owner, name, calls, key=None):
@@ -40,17 +41,12 @@ def kernel_calls(monkeypatch) -> Counter:
     return calls
 
 
-# Both ideal checks hold on these entries, so neither stops early at a
-# bracket outside its ideal and the bracket count is exact.
 @pytest.mark.parametrize("selector", [
-    "catalog:Dias3_8", "catalog:Dias3_9", "catalog:Dias3_10",
+    "catalog:Dias3_8", "catalog:Dias3_9", "catalog:Dias3_10", "catalog:Dias3_13",
 ])
 def test_bider_solves_once_and_tables_b_squared_brackets(monkeypatch, selector):
     _, d = cli.load_input(selector)
-    der = spaces.derivation_space(d).dim
-    b = der + spaces.diderivation_space(d).dim
-    dinn = spaces.inner_diderivations(d).dim
-    members = (dinn + der) + (dinn + spaces.inner_derivations(d).dim)
+    b = spaces.derivation_space(d).dim + spaces.diderivation_space(d).dim
 
     solves = kernel_calls(monkeypatch)
     brackets = Counter()
@@ -58,9 +54,41 @@ def test_bider_solves_once_and_tables_b_squared_brackets(monkeypatch, selector):
     assert run_cli("bider", selector) == 0
 
     assert solves == {"der": 1, "dider": 1}
-    # the b x b table, plus each ideal member bracketed with each basis
-    # element from both sides
-    assert brackets["bider_bracket"] == b * b + 2 * b * members
+    # the b x b table only: the identities and both ideal checks are read
+    # off it by bilinearity
+    assert brackets["bider_bracket"] == b * b
+
+
+def test_bider_above_the_cap_stops_before_the_table(monkeypatch):
+    d = phi_dialgebra([1, -1, 2, -2, 3, -3, 1, -1])  # b = 56
+    solves = kernel_calls(monkeypatch)
+    brackets = Counter()
+    counting(monkeypatch, invariants, "bider_bracket", brackets)
+    cap = invariants.MAX_BIDER_DIM
+    with pytest.raises(invariants.BiderSizeError, match=f"at most {cap} elements, this one has 56"):
+        invariants.check_bider_leibniz(d)
+    assert solves == {"der": 1, "dider": 1}
+    assert brackets["bider_bracket"] == 0
+
+
+def test_halo_eliminates_once_then_only_its_kernel(monkeypatch):
+    runs = []
+    original = ratlin._eliminate
+
+    def wrapper(rows):
+        rows = list(rows)
+        runs.append(len(rows))
+        return original(rows)
+
+    monkeypatch.setattr(ratlin, "_eliminate", wrapper)
+    for name in ("Dias2_4", "Dias3_1", "Dias3_10"):
+        d = catalog.instantiate(name)
+        runs.clear()
+        invariants.halo(d)
+        # the bar-unit system [A | b] of 2n^2 rows, then at most n kernel
+        # vectors brought to canonical form
+        assert runs[0] == 2 * d.dim ** 2, name
+        assert len(runs) <= 2 and all(r <= d.dim for r in runs[1:]), name
 
 
 @pytest.mark.parametrize("which, expected", [

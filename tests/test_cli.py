@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+from diaskit import cli
 from diaskit.cli import MAX_BOUND, MAX_SAMPLES, main
+from diaskit.core import phi_dialgebra, serialize_dialgebra
+from diaskit.invariants import MAX_BIDER_DIM
 
 GOOD = """dialgebra v1
 dim 2
@@ -116,6 +119,38 @@ class TestInputErrors:
         assert err.splitlines() == [
             f"error: {path}: line 2: dimension 33 outside supported range 1..32"]
 
+    def test_bider_basis_above_cap(self, tmp_path, capsys):
+        # phi at n = 8 has Der of dimension 56 and Dider = 0
+        path = tmp_path / "phi8.dlg"
+        path.write_text(serialize_dialgebra(phi_dialgebra([1, -1, 2, -2, 3, -3, 1, -1])))
+        code, out, err = run(capsys, "bider", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: combined bracket checks take a basis of at most {MAX_BIDER_DIM} "
+            "elements, this one has 56"]
+
+
+@pytest.mark.parametrize("argv, name, expected", [
+    (["verify", "X"], "cmd_verify", ("X",)),
+    (["spaces", "X", "--which", "inn"], "cmd_spaces", ("X", "inn")),
+    (["invariants", "X"], "cmd_invariants", ("X",)),
+    (["bider", "X"], "cmd_bider", ("X",)),
+    (["catalog", "Dias3_1", "--samples", "2", "--seed", "5"], "cmd_catalog", ("Dias3_1", 2, 5)),
+    (["kxy", "--bound", "7"], "cmd_kxy", (7,)),
+])
+def test_main_dispatches_to_the_module_attribute(monkeypatch, capsys, argv, name, expected):
+    # a wrapper put on ``cli.cmd_*`` (as a tracer does) is what runs
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return cli.Report("stub", argv[0])
+
+    monkeypatch.setattr(cli, name, stub)
+    assert run(capsys, *argv)[0] == 0
+    assert calls == [expected]
+
 
 def test_closed_pipe_ends_quietly():
     """``diaskit catalog | head -1``: the reader is gone before the report
@@ -184,6 +219,20 @@ class TestCatalog:
         assert code == 0
         assert "entries shown: 1" in out
         assert "Dias3_16 case table" not in out
+
+    def test_filter_shows_only_the_named_entrys_findings(self, capsys):
+        # Dias3_16, Dias3_17 and the Dias3_9/Dias3_11 pair all have findings;
+        # none of them is Dias3_1's
+        code, out, _ = run(capsys, "catalog", "Dias3_1", "--samples", "1")
+        assert code == 0
+        assert "finding:" not in out
+        assert "verdict: pass" in out
+        code, out, _ = run(capsys, "catalog", "Dias3_11", "--samples", "1")
+        assert code == 0
+        assert [line for line in out.splitlines() if "finding:" in line] == [
+            "  finding: Dias3_9 and Dias3_11 share one printed relation list "
+            "and one computed kernel, yet the table assigns them different spaces"]
+        assert "verdict: findings" in out
 
     def test_machine_output_deterministic(self, capsys):
         first = run(capsys, "catalog", "--samples", "5", "--seed", "7",

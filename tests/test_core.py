@@ -15,11 +15,20 @@ from diaskit.core import (
     serialize_dialgebra,
 )
 
+import exact_oracle as oracle
+from test_ratlin import kernel_cases
+
 phis = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
         st.fractions(min_value=-4, max_value=4, max_denominator=3),
         min_size=n, max_size=n)
 ).filter(lambda w: any(x != 0 for x in w))
+
+# Random structure constants in {-1, 0, 1}: almost never a dialgebra.
+random_cubes = st.integers(min_value=2, max_value=3).flatmap(
+    lambda n: st.tuples(*[st.lists(st.lists(st.lists(
+        st.sampled_from((-1, 0, 1)), min_size=n, max_size=n),
+        min_size=n, max_size=n), min_size=n, max_size=n)] * 2))
 
 
 def truncated_poly_algebra():
@@ -103,6 +112,28 @@ class TestAxioms:
         d = phi_dialgebra((2, 3))
         assert d.vdash((1, 0), (0, 1)) == (0, 2)
         assert d.dashv((1, 0), (0, 1)) == (3, 0)
+
+
+class TestAxiomsAgainstOracle:
+    """``verify_axioms`` evaluates sparse tables with ``ratlin.bilinear``;
+    the oracle multiplies dense vectors."""
+
+    @staticmethod
+    def records(d):
+        return [(r["axiom"], r["triple"], list(r["lhs"]), list(r["rhs"]))
+                for r in d.verify_axioms()]
+
+    @given(random_cubes)
+    @settings(max_examples=60, deadline=None)
+    def test_random_cubes(self, cubes):
+        d = Dialgebra(len(cubes[0]), *cubes)
+        assert self.records(d) == oracle.axiom_records(d.c_vdash, d.c_dashv)
+        assert all(isinstance(x, Fraction)
+                   for r in d.verify_axioms() for x in r["lhs"] + r["rhs"])
+
+    @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
+    def test_catalog(self, d):
+        assert self.records(d) == oracle.axiom_records(d.c_vdash, d.c_dashv) == []
 
 
 class TestOperators:

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diaskit import invariants
 from diaskit.catalog import ENTRY_NAMES, instantiate
-from diaskit.core import phi_dialgebra
+from diaskit.core import Dialgebra, phi_dialgebra
 from diaskit.invariants import (
     LeibnizAlgebra,
     annihilator,
@@ -20,12 +21,19 @@ from diaskit.ratlin import Subspace
 from diaskit.spaces import derivation_space, diderivation_space
 
 import exact_oracle as oracle
+from test_ratlin import kernel_cases
 
 phis = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
         st.fractions(min_value=-3, max_value=3, max_denominator=2),
         min_size=n, max_size=n)
 ).filter(lambda w: any(x != 0 for x in w))
+
+# Random structure constants in {-1, 0, 1}: almost never a dialgebra.
+random_cubes = st.integers(min_value=2, max_value=3).flatmap(
+    lambda n: st.tuples(*[st.lists(st.lists(st.lists(
+        st.sampled_from((-1, 0, 1)), min_size=n, max_size=n),
+        min_size=n, max_size=n), min_size=n, max_size=n)] * 2))
 
 FIXED_ENTRIES = [name for name in ENTRY_NAMES
                  if name not in ("Dias2_3", "Dias3_16", "Dias3_17")]
@@ -87,6 +95,27 @@ class TestBracket:
                  for i in range(n)]
         assert all(leib.bracket(x, y) == tuple([0] * n)
                    for x in basis for y in basis)
+
+
+class TestBracketAgainstOracle:
+    """The violation triples read off the sparse bracket table, against the
+    oracle's brackets of dense vectors."""
+
+    @staticmethod
+    def check(d):
+        leib = LeibnizAlgebra(d)
+        for right, found in ((True, leib.right_identity_violations()),
+                             (False, leib.left_identity_violations())):
+            assert found == oracle.leibniz_violations(d.c_vdash, d.c_dashv, right)
+
+    @given(random_cubes)
+    @settings(max_examples=60, deadline=None)
+    def test_random_cubes(self, cubes):
+        self.check(Dialgebra(len(cubes[0]), *cubes))
+
+    @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
+    def test_catalog(self, d):
+        self.check(d)
 
 
 class TestActions:
@@ -180,6 +209,20 @@ class TestCombinedSpace:
         assert report["bracket_closed"] is False
         assert report["right_identity"] is False
         assert report["left_identity"] is False
+        assert report["dinn_der_ideal"] is False
+        assert report["dinn_inn_ideal"] is False
+
+    def test_generator_outside_the_space_breaks_both_ideals(self, monkeypatch):
+        # With Der served as 0, Dias2_1's combined space is its Dider line,
+        # whose table is closed (all brackets are 0), but its inner
+        # derivation has no coordinates there.
+        monkeypatch.setattr(invariants, "derivation_space", lambda d: Subspace(4))
+        report = check_bider_leibniz(instantiate("Dias2_1"))
+        assert report["bider_dim"] == 1
+        assert report["bracket_closed"] is True
+        assert report["right_identity"] is True
+        assert report["dinn_der_ideal"] is False
+        assert report["dinn_inn_ideal"] is False
 
     @given(phis)
     @settings(max_examples=6, deadline=None)
