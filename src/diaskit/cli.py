@@ -41,7 +41,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import catalog, invariants, kxy, spaces
-from .core import Dialgebra, DialgebraError, parse_dialgebra
+from .core import Dialgebra, DialgebraError, parse_dialgebra, parse_rational
 from .ratlin import Matrix
 
 PASS, FINDINGS, FAIL = "pass", "findings", "fail"
@@ -145,11 +145,11 @@ def _parse_param_query(query: str) -> dict[str, Fraction]:
         if not sep:
             raise InputError(f"bad parameter {piece!r}, expected key=value")
         try:
-            params[key.strip()] = Fraction(value.strip())
-        except (ValueError, ZeroDivisionError):
+            params[key.strip()] = parse_rational(value.strip())
+        except ValueError as exc:
             raise InputError(
                 f"bad rational {value.strip()!r} for parameter "
-                f"{key.strip()!r}") from None
+                f"{key.strip()!r}: {exc}") from None
     return params
 
 
@@ -234,14 +234,13 @@ def cmd_invariants(selector: str) -> Report:
     n = d.dim
 
     ann = invariants.annihilator(d)
-    zb = invariants.bar_center(d)
     h = invariants.halo(d)
     sec = report.section("invariant sets")
     sec.add("annihilator dim", ann.dim)
     for idx, mat in enumerate(ann.basis, start=1):
         sec.add(f"ann basis {idx}", tuple(mat))
-    sec.add("bar-center dim", zb.dim)
-    for idx, mat in enumerate(zb.basis, start=1):
+    sec.add("bar-center dim", h.direction.dim)
+    for idx, mat in enumerate(h.direction.basis, start=1):
         sec.add(f"bar-center basis {idx}", tuple(mat))
     sec.add("unital", not h.is_empty)
     if h.is_empty:
@@ -268,7 +267,7 @@ def cmd_invariants(selector: str) -> Report:
     if right:
         report.worsen(FAIL)
 
-    actions = invariants.invariant_actions(d, ann, zb, h)
+    actions = invariants.invariant_actions(d, ann, h)
     asec = report.section("actions")
     for key in sorted(actions):
         if key.endswith("dim") or key == "unital":

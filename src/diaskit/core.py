@@ -19,6 +19,7 @@ the text format is 1-based).
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -41,9 +42,30 @@ AXIOM_NAMES = (
 # a shared 2-vCPU Xeon).
 MAX_DIM = 32
 
+# Most digits of a rational in the input, numerator and denominator
+# together: a short text such as 1e2000000 must not become a huge number.
+MAX_RATIONAL_DIGITS = 40
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
 
 class DialgebraError(ValueError):
     """Raised for malformed structure data or unparseable files."""
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or a fraction such as ``-2/3``: an optional ``-``, digits,
+    and an optional ``/`` with a nonzero denominator, at most
+    ``MAX_RATIONAL_DIGITS`` digits in all.  Anything else raises
+    ``ValueError`` before a ``Fraction`` is built."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError("expected an integer or a fraction like -2/3")
+    num, den = match.group(1, 2)
+    if len(num.lstrip("-")) + len(den or "") > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
+    if den is not None and not den.strip("0"):
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den or 1))
 
 
 Cube = list[list[list[Fraction]]]
@@ -370,10 +392,10 @@ def parse_dialgebra(text: str) -> Dialgebra:
             if not 1 <= k <= n:
                 raise DialgebraError(f"line {lineno}: index out of range 1..{n} in {term!r}")
             try:
-                coeff = Fraction(coeff_text.strip())
-            except (ValueError, ZeroDivisionError):
+                coeff = parse_rational(coeff_text.strip())
+            except ValueError as exc:
                 raise DialgebraError(
-                    f"line {lineno}: bad coefficient {coeff_text.strip()!r}"
+                    f"line {lineno}: bad coefficient {coeff_text.strip()!r}: {exc}"
                 ) from None
             key = (product, i, j, k)
             if key in seen:

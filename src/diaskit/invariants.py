@@ -18,13 +18,13 @@ table by ``ratlin.bilinear``; ``_violations`` is the one Leibniz sweep.
 The combined space pairs diderivations with derivations under the
 bracket ``<(s, d), (s', d')> = ([s, d'], [d, d'])``.  Its basis is the
 Dider block followed by the Der block; flattened, that is already the
-RREF basis of the combined space, so the coordinates of a bracket are
-its entries at the pivots.  ``check_bider_leibniz`` solves both spaces
-once, forms the table of brackets of basis elements once (b^2 brackets
-for a basis of size b) and reads their coordinates.  Closure, both
-Leibniz identities, the two ideal checks (each ideal generator written in
-coordinates over the same basis) and the span of symmetrised squares
-follow from that table by bilinearity.
+RREF basis of the combined space.  ``<x, (s', 0)>`` is 0, so
+``check_bider_leibniz`` forms only the |Der| * b sparse brackets
+``[s, d']`` and ``[d, d']`` of basis elements and reads their coordinates
+in Dider and in Der.  Closure, both Leibniz identities, the two ideal
+checks (each ideal generator written in coordinates over the same basis)
+and the span of symmetrised squares follow from that table by
+bilinearity.
 """
 
 from __future__ import annotations
@@ -40,13 +40,12 @@ from .ratlin import (
     Row,
     Subspace,
     Vector,
-    add_vectors,
     bilinear,
     commutator,
     dense,
-    kernel,
     lincomb,
     solve_affine,
+    sparse,
     sub_vectors,
     unit_vector,
     vector,
@@ -71,22 +70,12 @@ def annihilator(d: Dialgebra) -> Subspace:
     return Subspace(n, gens)
 
 
-def bar_center(d: Dialgebra) -> Subspace:
-    """Elements z with ``z vdash x = 0`` and ``x dashv z = 0`` for all x."""
-    n = d.dim
-    rows: list[dict[int, Fraction]] = []
-    for j in range(n):
-        ej = unit_vector(n, j)
-        for m in (d.right_op("vdash", ej), d.left_op("dashv", ej)):
-            rows.extend(dict(enumerate(r)) for r in m.rows)
-    return kernel(n, rows)
-
-
 def halo(d: Dialgebra) -> AffineSubspace:
     """The set of bar units, as an affine subspace (possibly empty).
 
     The homogeneous part of the bar-unit system is the bar-center
-    system, so a nonempty halo is automatically a bar-center coset.
+    system, so one elimination gives both: the direction is the
+    bar-center, also when the halo is empty.
     """
     n = d.dim
     rows: list[list[Fraction]] = []
@@ -94,13 +83,16 @@ def halo(d: Dialgebra) -> AffineSubspace:
     for j in range(n):
         ej = unit_vector(n, j)
         for m in (d.right_op("vdash", ej), d.left_op("dashv", ej)):
-            rows.extend(list(r) for r in m.rows)
+            rows.extend(m.rows)
             rhs.extend(ej)
-    solution = solve_affine(Matrix(rows, ncols=n), rhs)
-    if solution is None:
-        return AffineSubspace(None, Subspace(n))
-    point, kernel = solution
+    point, kernel = solve_affine(Matrix(rows, ncols=n), rhs)
     return AffineSubspace(point, Subspace(n, kernel))
+
+
+def bar_center(d: Dialgebra) -> Subspace:
+    """Elements z with ``z vdash x = 0`` and ``x dashv z = 0`` for all x:
+    the direction of the halo."""
+    return halo(d).direction
 
 
 # -- the skew bracket ----------------------------------------------------
@@ -152,12 +144,10 @@ def _violations(table: Sequence[Sequence[Row]], right: bool) -> Iterator[tuple[i
 
 # -- combined derivation space -------------------------------------------
 
-BiderElement = tuple[Matrix, Matrix]
-
 # Largest combined basis b (Dider block plus Der block) that
 # ``check_bider_leibniz`` accepts.  Its time grows as b^3: on
-# ``phi_dialgebra`` at n = 7 (b = 42) it takes 2.9 to 4.6 s, at n = 8
-# (b = 56) 6.4 to 9.8 s (three runs each, Python 3.11, one core of a
+# ``phi_dialgebra`` at n = 7 (b = 42) it takes 2.3 to 2.5 s, at n = 8
+# (b = 56) 4.8 to 4.9 s (three runs each, Python 3.11, one core of a
 # shared 2-vCPU Xeon).
 MAX_BIDER_DIM = 42
 
@@ -166,27 +156,8 @@ class BiderSizeError(ValueError):
     """The combined basis is larger than ``MAX_BIDER_DIM``."""
 
 
-def bider_bracket(x: BiderElement, y: BiderElement) -> BiderElement:
-    """``<(s, d), (s', d')> = ([s, d'], [d, d'])``."""
-    s, dd = x
-    s2, dd2 = y
-    return (commutator(s, dd2), commutator(dd, dd2))
-
-
-def _flatten_pair(x: BiderElement) -> Vector:
-    return x[0].flatten() + x[1].flatten()
-
-
-def _coordinates(v: Vector, basis: Sequence[Vector], pivots: Sequence[int]) -> Row | None:
-    """Coordinates of v in an RREF basis with the given pivot columns,
-    or None when v lies outside its span."""
-    coords = {k: v[p] for k, p in enumerate(pivots) if v[p]}
-    rest = list(v)
-    for k, c in coords.items():
-        for idx, x in enumerate(basis[k]):
-            if x:
-                rest[idx] -= c * x
-    return None if any(rest) else coords
+def _shifted(row: Row | None, by: int) -> Row | None:
+    return None if row is None else {j + by: x for j, x in row.items()}
 
 
 def check_bider_leibniz(d: Dialgebra) -> dict:
@@ -207,29 +178,34 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     the combined basis has more than ``MAX_BIDER_DIM`` elements.
     """
     n = d.dim
-    zero = Matrix.zero(n, n)
-    der_mats = subspace_matrices(derivation_space(d), n)
-    dider_mats = subspace_matrices(diderivation_space(d), n)
-    b = len(dider_mats) + len(der_mats)
+    nn = n * n
+    der, dider = derivation_space(d), diderivation_space(d)
+    b = dider.dim + der.dim
     if b > MAX_BIDER_DIM:
         raise BiderSizeError(
             f"combined bracket checks take a basis of at most {MAX_BIDER_DIM} "
             f"elements, this one has {b}")
-    basis = [(m, zero) for m in dider_mats] + [(zero, m) for m in der_mats]
-    flat = [_flatten_pair(x) for x in basis]
-    pivots = [next(j for j, v in enumerate(f) if v) for f in flat]
+    der_rows = [sparse(v) for v in der.basis]
 
-    table = [[_flatten_pair(bider_bracket(x, y)) for y in basis] for x in basis]
-    coords = [[_coordinates(t, flat, pivots) for t in row] for row in table]
-    closed = all(c is not None for row in coords for c in row)
+    # values[i][j]: <x_i, x_j> flattened into Q^(2n^2); table[i][j]: its
+    # coordinates, or None outside the combined space.  Only the Der
+    # columns are nonzero: <(s, 0), (0, d')> = ([s, d'], 0) has its
+    # coordinates in Dider, <(0, d), (0, d')> = (0, [d, d']) in Der.
+    values: list[list[Row]] = [[{} for _ in range(b)] for _ in range(b)]
+    table: list[list[Row | None]] = [[{} for _ in range(b)] for _ in range(b)]
+    for start, space, flat_start in ((0, dider, 0), (dider.dim, der, nn)):
+        for i, x in enumerate(map(sparse, space.basis), start=start):
+            for j, y in enumerate(der_rows, start=dider.dim):
+                bracket = commutator(n, x, y)
+                values[i][j] = _shifted(bracket, flat_start)
+                table[i][j] = _shifted(space.coordinates(bracket), start)
+    closed = all(c is not None for row in table for c in row)
 
     # The ideal generators in coordinates over the same basis: DInn in the
     # Dider block, Inn in the Der block, and each Der basis element.
     unit: list[Row] = [{i: Fraction(1)} for i in range(b)]
-    dinn = [_coordinates(_flatten_pair((m, zero)), flat, pivots)
-            for m in subspace_matrices(inner_diderivations(d), n)]
-    inn = [_coordinates(_flatten_pair((zero, m)), flat, pivots)
-           for m in subspace_matrices(inner_derivations(d), n)]
+    dinn = [dider.coordinates(sparse(v)) for v in inner_diderivations(d).basis]
+    inn = [_shifted(der.coordinates(sparse(v)), dider.dim) for v in inner_derivations(d).basis]
     generated = closed and None not in dinn + inn
 
     def is_ideal(members: list[Row]) -> bool:
@@ -238,25 +214,26 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
             return False
         ideal = Subspace(b, [dense(b, m) for m in members])
         return all(
-            ideal.contains(dense(b, bilinear(coords, e, m)))
-            and ideal.contains(dense(b, bilinear(coords, m, e)))
+            ideal.coordinates(bilinear(table, e, m)) is not None
+            and ideal.coordinates(bilinear(table, m, e)) is not None
             for e in unit
             for m in members
         )
 
-    squares = [add_vectors(table[i][j], table[j][i]) for i in range(b) for j in range(i + 1)]
-    square_span = Subspace(2 * n * n, squares)
-    dider_component = Subspace(2 * n * n, [m.flatten() + zero_vector(n * n) for m in dider_mats])
+    squares = [lincomb(((1, values[i][j]), (1, values[j][i])))
+               for i in range(b) for j in range(i + 1)]
+    square_span = Subspace(2 * nn, [dense(2 * nn, v) for v in squares if v])
 
     return {
         "bider_dim": b,
         "bracket_closed": closed,
-        "right_identity": closed and not any(_violations(coords, right=True)),
-        "left_identity": closed and not any(_violations(coords, right=False)),
-        "dinn_der_ideal": is_ideal(dinn + unit[len(dider_mats):]),
+        "right_identity": closed and not any(_violations(table, right=True)),
+        "left_identity": closed and not any(_violations(table, right=False)),
+        "dinn_der_ideal": is_ideal(dinn + unit[dider.dim:]),
         "dinn_inn_ideal": is_ideal(dinn + inn),
         "square_span_dim": square_span.dim,
-        "square_span_in_dider_component": square_span.is_subspace_of(dider_component),
+        "square_span_in_dider_component": all(
+            not any(v[nn:]) and dider.contains(v[:nn]) for v in square_span.basis),
     }
 
 
@@ -272,15 +249,15 @@ def check_invariant_actions(d: Dialgebra) -> dict:
     with derivations sending bar units into the annihilator and
     diderivations killing bar units and the bar-center.
     """
-    return invariant_actions(d, annihilator(d), bar_center(d), halo(d))
+    return invariant_actions(d, annihilator(d), halo(d))
 
 
-def invariant_actions(
-    d: Dialgebra, ann: Subspace, zb: Subspace, h: AffineSubspace
-) -> dict:
-    """``check_invariant_actions`` on the annihilator, bar-center and halo
-    of ``d`` already computed by the caller."""
+def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
+    """``check_invariant_actions`` on the annihilator and halo of ``d``
+    already computed by the caller; the bar-center is the halo's
+    direction."""
     n = d.dim
+    zb = h.direction
     der_mats = subspace_matrices(derivation_space(d), n)
     dider_mats = subspace_matrices(diderivation_space(d), n)
 

@@ -19,7 +19,9 @@ The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
 the coordinates of its values on basis pairs.  Every identity checked on
 basis triples (the dialgebra axioms, both Leibniz identities of a
-bracket) goes through these two.
+bracket) goes through these two.  Every bracket of operators goes through
+``commutator``, on the sparse rows of their row-major flattenings, and
+``Subspace.coordinates``, which also decides membership.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ def zero_vector(n: int) -> Vector:
 def unit_vector(n: int, i: int) -> Vector:
     """Standard basis vector e_i, 0-indexed."""
     return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
-def add_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
 def sub_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
@@ -170,11 +168,6 @@ class Matrix:
         return f"Matrix[{self.nrows}x{self.ncols}: {body}]"
 
 
-def commutator(a: Matrix, b: Matrix) -> Matrix:
-    """[a, b] = ab - ba."""
-    return a * b - b * a
-
-
 # -- the elimination core ---------------------------------------------------
 
 Row = dict[int, Fraction]
@@ -238,8 +231,26 @@ def bilinear(table: Sequence[Sequence[Row]], u: Row, v: Row) -> Row:
     return lincomb((a * b, table[i][j]) for i, a in u.items() for j, b in v.items())
 
 
-def _sparse(rows: Iterable[Sequence[Fraction]]) -> list[Row]:
-    return [dict(enumerate(row)) for row in rows]
+def commutator(n: int, a: Row, b: Row) -> Row:
+    """``[a, b] = ab - ba`` of n-by-n operators given as sparse rows over
+    the row-major flat index ``r*n + c``, as ``Matrix.flatten`` lays them
+    out."""
+    out: Row = {}
+    for x, y, sign in ((a, b, _ONE), (b, a, -_ONE)):
+        # (xy)[r][c] = sum_k x[r][k] y[k][c]: entry (r, k) of x meets row k of y.
+        y_rows: dict[int, list[tuple[int, Fraction]]] = {}
+        for j, v in y.items():
+            y_rows.setdefault(j // n, []).append((j % n, v))
+        for j, u in x.items():
+            start = j - j % n
+            for c, v in y_rows.get(j % n, ()):
+                out[start + c] = out.get(start + c, _ZERO) + sign * u * v
+    return {j: x for j, x in out.items() if x}
+
+
+def sparse(v: Sequence[Fraction]) -> Row:
+    """The nonzero entries of a vector, as a sparse row."""
+    return {j: x for j, x in enumerate(v) if x}
 
 
 def _mirrored(rows: Iterable[Sequence[Fraction]], last: int) -> list[Row]:
@@ -286,12 +297,12 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(_sparse(m.rows))[0])
+    return len(_eliminate(map(sparse, m.rows))[0])
 
 
 def nullspace(m: Matrix) -> list[Vector]:
     """Canonical basis of the right kernel {x : m x = 0}, as ``kernel``."""
-    return list(kernel(m.ncols, _sparse(m.rows)).basis)
+    return list(kernel(m.ncols, map(sparse, m.rows)).basis)
 
 
 def det(m: Matrix) -> Fraction:
@@ -299,7 +310,7 @@ def det(m: Matrix) -> Fraction:
     taking each row to its pivot column."""
     if m.nrows != m.ncols:
         raise ValueError("determinant of a non-square matrix")
-    reduced, scales = _eliminate(_sparse(m.rows))
+    reduced, scales = _eliminate(map(sparse, m.rows))
     if len(reduced) < m.nrows:
         return Fraction(0)
     result = math.prod(scales, start=_ONE)
@@ -308,13 +319,13 @@ def det(m: Matrix) -> Fraction:
     return -result if inversions % 2 else result
 
 
-def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]] | None:
+def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector | None, list[Vector]]:
     """Solve a x = b exactly.
 
-    Returns ``None`` when inconsistent, else ``(particular, kernel_basis)``
-    describing the full solution set ``particular + span(kernel_basis)``.
-    The particular solution sets every free variable of the usual RREF of
-    ``[a | b]`` to 0; the kernel basis is read off the same elimination."""
+    Returns ``(particular, kernel_basis)``, the solution set being
+    ``particular + span(kernel_basis)``; ``particular`` sets every free
+    variable of the usual RREF of ``[a | b]`` to 0, and is ``None`` when
+    the system is inconsistent.  Both come off one elimination."""
     if len(b) != a.nrows:
         raise ValueError("right-hand side length mismatch")
     n = a.ncols
@@ -324,8 +335,8 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]
         if rhs:
             row[0] = frac(rhs)
     reduced, _ = _eliminate(rows)
-    if 0 in reduced:
-        return None
+    # A pivot at column 0 is the row 0 = 1, and no other row has column 0.
+    consistent = reduced.pop(0, None) is None
     # The kernel of ``a`` comes off the same reduction: the vector of free
     # column f has 1 there and, at each pivot column, minus that row's entry
     # at f.
@@ -337,7 +348,7 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector, list[Vector]
                 free[n - j][n - p] = -x
             else:
                 particular[n - p] = x
-    return tuple(particular), [dense(n, v) for v in free.values()]
+    return tuple(particular) if consistent else None, [dense(n, v) for v in free.values()]
 
 
 class Subspace:
@@ -360,18 +371,25 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def coordinates(self, v: Row) -> Row | None:
+        """The coordinates of the sparse vector v, keyed by basis index, or
+        ``None`` when v lies outside the span."""
+        # The coordinate of a member on each basis vector is its entry at
+        # that vector's pivot; what is left after removing them must be 0.
+        rest = {j: x for j, x in v.items() if x}
+        coords: Row = {}
+        for k, (p, row) in enumerate(self._rows):
+            c = rest.pop(p, None)
+            if c is not None:
+                coords[k] = c
+                _axpy(rest, -c, row)
+        return None if rest else coords
+
     def contains(self, v: Sequence[Scalar]) -> bool:
         w = vector(v)
         if len(w) != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        # The coordinate of a member on each basis vector is its entry at
-        # that vector's pivot; what is left after removing them must be 0.
-        rest = {j: x for j, x in enumerate(w) if x}
-        for p, row in self._rows:
-            c = rest.pop(p, None)
-            if c is not None:
-                _axpy(rest, -c, row)
-        return not rest
+        return self.coordinates(dict(enumerate(w))) is not None
 
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
@@ -390,19 +408,6 @@ class Subspace:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
         return Subspace(self.ambient_dim, self.basis + other.basis)
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        """Kernel-based intersection; used by closure checks."""
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        # Columns are the two bases side by side; a kernel vector gives
-        # coefficients of one combination lying in both spans.
-        cols = self.basis + other.basis
-        n = self.ambient_dim
-        rows = [{k: b[i] for k, b in enumerate(cols)} for i in range(n)]
-        return Subspace(n, [
-            [sum((c * b[i] for c, b in zip(coeffs, self.basis) if c), _ZERO) for i in range(n)]
-            for coeffs in kernel(len(cols), rows).basis])
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(str(x) for x in b) for b in self.basis)

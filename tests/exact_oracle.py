@@ -116,7 +116,7 @@ def commutator(a, b):
     n = len(a)
 
     def mul(x, y):
-        return [[sum((x[i][k] * y[k][j] for k in range(n)), Fraction(0))
+        return [[sum((x[i][k] * y[k][j] for k in range(n) if x[i][k]), Fraction(0))
                  for j in range(n)] for i in range(n)]
 
     ab, ba = mul(a, b), mul(b, a)
@@ -252,14 +252,37 @@ def same_span(us, vs):
     return r == rank(vs) == rank(list(us) + list(vs))
 
 
-def inner_diderivation(c_vdash, c_dashv, i):
-    """Ad_(e_i): x -> x vdash e_i - e_i dashv x, as an operator."""
+def inner_derivation(c_vdash, c_dashv, a):
+    """ad_a: x -> x dashv a - a vdash x, as an operator."""
     n = len(c_vdash)
-    ei = unit(n, i)
-    cols = [[a - b for a, b in zip(product(c_vdash, unit(n, j), ei),
-                                   product(c_dashv, ei, unit(n, j)))]
+    cols = [[x - y for x, y in zip(product(c_dashv, unit(n, j), a),
+                                   product(c_vdash, a, unit(n, j)))]
             for j in range(n)]
     return [[cols[j][r] for j in range(n)] for r in range(n)]
+
+
+def inner_diderivation(c_vdash, c_dashv, a):
+    """Ad_a: x -> x vdash a - a dashv x, as an operator."""
+    n = len(c_vdash)
+    cols = [[x - y for x, y in zip(product(c_vdash, unit(n, j), a),
+                                   product(c_dashv, a, unit(n, j)))]
+            for j in range(n)]
+    return [[cols[j][r] for j in range(n)] for r in range(n)]
+
+
+def bar_unit_system(c_vdash, c_dashv):
+    """The rows A and right-hand side b of the bar units e: the equations
+    e vdash e_j = e_j and e_j dashv e = e_j, one per coordinate.  The
+    bar-center is the kernel of A."""
+    n = len(c_vdash)
+    rows, rhs = [], []
+    for j in range(n):
+        ej = unit(n, j)
+        for image in ([product(c_vdash, unit(n, i), ej) for i in range(n)],
+                      [product(c_dashv, ej, unit(n, i)) for i in range(n)]):
+            rows += [[image[i][r] for i in range(n)] for r in range(n)]
+            rhs += ej
+    return rows, rhs
 
 
 def bider_bracket(x, y):

@@ -463,7 +463,7 @@ def test_criterion_08_bider_leibniz_and_ideals():
         zero = [[F(0)] * n for _ in range(n)]
         dider = checked_basis(label, d, diderivation_space(d), True, failures)
         der = checked_basis(label, d, derivation_space(d), False, failures)
-        dinn = [oracle.inner_diderivation(d.c_vdash, d.c_dashv, i)
+        dinn = [oracle.inner_diderivation(d.c_vdash, d.c_dashv, oracle.unit(n, i))
                 for i in range(n)]
         dinn_flat = [oracle.flatten(t) for t in dinn]
         members = [(s, zero) for s in dinn] + [(zero, t) for t in der]
@@ -486,7 +486,7 @@ def test_criterion_08_bider_leibniz_and_ideals():
     if not (oracle.satisfies(d13.c_vdash, d13.c_dashv, e21)
             and oracle.satisfies(d13.c_vdash, d13.c_dashv, e11, twisted=False)
             and not any(any(oracle.flatten(oracle.inner_diderivation(
-                d13.c_vdash, d13.c_dashv, i))) for i in range(3))
+                d13.c_vdash, d13.c_dashv, oracle.unit(3, i)))) for i in range(3))
             and oracle.commutator(e21, e11) == e21):
         failures.append("Dias3_13: [E21,E11] = E21 outside DInn = 0 not found")
     ok = not failures

@@ -44,34 +44,37 @@ def kernel_calls(monkeypatch) -> Counter:
 @pytest.mark.parametrize("selector", [
     "catalog:Dias3_8", "catalog:Dias3_9", "catalog:Dias3_10", "catalog:Dias3_13",
 ])
-def test_bider_solves_once_and_tables_b_squared_brackets(monkeypatch, selector):
+def test_bider_solves_once_and_forms_der_times_b_brackets(monkeypatch, selector):
     _, d = cli.load_input(selector)
-    b = spaces.derivation_space(d).dim + spaces.diderivation_space(d).dim
+    der = spaces.derivation_space(d).dim
+    b = der + spaces.diderivation_space(d).dim
 
     solves = kernel_calls(monkeypatch)
     brackets = Counter()
-    counting(monkeypatch, invariants, "bider_bracket", brackets)
+    counting(monkeypatch, invariants, "commutator", brackets)
     assert run_cli("bider", selector) == 0
 
     assert solves == {"der": 1, "dider": 1}
-    # the b x b table only: the identities and both ideal checks are read
-    # off it by bilinearity
-    assert brackets["bider_bracket"] == b * b
+    # <x, (s', 0)> = 0, so only the Der columns of the b x b table are
+    # formed; the identities and both ideal checks are read off the table
+    # by bilinearity
+    assert brackets["commutator"] == der * b
 
 
 def test_bider_above_the_cap_stops_before_the_table(monkeypatch):
     d = phi_dialgebra([1, -1, 2, -2, 3, -3, 1, -1])  # b = 56
     solves = kernel_calls(monkeypatch)
     brackets = Counter()
-    counting(monkeypatch, invariants, "bider_bracket", brackets)
+    counting(monkeypatch, invariants, "commutator", brackets)
     cap = invariants.MAX_BIDER_DIM
     with pytest.raises(invariants.BiderSizeError, match=f"at most {cap} elements, this one has 56"):
         invariants.check_bider_leibniz(d)
     assert solves == {"der": 1, "dider": 1}
-    assert brackets["bider_bracket"] == 0
+    assert brackets["commutator"] == 0
 
 
-def test_halo_eliminates_once_then_only_its_kernel(monkeypatch):
+def eliminate_runs(monkeypatch) -> list[int]:
+    """The number of rows of each ``ratlin._eliminate`` run, in order."""
     runs = []
     original = ratlin._eliminate
 
@@ -81,14 +84,27 @@ def test_halo_eliminates_once_then_only_its_kernel(monkeypatch):
         return original(rows)
 
     monkeypatch.setattr(ratlin, "_eliminate", wrapper)
+    return runs
+
+
+def test_halo_eliminates_once_then_only_its_kernel(monkeypatch):
+    runs = eliminate_runs(monkeypatch)
     for name in ("Dias2_4", "Dias3_1", "Dias3_10"):
         d = catalog.instantiate(name)
         runs.clear()
-        invariants.halo(d)
-        # the bar-unit system [A | b] of 2n^2 rows, then at most n kernel
-        # vectors brought to canonical form
-        assert runs[0] == 2 * d.dim ** 2, name
-        assert len(runs) <= 2 and all(r <= d.dim for r in runs[1:]), name
+        h = invariants.halo(d)
+        # the bar-unit system [A | b] of 2n^2 rows, then its kernel, the
+        # bar-center, brought to canonical form, unital or not
+        assert runs == [2 * d.dim ** 2, h.direction.dim], name
+
+
+@pytest.mark.parametrize("name, unital", [("Dias2_4", True), ("Dias3_1", False)])
+def test_invariants_solves_the_bar_unit_system_once(monkeypatch, name, unital):
+    n = catalog.instantiate(name).dim
+    runs = eliminate_runs(monkeypatch)
+    assert run_cli("invariants", f"catalog:{name}") == 0
+    assert runs.count(2 * n * n) == 1
+    assert invariants.halo(catalog.instantiate(name)).is_empty is not unital
 
 
 @pytest.mark.parametrize("which, expected", [
@@ -110,8 +126,9 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
     for name in ("left_identity_violations", "right_identity_violations"):
         counting(monkeypatch, invariants.LeibnizAlgebra, name, calls)
     assert run_cli("invariants", "catalog:Dias3_1") == 0
+    # the bar-center is read off the halo's solve
     assert calls == {
-        "annihilator": 1, "bar_center": 1, "halo": 1,
+        "annihilator": 1, "halo": 1,
         "left_identity_violations": 1, "right_identity_violations": 1,
         "der": 1, "dider": 1,
     }

@@ -9,7 +9,7 @@ import pytest
 
 from diaskit import cli
 from diaskit.cli import MAX_BOUND, MAX_SAMPLES, main
-from diaskit.core import phi_dialgebra, serialize_dialgebra
+from diaskit.core import MAX_RATIONAL_DIGITS, phi_dialgebra, serialize_dialgebra
 from diaskit.invariants import MAX_BIDER_DIM
 
 GOOD = """dialgebra v1
@@ -34,6 +34,13 @@ def run(capsys, *argv):
 
 
 class TestVerify:
+    @pytest.mark.parametrize("text", ["-2/3", "1/2", "7", "-0", "1" * MAX_RATIONAL_DIGITS])
+    def test_rationals_in_the_grammar(self, tmp_path, capsys, text):
+        path = tmp_path / "good.dlg"
+        path.write_text(f"dialgebra v1\ndim 2\nvdash 1 1 -> 2:{text}\n")
+        assert run(capsys, "verify", str(path))[0] in (0, 1)
+        assert run(capsys, "verify", f"catalog:Dias2_3?lam={text}")[0] == 0
+
     def test_pass_exit_zero(self, capsys):
         code, out, _ = run(capsys, "verify", "catalog:Dias2_1")
         assert code == 0
@@ -51,6 +58,13 @@ class TestVerify:
         path.write_text(GOOD)
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
+
+
+# Outside the grammar: an optional '-', digits, an optional '/' and a
+# nonzero denominator, at most MAX_RATIONAL_DIGITS digits in all.
+BAD_RATIONALS = ["1.5", "1_000", "1e400", "1e2000000", "+1", "--1", "1/0", "1/00",
+                 "1/-2", "-1/", "/2", "0x10", "\u0663", "1 2", "1" * (MAX_RATIONAL_DIGITS + 1),
+                 "1" * 30 + "/" + "1" * 11]
 
 
 class TestInputErrors:
@@ -118,6 +132,24 @@ class TestInputErrors:
         assert out == ""
         assert err.splitlines() == [
             f"error: {path}: line 2: dimension 33 outside supported range 1..32"]
+
+    @pytest.mark.parametrize("text", BAD_RATIONALS)
+    def test_bad_rational_in_file(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.dlg"
+        path.write_text(f"dialgebra v1\ndim 2\nvdash 1 1 -> 2:{text}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {path}: line 3: bad coefficient ")
+
+    @pytest.mark.parametrize("text", BAD_RATIONALS)
+    def test_bad_rational_in_selector(self, capsys, text):
+        code, out, err = run(capsys, "verify", f"catalog:Dias2_3?lam={text}")
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: bad rational ")
 
     def test_bider_basis_above_cap(self, tmp_path, capsys):
         # phi at n = 8 has Der of dimension 56 and Dider = 0

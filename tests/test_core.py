@@ -11,6 +11,7 @@ from diaskit.core import (
     Dialgebra,
     DialgebraError,
     parse_dialgebra,
+    parse_rational,
     phi_dialgebra,
     serialize_dialgebra,
 )
@@ -189,6 +190,12 @@ class TestTextFormat:
         message = str(exc.value)
         assert message.startswith(f"line {lineno}:")
         assert fragment in message
+
+    @pytest.mark.parametrize("text, value", [
+        ("-2/3", Fraction(-2, 3)), ("4/6", Fraction(2, 3)), ("007", Fraction(7)),
+        ("-0", Fraction(0)), ("1/2", Fraction(1, 2))])
+    def test_parse_rational(self, text, value):
+        assert parse_rational(text) == value
 
     def test_fractional_coefficients_survive(self):
         d = Dialgebra.from_relations(

@@ -73,6 +73,31 @@ class TestInvariantSets:
         assert units.contains((1, 7))
         assert not units.contains((2, 0))
 
+    @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
+    def test_bar_center_and_halo_match_oracle(self, d):
+        # The oracle takes the bar-center as the kernel of the bar-unit
+        # system and the halo from the RREF of the augmented system, with
+        # its own elimination; the cases are the catalog and phi n = 2..6.
+        n = d.dim
+        rows, rhs = oracle.bar_unit_system(d.c_vdash, d.c_dashv)
+        center = oracle.rref(oracle.nullspace(rows, n))[0]
+        reduced, pivots = oracle.rref([row + [y] for row, y in zip(rows, rhs)])
+        assert [list(v) for v in bar_center(d).basis] == center
+        units = halo(d)
+        assert [list(v) for v in units.direction.basis] == center
+        unital = n not in pivots
+        report = check_invariant_actions(d)
+        assert report["unital"] is unital
+        assert units.is_empty is not unital
+        if not unital:
+            return
+        # the particular point of the RREF: every free variable is 0
+        point = [Fraction(0)] * n
+        for row, p in zip(reduced, pivots):
+            point[p] = row[n]
+        assert list(units.point) == point
+        assert report["halo_direction_is_bar_center"]
+
 
 class TestBracket:
     def test_chirality_is_computed_not_assumed(self):

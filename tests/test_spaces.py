@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +20,9 @@ from diaskit.spaces import (
     inner_diderivations,
     subspace_matrices,
 )
+
+import exact_oracle as oracle
+from test_ratlin import kernel_cases
 
 phis = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
@@ -153,3 +157,62 @@ class TestClosures:
         for key, value in report.items():
             if isinstance(value, bool):
                 assert value, key
+
+
+def oracle_closures(d: Dialgebra) -> dict:
+    """The ``check_closures`` report from ``exact_oracle`` alone: its kernel
+    bases, its inner (di)derivations evaluated from the products, dense
+    commutators and rank-based span tests."""
+    cv, cd, n = d.c_vdash, d.c_dashv, d.dim
+    units = [oracle.unit(n, i) for i in range(n)]
+
+    def ops(flat):
+        return [[v[r * n:(r + 1) * n] for r in range(n)] for v in flat]
+
+    def spans(target, vectors):
+        # every vector lies in span(target); duplicates and zeros dropped
+        vectors = [list(v) for v in {tuple(v) for v in vectors} if any(v)]
+        return oracle.rank(target + vectors) == oracle.rank(target)
+
+    der = oracle.kernel_basis(cv, cd, twisted=False)
+    dider = oracle.kernel_basis(cv, cd, twisted=True)
+    ads = [oracle.inner_derivation(cv, cd, e) for e in units]
+    di_ads = [oracle.inner_diderivation(cv, cd, e) for e in units]
+    inn, dinn = [oracle.flatten(m) for m in ads], [oracle.flatten(m) for m in di_ads]
+
+    def brackets_into(left, target):
+        return spans(target, [oracle.flatten(oracle.commutator(a, t))
+                              for a in left for t in ops(der)])
+
+    def ideal_identity(inner):
+        return all(oracle.commutator(t, inner(cv, cd, e)) == inner(cv, cd, oracle.apply(t, e))
+                   for t in ops(der) for e in units)
+
+    report = {
+        "der_dim": len(der),
+        "dider_dim": len(dider),
+        "inn_dim": oracle.rank(inn),
+        "dinn_dim": oracle.rank(dinn),
+        "inn_in_der": spans(der, inn),
+        "dinn_in_dider": spans(dider, dinn),
+        "der_bracket_closed": brackets_into(ops(der), der),
+        "dider_der_bracket_in_dider": brackets_into(ops(dider), dider),
+        "dinn_der_bracket_in_dinn": brackets_into(di_ads, dinn),
+        "inn_der_bracket_in_inn": brackets_into(ads, inn),
+        "inner_ideal_identity": ideal_identity(oracle.inner_derivation),
+        "inner_di_ideal_identity": ideal_identity(oracle.inner_diderivation),
+    }
+    if cv == cd:
+        report["associative_dider_equals_der"] = oracle.same_span(dider, der)
+        report["associative_dinn_equals_inn"] = oracle.same_span(dinn, inn)
+    return report
+
+
+def phi_weights(n):
+    return [(-1) ** i * (i % 3 + 1) for i in range(n)]
+
+
+@pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()] + [
+    pytest.param(phi_dialgebra(phi_weights(n)), id=f"phi{n}") for n in (7, 8)])
+def test_closure_report_matches_oracle(d):
+    assert check_closures(d) == oracle_closures(d)
