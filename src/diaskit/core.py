@@ -19,11 +19,16 @@ the text format is 1-based).
 from __future__ import annotations
 
 import itertools
-import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ratlin import Matrix, Row, Scalar, Vector, bilinear, dense, frac, unit_vector, vector
+# The text grammar of a rational, ``parse_rational`` and its digit cap
+# ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;
+# both stay importable from here.
+from .ratlin import (
+    MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Vector, bilinear, dense, frac, parse_rational,
+    unit_vector, vector,
+)
 
 PRODUCTS = ("dashv", "vdash")
 
@@ -42,30 +47,9 @@ AXIOM_NAMES = (
 # a shared 2-vCPU Xeon).
 MAX_DIM = 32
 
-# Most digits of a rational in the input, numerator and denominator
-# together: a short text such as 1e2000000 must not become a huge number.
-MAX_RATIONAL_DIGITS = 40
-_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
 
 class DialgebraError(ValueError):
     """Raised for malformed structure data or unparseable files."""
-
-
-def parse_rational(text: str) -> Fraction:
-    """An integer or a fraction such as ``-2/3``: an optional ``-``, digits,
-    and an optional ``/`` with a nonzero denominator, at most
-    ``MAX_RATIONAL_DIGITS`` digits in all.  Anything else raises
-    ``ValueError`` before a ``Fraction`` is built."""
-    match = _RATIONAL.fullmatch(text)
-    if match is None:
-        raise ValueError("expected an integer or a fraction like -2/3")
-    num, den = match.group(1, 2)
-    if len(num.lstrip("-")) + len(den or "") > MAX_RATIONAL_DIGITS:
-        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
-    if den is not None and not den.strip("0"):
-        raise ValueError("zero denominator")
-    return Fraction(int(num), int(den or 1))
 
 
 Cube = list[list[list[Fraction]]]

@@ -20,9 +20,16 @@ assembled term by term, never via division by (x-y); the one place a
 division appears (the annihilator divisibility oracle) is an independent
 synthetic-division cross-check, not a computational shortcut.
 
+Coefficients are stored as ``int`` when integral and as ``Fraction``
+otherwise, so the integer data of the sweeps never builds a ``Fraction``;
+results of arithmetic on clean polynomials are wrapped without being
+validated again, except where a bound check can still fail.
+
 The derivation and diderivation identities are checked by one bounded
 sweep over monomial pairs that differs only in the right-hand side of the
-rule.  ``format_poly`` renders polynomials for reports; nothing reads
+rule.  Products of monomials are monomials, so the sweep memoises the
+operator image of each exponent pair for the duration of one call and
+compares images by lookup.  ``format_poly`` renders polynomials for reports; nothing reads
 polynomials back from text, so there is no parser.
 """
 
@@ -43,12 +50,21 @@ class DegreeBoundError(ValueError):
     """A result would exceed the ambient total-degree bound."""
 
 
+def _coeff(c: Scalar) -> int | Fraction:
+    """A coefficient as stored: an ``int`` when integral, else a ``Fraction``."""
+    if type(c) is int:
+        return c
+    c = frac(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class BivariatePoly:
     """Sparse exact polynomial in x and y under a total-degree bound.
 
-    Coefficients map (deg_x, deg_y) to nonzero rationals.  The bound is a
-    modeling device, not a quotient: arithmetic whose exact result has a
-    term beyond the bound fails loudly.
+    Coefficients map (deg_x, deg_y) to nonzero rationals, stored as ``int``
+    when integral and as ``Fraction`` otherwise, so integer data never
+    builds a ``Fraction``.  The bound is a modeling device, not a quotient:
+    arithmetic whose exact result has a term beyond the bound fails loudly.
     """
 
     __slots__ = ("coeffs", "bound")
@@ -57,11 +73,11 @@ class BivariatePoly:
                  bound: int = DEFAULT_BOUND):
         if bound < 0:
             raise ValueError("bound must be nonnegative")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[Exponents, int | Fraction] = {}
         for (a, b), c in (coeffs or {}).items():
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent pair {(a, b)}")
-            value = frac(c)
+            value = _coeff(c)
             if value == 0:
                 continue
             if a + b > bound:
@@ -70,6 +86,20 @@ class BivariatePoly:
             clean[(a, b)] = value
         self.coeffs = clean
         self.bound = bound
+
+    @classmethod
+    def _clean(cls, coeffs: dict[Exponents, int | Fraction],
+               bound: int) -> "BivariatePoly":
+        """Wrap a result of arithmetic on clean polynomials: its coefficients
+        are nonzero and its terms within ``bound``, so only an integral
+        ``Fraction`` (such as 1/2 + 1/2) is left to store as an ``int``."""
+        for key, c in coeffs.items():
+            if type(c) is Fraction and c.denominator == 1:
+                coeffs[key] = c.numerator
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        p.bound = bound
+        return p
 
     # -- constructors ---------------------------------------------------
 
@@ -118,18 +148,18 @@ class BivariatePoly:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _merge_bound(self, other: "BivariatePoly") -> int:
-        return min(self.bound, other.bound)
-
     def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
         out = dict(self.coeffs)
         for key, c in other.coeffs.items():
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
+            s = out.get(key, 0) + c
+            if s:
                 out[key] = s
-        return BivariatePoly(out, self._merge_bound(other))
+            else:
+                del out[key]
+        if self.bound != other.bound:
+            # a term of the operand with the larger bound may exceed the other
+            return BivariatePoly(out, min(self.bound, other.bound))
+        return BivariatePoly._clean(out, self.bound)
 
     def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
         return self + other.scale(-1)
@@ -138,57 +168,55 @@ class BivariatePoly:
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> "BivariatePoly":
-        c = frac(c)
-        return BivariatePoly({k: c * v for k, v in self.coeffs.items()},
-                             self.bound)
+        c = _coeff(c)
+        if not c:
+            return BivariatePoly.zero(self.bound)
+        return BivariatePoly._clean(
+            {k: c * v for k, v in self.coeffs.items()}, self.bound)
 
     def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        bound = self._merge_bound(other)
-        out: dict[Exponents, Fraction] = {}
+        bound = min(self.bound, other.bound)
+        out: dict[Exponents, int | Fraction] = {}
         for (a1, b1), c1 in self.coeffs.items():
             for (a2, b2), c2 in other.coeffs.items():
-                key = (a1 + a2, b1 + b2)
-                if key[0] + key[1] > bound:
+                a, b = a1 + a2, b1 + b2
+                if a + b > bound:
                     raise DegreeBoundError(
-                        f"degree bound exceeded: product term x^{key[0]}*"
-                        f"y^{key[1]} with bound {bound}")
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
+                        f"degree bound exceeded: product term x^{a}*"
+                        f"y^{b} with bound {bound}")
+                key = (a, b)
+                s = out.get(key, 0) + c1 * c2
+                if s:
                     out[key] = s
-        return BivariatePoly(out, bound)
+                else:
+                    del out[key]
+        return BivariatePoly._clean(out, bound)
 
     # -- substitutions ------------------------------------------------------
 
+    def _collapse(self, onto_x: bool) -> "BivariatePoly":
+        out: dict[Exponents, int | Fraction] = {}
+        for (a, b), c in self.coeffs.items():
+            key = (a + b, 0) if onto_x else (0, a + b)
+            s = out.get(key, 0) + c
+            if s:
+                out[key] = s
+            else:
+                del out[key]
+        return BivariatePoly._clean(out, self.bound)
+
     def subs_xx(self) -> "BivariatePoly":
         """h(x,x): collapse both variables onto x."""
-        out: dict[Exponents, Fraction] = {}
-        for (a, b), c in self.coeffs.items():
-            key = (a + b, 0)
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return BivariatePoly(out, self.bound)
+        return self._collapse(True)
 
     def subs_yy(self) -> "BivariatePoly":
         """h(y,y): collapse both variables onto y."""
-        out: dict[Exponents, Fraction] = {}
-        for (a, b), c in self.coeffs.items():
-            key = (0, a + b)
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return BivariatePoly(out, self.bound)
+        return self._collapse(False)
 
     def swap_vars(self) -> "BivariatePoly":
         """h(y,x)."""
-        return BivariatePoly({(b, a): c for (a, b), c in self.coeffs.items()},
-                             self.bound)
+        return BivariatePoly._clean(
+            {(b, a): c for (a, b), c in self.coeffs.items()}, self.bound)
 
     # -- rendering ------------------------------------------------------
 
@@ -213,12 +241,13 @@ def vdash(f: BivariatePoly, g: BivariatePoly) -> BivariatePoly:
     return f.subs_xx() * g
 
 
+def _exponents_up_to(total: int) -> list[Exponents]:
+    return [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
+
+
 def _monomials_up_to(total: int, bound: int) -> list[BivariatePoly]:
-    out = []
-    for a in range(total + 1):
-        for b in range(total + 1 - a):
-            out.append(BivariatePoly.monomial(a, b, 1, bound))
-    return out
+    return [BivariatePoly.monomial(a, b, 1, bound)
+            for a, b in _exponents_up_to(total)]
 
 
 def check_axioms_truncated(bound: int) -> dict:
@@ -232,24 +261,25 @@ def check_axioms_truncated(bound: int) -> dict:
         raise ValueError("bound must be >= 3")
     violations = []
     tried = 0
-    monos = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
-    for (a1, b1) in monos:
-        for (a2, b2) in monos:
+    monos = {e: BivariatePoly.monomial(*e, 1, bound)
+             for e in _exponents_up_to(bound)}
+    for (a1, b1), x in monos.items():
+        for (a2, b2), y in monos.items():
             if a1 + b1 + a2 + b2 > bound:
                 continue
-            for (a3, b3) in monos:
+            xy_d, xy_v = dashv(x, y), vdash(x, y)
+            for (a3, b3), z in monos.items():
                 if a1 + b1 + a2 + b2 + a3 + b3 > bound:
                     continue
-                x = BivariatePoly.monomial(a1, b1, 1, bound)
-                y = BivariatePoly.monomial(a2, b2, 1, bound)
-                z = BivariatePoly.monomial(a3, b3, 1, bound)
                 tried += 1
+                yz_d, yz_v = dashv(y, z), vdash(y, z)
+                x_yz_d, xy_v_z = dashv(x, yz_d), vdash(xy_v, z)
                 checks = (
-                    ("assoc_dashv", dashv(dashv(x, y), z), dashv(x, dashv(y, z))),
-                    ("absorb_dashv", dashv(x, dashv(y, z)), dashv(x, vdash(y, z))),
-                    ("inner", dashv(vdash(x, y), z), vdash(x, dashv(y, z))),
-                    ("absorb_vdash", vdash(dashv(x, y), z), vdash(vdash(x, y), z)),
-                    ("assoc_vdash", vdash(vdash(x, y), z), vdash(x, vdash(y, z))),
+                    ("assoc_dashv", dashv(xy_d, z), x_yz_d),
+                    ("absorb_dashv", x_yz_d, dashv(x, yz_v)),
+                    ("inner", dashv(xy_v, z), vdash(x, yz_d)),
+                    ("absorb_vdash", vdash(xy_d, z), xy_v_z),
+                    ("assoc_vdash", xy_v_z, vdash(x, yz_v)),
                 )
                 for label, lhs, rhs in checks:
                     if lhs != rhs:
@@ -352,10 +382,13 @@ class KxyOperatorSpec:
         return diderivation_apply((self.f, self.g), m, n)
 
     def apply(self, h: BivariatePoly) -> BivariatePoly:
-        out = BivariatePoly.zero(h.bound)
-        for (a, b), c in sorted(h.coeffs.items()):
-            out = out + self.apply_monomial(a, b).scale(c)
-        return out
+        if h.is_zero():
+            return BivariatePoly.zero(h.bound)
+        out: dict[Exponents, int | Fraction] = {}
+        for (a, b), c in h.coeffs.items():
+            for key, v in self.apply_monomial(a, b).coeffs.items():
+                out[key] = out.get(key, 0) + c * v
+        return BivariatePoly(out, min(h.bound, self.f.bound, self.g.bound))
 
 
 def geometric_sum(m: int, bound: int = DEFAULT_BOUND) -> BivariatePoly:
@@ -448,22 +481,26 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
 
     Pairs are restricted so that every term of both sides stays within the
     bound, given that ``spec`` raises degrees by at most ``growth``; the
-    sweep is exact on that set.
+    sweep is exact on that set.  Both products of two monomials are
+    monomials of no larger degree, so every image the sweep compares is
+    that of one monomial of degree at most ``bound - growth``; each is
+    computed once per call.
     """
     limit = bound - growth
     violations = []
     pairs = 0
-    monos = [(a, b) for a in range(bound + 1) for b in range(bound + 1 - a)]
-    for (a1, b1) in monos:
-        for (a2, b2) in monos:
+    monos = {e: BivariatePoly.monomial(*e, 1, bound)
+             for e in _exponents_up_to(limit)}
+    image = {e: spec.apply_monomial(*e) for e in monos}
+    for (a1, b1), u in monos.items():
+        for (a2, b2), v in monos.items():
             if a1 + b1 + a2 + b2 > limit:
                 continue
             pairs += 1
-            u = BivariatePoly.monomial(a1, b1, 1, bound)
-            v = BivariatePoly.monomial(a2, b2, 1, bound)
-            du, dv = spec.apply(u), spec.apply(v)
+            du, dv = image[(a1, b1)], image[(a2, b2)]
             for label, mul in (("dashv", dashv), ("vdash", vdash)):
-                if spec.apply(mul(u, v)) != rhs(mul, u, du, v, dv):
+                (uv,) = mul(u, v).coeffs
+                if image[uv] != rhs(mul, u, du, v, dv):
                     violations.append(
                         {"product": label, "pair": ((a1, b1), (a2, b2))})
     return {"pairs": pairs, "violations": violations}

@@ -27,6 +27,7 @@ bracket) goes through these two.  Every bracket of operators goes through
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -34,12 +35,39 @@ Scalar = Union[int, str, Fraction]
 Vector = tuple[Fraction, ...]
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
+# Most digits of a rational in the input, numerator and denominator
+# together: a short text such as 1e2000000 must not become a huge number.
+MAX_RATIONAL_DIGITS = 40
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Fraction:
+    """An integer or a fraction such as ``-2/3``: an optional ``-``, digits,
+    and an optional ``/`` with a nonzero denominator, at most
+    ``MAX_RATIONAL_DIGITS`` digits in all.  Anything else raises
+    ``ValueError`` before a ``Fraction`` is built."""
+    match = _RATIONAL.fullmatch(text)
+    if match is None:
+        raise ValueError("expected an integer or a fraction like -2/3")
+    num, den = match.group(1, 2)
+    if len(num.lstrip("-")) + len(den or "") > MAX_RATIONAL_DIGITS:
+        raise ValueError(f"more than {MAX_RATIONAL_DIGITS} digits")
+    if den is not None and not den.strip("0"):
+        raise ValueError("zero denominator")
+    return Fraction(int(num), int(den or 1))
+
 
 def frac(x: Scalar) -> Fraction:
-    """Coerce ints, strings like '2/3', and Fractions to Fraction."""
+    """Coerce ints, Fractions and strings in the ``parse_rational`` grammar
+    to Fraction.  Anything else, a float included, is not an exact input
+    and raises ``TypeError``."""
     if isinstance(x, Fraction):
         return x
-    return Fraction(x)
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
+    raise TypeError(f"expected an int, a Fraction or a string, not {type(x).__name__}")
 
 
 def vector(entries: Iterable[Scalar]) -> Vector:

@@ -12,6 +12,10 @@ from the dense ``Fraction`` elimination below:
 
     derivation      T(a * b) = T(a) * b + a * T(b)          (same product)
     diderivation    T(a * b) = T(a) dashv b + a vdash T(b)   (both products)
+
+The polynomial dialgebra K[x,y] of ``diaskit.kxy`` has its own section at
+the end: products expanded from exponent maps and the closed operator
+images, on plain dicts of exponent pairs.
 """
 
 from fractions import Fraction
@@ -314,3 +318,120 @@ def dias316_subsystem(c_vdash, c_dashv, equations=DIAS316_EQUATIONS):
         columns.append([res[(name, i - 1, j - 1)][1]
                         for name, i, j in equations])
     return [[col[r] for col in columns] for r in range(len(equations))]
+
+
+# ---------------------------------------------------------------------------
+# The polynomial dialgebra K[x,y]
+#
+# A polynomial is a dict {(deg_x, deg_y): Fraction} without zero values, and
+#
+#     f -| g = f(x,y) g(y,y)        f |- g = f(x,x) g(x,y)
+#
+# so on monomials x^a y^b -| x^c y^d = x^a y^(b+c+d) and
+# x^a y^b |- x^c y^d = x^(a+b+c) y^d.  Every product is expanded term by
+# term from these exponent maps; nothing is checked against a degree bound.
+
+
+def _expand(f, g, exponent):
+    out = {}
+    for (a, b), c in f.items():
+        for (p, q), d in g.items():
+            e = exponent(a, b, p, q)
+            out[e] = out.get(e, Fraction(0)) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_mul(f, g):
+    return _expand(f, g, lambda a, b, p, q: (a + p, b + q))
+
+
+def poly_dashv(f, g):
+    return _expand(f, g, lambda a, b, p, q: (a, b + p + q))
+
+
+def poly_vdash(f, g):
+    return _expand(f, g, lambda a, b, p, q: (a + b + p, q))
+
+
+def poly_add(f, g):
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def poly_degree(f):
+    return max((a + b for a, b in f), default=-1)
+
+
+def monomials(total):
+    """Exponent pairs of total degree at most ``total``, lexicographic."""
+    return [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
+
+
+def kxy_axiom_sweep(bound):
+    """(triples, violations) of the five axioms on the monomial triples of
+    degree sum at most ``bound``, triples lexicographic."""
+    triples, violations = 0, []
+    for u in monomials(bound):
+        for v in monomials(bound - sum(u)):
+            for w in monomials(bound - sum(u) - sum(v)):
+                triples += 1
+                x, y, z = ({u: Fraction(1)}, {v: Fraction(1)}, {w: Fraction(1)})
+                dv, vd = poly_dashv, poly_vdash
+                for name, lhs, rhs in (
+                        ("assoc_dashv", dv(dv(x, y), z), dv(x, dv(y, z))),
+                        ("absorb_dashv", dv(x, dv(y, z)), dv(x, vd(y, z))),
+                        ("inner", dv(vd(x, y), z), vd(x, dv(y, z))),
+                        ("absorb_vdash", vd(dv(x, y), z), vd(vd(x, y), z)),
+                        ("assoc_vdash", vd(vd(x, y), z), vd(x, vd(y, z)))):
+                    if lhs != rhs:
+                        violations.append((name, (u, v, w)))
+    return triples, violations
+
+
+def derivation_image(f, g, m, n):
+    """d(x^m y^n) = m x^(m-1) y^n f(x) + x^m y^n (x-y) g + n x^m y^(n-1) f(y)
+    for f univariate in x."""
+    out = poly_mul({(m + 1, n): Fraction(1), (m, n + 1): Fraction(-1)}, g)
+    if m:
+        out = poly_add(out, poly_mul({(m - 1, n): Fraction(m)}, f))
+    if n:
+        f_of_y = {(b, a): c for (a, b), c in f.items()}
+        out = poly_add(out, poly_mul({(m, n - 1): Fraction(n)}, f_of_y))
+    return out
+
+
+def diderivation_image(f, g, m, n):
+    """delta(x^m y^n) = f y^n (x^m - y^m)/(x - y) + g x^m (x^n - y^n)/(x - y),
+    each quotient written out as its geometric sum."""
+    y_n_s_m = {(k, n + m - 1 - k): Fraction(1) for k in range(m)}
+    x_m_s_n = {(m + k, n - 1 - k): Fraction(1) for k in range(n)}
+    return poly_add(poly_mul(f, y_n_s_m), poly_mul(g, x_m_s_n))
+
+
+def kxy_identity_sweep(f, g, bound, twisted):
+    """(pairs, violations) of the derivation identity (``twisted=False``,
+    with ``derivation_image``) or the diderivation identity (with
+    ``diderivation_image``) for both products, on the monomial pairs u, v
+    of degree sum at most bound - growth: growth is the most the closed form
+    can raise total degree, max(deg f - 1, deg g + 1, 0) for a derivation
+    and max(deg f, deg g, 1) - 1 for a diderivation.  Pairs lexicographic,
+    dashv before vdash."""
+    if twisted:
+        image, growth = diderivation_image, max(poly_degree(f), poly_degree(g), 1) - 1
+    else:
+        image, growth = derivation_image, max(poly_degree(f) - 1, poly_degree(g) + 1, 0)
+    pairs, violations = 0, []
+    for u in monomials(bound - growth):
+        for v in monomials(bound - growth - sum(u)):
+            pairs += 1
+            du, dv = image(f, g, *u), image(f, g, *v)
+            for name, mul in (("dashv", poly_dashv), ("vdash", poly_vdash)):
+                (uv,) = mul({u: Fraction(1)}, {v: Fraction(1)})
+                first = poly_dashv if twisted else mul
+                second = poly_vdash if twisted else mul
+                rhs = poly_add(first(du, {v: Fraction(1)}), second({u: Fraction(1)}, dv))
+                if image(f, g, *uv) != rhs:
+                    violations.append({"product": name, "pair": (u, v)})
+    return pairs, violations

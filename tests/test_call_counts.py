@@ -1,4 +1,5 @@
-"""Each public call computes each space, invariant set and basis bracket once.
+"""Each public call computes each space, invariant set, basis bracket and
+polynomial operator image once.
 
 The counts are taken by wrapping the solvers through monkeypatch, so a
 change that solves a space twice, re-runs a sweep or goes back to a cubic
@@ -11,7 +12,7 @@ from collections import Counter
 
 import pytest
 
-from diaskit import catalog, cli, invariants, ratlin, spaces
+from diaskit import catalog, cli, invariants, kxy, ratlin, spaces
 from diaskit.core import phi_dialgebra
 
 
@@ -167,3 +168,35 @@ def test_catalog_command_solves_each_point_once(monkeypatch):
     counting(monkeypatch, spaces, "diderivation_space", calls)
     assert run_cli("catalog", "--samples", "3") == 0
     assert calls["diderivation_space"] == len(points) == 62
+
+
+def image_calls(monkeypatch) -> Counter:
+    """Tally ``KxyOperatorSpec.apply_monomial`` by exponent pair."""
+    calls = Counter()
+    counting(monkeypatch, kxy.KxyOperatorSpec, "apply_monomial", calls,
+             key=lambda spec, m, n: (m, n))
+    return calls
+
+
+@pytest.mark.parametrize("check, f, g, limit", [
+    # limit = bound - growth, the largest degree an image is taken at
+    (kxy.check_dider_identity, {(1, 1): 1, (0, 0): 2}, {(1, 1): 1, (0, 0): 2}, 5),
+    (kxy.check_dider_identity, {(0, 0): 1}, {}, 6),
+    (kxy.check_derivation_identity, {(2, 0): 3, (0, 0): -1}, {(0, 2): 1, (1, 0): 2}, 3),
+])
+def test_identity_sweep_takes_each_image_once(monkeypatch, check, f, g, limit):
+    calls = image_calls(monkeypatch)
+    report = check(kxy.BivariatePoly(f, 6), kxy.BivariatePoly(g, 6))
+    assert report["pairs"] > 0
+    # every pair, and both products of it, are compared by lookup
+    assert set(calls) == {(a, b) for a in range(limit + 1) for b in range(limit + 1 - a)}
+    assert max(calls.values()) == 1
+
+
+def test_kxy_command_takes_each_image_once_per_sweep(monkeypatch):
+    calls = image_calls(monkeypatch)
+    assert run_cli("kxy", "--bound", "8") == 0
+    # nine sweeps, one image per monomial of degree at most bound - growth:
+    # 45 + 21 + 21 (derivations), 45 + 45 + 36 + 45 (diderivations) and
+    # 36 + 28 (inner derivations); then 3 + 3 + 5 terms of the halo check
+    assert sum(calls.values()) <= 333

@@ -56,6 +56,17 @@ class TestEntries:
         with pytest.raises(DialgebraError, match="unknown parameter"):
             instantiate("Dias2_1", {"lam": F(1)})
 
+    @pytest.mark.parametrize("text", ["1e40", "1.5", "1_000", "1" * 41])
+    def test_parameter_strings_follow_the_text_grammar(self, text):
+        # rejected before a number is built from the text, so "1e40" is
+        # never evaluated
+        with pytest.raises(ValueError, match="expected an integer|more than 40 digits"):
+            instantiate("Dias2_3", {"lam": text})
+
+    def test_parameter_strings_in_the_grammar(self):
+        assert instantiate("Dias2_3", {"lam": "-2/3"}) == \
+            instantiate("Dias2_3", {"lam": F(-2, 3)})
+
     def test_every_entry_satisfies_axioms(self):
         for entry in entries():
             if not entry.parametric:

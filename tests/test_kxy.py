@@ -26,6 +26,8 @@ from diaskit.kxy import (
     vdash,
 )
 
+import exact_oracle as oracle
+
 B = 8
 
 coeff_dicts = st.dictionaries(
@@ -283,3 +285,125 @@ class TestTextForm:
         assert format_poly(mono(1, 1, -1)) == "-x*y"
         assert format_poly(mono(0, 2, Fraction(4, 3)) + mono(3, 0, 1)
                            + mono(1, 2, -2)) == "x^3 - 2*x*y^2 + 4/3*y^2"
+
+
+class TestCoefficients:
+    def test_integral_coefficients_are_ints(self):
+        p, q = BivariatePoly({(0, 0): 2}, B), BivariatePoly({(0, 0): Fraction(2)}, B)
+        assert p == q and hash(p) == hash(q)
+        assert format_poly(p) == format_poly(q) == "2"
+        assert type(p.coeffs[(0, 0)]) is int and type(q.coeffs[(0, 0)]) is int
+        assert type(BivariatePoly({(0, 0): "-3/1"}, B).coeffs[(0, 0)]) is int
+
+    def test_halves_survive_arithmetic_exactly(self):
+        half = Fraction(1, 2)
+        p = BivariatePoly({(1, 0): half, (0, 1): Fraction(-3, 2)}, B)
+        assert (p + p).coeffs == {(1, 0): 1, (0, 1): -3}
+        assert type((p + p).coeffs[(1, 0)]) is int
+        assert (p + mono(1, 0)).coeffs == {(1, 0): Fraction(3, 2), (0, 1): Fraction(-3, 2)}
+        assert (p * p).coeffs == {(2, 0): Fraction(1, 4), (1, 1): Fraction(-3, 2),
+                                  (0, 2): Fraction(9, 4)}
+        assert p.scale(Fraction(2, 3)).coeffs == {(1, 0): Fraction(1, 3), (0, 1): -1}
+        assert p.scale(2).coeffs == {(1, 0): 1, (0, 1): -3}
+        assert p.subs_xx().coeffs == {(1, 0): -1}
+        assert p.subs_yy().coeffs == {(0, 1): -1}
+        assert p.swap_vars().coeffs == {(0, 1): half, (1, 0): Fraction(-3, 2)}
+        collapsed = BivariatePoly({(1, 0): half, (0, 1): half}, B).subs_yy()
+        assert collapsed.coeffs == {(0, 1): 1} and type(collapsed.coeffs[(0, 1)]) is int
+        assert (p - p).is_zero()
+        assert format_poly(p) == "1/2*x - 3/2*y"
+
+    def test_scale_by_zero_is_the_zero_polynomial(self):
+        p = BivariatePoly({(1, 0): Fraction(1, 2), (0, 3): 4}, B)
+        for zero in (0, Fraction(0), "0"):
+            assert p.scale(zero).is_zero()
+            assert p.scale(zero).bound == B
+
+    def test_every_bound_check_still_raises(self):
+        with pytest.raises(DegreeBoundError):
+            BivariatePoly({(3, 4): Fraction(1, 2)}, 6)
+        with pytest.raises(DegreeBoundError):
+            BivariatePoly({(3, 0): 2}, 6) * BivariatePoly({(2, 2): Fraction(1, 3)}, 6)
+        high = BivariatePoly({(5, 0): 1}, 6)
+        for low in (BivariatePoly.zero(4), BivariatePoly.one(4)):
+            with pytest.raises(DegreeBoundError):
+                high + low
+            with pytest.raises(DegreeBoundError):
+                low + high
+        assert (high + BivariatePoly.one(6)).bound == 6
+
+    @pytest.mark.parametrize("text", ["1e40", "1.5", "0.5", "1_000", " 1", "1/0"])
+    def test_strings_outside_the_grammar_are_rejected(self, text):
+        # the grammar check runs before any number is built from the text
+        with pytest.raises(ValueError, match="expected an integer|zero denominator"):
+            BivariatePoly({(0, 0): text}, B)
+
+    def test_floats_are_rejected(self):
+        with pytest.raises(TypeError):
+            BivariatePoly({(0, 0): 0.1}, B)
+        with pytest.raises(TypeError):
+            mono(1, 0).scale(0.5)
+
+    def test_strings_in_the_grammar_are_read(self):
+        assert BivariatePoly({(1, 0): "-2/4"}, B) == mono(1, 0, Fraction(-1, 2))
+
+
+# the operators that ``diaskit kxy`` checks
+KXY_DERIVATIONS = [
+    ({(0, 0): 1}, {}),
+    ({(1, 0): 1}, {(1, 1): 1}),
+    ({(2, 0): 3, (0, 0): -1}, {(0, 2): 1, (1, 0): 2}),
+]
+KXY_DIDERIVATIONS = [
+    ({(0, 0): 1}, {(0, 0): 1}),
+    ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}),
+    ({(1, 1): 1, (0, 0): 2}, {(1, 1): 1, (0, 0): 2}),
+    ({(0, 0): 1}, {}),
+]
+
+
+def as_oracle(terms):
+    return {e: Fraction(c) for e, c in terms.items()}
+
+
+class TestAgainstOracle:
+    """The sweeps against ``exact_oracle``, which expands every product from
+    its exponent map on plain dicts and shares no code with ``kxy``."""
+
+    def test_axiom_sweep(self):
+        triples, violations = oracle.kxy_axiom_sweep(6)
+        report = check_axioms_truncated(6)
+        assert violations == [] and report["violations"] == []
+        # six exponents with sum at most 6: C(12, 6) triples
+        assert report["triples"] == triples == 924
+
+    @pytest.mark.parametrize("f, g", KXY_DERIVATIONS)
+    def test_derivation_sweeps(self, f, g):
+        pairs, violations = oracle.kxy_identity_sweep(
+            as_oracle(f), as_oracle(g), 6, twisted=False)
+        report = check_derivation_identity(BivariatePoly(f, 6), BivariatePoly(g, 6))
+        assert (report["pairs"], report["violations"]) == (pairs, violations)
+        assert pairs > 0 and violations == []
+
+    @pytest.mark.parametrize("f, g", KXY_DIDERIVATIONS)
+    def test_diderivation_sweeps(self, f, g):
+        pairs, violations = oracle.kxy_identity_sweep(
+            as_oracle(f), as_oracle(g), 6, twisted=True)
+        report = check_dider_identity(BivariatePoly(f, 6), BivariatePoly(g, 6))
+        assert (report["pairs"], report["violations"]) == (pairs, violations)
+        assert pairs > 0
+        assert bool(violations) is (f != g)
+        if f != g:
+            # criterion 9: 1 -| x = y, and delta(y) - (delta(1) -| x + 1 |- delta(x)) = -1
+            assert violations[0] == {"product": "dashv", "pair": ((0, 0), (1, 0))}
+
+    def test_monomial_images(self):
+        for spec_kind, specs, image in (
+                ("derivation", KXY_DERIVATIONS, oracle.derivation_image),
+                ("diderivation", KXY_DIDERIVATIONS, oracle.diderivation_image)):
+            for f, g in specs:
+                spec = KxyOperatorSpec(spec_kind, f=BivariatePoly(f, 12),
+                                       g=BivariatePoly(g, 12))
+                for m, n in oracle.monomials(6):
+                    assert spec.apply_monomial(m, n).coeffs == \
+                        image(as_oracle(f), as_oracle(g), m, n), (spec_kind, f, g, m, n)

@@ -122,6 +122,14 @@ class TestElimination:
         m = Matrix([[frac("1/2"), 1], [1, frac("1/3")]])
         assert det(m) == Fraction(1, 6) - 1
 
+    def test_frac_reads_strings_through_the_text_grammar(self):
+        assert frac("-6/4") == Fraction(-3, 2) and frac(7) == 7
+        for text in ("1e40", "1.5", "1_000", "2/0", "1" * 41):
+            with pytest.raises(ValueError):
+                frac(text)
+        with pytest.raises(TypeError, match="not float"):
+            frac(0.1)
+
     @given(square(3), st.lists(rationals, min_size=3, max_size=3))
     def test_solve_affine_consistency(self, a, x):
         b = a.apply(x)
