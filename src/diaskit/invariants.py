@@ -13,7 +13,8 @@ identity in one chirality only; rather than hard-coding which one, the
 checks below evaluate both on all basis triples and report what holds.
 Both brackets here are kept as tables of sparse coordinates, one per
 pair of basis elements, and every identity is evaluated from such a
-table by ``ratlin.bilinear``; ``_violations`` is the one Leibniz sweep.
+table by ``ratlin.bilinear``; ``_violations`` is the one Leibniz sweep, and
+it evaluates the terms both chiralities share once per triple.
 
 The combined space pairs diderivations with derivations under the
 bracket ``<(s, d), (s', d')> = ([s, d'], [d, d'])``.  Its basis is the
@@ -31,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .core import Dialgebra
 from .ratlin import (
@@ -119,36 +120,53 @@ class LeibnizAlgebra:
 
     def left_identity_violations(self) -> list[tuple[int, int, int]]:
         """Triples where ``[x,[y,z]] != [[x,y],z] + [y,[x,z]]``."""
-        return list(_violations(self.table, right=False))
+        return _violations(self.table, ("left",), False)["left"]
 
     def right_identity_violations(self) -> list[tuple[int, int, int]]:
         """Triples where ``[[x,y],z] != [[x,z],y] + [x,[y,z]]``."""
-        return list(_violations(self.table, right=True))
+        return _violations(self.table, ("right",), False)["right"]
 
 
-def _violations(table: Sequence[Sequence[Row]], right: bool) -> Iterator[tuple[int, int, int]]:
-    """The basis triples, in order, where the bracket whose value on
-    (e_i, e_j) has the coordinates ``table[i][j]`` breaks the right or the
-    left Leibniz identity."""
+def _violations(table: Sequence[Sequence[Row]], sides: Sequence[str],
+                first_only: bool) -> dict[str, list[tuple[int, int, int]]]:
+    """For each of the ``sides`` "right" and "left", the basis triples, in
+    order, where the bracket whose value on (e_i, e_j) has the coordinates
+    ``table[i][j]`` breaks that Leibniz identity.
+
+    Both identities share ``[[x,y],z]`` and ``[x,[y,z]]``, which are
+    evaluated once per triple for all sides.  With ``first_only`` a side
+    is no longer checked after its first violation, and the sweep ends
+    once every side has one.
+    """
     unit: list[Row] = [{i: Fraction(1)} for i in range(len(table))]
+    found: dict[str, list[tuple[int, int, int]]] = {side: [] for side in sides}
+    open_sides = list(sides)
     for i, j, k in itertools.product(range(len(table)), repeat=3):
         xy_z = bilinear(table, table[i][j], unit[k])
         x_yz = bilinear(table, unit[i], table[j][k])
-        if right:
-            holds = xy_z == lincomb(((1, bilinear(table, table[i][k], unit[j])), (1, x_yz)))
-        else:
-            holds = x_yz == lincomb(((1, xy_z), (1, bilinear(table, unit[j], table[i][k]))))
-        if not holds:
-            yield (i, j, k)
+        broken = False
+        for side in open_sides:
+            if side == "right":
+                holds = xy_z == lincomb(((1, bilinear(table, table[i][k], unit[j])), (1, x_yz)))
+            else:
+                holds = x_yz == lincomb(((1, xy_z), (1, bilinear(table, unit[j], table[i][k]))))
+            if not holds:
+                found[side].append((i, j, k))
+                broken = True
+        if broken and first_only:
+            open_sides = [side for side in open_sides if not found[side]]
+            if not open_sides:
+                break
+    return found
 
 
 # -- combined derivation space -------------------------------------------
 
 # Largest combined basis b (Dider block plus Der block) that
 # ``check_bider_leibniz`` accepts.  Its time grows as b^3: on
-# ``phi_dialgebra`` at n = 7 (b = 42) it takes 2.3 to 2.5 s, at n = 8
-# (b = 56) 4.8 to 4.9 s (three runs each, Python 3.11, one core of a
-# shared 2-vCPU Xeon).
+# ``phi_dialgebra`` at n = 7 (b = 42) it takes 1.1 to 1.8 s, at n = 8
+# (b = 56) 2.4 to 3.4 s (six runs each, Python 3.11, one core of a
+# shared 2-vCPU Xeon whose load varied during the runs).
 MAX_BIDER_DIM = 42
 
 
@@ -224,11 +242,12 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
                for i in range(b) for j in range(i + 1)]
     square_span = Subspace(2 * nn, [dense(2 * nn, v) for v in squares if v])
 
+    leibniz = _violations(table, ("right", "left"), True) if closed else None
     return {
         "bider_dim": b,
         "bracket_closed": closed,
-        "right_identity": closed and not any(_violations(table, right=True)),
-        "left_identity": closed and not any(_violations(table, right=False)),
+        "right_identity": closed and not leibniz["right"],
+        "left_identity": closed and not leibniz["left"],
         "dinn_der_ideal": is_ideal(dinn + unit[dider.dim:]),
         "dinn_inn_ideal": is_ideal(dinn + inn),
         "square_span_dim": square_span.dim,

@@ -25,20 +25,28 @@ otherwise, so the integer data of the sweeps never builds a ``Fraction``;
 results of arithmetic on clean polynomials are wrapped without being
 validated again, except where a bound check can still fail.
 
-The derivation and diderivation identities are checked by one bounded
-sweep over monomial pairs that differs only in the right-hand side of the
-rule.  Products of monomials are monomials, so the sweep memoises the
-operator image of each exponent pair for the duration of one call and
-compares images by lookup.  ``format_poly`` renders polynomials for reports; nothing reads
-polynomials back from text, so there is no parser.
+Both products of two monomials are one monomial of coefficient 1.  So
+each sweep first builds one table, for the duration of one call: the
+exponent pair of ``u -| v`` and of ``u |- v`` for every monomial pair of
+bounded degree sum, each computed once by ``dashv`` and ``vdash`` and
+checked to be such a monomial.  The axiom sweep reads every product of a
+triple from it.  The derivation and diderivation identities are checked by
+one bounded sweep over monomial pairs that differs only in the right-hand
+side of the rule; it reads ``u * v`` from the table, computes the operator
+image of each exponent pair once and compares images by lookup.  The same
+table gives the structure constants of the graded truncations
+``truncation(n)``, which the main solver handles as ordinary dialgebras.
+``format_poly`` renders polynomials for reports; nothing reads polynomials
+back from text, so there is no parser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
+from .core import Dialgebra
 from .ratlin import Scalar, frac
 
 DEFAULT_BOUND = 8
@@ -242,6 +250,8 @@ def vdash(f: BivariatePoly, g: BivariatePoly) -> BivariatePoly:
 
 
 def _exponents_up_to(total: int) -> list[Exponents]:
+    """Exponent pairs of total degree at most ``total``, lexicographic, so
+    the list for a smaller total keeps the order of this one."""
     return [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
 
 
@@ -250,43 +260,97 @@ def _monomials_up_to(total: int, bound: int) -> list[BivariatePoly]:
             for a, b in _exponents_up_to(total)]
 
 
+def _exponent(p: BivariatePoly) -> Exponents:
+    """The exponent pair of a monomial of coefficient 1.
+
+    Raises on anything else, so a product table never records a product
+    that is not such a monomial.
+    """
+    if len(p.coeffs) != 1 or next(iter(p.coeffs.values())) != 1:
+        raise AssertionError(
+            f"product of monomials is not a monomial of coefficient 1: {p}")
+    (e,) = p.coeffs
+    return e
+
+
+ProductTable = dict[tuple[Exponents, Exponents], Exponents]
+
+
+def _monomial_table(total: int, bound: int) -> tuple[
+        dict[Exponents, BivariatePoly], ProductTable, ProductTable]:
+    """The monomials of degree at most ``total`` (under ``bound``) and the
+    products of every pair of them of degree sum at most ``total``.
+
+    Both products of two monomials are one monomial of the summed degree,
+    so each product is recorded as the exponent pair of ``u -| v`` and of
+    ``u |- v``, keyed by the pair (u, v).  Each is computed once, by
+    ``dashv`` and ``vdash`` themselves.
+    """
+    monos = {e: BivariatePoly.monomial(*e, 1, bound)
+             for e in _exponents_up_to(total)}
+    dv: ProductTable = {}
+    vd: ProductTable = {}
+    for u, pu in monos.items():
+        for v in _exponents_up_to(total - sum(u)):
+            dv[u, v] = _exponent(dashv(pu, monos[v]))
+            vd[u, v] = _exponent(vdash(pu, monos[v]))
+    return monos, dv, vd
+
+
 def check_axioms_truncated(bound: int) -> dict:
     """Exhaustively check the five dialgebra axioms on monomial triples.
 
     Covers every triple of monomials whose degree sum stays within the
     bound; the products only redistribute degrees, so every intermediate
-    term of such a triple is representable.
+    term of such a triple is representable.  Every product of a triple is
+    read from one table of the products of the monomial pairs of degree
+    sum at most the bound, built once per call.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
+    _monos, dv, vd = _monomial_table(bound, bound)
+    exps = [_exponents_up_to(t) for t in range(bound + 1)]
     violations = []
     tried = 0
-    monos = {e: BivariatePoly.monomial(*e, 1, bound)
-             for e in _exponents_up_to(bound)}
-    for (a1, b1), x in monos.items():
-        for (a2, b2), y in monos.items():
-            if a1 + b1 + a2 + b2 > bound:
-                continue
-            xy_d, xy_v = dashv(x, y), vdash(x, y)
-            for (a3, b3), z in monos.items():
-                if a1 + b1 + a2 + b2 + a3 + b3 > bound:
-                    continue
+    for x in exps[bound]:
+        for y in exps[bound - sum(x)]:
+            xy_d, xy_v = dv[x, y], vd[x, y]
+            for z in exps[bound - sum(x) - sum(y)]:
                 tried += 1
-                yz_d, yz_v = dashv(y, z), vdash(y, z)
-                x_yz_d, xy_v_z = dashv(x, yz_d), vdash(xy_v, z)
+                yz_d, yz_v = dv[y, z], vd[y, z]
+                x_yz_d, xy_v_z = dv[x, yz_d], vd[xy_v, z]
                 checks = (
-                    ("assoc_dashv", dashv(xy_d, z), x_yz_d),
-                    ("absorb_dashv", x_yz_d, dashv(x, yz_v)),
-                    ("inner", dashv(xy_v, z), vdash(x, yz_d)),
-                    ("absorb_vdash", vdash(xy_d, z), xy_v_z),
-                    ("assoc_vdash", xy_v_z, vdash(x, yz_v)),
+                    ("assoc_dashv", dv[xy_d, z], x_yz_d),
+                    ("absorb_dashv", x_yz_d, dv[x, yz_v]),
+                    ("inner", dv[xy_v, z], vd[x, yz_d]),
+                    ("absorb_vdash", vd[xy_d, z], xy_v_z),
+                    ("assoc_vdash", xy_v_z, vd[x, yz_v]),
                 )
                 for label, lhs, rhs in checks:
                     if lhs != rhs:
-                        violations.append(
-                            {"axiom": label,
-                             "triple": ((a1, b1), (a2, b2), (a3, b3))})
+                        violations.append({"axiom": label, "triple": (x, y, z)})
     return {"bound": bound, "triples": tried, "violations": violations}
+
+
+def truncation(n: int) -> Dialgebra:
+    """The dialgebra K[x,y]/(deg > n) of dimension (n+1)(n+2)/2.
+
+    Both products add total degree, so the monomials of degree above ``n``
+    span a two-sided ideal.  Basis element i is the i-th monomial x^a y^b
+    of degree at most ``n`` in lexicographic order of (a, b); a product of
+    degree above ``n`` is zero.  The structure constants are read from the
+    same product table as ``check_axioms_truncated``.  ``core.MAX_DIM``
+    limits ``n`` to 6.
+    """
+    if n < 0:
+        raise ValueError("truncation degree must be nonnegative")
+    monos, dv, vd = _monomial_table(n, n)
+    index = {e: i for i, e in enumerate(monos, start=1)}
+    relations = {}
+    for name, table in (("dashv", dv), ("vdash", vd)):
+        for (u, v), w in table.items():
+            relations[name, index[u], index[v]] = [(index[w], 1)]
+    return Dialgebra.from_relations(len(monos), relations)
 
 
 # ---------------------------------------------------------------------------
@@ -475,34 +539,46 @@ def inner_derivation_spec(h: BivariatePoly) -> KxyOperatorSpec:
 
 
 def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
-                    rhs: Callable[..., BivariatePoly]) -> dict:
-    """Compare ``spec(a*b)`` with ``rhs(mul, u, spec(u), v, spec(v))`` for
-    both products on monomial pairs.
+                    twisted: bool) -> dict:
+    """Compare ``spec(u * v)`` with ``spec(u) o1 v + u o2 spec(v)`` for both
+    products * on monomial pairs, where o1 = o2 = * for a derivation and
+    o1 = -|, o2 = |- for a diderivation (``twisted``).
 
     Pairs are restricted so that every term of both sides stays within the
     bound, given that ``spec`` raises degrees by at most ``growth``; the
     sweep is exact on that set.  Both products of two monomials are
     monomials of no larger degree, so every image the sweep compares is
     that of one monomial of degree at most ``bound - growth``; each is
-    computed once per call.
+    computed once per call, and ``u * v`` is read from the product table
+    of ``check_axioms_truncated`` built for that degree.  ``f -| g`` is
+    ``f * g(y,y)``, so for a fixed ``u`` the product ``spec(u) -| v``
+    depends on ``v`` only through ``v(y,y)``: it is formed once per
+    collapsed monomial and read back for every other ``v``.
     """
     limit = bound - growth
     violations = []
     pairs = 0
-    monos = {e: BivariatePoly.monomial(*e, 1, bound)
-             for e in _exponents_up_to(limit)}
+    monos, dv_table, vd_table = _monomial_table(limit, bound)
+    exps = [_exponents_up_to(t) for t in range(limit + 1)]
     image = {e: spec.apply_monomial(*e) for e in monos}
-    for (a1, b1), u in monos.items():
-        for (a2, b2), v in monos.items():
-            if a1 + b1 + a2 + b2 > limit:
-                continue
+    collapsed = {e: _exponent(p.subs_yy()) for e, p in monos.items()}
+    for u, pu in monos.items():
+        du = image[u]
+        du_dashv: dict[Exponents, BivariatePoly] = {}
+        for v in exps[limit - sum(u)]:
             pairs += 1
-            du, dv = image[(a1, b1)], image[(a2, b2)]
-            for label, mul in (("dashv", dashv), ("vdash", vdash)):
-                (uv,) = mul(u, v).coeffs
-                if image[uv] != rhs(mul, u, du, v, dv):
-                    violations.append(
-                        {"product": label, "pair": ((a1, b1), (a2, b2))})
+            pv, dv = monos[v], image[v]
+            left = du_dashv.get(collapsed[v])
+            if left is None:
+                left = du_dashv[collapsed[v]] = dashv(du, pv)
+            if twisted:
+                sides = (left + vdash(pu, dv),) * 2
+            else:
+                sides = (left + dashv(pu, dv), vdash(du, pv) + vdash(pu, dv))
+            for label, table, rhs in (("dashv", dv_table, sides[0]),
+                                      ("vdash", vd_table, sides[1])):
+                if image[table[u, v]] != rhs:
+                    violations.append({"product": label, "pair": (u, v)})
     return {"pairs": pairs, "violations": violations}
 
 
@@ -512,8 +588,7 @@ def check_derivation_identity(f: BivariatePoly, g: BivariatePoly,
     bound = min(f.bound, g.bound) if bound is None else bound
     return _identity_sweep(
         KxyOperatorSpec("derivation", f=f, g=g),
-        max(f.total_degree() - 1, g.total_degree() + 1, 0), bound,
-        lambda mul, u, du, v, dv: mul(du, v) + mul(u, dv))
+        max(f.total_degree() - 1, g.total_degree() + 1, 0), bound, False)
 
 
 def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
@@ -527,8 +602,7 @@ def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
     bound = min(f.bound, g.bound) if bound is None else bound
     return _identity_sweep(
         KxyOperatorSpec("diderivation", f=f, g=g),
-        max(f.total_degree(), g.total_degree(), 1) - 1, bound,
-        lambda mul, u, du, v, dv: dashv(du, v) + vdash(u, dv))
+        max(f.total_degree(), g.total_degree(), 1) - 1, bound, True)
 
 
 # ---------------------------------------------------------------------------

@@ -369,16 +369,21 @@ def monomials(total):
     return [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
 
 
-def kxy_axiom_sweep(bound):
+def kxy_axiom_sweep(bound, dashv=None, vdash=None):
     """(triples, violations) of the five axioms on the monomial triples of
-    degree sum at most ``bound``, triples lexicographic."""
+    degree sum at most ``bound``, triples lexicographic.
+
+    ``dashv`` and ``vdash``, when given, replace the exponent maps of the
+    two products: each takes (a, b, p, q) for x^a y^b and x^p y^q and
+    returns the exponent pair of their product."""
+    dv = (lambda f, g: _expand(f, g, dashv)) if dashv else poly_dashv
+    vd = (lambda f, g: _expand(f, g, vdash)) if vdash else poly_vdash
     triples, violations = 0, []
     for u in monomials(bound):
         for v in monomials(bound - sum(u)):
             for w in monomials(bound - sum(u) - sum(v)):
                 triples += 1
                 x, y, z = ({u: Fraction(1)}, {v: Fraction(1)}, {w: Fraction(1)})
-                dv, vd = poly_dashv, poly_vdash
                 for name, lhs, rhs in (
                         ("assoc_dashv", dv(dv(x, y), z), dv(x, dv(y, z))),
                         ("absorb_dashv", dv(x, dv(y, z)), dv(x, vd(y, z))),

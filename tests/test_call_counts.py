@@ -8,6 +8,7 @@ bracket loop fails here even when every report stays the same.
 
 import contextlib
 import io
+import math
 from collections import Counter
 
 import pytest
@@ -135,6 +136,22 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
     }
 
 
+def test_leibniz_sweep_evaluates_the_shared_brackets_once(monkeypatch):
+    leib = invariants.LeibnizAlgebra(catalog.instantiate("Dias3_1"))
+    right, left = leib.right_identity_violations(), leib.left_identity_violations()
+    assert not right and left
+    calls = Counter()
+    counting(monkeypatch, invariants, "bilinear", calls)
+    n = leib.dim
+    # [[x,y],z] and [x,[y,z]] once per triple, then one bracket per identity
+    assert invariants._violations(leib.table, ("right", "left"), False) == \
+        {"right": right, "left": left}
+    assert calls["bilinear"] == 4 * n ** 3
+    # each side stops at its first violation; the right one has none
+    assert invariants._violations(leib.table, ("right", "left"), True) == \
+        {"right": [], "left": left[:1]}
+
+
 def sweep_points(sweep) -> set:
     """The distinct (entry, params) points a ``verify_catalog`` sweep compares."""
     def key(name, params):
@@ -168,6 +185,38 @@ def test_catalog_command_solves_each_point_once(monkeypatch):
     counting(monkeypatch, spaces, "diderivation_space", calls)
     assert run_cli("catalog", "--samples", "3") == 0
     assert calls["diderivation_space"] == len(points) == 62
+
+
+@pytest.mark.parametrize("bound", [3, 6, 10])
+def test_axiom_sweep_takes_each_monomial_product_once(monkeypatch, bound):
+    calls = Counter()
+    for name in ("dashv", "vdash"):
+        counting(monkeypatch, kxy, name, calls,
+                 key=lambda f, g, name=name: (name, *f.coeffs, *g.coeffs))
+    report = kxy.check_axioms_truncated(bound)
+    assert report["violations"] == []
+    # four exponents with sum at most the bound: C(bound + 4, 4) pairs,
+    # each multiplied once by each product; the C(bound + 6, 6) triples
+    # read every product from that table
+    pairs = math.comb(bound + 4, 4)
+    assert report["triples"] == math.comb(bound + 6, 6)
+    assert Counter(key[0] for key in calls) == {"dashv": pairs, "vdash": pairs}
+    assert max(calls.values()) == 1
+
+
+def test_dider_sweep_forms_each_left_product_once_per_collapsed_monomial(monkeypatch):
+    calls = Counter()
+    for name in ("dashv", "vdash"):
+        counting(monkeypatch, kxy, name, calls)
+    f = kxy.BivariatePoly({(1, 1): 1, (0, 0): 2}, 6)
+    report = kxy.check_dider_identity(f, f)
+    # growth 1, so the pairs u, v have degree sum at most 5: C(9, 4) pairs.
+    # The product table takes one dashv and one vdash per pair and the
+    # right side one u |- delta(v) per pair.  delta(u) -| v = delta(u) *
+    # v(y,y) is formed once per u and degree of v: C(8, 3) (u, k) with
+    # deg u + k <= 5.
+    assert report["pairs"] == math.comb(9, 4)
+    assert calls == {"dashv": math.comb(9, 4) + math.comb(8, 3), "vdash": 2 * math.comb(9, 4)}
 
 
 def image_calls(monkeypatch) -> Counter:

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diaskit import kxy
+from diaskit.core import DialgebraError
 from diaskit.kxy import (
     BivariatePoly,
     DegreeBoundError,
@@ -23,8 +25,11 @@ from diaskit.kxy import (
     halo_membership,
     inner_derivation_spec,
     inner_dider_apply,
+    truncation,
     vdash,
 )
+from diaskit.ratlin import Matrix, unit_vector, zero_vector
+from diaskit.spaces import derivation_space, diderivation_space
 
 import exact_oracle as oracle
 
@@ -407,3 +412,106 @@ class TestAgainstOracle:
                 for m, n in oracle.monomials(6):
                     assert spec.apply_monomial(m, n).coeffs == \
                         image(as_oracle(f), as_oracle(g), m, n), (spec_kind, f, g, m, n)
+
+
+class TestProductTable:
+    """The sweeps read every product of monomials from a table built by
+    ``dashv`` and ``vdash`` themselves, so a wrong product shows in the
+    report and a product that is not a monomial of coefficient 1 raises."""
+
+    @pytest.mark.parametrize("product, wrong, exponent, count", [
+        # f -| g = f * g instead of f * g(y,y)
+        ("dashv", lambda f, g: f * g, lambda a, b, p, q: (a + p, b + q), 210),
+        # f -| g = f * g(y,x)
+        ("dashv", lambda f, g: f * g.swap_vars(), lambda a, b, p, q: (a + q, b + p), 650),
+        # f |- g = (f * g)(x,x) instead of f(x,x) * g
+        ("vdash", lambda f, g: (f * g).subs_xx(), lambda a, b, p, q: (a + b + p + q, 0), 336),
+        # f -| g = f * g(x,x) gives a dialgebra as well
+        ("dashv", lambda f, g: f * g.subs_xx(), lambda a, b, p, q: (a + p + q, b), 0),
+    ])
+    def test_wrong_product_matches_the_oracle(self, monkeypatch, product, wrong, exponent,
+                                              count):
+        triples, expected = oracle.kxy_axiom_sweep(5, **{product: exponent})
+        monkeypatch.setattr(kxy, product, wrong)
+        report = check_axioms_truncated(5)
+        assert report["triples"] == triples == 462 and len(expected) == count
+        assert [(v["axiom"], v["triple"]) for v in report["violations"]] == expected
+
+    @pytest.mark.parametrize("product", ["dashv", "vdash"])
+    @pytest.mark.parametrize("sweep", [
+        lambda: check_axioms_truncated(4),
+        lambda: check_dider_identity(BivariatePoly.one(B), BivariatePoly.one(B)),
+        lambda: check_derivation_identity(BivariatePoly.var_x(B), BivariatePoly.zero(B)),
+    ])
+    def test_non_unit_monomial_product_raises(self, monkeypatch, product, sweep):
+        original = getattr(kxy, product)
+        monkeypatch.setattr(kxy, product, lambda f, g: original(f, g).scale(2))
+        with pytest.raises(AssertionError, match="not a monomial of coefficient 1"):
+            sweep()
+
+    def test_product_of_two_terms_raises(self, monkeypatch):
+        monkeypatch.setattr(kxy, "dashv", lambda f, g: f * g.subs_yy() + BivariatePoly.var_x(B))
+        with pytest.raises(AssertionError, match="not a monomial of coefficient 1"):
+            check_axioms_truncated(4)
+
+
+def truncated_operator(spec, n):
+    """The matrix of a closed form that does not lower degree on
+    ``truncation(n)``: column j is the image of the j-th monomial with its
+    terms of degree above n dropped."""
+    index = {e: i for i, e in enumerate(oracle.monomials(n))}
+    cols = []
+    for m, k in index:
+        col = [Fraction(0)] * len(index)
+        for e, c in spec.apply_monomial(m, k).coeffs.items():
+            if sum(e) <= n:
+                col[index[e]] = Fraction(c)
+        cols.append(col)
+    return Matrix.from_columns(cols)
+
+
+class TestTruncation:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_a_dialgebra(self, n):
+        d = truncation(n)
+        assert d.dim == (n + 1) * (n + 2) // 2
+        assert d.verify_axioms() == []
+
+    def test_products_against_the_oracle(self):
+        n = 3
+        d = truncation(n)
+        index = {e: i for i, e in enumerate(oracle.monomials(n))}
+        for name, product in (("dashv", oracle.poly_dashv), ("vdash", oracle.poly_vdash)):
+            for u, i in index.items():
+                for v, j in index.items():
+                    (w,) = product({u: Fraction(1)}, {v: Fraction(1)})
+                    expected = unit_vector(d.dim, index[w]) if sum(w) <= n else zero_vector(d.dim)
+                    assert d.basis_product(name, i, j) == expected, (name, u, v)
+
+    def test_above_the_dimension_cap(self):
+        with pytest.raises(DialgebraError, match="outside supported range"):
+            truncation(7)
+
+    # Closed forms that do not lower degree descend to truncation(5); the
+    # solver's kernels agree with the bounded sweep on each of them.
+    @pytest.mark.parametrize("f, g", [
+        ({(1, 0): 1}, {}),
+        ({}, {(1, 0): 1}),
+        ({(1, 0): 1}, {(1, 1): 1}),    # f=x, g=xy of the kxy report
+    ])
+    def test_derivation_forms_lie_in_der(self, f, g):
+        spec = KxyOperatorSpec("derivation", f=BivariatePoly(f, 9), g=BivariatePoly(g, 9))
+        assert derivation_space(truncation(5)).contains(truncated_operator(spec, 5).flatten())
+        assert check_derivation_identity(spec.f, spec.g)["violations"] == []
+
+    @pytest.mark.parametrize("f, g, member", [
+        ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): 1}, True),    # f=g=x+y of the kxy report
+        ({(1, 0): 1}, {}, False),
+        ({(1, 0): 1}, {(0, 1): 1}, False),
+        ({(0, 1): 1}, {(1, 0): 1}, False),
+    ])
+    def test_diderivation_forms_against_dider(self, f, g, member):
+        spec = KxyOperatorSpec("diderivation", f=BivariatePoly(f, 9), g=BivariatePoly(g, 9))
+        assert diderivation_space(truncation(5)).contains(
+            truncated_operator(spec, 5).flatten()) is member
+        assert (check_dider_identity(spec.f, spec.g)["violations"] == []) is member
