@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import spaces
 from .core import Dialgebra, DialgebraError
-from .ratlin import Matrix, Subspace, det, frac
+from .ratlin import Matrix, Subspace, bilinear, det, frac, lincomb, sparse
 
 Params = Mapping[str, Fraction]
 Relations = dict[tuple[str, int, int], list[tuple[int, Fraction]]]
@@ -329,11 +329,7 @@ def _e(n: int, i: int, j: int) -> Matrix:
     return Matrix(rows)
 
 
-def _m3(rows: Sequence[Sequence[int]]) -> Matrix:
-    return Matrix(rows)
-
-
-_DIFF_BASIS_3 = _m3([[1, 0, 0], [-1, 0, 0], [0, 0, 0]])  # E11 - E21
+_DIFF_BASIS_3 = Matrix([[1, 0, 0], [-1, 0, 0], [0, 0, 0]])  # E11 - E21
 
 _TABLED_DIDER: dict[str, tuple[int, tuple[Matrix, ...]]] = {
     "Dias2_1": (1, (_e(2, 2, 1),)),
@@ -348,7 +344,7 @@ _TABLED_DIDER: dict[str, tuple[int, tuple[Matrix, ...]]] = {
     "Dias3_6": (0, ()),
     "Dias3_7": (1, (_DIFF_BASIS_3,)),
     "Dias3_8": (1, (_e(3, 1, 3),)),
-    "Dias3_9": (1, (_m3([[0, 0, 0], [1, 1, 0], [0, 0, 0]]),)),
+    "Dias3_9": (1, (Matrix([[0, 0, 0], [1, 1, 0], [0, 0, 0]]),)),
     "Dias3_10": (2, (_e(3, 1, 1), _e(3, 1, 3))),
     "Dias3_11": (2, (_e(3, 1, 1), _e(3, 1, 3))),
     "Dias3_12": (1, (_e(3, 1, 1),)),
@@ -709,18 +705,17 @@ def corrected_case_d_vector(params: Params) -> Matrix:
 
 
 def _dider_identity_holds(d: Dialgebra, op: Matrix) -> bool:
+    """``op(x * y) == op(x) dashv y + x vdash op(y)`` for both products on
+    every basis pair, with the columns of ``op`` as sparse rows."""
     n = d.dim
-    for product in ("dashv", "vdash"):
-        for i in range(n):
-            ei = [Fraction(int(r == i)) for r in range(n)]
-            for j in range(n):
-                ej = [Fraction(int(r == j)) for r in range(n)]
-                lhs = op.apply(d.multiply(product, ei, ej))
-                rhs = [a + b for a, b in zip(
-                    d.dashv(op.apply(ei), ej), d.vdash(ei, op.apply(ej)))]
-                if list(lhs) != rhs:
-                    return False
-    return True
+    cols = [sparse(op.column(j)) for j in range(n)]
+    unit = [{i: ONE} for i in range(n)]
+    dashv, vdash = d.table("dashv"), d.table("vdash")
+    return all(
+        lincomb((x, cols[k]) for k, x in table[i][j].items())
+        == lincomb(((ONE, bilinear(dashv, cols[i], unit[j])),
+                    (ONE, bilinear(vdash, unit[i], cols[j]))))
+        for table in (dashv, vdash) for i in range(n) for j in range(n))
 
 
 def check_solution_families(params: Params, case: str) -> dict:
@@ -762,10 +757,6 @@ def solution_families(params: Params, case: str,
 # Catalog-wide verification sweep
 
 
-def _basis_subspace(basis: Sequence[Matrix], n: int) -> Subspace:
-    return Subspace(n * n, [b.flatten() for b in basis])
-
-
 def _point_text(values: Iterable[Fraction]) -> str:
     return "(" + ", ".join(str(v) for v in values) + ")"
 
@@ -799,7 +790,7 @@ def _entry_result(name: str, params: dict[str, Fraction] | None,
     actual = _kernel(kernels, name, params, d)
     basis_match: bool | None = None
     if expected_basis is not None:
-        basis_match = _basis_subspace(expected_basis, d.dim) == actual
+        basis_match = spaces.operator_subspace(d.dim, expected_basis) == actual
     dim_match = actual.dim == expected_dim
     status = "match" if dim_match and basis_match in (None, True) else "finding"
     return {

@@ -142,15 +142,18 @@ def _parse_param_query(query: str) -> dict[str, Fraction]:
         piece = piece.strip()
         if not piece:
             continue
-        key, sep, value = piece.partition("=")
+        key, sep, value = (part.strip() for part in piece.partition("="))
         if not sep:
             raise InputError(f"bad parameter {piece!r}, expected key=value")
+        if not key:
+            raise InputError(f"bad parameter {piece!r}, empty name before '='")
+        if key in params:
+            raise InputError(f"parameter {key!r} given more than once")
         try:
-            params[key.strip()] = parse_rational(value.strip())
+            params[key] = parse_rational(value)
         except ValueError as exc:
             raise InputError(
-                f"bad rational {value.strip()!r} for parameter "
-                f"{key.strip()!r}: {exc}") from None
+                f"bad rational {value!r} for parameter {key!r}: {exc}") from None
     return params
 
 
@@ -309,12 +312,17 @@ def cmd_bider(selector: str) -> Report:
     return report
 
 
-def _det_probe_samples(seed: int, generic: int = 100) -> list[tuple]:
+# Generic points in the determinant-probe sample set.
+DET_PROBE_GENERIC = 100
+
+
+def _det_probe_samples(seed: int) -> list[tuple]:
     """Seeded determinant-probe sample set covering the relevant strata:
-    generic points plus m=0, both factor loci, and the p=k slice."""
+    ``DET_PROBE_GENERIC`` generic points plus m=0, both factor loci, and
+    the p=k slice."""
     rng = random.Random(f"detprobe:{seed}")
     out: list[tuple] = []
-    for _ in range(generic):
+    for _ in range(DET_PROBE_GENERIC):
         out.append(tuple(Fraction(rng.randint(-5, 5)) for _ in range(5)))
     for _ in range(12):
         k, n, p, q = (Fraction(rng.randint(-5, 5)) for _ in range(4))

@@ -11,9 +11,12 @@ let the products absorb each other:
     absorb_vdash  (x dashv y) vdash z == (x vdash y) vdash z
     assoc_vdash   (x vdash y) vdash z == x vdash (y vdash z)
 
-Structure constants are stored per product as ``c[i][j][k]``, the
+Structure constants are given per product as ``c[i][j][k]``, the
 coefficient of basis vector ``k`` in ``e_i * e_j`` (0-based internally;
-the text format is 1-based).
+the text format is 1-based).  These dense cubes are the constructor's
+data.  From them ``Dialgebra`` builds, once, one read-only sparse table
+per product (``Dialgebra.table``).  Every product, operator and solver
+route reads the tables; outside this module nothing reads the cubes.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Mapping, Sequence
 # both stay importable from here.
 from .ratlin import (
     MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Vector, bilinear, dense, frac, parse_rational,
-    unit_vector, vector,
+    sparse, unit_vector, vector,
 )
 
 PRODUCTS = ("dashv", "vdash")
@@ -53,6 +56,7 @@ class DialgebraError(ValueError):
 
 
 Cube = list[list[list[Fraction]]]
+Table = tuple[tuple[Row, ...], ...]
 
 
 def _zero_cube(n: int) -> Cube:
@@ -62,7 +66,7 @@ def _zero_cube(n: int) -> Cube:
 class Dialgebra:
     """A finite-dimensional dialgebra given by structure constants."""
 
-    __slots__ = ("dim", "c_vdash", "c_dashv")
+    __slots__ = ("dim", "c_vdash", "c_dashv", "_tables")
 
     def __init__(
         self,
@@ -75,6 +79,10 @@ class Dialgebra:
         self.dim = dim
         self.c_vdash = self._check_cube(c_vdash, "vdash")
         self.c_dashv = self._check_cube(c_dashv, "dashv")
+        self._tables = {
+            product: tuple(tuple(sparse(row) for row in plane) for plane in cube)
+            for product, cube in (("dashv", self.c_dashv), ("vdash", self.c_vdash))
+        }
 
     def _check_cube(self, cube: Sequence, name: str) -> Cube:
         n = self.dim
@@ -122,12 +130,18 @@ class Dialgebra:
 
     # -- products -----------------------------------------------------
 
-    def _cube(self, product: str) -> Cube:
-        if product == "vdash":
-            return self.c_vdash
-        if product == "dashv":
-            return self.c_dashv
-        raise DialgebraError(f"unknown product {product!r}")
+    def table(self, product: str) -> Table:
+        """Sparse structure constants: ``table[i][j]`` holds the nonzero
+        coordinates of e_i * e_j, the form ``ratlin.bilinear`` evaluates.
+
+        Both tables are built once, when the dialgebra is constructed, and
+        every caller shares them: they are read-only.  Copy a row before
+        changing it.
+        """
+        try:
+            return self._tables[product]
+        except KeyError:
+            raise DialgebraError(f"unknown product {product!r}") from None
 
     def multiply(self, product: str, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear extension of the chosen product to coordinate vectors."""
@@ -135,20 +149,7 @@ class Dialgebra:
         xv, yv = vector(x), vector(y)
         if len(xv) != n or len(yv) != n:
             raise DialgebraError("vector length does not match the dimension")
-        c = self._cube(product)
-        out = [Fraction(0)] * n
-        for i, xi in enumerate(xv):
-            if not xi:
-                continue
-            for j, yj in enumerate(yv):
-                if not yj:
-                    continue
-                cij = c[i][j]
-                coeff = xi * yj
-                for k in range(n):
-                    if cij[k]:
-                        out[k] += coeff * cij[k]
-        return tuple(out)
+        return dense(n, bilinear(self.table(product), sparse(xv), sparse(yv)))
 
     def vdash(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         return self.multiply("vdash", x, y)
@@ -158,7 +159,7 @@ class Dialgebra:
 
     def basis_product(self, product: str, i: int, j: int) -> Vector:
         """e_i * e_j, 0-based indices."""
-        return tuple(self._cube(product)[i][j])
+        return dense(self.dim, self.table(product)[i][j])
 
     # -- multiplication operators --------------------------------------
 
@@ -175,12 +176,6 @@ class Dialgebra:
         return Matrix.from_columns(cols)
 
     # -- structural checks ----------------------------------------------
-
-    def table(self, product: str) -> list[list[Row]]:
-        """Sparse structure constants: ``table[i][j]`` holds the nonzero
-        coordinates of e_i * e_j, the form ``ratlin.bilinear`` evaluates."""
-        return [[{k: x for k, x in enumerate(row) if x} for row in plane]
-                for plane in self._cube(product)]
 
     def verify_axioms(self) -> list[dict]:
         """Check all five axioms on every basis triple.
@@ -240,12 +235,10 @@ class Dialgebra:
         """Sparse view of the nonzero structure constants, 1-based."""
         out: dict[tuple[str, int, int], list[tuple[int, Fraction]]] = {}
         for product in PRODUCTS:
-            c = self._cube(product)
-            for i in range(self.dim):
-                for j in range(self.dim):
-                    terms = [(k + 1, c[i][j][k]) for k in range(self.dim) if c[i][j][k]]
-                    if terms:
-                        out[(product, i + 1, j + 1)] = terms
+            for i, plane in enumerate(self.table(product)):
+                for j, row in enumerate(plane):
+                    if row:
+                        out[(product, i + 1, j + 1)] = [(k + 1, x) for k, x in row.items()]
         return out
 
     def __repr__(self) -> str:

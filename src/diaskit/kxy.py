@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .core import Dialgebra
+from .core import AXIOM_NAMES, Dialgebra
 from .ratlin import Scalar, frac
 
 DEFAULT_BOUND = 8
@@ -319,14 +319,14 @@ def check_axioms_truncated(bound: int) -> dict:
                 tried += 1
                 yz_d, yz_v = dv[y, z], vd[y, z]
                 x_yz_d, xy_v_z = dv[x, yz_d], vd[xy_v, z]
-                checks = (
-                    ("assoc_dashv", dv[xy_d, z], x_yz_d),
-                    ("absorb_dashv", x_yz_d, dv[x, yz_v]),
-                    ("inner", dv[xy_v, z], vd[x, yz_d]),
-                    ("absorb_vdash", vd[xy_d, z], xy_v_z),
-                    ("assoc_vdash", xy_v_z, vd[x, yz_v]),
+                sides = (
+                    (dv[xy_d, z], x_yz_d),
+                    (x_yz_d, dv[x, yz_v]),
+                    (dv[xy_v, z], vd[x, yz_d]),
+                    (vd[xy_d, z], xy_v_z),
+                    (xy_v_z, vd[x, yz_v]),
                 )
-                for label, lhs, rhs in checks:
+                for label, (lhs, rhs) in zip(AXIOM_NAMES, sides):
                     if lhs != rhs:
                         violations.append({"axiom": label, "triple": (x, y, z)})
     return {"bound": bound, "triples": tried, "violations": violations}

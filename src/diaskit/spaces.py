@@ -12,8 +12,11 @@ primary solvers below build that system straight from the defining
 identity on basis pairs.  A second, independent route phrases the same
 conditions as commutator identities between multiplication operators;
 agreement of the two routes is part of the verification surface, so the
-operator route never reuses the defining-identity rows.  The closure
-report brackets operators as sparse rows, through ``ratlin.commutator``.
+operator route never reuses the defining-identity rows.  Both routes read
+the dialgebra's sparse structure-constant tables (``Dialgebra.table``),
+which are built once and never written: the operator route takes the
+entries of each basis operator straight off them.  The closure report
+brackets operators as sparse rows, through ``ratlin.commutator``.
 
 Operators are stored column-style: column ``j`` of the matrix of ``T``
 holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
@@ -23,7 +26,7 @@ holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Dialgebra
 from .ratlin import Matrix, Subspace, commutator, kernel, lincomb, sparse, unit_vector
@@ -65,20 +68,23 @@ def _rule_kernel(d: Dialgebra, twisted: bool) -> Subspace:
 
     def rows():
         for product in ("dashv", "vdash"):
-            c = d.c_dashv if product == "dashv" else d.c_vdash
-            c_first = d.c_dashv if twisted else c
-            c_second = d.c_vdash if twisted else c
+            c = d.table(product)
+            c_first = d.table("dashv") if twisted else c
+            c_second = d.table("vdash") if twisted else c
             # first[j][r]: the (k, -c_first[k][j][r]) that are nonzero;
             # second[i][r]: the (k, -c_second[i][k][r]) that are nonzero.
-            first = [[[(k, -c_first[k][j][r]) for k in range(n) if c_first[k][j][r]]
-                      for r in range(n)] for j in range(n)]
-            second = [[[(k, -c_second[i][k][r]) for k in range(n) if c_second[i][k][r]]
-                       for r in range(n)] for i in range(n)]
+            first = [[[] for _ in range(n)] for _ in range(n)]
+            second = [[[] for _ in range(n)] for _ in range(n)]
+            for k in range(n):
+                for j in range(n):
+                    for r, x in c_first[k][j].items():
+                        first[j][r].append((k, -x))
+                    for r, x in c_second[j][k].items():
+                        second[j][r].append((k, -x))
             for i in range(n):
                 for j in range(n):
-                    cij = [(l, x) for l, x in enumerate(c[i][j]) if x]
                     for r in range(n):
-                        row = {r * n + l: x for l, x in cij}
+                        row = {r * n + l: x for l, x in c[i][j].items()}
                         for k, a in first[j][r]:
                             _add(row, k * n + i, a)
                         for k, b in second[i][r]:
@@ -128,31 +134,46 @@ def inner_diderivations(d: Dialgebra) -> Subspace:
 # -- operator-commutator route ------------------------------------------
 
 
+def _basis_operators(d: Dialgebra, side: str,
+                     product: str) -> list[list[tuple[int, int, Fraction]]]:
+    """The nonzero entries ``(r, c, M[r][c])`` of the operator ``M_{e_k}``
+    of the given side and product, for each basis index k, read off the
+    table: e_a * e_b is column b of ``L_{e_a}`` and column a of ``R_{e_b}``."""
+    ops: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(d.dim)]
+    for a, plane in enumerate(d.table(product)):
+        for b, ab in enumerate(plane):
+            k, c = (a, b) if side == "left" else (b, a)
+            ops[k].extend((r, c, x) for r, x in ab.items())
+    return ops
+
+
 def _operator_route_kernel(
     d: Dialgebra,
-    conditions: Sequence[tuple[Callable[[int], Matrix], Callable[[int], Matrix]]],
+    conditions: Sequence[tuple[tuple[str, str], tuple[str, str]]],
 ) -> Subspace:
     """Kernel of stacked conditions ``S_{T(e_i)} = [T, M_{e_i}]`` for all i.
 
-    Each condition is a pair of maps ``(subscript_op, commutator_op)``
-    sending a basis index to an operator matrix: ``subscript_op(k)`` is
-    the operator attached to ``e_k`` on the left side, extended linearly
-    to ``T(e_i)``, and ``commutator_op(i)`` sits inside the commutator.
+    Each condition is a pair of (side, product) operator kinds, as
+    ``_basis_operators`` takes them: ``S`` is the operator on the left of
+    the equation, extended linearly to ``T(e_i)``, and ``M`` sits inside
+    the commutator.
     """
     n = d.dim
 
-    def nonzero(m: Matrix) -> list[list[tuple[int, Fraction]]]:
-        return [[(t, x) for t, x in enumerate(row) if x] for row in m.rows]
-
     def rows():
-        for subscript_op, commutator_op in conditions:
-            subs = [subscript_op(k).rows for k in range(n)]
+        for subscript, inside in conditions:
             # subs_at[r][s]: the (k, S_k[r][s]) that are nonzero
-            subs_at = [[[(k, subs[k][r][s]) for k in range(n) if subs[k][r][s]]
-                        for s in range(n)] for r in range(n)]
-            for i in range(n):
-                m = commutator_op(i)
-                by_row, by_col = nonzero(m), nonzero(-m.transpose())
+            subs_at = [[[] for _ in range(n)] for _ in range(n)]
+            for k, entries in enumerate(_basis_operators(d, *subscript)):
+                for r, s, x in entries:
+                    subs_at[r][s].append((k, x))
+            for i, entries in enumerate(_basis_operators(d, *inside)):
+                # by_row[r]: the (t, M[r][t]); by_col[s]: the (t, -M[t][s])
+                by_row = [[] for _ in range(n)]
+                by_col = [[] for _ in range(n)]
+                for r, t, x in entries:
+                    by_row[r].append((t, x))
+                    by_col[t].append((r, -x))
                 for r in range(n):
                     for s in range(n):
                         row: dict[int, Fraction] = {}
@@ -167,31 +188,17 @@ def _operator_route_kernel(
     return kernel(n * n, rows())
 
 
-def _basis_op(d: Dialgebra, side: str, product: str) -> Callable[[int], Matrix]:
-    n = d.dim
-    op = d.left_op if side == "left" else d.right_op
-    return lambda k: op(product, unit_vector(n, k))
-
-
 def derivation_space_via_left_ops(d: Dialgebra) -> Subspace:
     """Derivations characterised by ``L_{T(a)} = [T, L_a]`` per product."""
     return _operator_route_kernel(
-        d,
-        [
-            (_basis_op(d, "left", "dashv"), _basis_op(d, "left", "dashv")),
-            (_basis_op(d, "left", "vdash"), _basis_op(d, "left", "vdash")),
-        ],
+        d, [(("left", "dashv"), ("left", "dashv")), (("left", "vdash"), ("left", "vdash"))]
     )
 
 
 def derivation_space_via_right_ops(d: Dialgebra) -> Subspace:
     """Derivations characterised by ``R_{T(a)} = [T, R_a]`` per product."""
     return _operator_route_kernel(
-        d,
-        [
-            (_basis_op(d, "right", "dashv"), _basis_op(d, "right", "dashv")),
-            (_basis_op(d, "right", "vdash"), _basis_op(d, "right", "vdash")),
-        ],
+        d, [(("right", "dashv"), ("right", "dashv")), (("right", "vdash"), ("right", "vdash"))]
     )
 
 
@@ -203,11 +210,7 @@ def diderivation_space_via_ops(d: Dialgebra) -> Subspace:
     stacking both recovers the full diderivation condition.
     """
     return _operator_route_kernel(
-        d,
-        [
-            (_basis_op(d, "left", "dashv"), _basis_op(d, "left", "vdash")),
-            (_basis_op(d, "right", "vdash"), _basis_op(d, "right", "dashv")),
-        ],
+        d, [(("left", "dashv"), ("left", "vdash")), (("right", "vdash"), ("right", "dashv"))]
     )
 
 

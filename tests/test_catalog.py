@@ -1,5 +1,6 @@
 """Catalog reconstruction, case-table resolution, and the sweeps."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from diaskit.catalog import (
     AMBIGUOUS_ENTRIES,
     BRANCHES,
+    _dider_identity_holds,
     ENTRY_NAMES,
     LAMBDA_SAMPLES,
     branch_for_params,
@@ -27,8 +29,10 @@ from diaskit.catalog import (
     verify_catalog,
 )
 from diaskit.core import DialgebraError, parse_dialgebra, serialize_dialgebra
-from diaskit.ratlin import det
+from diaskit.ratlin import Matrix, det
 from diaskit.spaces import diderivation_space
+
+import exact_oracle as oracle
 
 F = Fraction
 
@@ -205,6 +209,34 @@ class TestSolutionFamilies:
         mat = corrected_case_d_vector(params)
         d31, d33 = mat.entry(2, 0), mat.entry(2, 2)
         assert (params["p"] + 1) * d31 == params["m"] * d33
+
+    @pytest.mark.parametrize("case, point", [
+        ("B", (1, 1, 2, 1, 1)), ("B", (2, 1, 1, 2, 0)),
+        ("C", (1, 1, 1, 1, 4)), ("C", (1, 2, 1, 0, 1)),
+        ("D", (1, 1, -3, 1, -4)), ("D", (1, 2, -2, 0, Fraction(-1, 2)))])
+    def test_identity_check_matches_oracle(self, case, point):
+        """The sparse identity check against the oracle's residuals, on the
+        family generators, on random integer operators (almost never
+        diderivations), on random integer members of the oracle's kernel,
+        and on those members plus a matrix unit."""
+        params = params316(*point)
+        d = instantiate("Dias3_16", params)
+        rng = random.Random(f"identity:{case}{point}")
+        kernel = oracle.kernel_basis(d.c_vdash, d.c_dashv)
+        ops = [op for _label, op in case_family_vectors(case, params)]
+        for _ in range(20):
+            ops.append(Matrix([[rng.randint(-3, 3) for _ in range(3)] for _ in range(3)]))
+            coeffs = [rng.randint(-3, 3) for _ in kernel]
+            member = [sum(c * v[i] for c, v in zip(coeffs, kernel)) for i in range(9)]
+            ops.append(Matrix.from_flat(member, 3, 3))
+            member[rng.randrange(9)] += 1
+            ops.append(Matrix.from_flat(member, 3, 3))
+        outcomes = set()
+        for op in ops:
+            expected = oracle.satisfies(d.c_vdash, d.c_dashv, op.rows)
+            assert _dider_identity_holds(d, op) == expected, op
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
     def test_inadmissible_point_names_condition(self):
         with pytest.raises(ValueError, match="delta1"):

@@ -90,6 +90,21 @@ class TestInputErrors:
         assert code == 2
         assert "key=value" in err
 
+    def test_repeated_parameter(self, capsys):
+        code, out, err = run(capsys, "spaces", "catalog:Dias2_3?lam=0,lam=1")
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == ["error: parameter 'lam' given more than once"]
+
+    @pytest.mark.parametrize("query", ["lam=1,=3", "= 3", "lam=1, =3"])
+    def test_empty_parameter_name(self, capsys, query):
+        code, out, err = run(capsys, "spaces", f"catalog:Dias2_3?{query}")
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: bad parameter ")
+        assert line.endswith(", empty name before '='")
+
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "verify", "catalog:Dias2_3")
         assert code == 2

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diaskit import spaces
+from diaskit.catalog import ENTRY_NAMES, get_entry, instantiate
 from diaskit.core import (
     MAX_DIM,
     Dialgebra,
@@ -15,6 +17,7 @@ from diaskit.core import (
     phi_dialgebra,
     serialize_dialgebra,
 )
+from diaskit.invariants import LeibnizAlgebra, check_bider_leibniz, check_invariant_actions
 
 import exact_oracle as oracle
 from test_ratlin import kernel_cases
@@ -201,3 +204,39 @@ class TestTextFormat:
         d = Dialgebra.from_relations(
             2, {("dashv", 1, 2): [(1, Fraction(-2, 3)), (2, Fraction(1, 7))]})
         assert parse_dialgebra(serialize_dialgebra(d)) == d
+
+
+def catalog_point(name):
+    """The entry at 1 for every parameter."""
+    return instantiate(name, {p: Fraction(1) for p in get_entry(name).param_names})
+
+
+class TestSharedTables:
+    """``Dialgebra.table`` is built once and every caller shares it, so no
+    check may write to it."""
+
+    @pytest.mark.parametrize("name", ENTRY_NAMES)
+    def test_checks_leave_the_tables_unchanged(self, name):
+        d = catalog_point(name)
+        tables = {p: d.table(p) for p in ("dashv", "vdash")}
+        d.verify_axioms()
+        for solve in (spaces.derivation_space, spaces.diderivation_space,
+                      spaces.derivation_space_via_left_ops,
+                      spaces.derivation_space_via_right_ops,
+                      spaces.diderivation_space_via_ops):
+            solve(d)
+        spaces.check_closures(d)
+        check_invariant_actions(d)
+        check_bider_leibniz(d)
+        bracket = LeibnizAlgebra(d)
+        bracket.left_identity_violations()
+        bracket.right_identity_violations()
+        for product, cube in (("dashv", d.c_dashv), ("vdash", d.c_vdash)):
+            assert d.table(product) is tables[product]
+            assert d.table(product) == tuple(
+                tuple({k: x for k, x in enumerate(row) if x} for row in plane)
+                for plane in cube)
+
+    def test_unknown_product(self):
+        with pytest.raises(DialgebraError, match="unknown product 'star'"):
+            catalog_point("Dias2_1").table("star")

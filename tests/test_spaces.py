@@ -1,5 +1,6 @@
 """Derivation and diderivation solvers and their cross-characterizations."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,10 @@ from diaskit.spaces import (
     check_characterizations,
     check_closures,
     derivation_space,
+    derivation_space_via_left_ops,
+    derivation_space_via_right_ops,
     diderivation_space,
+    diderivation_space_via_ops,
     inner_derivation,
     inner_derivations,
     inner_diderivation,
@@ -216,3 +220,38 @@ def phi_weights(n):
     pytest.param(phi_dialgebra(phi_weights(n)), id=f"phi{n}") for n in (7, 8)])
 def test_closure_report_matches_oracle(d):
     assert check_closures(d) == oracle_closures(d)
+
+
+def random_structure_constants(seed: int, count: int):
+    """Seeded integer structure constants of dimension 1..4, with both
+    products equal in every third pair.  Each pair has its own share of
+    nonzero constants, from 5 to 40 percent, so that some kernels are
+    nonzero; almost none of the pairs is a dialgebra."""
+    rng = random.Random(f"cubes:{seed}")
+
+    def cube(n, share):
+        return [[[rng.choice((1, -1, 2)) if rng.random() < share else 0
+                  for _ in range(n)] for _ in range(n)] for _ in range(n)]
+
+    for index in range(count):
+        n, share = rng.randint(1, 4), rng.choice((0.05, 0.1, 0.2, 0.4))
+        c_vdash = cube(n, share)
+        yield c_vdash, c_vdash if index % 3 == 0 else cube(n, share)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_operator_routes_on_arbitrary_products(seed):
+    """``L_{T(a)} = [T, L_a]``, ``R_{T(a)} = [T, R_a]`` and the mixed pair
+    restate the Leibniz rules for any bilinear products, so every operator
+    route gives the oracle's kernel on structure constants that need not
+    satisfy the axioms."""
+    nonzero = 0
+    for c_vdash, c_dashv in random_structure_constants(seed, 12):
+        d = Dialgebra(len(c_vdash), c_vdash, c_dashv)
+        der = oracle.kernel_basis(c_vdash, c_dashv, twisted=False)
+        dider = oracle.kernel_basis(c_vdash, c_dashv, twisted=True)
+        assert [list(v) for v in derivation_space_via_left_ops(d).basis] == der
+        assert [list(v) for v in derivation_space_via_right_ops(d).basis] == der
+        assert [list(v) for v in diderivation_space_via_ops(d).basis] == dider
+        nonzero += bool(der) + bool(dider)
+    assert nonzero
