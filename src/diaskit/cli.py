@@ -48,8 +48,8 @@ PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
 # (k = n = q = m = 0, p != -1 drawn from -4..4) has exactly 8 sample
 # points, so ``branch_samples`` cannot give a ninth.  ``kxy --bound 12``
-# takes about 0.3 s (0.27 to 0.35 s over six runs, Python 3.11, one core
-# of a shared 2-vCPU Xeon).
+# takes about 0.2 s after import (0.195 to 0.213 s over six runs, Python
+# 3.11, one core of a shared 2-vCPU Xeon).
 MAX_SAMPLES = 8
 MAX_BOUND = 12
 

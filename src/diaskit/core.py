@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 # ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;
 # both stay importable from here.
 from .ratlin import (
-    MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Vector, bilinear, dense, frac, parse_rational,
-    sparse, unit_vector, vector,
+    MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Vector, bilinear, dense, frac, lincomb,
+    parse_rational, sparse, vector,
 )
 
 PRODUCTS = ("dashv", "vdash")
@@ -145,11 +145,8 @@ class Dialgebra:
 
     def multiply(self, product: str, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         """Bilinear extension of the chosen product to coordinate vectors."""
-        n = self.dim
-        xv, yv = vector(x), vector(y)
-        if len(xv) != n or len(yv) != n:
-            raise DialgebraError("vector length does not match the dimension")
-        return dense(n, bilinear(self.table(product), sparse(xv), sparse(yv)))
+        xr, yr = self._row(x), self._row(y)
+        return dense(self.dim, bilinear(self.table(product), xr, yr))
 
     def vdash(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
         return self.multiply("vdash", x, y)
@@ -164,16 +161,25 @@ class Dialgebra:
     # -- multiplication operators --------------------------------------
 
     def left_op(self, product: str, a: Sequence[Scalar]) -> Matrix:
-        """Matrix of x -> a * x; column j holds the coordinates of a * e_j."""
-        n = self.dim
-        cols = [self.multiply(product, a, unit_vector(n, j)) for j in range(n)]
-        return Matrix.from_columns(cols)
+        """Matrix of x -> a * x; column j holds the coordinates of
+        a * e_j = sum_i a_i (e_i * e_j), read from the table."""
+        av, table, n = self._row(a).items(), self.table(product), self.dim
+        return Matrix.from_columns(
+            [dense(n, lincomb((x, table[i][j]) for i, x in av)) for j in range(n)])
 
     def right_op(self, product: str, a: Sequence[Scalar]) -> Matrix:
-        """Matrix of x -> x * a; column j holds the coordinates of e_j * a."""
-        n = self.dim
-        cols = [self.multiply(product, unit_vector(n, j), a) for j in range(n)]
-        return Matrix.from_columns(cols)
+        """Matrix of x -> x * a; column j holds the coordinates of
+        e_j * a = sum_k a_k (e_j * e_k), read from the table."""
+        av, table, n = self._row(a).items(), self.table(product), self.dim
+        return Matrix.from_columns(
+            [dense(n, lincomb((x, table[j][k]) for k, x in av)) for j in range(n)])
+
+    def _row(self, a: Sequence[Scalar]) -> Row:
+        """The nonzero coordinates of a vector of this dimension."""
+        av = vector(a)
+        if len(av) != self.dim:
+            raise DialgebraError("vector length does not match the dimension")
+        return sparse(av)
 
     # -- structural checks ----------------------------------------------
 

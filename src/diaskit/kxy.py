@@ -26,16 +26,20 @@ results of arithmetic on clean polynomials are wrapped without being
 validated again, except where a bound check can still fail.
 
 Both products of two monomials are one monomial of coefficient 1.  So
-each sweep first builds one table, for the duration of one call: the
-exponent pair of ``u -| v`` and of ``u |- v`` for every monomial pair of
-bounded degree sum, each computed once by ``dashv`` and ``vdash`` and
-checked to be such a monomial.  The axiom sweep reads every product of a
-triple from it.  The derivation and diderivation identities are checked by
-one bounded sweep over monomial pairs that differs only in the right-hand
-side of the rule; it reads ``u * v`` from the table, computes the operator
-image of each exponent pair once and compares images by lookup.  The same
-table gives the structure constants of the graded truncations
-``truncation(n)``, which the main solver handles as ordinary dialgebras.
+every sweep reads its products from one table per bound: the exponent
+pair of ``u -| v`` and of ``u |- v`` for every monomial pair of degree sum
+at most the bound, each computed once by ``dashv`` and ``vdash`` and
+checked to be such a monomial.  The last table is kept, keyed on the bound
+and on the two product functions it was built with, so the sweeps of one
+bound share it and a replaced product never reads a stale one.  The axiom
+sweep reads every product of a triple from it.  The derivation and
+diderivation identities are checked by one bounded sweep over monomial
+pairs that differs only in the right-hand side of the rule; it computes
+the operator image of each exponent pair once, reads ``u * v`` from the
+table, forms the right side from the table by bilinearity and compares
+coefficients.  The same table gives the structure constants of the graded
+truncations ``truncation(n)``, which the main solver handles as ordinary
+dialgebras.
 ``format_poly`` renders polynomials for reports; nothing reads polynomials
 back from text, so there is no parser.
 """
@@ -44,7 +48,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import lru_cache
+from typing import Callable, Mapping
 
 from .core import AXIOM_NAMES, Dialgebra
 from .ratlin import Scalar, frac
@@ -274,27 +279,35 @@ def _exponent(p: BivariatePoly) -> Exponents:
 
 
 ProductTable = dict[tuple[Exponents, Exponents], Exponents]
+Product = Callable[[BivariatePoly, BivariatePoly], BivariatePoly]
 
 
-def _monomial_table(total: int, bound: int) -> tuple[
-        dict[Exponents, BivariatePoly], ProductTable, ProductTable]:
-    """The monomials of degree at most ``total`` (under ``bound``) and the
-    products of every pair of them of degree sum at most ``total``.
+def _product_table(bound: int) -> tuple[ProductTable, ProductTable]:
+    """The products of every pair of monomials of degree sum at most
+    ``bound``, under ``bound``.
 
     Both products of two monomials are one monomial of the summed degree,
     so each product is recorded as the exponent pair of ``u -| v`` and of
-    ``u |- v``, keyed by the pair (u, v).  Each is computed once, by
-    ``dashv`` and ``vdash`` themselves.
+    ``u |- v``, keyed by the pair (u, v).  Each is computed once, by the
+    ``dashv`` and ``vdash`` in force when the table is built.  The last
+    table is kept, keyed on the bound and on those two functions, so the
+    sweeps of one bound share it and a replaced product builds a new one.
+    Callers share the table: it is read-only.
     """
-    monos = {e: BivariatePoly.monomial(*e, 1, bound)
-             for e in _exponents_up_to(total)}
+    return _build_product_table(bound, dashv, vdash)
+
+
+@lru_cache(maxsize=1)
+def _build_product_table(bound: int, dashv: Product,
+                         vdash: Product) -> tuple[ProductTable, ProductTable]:
+    monos = {e: BivariatePoly.monomial(*e, 1, bound) for e in _exponents_up_to(bound)}
     dv: ProductTable = {}
     vd: ProductTable = {}
     for u, pu in monos.items():
-        for v in _exponents_up_to(total - sum(u)):
+        for v in _exponents_up_to(bound - sum(u)):
             dv[u, v] = _exponent(dashv(pu, monos[v]))
             vd[u, v] = _exponent(vdash(pu, monos[v]))
-    return monos, dv, vd
+    return dv, vd
 
 
 def check_axioms_truncated(bound: int) -> dict:
@@ -303,12 +316,11 @@ def check_axioms_truncated(bound: int) -> dict:
     Covers every triple of monomials whose degree sum stays within the
     bound; the products only redistribute degrees, so every intermediate
     term of such a triple is representable.  Every product of a triple is
-    read from one table of the products of the monomial pairs of degree
-    sum at most the bound, built once per call.
+    read from the product table of the bound.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
-    _monos, dv, vd = _monomial_table(bound, bound)
+    dv, vd = _product_table(bound)
     exps = [_exponents_up_to(t) for t in range(bound + 1)]
     violations = []
     tried = 0
@@ -344,13 +356,12 @@ def truncation(n: int) -> Dialgebra:
     """
     if n < 0:
         raise ValueError("truncation degree must be nonnegative")
-    monos, dv, vd = _monomial_table(n, n)
-    index = {e: i for i, e in enumerate(monos, start=1)}
+    index = {e: i for i, e in enumerate(_exponents_up_to(n), start=1)}
     relations = {}
-    for name, table in (("dashv", dv), ("vdash", vd)):
+    for name, table in zip(("dashv", "vdash"), _product_table(n)):
         for (u, v), w in table.items():
             relations[name, index[u], index[v]] = [(index[w], 1)]
-    return Dialgebra.from_relations(len(monos), relations)
+    return Dialgebra.from_relations(len(index), relations)
 
 
 # ---------------------------------------------------------------------------
@@ -373,15 +384,15 @@ def divides_x_minus_y(h: BivariatePoly) -> tuple[bool, BivariatePoly | None]:
         return True, BivariatePoly.zero(h.bound)
     deg_x = max(a for a, _b in h.coeffs)
     # coefficient of x^a as a polynomial in y
-    by_xdeg: dict[int, dict[int, Fraction]] = {}
+    by_xdeg: dict[int, dict[int, int | Fraction]] = {}
     for (a, b), c in h.coeffs.items():
         by_xdeg.setdefault(a, {})[b] = c
-    quotient: dict[Exponents, Fraction] = {}
-    carry: dict[int, Fraction] = {}
+    quotient: dict[Exponents, int | Fraction] = {}
+    carry: dict[int, int | Fraction] = {}
     for a in range(deg_x, 0, -1):
         coeff = dict(by_xdeg.get(a, {}))
         for b, c in carry.items():
-            coeff[b] = coeff.get(b, Fraction(0)) + c
+            coeff[b] = coeff.get(b, 0) + c
         for b, c in coeff.items():
             if c:
                 quotient[(a - 1, b)] = c
@@ -389,7 +400,7 @@ def divides_x_minus_y(h: BivariatePoly) -> tuple[bool, BivariatePoly | None]:
         carry = {b + 1: c for b, c in coeff.items() if c}
     remainder = dict(by_xdeg.get(0, {}))
     for b, c in carry.items():
-        remainder[b] = remainder.get(b, Fraction(0)) + c
+        remainder[b] = remainder.get(b, 0) + c
     if any(c != 0 for c in remainder.values()):
         return False, None
     return True, BivariatePoly(quotient, h.bound)
@@ -549,35 +560,39 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
     sweep is exact on that set.  Both products of two monomials are
     monomials of no larger degree, so every image the sweep compares is
     that of one monomial of degree at most ``bound - growth``; each is
-    computed once per call, and ``u * v`` is read from the product table
-    of ``check_axioms_truncated`` built for that degree.  ``f -| g`` is
-    ``f * g(y,y)``, so for a fixed ``u`` the product ``spec(u) -| v``
-    depends on ``v`` only through ``v(y,y)``: it is formed once per
-    collapsed monomial and read back for every other ``v``.
+    computed once per call.  Every product is read from the product table
+    of the bound: ``u * v`` directly, and the right side by bilinearity,
+    ``p o m = sum c_t (t o m)`` over the terms c_t t of an image p.
     """
     limit = bound - growth
+    dv_table, vd_table = _product_table(bound)
+    exps = [_exponents_up_to(t) for t in range(limit + 1)]
+    image = {e: spec.apply_monomial(*e) for e in exps[limit]}
+
+    def rhs(first: ProductTable, second: ProductTable, u: Exponents,
+            v: Exponents) -> dict[Exponents, int | Fraction]:
+        """spec(u) first v + u second spec(v)."""
+        out: dict[Exponents, int | Fraction] = {}
+        for t, c in image[u].coeffs.items():
+            w = first[t, v]
+            out[w] = out.get(w, 0) + c
+        for t, c in image[v].coeffs.items():
+            w = second[u, t]
+            out[w] = out.get(w, 0) + c
+        return {w: c for w, c in out.items() if c}
+
     violations = []
     pairs = 0
-    monos, dv_table, vd_table = _monomial_table(limit, bound)
-    exps = [_exponents_up_to(t) for t in range(limit + 1)]
-    image = {e: spec.apply_monomial(*e) for e in monos}
-    collapsed = {e: _exponent(p.subs_yy()) for e, p in monos.items()}
-    for u, pu in monos.items():
-        du = image[u]
-        du_dashv: dict[Exponents, BivariatePoly] = {}
+    for u in exps[limit]:
         for v in exps[limit - sum(u)]:
             pairs += 1
-            pv, dv = monos[v], image[v]
-            left = du_dashv.get(collapsed[v])
-            if left is None:
-                left = du_dashv[collapsed[v]] = dashv(du, pv)
             if twisted:
-                sides = (left + vdash(pu, dv),) * 2
+                sides = (rhs(dv_table, vd_table, u, v),) * 2
             else:
-                sides = (left + dashv(pu, dv), vdash(du, pv) + vdash(pu, dv))
-            for label, table, rhs in (("dashv", dv_table, sides[0]),
-                                      ("vdash", vd_table, sides[1])):
-                if image[table[u, v]] != rhs:
+                sides = (rhs(dv_table, dv_table, u, v), rhs(vd_table, vd_table, u, v))
+            for label, table, side in (("dashv", dv_table, sides[0]),
+                                       ("vdash", vd_table, sides[1])):
+                if image[table[u, v]].coeffs != side:
                     violations.append({"product": label, "pair": (u, v)})
     return {"pairs": pairs, "violations": violations}
 

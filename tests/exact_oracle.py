@@ -369,6 +369,13 @@ def monomials(total):
     return [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
 
 
+def _products(dashv, vdash):
+    """The two products, with the exponent maps ``dashv`` and ``vdash`` in
+    place of the true ones where given."""
+    return ((lambda f, g: _expand(f, g, dashv)) if dashv else poly_dashv,
+            (lambda f, g: _expand(f, g, vdash)) if vdash else poly_vdash)
+
+
 def kxy_axiom_sweep(bound, dashv=None, vdash=None):
     """(triples, violations) of the five axioms on the monomial triples of
     degree sum at most ``bound``, triples lexicographic.
@@ -376,8 +383,7 @@ def kxy_axiom_sweep(bound, dashv=None, vdash=None):
     ``dashv`` and ``vdash``, when given, replace the exponent maps of the
     two products: each takes (a, b, p, q) for x^a y^b and x^p y^q and
     returns the exponent pair of their product."""
-    dv = (lambda f, g: _expand(f, g, dashv)) if dashv else poly_dashv
-    vd = (lambda f, g: _expand(f, g, vdash)) if vdash else poly_vdash
+    dv, vd = _products(dashv, vdash)
     triples, violations = 0, []
     for u in monomials(bound):
         for v in monomials(bound - sum(u)):
@@ -415,14 +421,16 @@ def diderivation_image(f, g, m, n):
     return poly_add(poly_mul(f, y_n_s_m), poly_mul(g, x_m_s_n))
 
 
-def kxy_identity_sweep(f, g, bound, twisted):
+def kxy_identity_sweep(f, g, bound, twisted, dashv=None, vdash=None):
     """(pairs, violations) of the derivation identity (``twisted=False``,
     with ``derivation_image``) or the diderivation identity (with
     ``diderivation_image``) for both products, on the monomial pairs u, v
     of degree sum at most bound - growth: growth is the most the closed form
     can raise total degree, max(deg f - 1, deg g + 1, 0) for a derivation
     and max(deg f, deg g, 1) - 1 for a diderivation.  Pairs lexicographic,
-    dashv before vdash."""
+    dashv before vdash.  ``dashv`` and ``vdash``, when given, replace the
+    exponent maps of the two products, as in ``kxy_axiom_sweep``."""
+    dv, vd = _products(dashv, vdash)
     if twisted:
         image, growth = diderivation_image, max(poly_degree(f), poly_degree(g), 1) - 1
     else:
@@ -431,12 +439,13 @@ def kxy_identity_sweep(f, g, bound, twisted):
     for u in monomials(bound - growth):
         for v in monomials(bound - growth - sum(u)):
             pairs += 1
-            du, dv = image(f, g, *u), image(f, g, *v)
-            for name, mul in (("dashv", poly_dashv), ("vdash", poly_vdash)):
+            image_u, image_v = image(f, g, *u), image(f, g, *v)
+            for name, mul in (("dashv", dv), ("vdash", vd)):
                 (uv,) = mul({u: Fraction(1)}, {v: Fraction(1)})
-                first = poly_dashv if twisted else mul
-                second = poly_vdash if twisted else mul
-                rhs = poly_add(first(du, {v: Fraction(1)}), second({u: Fraction(1)}, dv))
+                first = dv if twisted else mul
+                second = vd if twisted else mul
+                rhs = poly_add(first(image_u, {v: Fraction(1)}),
+                               second({u: Fraction(1)}, image_v))
                 if image(f, g, *uv) != rhs:
                     violations.append({"product": name, "pair": (u, v)})
     return pairs, violations

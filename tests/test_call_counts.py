@@ -9,6 +9,7 @@ bracket loop fails here even when every report stays the same.
 import contextlib
 import io
 import math
+import sys
 from collections import Counter
 
 import pytest
@@ -204,19 +205,53 @@ def test_axiom_sweep_takes_each_monomial_product_once(monkeypatch, bound):
     assert max(calls.values()) == 1
 
 
-def test_dider_sweep_forms_each_left_product_once_per_collapsed_monomial(monkeypatch):
+def product_calls(monkeypatch) -> Counter:
+    """Tally ``kxy.dashv`` and ``kxy.vdash`` by product and calling function."""
     calls = Counter()
     for name in ("dashv", "vdash"):
-        counting(monkeypatch, kxy, name, calls)
-    f = kxy.BivariatePoly({(1, 1): 1, (0, 0): 2}, 6)
-    report = kxy.check_dider_identity(f, f)
-    # growth 1, so the pairs u, v have degree sum at most 5: C(9, 4) pairs.
-    # The product table takes one dashv and one vdash per pair and the
-    # right side one u |- delta(v) per pair.  delta(u) -| v = delta(u) *
-    # v(y,y) is formed once per u and degree of v: C(8, 3) (u, k) with
-    # deg u + k <= 5.
-    assert report["pairs"] == math.comb(9, 4)
-    assert calls == {"dashv": math.comb(9, 4) + math.comb(8, 3), "vdash": 2 * math.comb(9, 4)}
+        # frame 0 is the key, frame 1 the counting wrapper
+        counting(monkeypatch, kxy, name, calls,
+                 key=lambda f, g, name=name: (name, sys._getframe(2).f_code.co_name))
+    return calls
+
+
+def test_kxy_command_builds_one_product_table(monkeypatch):
+    calls = product_calls(monkeypatch)
+    assert run_cli("kxy", "--bound", "8") == 0
+    # the axiom sweep, the nine identity sweeps and nothing else read one
+    # table of the C(12, 4) monomial pairs of degree sum at most 8; the
+    # halo and inner-diderivation checks multiply polynomials directly
+    pairs = math.comb(12, 4)
+    assert {key: n for key, n in calls.items() if key[1] == "_build_product_table"} == \
+        {("dashv", "_build_product_table"): pairs, ("vdash", "_build_product_table"): pairs}
+    assert {key[1] for key in calls} == {
+        "_build_product_table", "halo_membership", "inner_dider_apply"}
+
+    # a second sweep at the same bound reads the same table
+    calls.clear()
+    f = kxy.BivariatePoly({(1, 1): 1, (0, 0): 2}, 8)
+    assert kxy.check_dider_identity(f, f)["violations"] == []
+    assert kxy.check_axioms_truncated(8)["violations"] == []
+    assert not calls
+
+    # another bound replaces it
+    assert kxy.check_axioms_truncated(6)["violations"] == []
+    assert kxy.check_axioms_truncated(8)["violations"] == []
+    assert calls == {("dashv", "_build_product_table"): math.comb(10, 4) + pairs,
+                     ("vdash", "_build_product_table"): math.comb(10, 4) + pairs}
+
+
+def test_replaced_product_builds_a_fresh_table(monkeypatch):
+    calls = Counter()
+    counting(monkeypatch, kxy, "vdash", calls)
+    f = kxy.BivariatePoly({(1, 1): 1, (0, 0): 2}, 8)
+    pairs = math.comb(12, 4)
+    kxy.check_dider_identity(f, f)
+    assert calls == {"vdash": pairs}
+    # a table built by the old dashv is never read under the new one
+    counting(monkeypatch, kxy, "dashv", calls)
+    assert kxy.check_dider_identity(f, f)["violations"] == []
+    assert calls == {"vdash": 2 * pairs, "dashv": pairs}
 
 
 def image_calls(monkeypatch) -> Counter:

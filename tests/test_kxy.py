@@ -1,5 +1,6 @@
 """Truncated two-variable polynomial dialgebra and its operator forms."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -96,6 +97,27 @@ class TestProducts:
         assert vdash(x, one) == x
         assert dashv(x, x) == mono(1, 1)
         assert vdash(y, one) == x
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_products_against_the_oracle(self, seed):
+        rng = random.Random(seed)
+
+        def draw(rational):
+            # up to five terms of degree at most 4, so both products fit B
+            terms = {}
+            for _ in range(rng.randint(1, 5)):
+                a = rng.randint(0, 4)
+                c = rng.randint(-5, 5)
+                terms[a, rng.randint(0, 4 - a)] = Fraction(c, rng.randint(1, 4)) if rational else c
+            return terms
+
+        for rational in (False, True):
+            f, g = draw(rational), draw(rational)
+            for product, expected in ((dashv, oracle.poly_dashv), (vdash, oracle.poly_vdash)):
+                out = product(BivariatePoly(f, B), BivariatePoly(g, B)).coeffs
+                assert out == expected(as_oracle(f), as_oracle(g)), (product, f, g)
+                if not rational:
+                    assert all(type(c) is int for c in out.values())
 
     def test_axiom_sweep_clean(self):
         report = check_axioms_truncated(5)
@@ -448,6 +470,40 @@ class TestProductTable:
         monkeypatch.setattr(kxy, product, lambda f, g: original(f, g).scale(2))
         with pytest.raises(AssertionError, match="not a monomial of coefficient 1"):
             sweep()
+
+    @pytest.mark.parametrize("product, wrong, exponent", [
+        ("dashv", lambda f, g: f * g.swap_vars(), lambda a, b, p, q: (a + q, b + p)),
+        ("vdash", lambda f, g: (f * g).subs_xx(), lambda a, b, p, q: (a + b + p + q, 0)),
+        # a dialgebra, under which the derivation forms stay derivations
+        ("dashv", lambda f, g: f * g.subs_xx(), lambda a, b, p, q: (a + p + q, b)),
+    ])
+    @pytest.mark.parametrize("check, twisted, f, g", [
+        (check_derivation_identity, False, *KXY_DERIVATIONS[2]),
+        (check_dider_identity, True, *KXY_DIDERIVATIONS[2]),
+        (check_dider_identity, True, *KXY_DIDERIVATIONS[3]),
+    ])
+    def test_wrong_product_in_identity_sweeps_matches_the_oracle(
+            self, monkeypatch, product, wrong, exponent, check, twisted, f, g):
+        # both sides of the identities take their products from the table,
+        # the right side by bilinearity; the oracle expands every product
+        pairs, expected = oracle.kxy_identity_sweep(
+            as_oracle(f), as_oracle(g), 6, twisted, **{product: exponent})
+        monkeypatch.setattr(kxy, product, wrong)
+        report = check(BivariatePoly(f, 6), BivariatePoly(g, 6))
+        assert (report["pairs"], report["violations"]) == (pairs, expected)
+
+    @pytest.mark.parametrize("check, f, g", [
+        (check_derivation_identity, {(1, 0): 1}, {(1, 1): 1}),
+        (check_derivation_identity, {(0, 0): 1}, {}),
+        (check_dider_identity, {(1, 1): 1, (0, 0): 2}, {(1, 1): 1, (0, 0): 2}),
+        (check_dider_identity, {(0, 0): 1}, {}),
+    ])
+    @pytest.mark.parametrize("bound", [8, 10])
+    def test_bound_above_the_polynomials_bound_raises(self, check, f, g, bound):
+        # the product table covers the requested bound; the images of the
+        # polynomials of bound 6 do not
+        with pytest.raises(DegreeBoundError, match="with bound 6"):
+            check(BivariatePoly(f, 6), BivariatePoly(g, 6), bound=bound)
 
     def test_product_of_two_terms_raises(self, monkeypatch):
         monkeypatch.setattr(kxy, "dashv", lambda f, g: f * g.subs_yy() + BivariatePoly.var_x(B))
