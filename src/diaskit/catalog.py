@@ -709,12 +709,12 @@ def _dider_identity_holds(d: Dialgebra, op: Matrix) -> bool:
     every basis pair, with the columns of ``op`` as sparse rows."""
     n = d.dim
     cols = [sparse(op.column(j)) for j in range(n)]
-    unit = [{i: ONE} for i in range(n)]
+    unit = [{i: 1} for i in range(n)]
     dashv, vdash = d.table("dashv"), d.table("vdash")
     return all(
         lincomb((x, cols[k]) for k, x in table[i][j].items())
-        == lincomb(((ONE, bilinear(dashv, cols[i], unit[j])),
-                    (ONE, bilinear(vdash, unit[i], cols[j]))))
+        == lincomb(((1, bilinear(dashv, cols[i], unit[j])),
+                    (1, bilinear(vdash, unit[i], cols[j]))))
         for table in (dashv, vdash) for i in range(n) for j in range(n))
 
 

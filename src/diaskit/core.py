@@ -15,8 +15,9 @@ Structure constants are given per product as ``c[i][j][k]``, the
 coefficient of basis vector ``k`` in ``e_i * e_j`` (0-based internally;
 the text format is 1-based).  These dense cubes are the constructor's
 data.  From them ``Dialgebra`` builds, once, one read-only sparse table
-per product (``Dialgebra.table``).  Every product, operator and solver
-route reads the tables; outside this module nothing reads the cubes.
+per product (``Dialgebra.table``), whose integral constants are ``int``.
+Every product, operator and solver route reads the tables; outside this
+module nothing reads the cubes.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ AXIOM_NAMES = (
 
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation and diderivation spaces of
-# ``phi_dialgebra`` take 0.7 s and 0.5 s to solve, and ``diaskit spaces
-# --which der`` with both operator routes 3.7 s (Python 3.11, one core of
-# a shared 2-vCPU Xeon).
+# ``phi_dialgebra`` (weights 1, -2, 3, -1, ...) take 0.4 to 0.5 s and 0.2
+# to 0.3 s to solve, and ``diaskit spaces --which der`` with both operator
+# routes 1.8 to 2.2 s (three runs each, Python 3.11, one core of a shared
+# 2-vCPU Xeon).
 MAX_DIM = 32
 
 
@@ -133,6 +135,9 @@ class Dialgebra:
     def table(self, product: str) -> Table:
         """Sparse structure constants: ``table[i][j]`` holds the nonzero
         coordinates of e_i * e_j, the form ``ratlin.bilinear`` evaluates.
+        As in every sparse row, an integral constant is an ``int`` and any
+        other a ``Fraction``; the cubes, the products and the operators
+        built from the tables are all ``Fraction``.
 
         Both tables are built once, when the dialgebra is constructed, and
         every caller shares them: they are read-only.  Copy a row before
@@ -192,7 +197,7 @@ class Dialgebra:
         """
         n = self.dim
         dashv, vdash = self.table("dashv"), self.table("vdash")
-        unit: list[Row] = [{i: Fraction(1)} for i in range(n)]
+        unit: list[Row] = [{i: 1} for i in range(n)]
         violations = []
         for i, j, k in itertools.product(range(n), repeat=3):
             x, z = unit[i], unit[k]
@@ -244,7 +249,7 @@ class Dialgebra:
             for i, plane in enumerate(self.table(product)):
                 for j, row in enumerate(plane):
                     if row:
-                        out[(product, i + 1, j + 1)] = [(k + 1, x) for k, x in row.items()]
+                        out[(product, i + 1, j + 1)] = [(k + 1, frac(x)) for k, x in row.items()]
         return out
 
     def __repr__(self) -> str:

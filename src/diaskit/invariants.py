@@ -26,13 +26,17 @@ in Dider and in Der.  Closure, both Leibniz identities, the two ideal
 checks (each ideal generator written in coordinates over the same basis)
 and the span of symmetrised squares follow from that table by
 bilinearity.
+
+``invariant_actions`` applies each Der and Dider basis operator as sparse
+columns read off its row-major flattening, and decides membership of the
+images by ``Subspace.coordinates``.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .core import Dialgebra
 from .ratlin import (
@@ -50,14 +54,12 @@ from .ratlin import (
     sub_vectors,
     unit_vector,
     vector,
-    zero_vector,
 )
 from .spaces import (
     derivation_space,
     diderivation_space,
     inner_derivations,
     inner_diderivations,
-    subspace_matrices,
 )
 
 
@@ -138,7 +140,7 @@ def _violations(table: Sequence[Sequence[Row]], sides: Sequence[str],
     is no longer checked after its first violation, and the sweep ends
     once every side has one.
     """
-    unit: list[Row] = [{i: Fraction(1)} for i in range(len(table))]
+    unit: list[Row] = [{i: 1} for i in range(len(table))]
     found: dict[str, list[tuple[int, int, int]]] = {side: [] for side in sides}
     open_sides = list(sides)
     for i, j, k in itertools.product(range(len(table)), repeat=3):
@@ -221,7 +223,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
 
     # The ideal generators in coordinates over the same basis: DInn in the
     # Dider block, Inn in the Der block, and each Der basis element.
-    unit: list[Row] = [{i: Fraction(1)} for i in range(b)]
+    unit: list[Row] = [{i: 1} for i in range(b)]
     dinn = [dider.coordinates(sparse(v)) for v in inner_diderivations(d).basis]
     inn = [_shifted(der.coordinates(sparse(v)), dider.dim) for v in inner_derivations(d).basis]
     generated = closed and None not in dinn + inn
@@ -277,35 +279,42 @@ def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
     direction."""
     n = d.dim
     zb = h.direction
-    der_mats = subspace_matrices(derivation_space(d), n)
-    dider_mats = subspace_matrices(diderivation_space(d), n)
 
-    def maps_into(mats: Sequence[Matrix], space: Subspace, target: Subspace) -> bool:
-        return all(target.contains(t.apply(b)) for t in mats for b in space.basis)
+    def columns(flat: Vector) -> list[Row]:
+        # T(e_c) = sum_r T[r][c] e_r, and T[r][c] sits at flat index r*n + c.
+        cols: list[Row] = [{} for _ in range(n)]
+        for j, x in sparse(flat).items():
+            cols[j % n][j // n] = x
+        return cols
 
-    def kills(mats: Sequence[Matrix], space: Subspace) -> bool:
-        zero = zero_vector(n)
-        return all(t.apply(b) == zero for t in mats for b in space.basis)
+    der_ops = [columns(v) for v in derivation_space(d).basis]
+    dider_ops = [columns(v) for v in diderivation_space(d).basis]
+
+    def images(ops: list[list[Row]], vectors: Sequence[Vector]) -> Iterator[Row]:
+        rows = [sparse(v) for v in vectors]
+        return (lincomb((x, t[c]) for c, x in v.items()) for t in ops for v in rows)
+
+    def maps_into(ops: list[list[Row]], vectors: Sequence[Vector], target: Subspace) -> bool:
+        return all(target.coordinates(w) is not None for w in images(ops, vectors))
+
+    def kills(ops: list[list[Row]], vectors: Sequence[Vector]) -> bool:
+        return not any(images(ops, vectors))
 
     report = {
         "ann_dim": ann.dim,
         "bar_center_dim": zb.dim,
         "unital": not h.is_empty,
         "ann_in_bar_center": ann.is_subspace_of(zb),
-        "der_preserves_ann": maps_into(der_mats, ann, ann),
-        "der_preserves_bar_center": maps_into(der_mats, zb, zb),
-        "dider_kills_ann": kills(dider_mats, ann),
+        "der_preserves_ann": maps_into(der_ops, ann.basis, ann),
+        "der_preserves_bar_center": maps_into(der_ops, zb.basis, zb),
+        "dider_kills_ann": kills(dider_ops, ann.basis),
     }
     if not h.is_empty:
         point = h.point
         report["halo_direction_is_bar_center"] = h.direction == zb
         report["ann_equals_bar_center"] = ann == zb
         report["halo_is_point_plus_ann"] = h == AffineSubspace(point, ann)
-        report["der_sends_unit_into_ann"] = all(
-            ann.contains(t.apply(point)) for t in der_mats
-        )
-        report["dider_kills_unit"] = all(
-            t.apply(point) == zero_vector(n) for t in dider_mats
-        )
-        report["dider_kills_bar_center"] = kills(dider_mats, zb)
+        report["der_sends_unit_into_ann"] = maps_into(der_ops, [point], ann)
+        report["dider_kills_unit"] = kills(dider_ops, [point])
+        report["dider_kills_bar_center"] = kills(dider_ops, zb.basis)
     return report

@@ -52,7 +52,7 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import AXIOM_NAMES, Dialgebra
-from .ratlin import Scalar, frac
+from .ratlin import Scalar, int_or_fraction
 
 DEFAULT_BOUND = 8
 
@@ -61,14 +61,6 @@ Exponents = tuple[int, int]
 
 class DegreeBoundError(ValueError):
     """A result would exceed the ambient total-degree bound."""
-
-
-def _coeff(c: Scalar) -> int | Fraction:
-    """A coefficient as stored: an ``int`` when integral, else a ``Fraction``."""
-    if type(c) is int:
-        return c
-    c = frac(c)
-    return c.numerator if c.denominator == 1 else c
 
 
 class BivariatePoly:
@@ -90,7 +82,7 @@ class BivariatePoly:
         for (a, b), c in (coeffs or {}).items():
             if a < 0 or b < 0:
                 raise ValueError(f"negative exponent pair {(a, b)}")
-            value = _coeff(c)
+            value = int_or_fraction(c)
             if value == 0:
                 continue
             if a + b > bound:
@@ -107,8 +99,8 @@ class BivariatePoly:
         are nonzero and its terms within ``bound``, so only an integral
         ``Fraction`` (such as 1/2 + 1/2) is left to store as an ``int``."""
         for key, c in coeffs.items():
-            if type(c) is Fraction and c.denominator == 1:
-                coeffs[key] = c.numerator
+            if type(c) is Fraction:
+                coeffs[key] = int_or_fraction(c)
         p = object.__new__(cls)
         p.coeffs = coeffs
         p.bound = bound
@@ -181,7 +173,7 @@ class BivariatePoly:
         return self.scale(-1)
 
     def scale(self, c: Scalar) -> "BivariatePoly":
-        c = _coeff(c)
+        c = int_or_fraction(c)
         if not c:
             return BivariatePoly.zero(self.bound)
         return BivariatePoly._clean(

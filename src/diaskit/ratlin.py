@@ -1,17 +1,28 @@
 """Exact linear algebra over the rationals.
 
-Everything here is exact: entries are :class:`fractions.Fraction`, so
-results are free of rounding questions.  Vectors are tuples of
-``Fraction``; matrices are row-major lists of rows.  Subspaces are
-stored through the reduced row echelon form (RREF) of a spanning set,
-which makes equality a data comparison.
+Everything here is exact, so results are free of rounding questions.
+Vectors are tuples of :class:`fractions.Fraction`; matrices are row-major
+lists of rows of ``Fraction``.  Subspaces are stored through the reduced
+row echelon form (RREF) of a spanning set, which makes equality a data
+comparison.
 
-All elimination goes through one sparse core, ``_eliminate``: rows are
-dicts from column to nonzero entry, and each row is pivoted on its
-highest column.  The kernel read off that form is already in canonical
-form (see ``kernel``), so the structure-constant systems, which have
-2n^3 rows of at most 3n nonzeros over n^2 unknowns, are solved in one
-pass.  Where the usual lowest-column RREF is wanted (``rref``,
+Sparse rows (``Row``) are the working form: dicts from column to nonzero
+entry, where an entry is an ``int`` when integral and a ``Fraction``
+otherwise (``int_or_fraction``; ``sparse`` applies it), because integer
+arithmetic is several times faster than ``Fraction`` arithmetic and the
+structure constants are mostly integers.  The elimination builds a
+``Fraction`` only where a division leaves a remainder.  Every vector, matrix, basis,
+determinant and point handed back to a caller is made of ``Fraction``
+again (``dense``, ``frac``); only the sparse rows themselves, as
+``lincomb``, ``commutator`` and ``Subspace.coordinates`` return them, and
+the tables built from them (``Dialgebra.table``) may hold an ``int``.
+
+All elimination goes through one sparse core, ``_eliminate``: each row
+is pivoted on its highest column, and every division by a pivot goes
+through ``_quotient``.  The kernel read off that form is already in
+canonical form (see ``kernel``), so the structure-constant systems, which
+have 2n^3 rows of at most 3n nonzeros over n^2 unknowns, are solved in
+one pass.  Where the usual lowest-column RREF is wanted (``rref``,
 ``Subspace``, ``solve_affine``) the column order is mirrored on the way
 in and out.
 
@@ -32,8 +43,9 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
+Exact = Union[int, Fraction]
 Vector = tuple[Fraction, ...]
-_ZERO, _ONE = Fraction(0), Fraction(1)
+_ZERO = Fraction(0)
 
 # Most digits of a rational in the input, numerator and denominator
 # together: a short text such as 1e2000000 must not become a huge number.
@@ -68,6 +80,15 @@ def frac(x: Scalar) -> Fraction:
     if isinstance(x, str):
         return parse_rational(x)
     raise TypeError(f"expected an int, a Fraction or a string, not {type(x).__name__}")
+
+
+def int_or_fraction(x: Scalar) -> Exact:
+    """An exact scalar as sparse rows store it: an ``int`` when it is
+    integral, else a ``Fraction``.  Other inputs are read as by ``frac``."""
+    if type(x) is int:
+        return x
+    x = frac(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def vector(entries: Iterable[Scalar]) -> Vector:
@@ -198,10 +219,10 @@ class Matrix:
 
 # -- the elimination core ---------------------------------------------------
 
-Row = dict[int, Fraction]
+Row = dict[int, Exact]
 
 
-def _axpy(row: Row, a: Fraction, other: Row) -> None:
+def _axpy(row: Row, a: Exact, other: Row) -> None:
     """``row += a * other`` in place, keeping only nonzero entries."""
     for j, x in other.items():
         y = row.get(j)
@@ -215,18 +236,28 @@ def _axpy(row: Row, a: Fraction, other: Row) -> None:
                 del row[j]
 
 
-def _eliminate(rows: Iterable[Row]) -> tuple[dict[int, Row], list[Fraction]]:
+def _quotient(x: Exact, s: Exact) -> Exact:
+    """``x / s`` for a pivot ``s``: an ``int`` when the division is exact."""
+    if type(x) is int and type(s) is int:
+        q, r = divmod(x, s)
+        if not r:
+            return q
+    return int_or_fraction(Fraction(x, s))
+
+
+def _eliminate(rows: Iterable[Row]) -> tuple[dict[int, Row], list[Exact]]:
     """Fully reduce sparse rows, pivoting each on its highest column.
 
     Returns the reduced rows keyed by pivot column, in the order found,
     and each pivot's entry before its row was scaled to 1.  A reduced row
     omits its pivot entry (an implicit 1); its entries lie at non-pivot
-    columns below its pivot.  Input rows are not changed.
+    columns below its pivot.  Input rows are not changed; their entries
+    are taken as ``int`` where integral.
     """
     reduced: dict[int, Row] = {}
-    scales: list[Fraction] = []
+    scales: list[Exact] = []
     for row in rows:
-        row = {j: x for j, x in row.items() if x}
+        row = {j: x if type(x) is int else int_or_fraction(x) for j, x in row.items() if x}
         # Reduced rows are zero at other pivots, so one pass clears them all.
         for c in [c for c in row if c in reduced]:
             _axpy(row, -row.pop(c), reduced[c])
@@ -235,7 +266,7 @@ def _eliminate(rows: Iterable[Row]) -> tuple[dict[int, Row], list[Fraction]]:
         p = max(row)
         s = row.pop(p)
         if s != 1:
-            row = {j: x / s for j, x in row.items()}
+            row = {j: _quotient(x, s) for j, x in row.items()}
         for other in reduced.values():
             if p in other:
                 _axpy(other, -other.pop(p), row)
@@ -244,7 +275,7 @@ def _eliminate(rows: Iterable[Row]) -> tuple[dict[int, Row], list[Fraction]]:
     return reduced, scales
 
 
-def lincomb(terms: Iterable[tuple[int | Fraction, Row]]) -> Row:
+def lincomb(terms: Iterable[tuple[Exact, Row]]) -> Row:
     """Sparse ``sum c * v`` over (c, v) pairs, zero entries dropped."""
     out: Row = {}
     for c, v in terms:
@@ -264,21 +295,21 @@ def commutator(n: int, a: Row, b: Row) -> Row:
     the row-major flat index ``r*n + c``, as ``Matrix.flatten`` lays them
     out."""
     out: Row = {}
-    for x, y, sign in ((a, b, _ONE), (b, a, -_ONE)):
+    for x, y, sign in ((a, b, 1), (b, a, -1)):
         # (xy)[r][c] = sum_k x[r][k] y[k][c]: entry (r, k) of x meets row k of y.
-        y_rows: dict[int, list[tuple[int, Fraction]]] = {}
+        y_rows: dict[int, list[tuple[int, Exact]]] = {}
         for j, v in y.items():
             y_rows.setdefault(j // n, []).append((j % n, v))
         for j, u in x.items():
             start = j - j % n
             for c, v in y_rows.get(j % n, ()):
-                out[start + c] = out.get(start + c, _ZERO) + sign * u * v
+                out[start + c] = out.get(start + c, 0) + sign * u * v
     return {j: x for j, x in out.items() if x}
 
 
-def sparse(v: Sequence[Fraction]) -> Row:
+def sparse(v: Sequence[Scalar]) -> Row:
     """The nonzero entries of a vector, as a sparse row."""
-    return {j: x for j, x in enumerate(v) if x}
+    return {j: int_or_fraction(x) for j, x in enumerate(v) if x}
 
 
 def _mirrored(rows: Iterable[Sequence[Fraction]], last: int) -> list[Row]:
@@ -287,10 +318,10 @@ def _mirrored(rows: Iterable[Sequence[Fraction]], last: int) -> list[Row]:
 
 
 def dense(ncols: int, row: Row) -> Vector:
-    """The sparse row as a vector of Q^ncols."""
+    """The sparse row as a vector of Q^ncols, of ``Fraction`` entries."""
     v = [_ZERO] * ncols
     for j, x in row.items():
-        v[j] = x
+        v[j] = frac(x)
     return tuple(v)
 
 
@@ -309,7 +340,7 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
             free[f][p] = -x
     space = Subspace.__new__(Subspace)
     space.ambient_dim, space._rows = ncols, tuple(free.items())
-    space.basis = tuple(dense(ncols, {f: _ONE, **rest}) for f, rest in space._rows)
+    space.basis = tuple(dense(ncols, {f: 1, **rest}) for f, rest in space._rows)
     return space
 
 
@@ -318,7 +349,7 @@ def rref(m: Matrix) -> tuple[Matrix, list[int]]:
     last = m.ncols - 1
     reduced, _ = _eliminate(_mirrored(m.rows, last))
     pivots = sorted(last - p for p in reduced)
-    rows = [dense(m.ncols, {c: _ONE, **{last - j: x for j, x in reduced[last - c].items()}})
+    rows = [dense(m.ncols, {c: 1, **{last - j: x for j, x in reduced[last - c].items()}})
             for c in pivots]
     rows += [(_ZERO,) * m.ncols] * (m.nrows - len(rows))
     return Matrix(rows, ncols=m.ncols), pivots
@@ -341,7 +372,7 @@ def det(m: Matrix) -> Fraction:
     reduced, scales = _eliminate(map(sparse, m.rows))
     if len(reduced) < m.nrows:
         return Fraction(0)
-    result = math.prod(scales, start=_ONE)
+    result = frac(math.prod(scales))
     order = list(reduced)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
     return -result if inversions % 2 else result
@@ -369,13 +400,13 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector | None, list[
     # column f has 1 there and, at each pivot column, minus that row's entry
     # at f.
     particular = [_ZERO] * n
-    free: dict[int, Row] = {f: {f: _ONE} for f in range(n) if n - f not in reduced}
+    free: dict[int, Row] = {f: {f: 1} for f in range(n) if n - f not in reduced}
     for p, row in reduced.items():
         for j, x in row.items():
             if j:
                 free[n - j][n - p] = -x
             else:
-                particular[n - p] = x
+                particular[n - p] = frac(x)
     return tuple(particular) if consistent else None, [dense(n, v) for v in free.values()]
 
 
@@ -392,7 +423,7 @@ class Subspace:
         self.ambient_dim = ambient_dim
         self.basis = tuple(reduced.row(i) for i in range(len(pivots)))
         # (pivot, the other nonzero entries) of each basis vector
-        self._rows = tuple((p, {j: x for j, x in enumerate(b) if x and j != p})
+        self._rows = tuple((p, {j: x for j, x in sparse(b).items() if j != p})
                            for p, b in zip(pivots, self.basis))
 
     @property

@@ -15,7 +15,9 @@ agreement of the two routes is part of the verification surface, so the
 operator route never reuses the defining-identity rows.  Both routes read
 the dialgebra's sparse structure-constant tables (``Dialgebra.table``),
 which are built once and never written: the operator route takes the
-entries of each basis operator straight off them.  The closure report
+entries of each basis operator straight off them.  Integral constants are
+``int`` there and both routes keep them that way: integer structure
+constants give integer rows.  The closure report
 brackets operators as sparse rows, through ``ratlin.commutator``.
 
 Operators are stored column-style: column ``j`` of the matrix of ``T``
@@ -25,11 +27,13 @@ holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
 from .core import Dialgebra
-from .ratlin import Matrix, Subspace, commutator, kernel, lincomb, sparse, unit_vector
+from .ratlin import (
+    Exact, Matrix, Row, Subspace, commutator, int_or_fraction, kernel, lincomb, sparse,
+    unit_vector,
+)
 
 
 def operator_subspace(n: int, matrices: Sequence[Matrix]) -> Subspace:
@@ -50,9 +54,15 @@ def subspace_matrices(space: Subspace, n: int) -> list[Matrix]:
 # -- defining-identity solvers ------------------------------------------
 
 
-def _add(row: dict[int, Fraction], key: int, value: Fraction) -> None:
+def _add(row: Row, key: int, value: Exact) -> None:
+    """``row[key] += value``, a sum of ``Fraction`` kept as an ``int``
+    when integral."""
     y = row.get(key)
-    row[key] = value if y is None else y + value
+    if y is not None:
+        value += y
+        if type(value) is not int:
+            value = int_or_fraction(value)
+    row[key] = value
 
 
 def _rule_kernel(d: Dialgebra, twisted: bool) -> Subspace:
@@ -135,11 +145,11 @@ def inner_diderivations(d: Dialgebra) -> Subspace:
 
 
 def _basis_operators(d: Dialgebra, side: str,
-                     product: str) -> list[list[tuple[int, int, Fraction]]]:
+                     product: str) -> list[list[tuple[int, int, Exact]]]:
     """The nonzero entries ``(r, c, M[r][c])`` of the operator ``M_{e_k}``
     of the given side and product, for each basis index k, read off the
     table: e_a * e_b is column b of ``L_{e_a}`` and column a of ``R_{e_b}``."""
-    ops: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(d.dim)]
+    ops: list[list[tuple[int, int, Exact]]] = [[] for _ in range(d.dim)]
     for a, plane in enumerate(d.table(product)):
         for b, ab in enumerate(plane):
             k, c = (a, b) if side == "left" else (b, a)
@@ -176,7 +186,7 @@ def _operator_route_kernel(
                     by_col[t].append((r, -x))
                 for r in range(n):
                     for s in range(n):
-                        row: dict[int, Fraction] = {}
+                        row: Row = {}
                         for k, v in subs_at[r][s]:
                             _add(row, k * n + i, v)
                         for t, v in by_col[s]:

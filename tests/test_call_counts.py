@@ -11,6 +11,7 @@ import io
 import math
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -76,14 +77,15 @@ def test_bider_above_the_cap_stops_before_the_table(monkeypatch):
     assert brackets["commutator"] == 0
 
 
-def eliminate_runs(monkeypatch) -> list[int]:
-    """The number of rows of each ``ratlin._eliminate`` run, in order."""
+def eliminate_runs(monkeypatch, record=len) -> list:
+    """``record(rows)`` for each ``ratlin._eliminate`` run, in order: by
+    default its number of rows."""
     runs = []
     original = ratlin._eliminate
 
     def wrapper(rows):
         rows = list(rows)
-        runs.append(len(rows))
+        runs.append(record(rows))
         return original(rows)
 
     monkeypatch.setattr(ratlin, "_eliminate", wrapper)
@@ -99,6 +101,31 @@ def test_halo_eliminates_once_then_only_its_kernel(monkeypatch):
         # the bar-unit system [A | b] of 2n^2 rows, then its kernel, the
         # bar-center, brought to canonical form, unital or not
         assert runs == [2 * d.dim ** 2, h.direction.dim], name
+
+
+def stored_exactly(x) -> bool:
+    """An ``int`` when integral, a ``Fraction`` when not."""
+    return type(x) is (int if x.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("d", [
+    pytest.param(phi_dialgebra([1, -1, 2, -2, 3, -3, 1, -1]), id="phi8"),
+    pytest.param(catalog.instantiate("Dias2_3", {"lam": Fraction(1, 2)}), id="Dias2_3[lam=1/2]"),
+])
+def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, d):
+    # Integer structure constants reach the elimination as ints; a Fraction
+    # only where the constant, or a sum of constants, is not an integer.
+    runs = eliminate_runs(monkeypatch, record=list)
+    spaces.derivation_space(d)
+    spaces.diderivation_space(d)
+    tables = [x for p in ("dashv", "vdash") for plane in d.table(p)
+              for row in plane for x in row.values()]
+    rows = [x for rule_rows in runs for row in rule_rows for x in row.values()]
+    assert len(runs) == 2 and tables and rows
+    assert all(stored_exactly(x) for x in tables + rows)
+    integral = all(x.denominator == 1 for plane in d.c_dashv + d.c_vdash
+                   for row in plane for x in row)
+    assert all(type(x) is int for x in tables + rows) is integral
 
 
 @pytest.mark.parametrize("name, unital", [("Dias2_4", True), ("Dias3_1", False)])

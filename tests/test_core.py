@@ -158,6 +158,18 @@ class TestOperators:
             assert m.column(j) == d.dashv(ej, a)
 
 
+    def test_integer_tables_give_fraction_results(self):
+        # the tables hold ints; products, operators and relations do not
+        d = phi_dialgebra((2, -1, 3))
+        assert all(type(x) is int for p in ("dashv", "vdash")
+                   for plane in d.table(p) for row in plane for x in row.values())
+        a, b = (1, 2, 0), (0, 1, 1)
+        vectors = [d.vdash(a, b), d.dashv(a, b), d.basis_product("vdash", 0, 2)]
+        vectors += [m.flatten() for m in (d.left_op("dashv", a), d.right_op("vdash", b))]
+        assert all(type(x) is Fraction for v in vectors for x in v)
+        assert all(type(c) is Fraction for terms in d.relations().values() for _, c in terms)
+
+
 class TestTextFormat:
     @given(phis)
     @settings(max_examples=25, deadline=None)

@@ -16,6 +16,7 @@ from diaskit.ratlin import (
     dense,
     det,
     frac,
+    kernel,
     lincomb,
     nullspace,
     rank,
@@ -298,3 +299,53 @@ class TestCoreAgainstOracle:
             k = solve(d)
             assert [list(v) for v in k.basis] == oracle.kernel_basis(d.c_vdash, d.c_dashv, twisted)
             assert Subspace(n * n, k.basis).basis == k.basis
+
+
+def all_fractions(entries) -> bool:
+    return all(type(x) is Fraction for x in entries)
+
+
+integer_squares = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n))
+
+
+class TestNoFloats:
+    """The elimination core keeps integral entries as ``int`` internally;
+    everything it hands back is ``Fraction``, never ``int`` and never a
+    ``float`` from a true division."""
+
+    @given(integer_squares)
+    def test_det_of_integer_matrices(self, rows):
+        value = det(Matrix(rows))
+        assert type(value) is Fraction
+        assert value == oracle.det(rows)
+
+    def test_det_with_non_unit_pivots(self):
+        # the pivot 3 does not divide 2, so the second pivot is 10/3
+        value = det(Matrix([[2, 3], [4, 1]]))
+        assert type(value) is Fraction and value == -10
+        value = det(Matrix([[3, 0, 1], [0, 2, 1], [1, 1, 2]]))
+        assert type(value) is Fraction and value == oracle.det([[3, 0, 1], [0, 2, 1], [1, 1, 2]])
+
+    def test_solve_affine_halves(self):
+        point, basis = solve_affine(Matrix([[2]]), (1,))
+        assert point == (Fraction(1, 2),) and type(point[0]) is Fraction
+        assert basis == []
+
+    def test_kernel_of_a_row_whose_pivot_does_not_divide(self):
+        # pivot 2 at column 2; 3 / 2 leaves a remainder
+        space = kernel(3, [{0: 3, 2: 2}])
+        assert space.basis == ((1, 0, Fraction(-3, 2)), (0, 1, 0))
+        assert all(all_fractions(v) for v in space.basis)
+
+    @given(sparse_matrices)
+    def test_public_results_are_fractions(self, m):
+        ints = Matrix([[x.numerator for x in row] for row in m.rows], ncols=m.ncols)
+        for a in (m, ints):
+            reduced, _ = rref(a)
+            assert all(all_fractions(row) for row in reduced.rows)
+            assert all(all_fractions(v) for v in nullspace(a))
+            point, basis = solve_affine(a, [1] * a.nrows)
+            assert point is None or all_fractions(point)
+            assert all(all_fractions(v) for v in basis)
+            assert all(all_fractions(v) for v in Subspace(a.ncols, a.rows).basis)

@@ -239,6 +239,25 @@ def random_structure_constants(seed: int, count: int):
         yield c_vdash, c_vdash if index % 3 == 0 else cube(n, share)
 
 
+# Structure constants mixing integers with rationals that are not: the
+# solvers keep integral entries as ``int`` inside, so both kinds must meet
+# in one elimination.
+mixed_entries = st.one_of(st.just(0), st.just(0), st.integers(-3, 3),
+                          st.fractions(min_value=-3, max_value=3, max_denominator=3))
+mixed_cubes = st.integers(1, 3).flatmap(lambda n: st.tuples(*[st.lists(st.lists(st.lists(
+    mixed_entries, min_size=n, max_size=n), min_size=n, max_size=n), min_size=n, max_size=n)] * 2))
+
+
+@given(mixed_cubes)
+@settings(max_examples=40, deadline=None)
+def test_kernels_of_mixed_cubes_match_oracle_in_fractions(cubes):
+    d = Dialgebra(len(cubes[0]), *cubes)
+    for solve, twisted in ((derivation_space, False), (diderivation_space, True)):
+        basis = solve(d).basis
+        assert [list(v) for v in basis] == oracle.kernel_basis(d.c_vdash, d.c_dashv, twisted)
+        assert all(type(x) is Fraction for v in basis for x in v)
+
+
 @pytest.mark.parametrize("seed", range(8))
 def test_operator_routes_on_arbitrary_products(seed):
     """``L_{T(a)} = [T, L_a]``, ``R_{T(a)} = [T, R_a]`` and the mixed pair
