@@ -30,8 +30,8 @@ from typing import Mapping, Sequence
 # ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;
 # both stay importable from here.
 from .ratlin import (
-    MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Vector, bilinear, dense, frac, lincomb,
-    parse_rational, sparse, vector,
+    MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Subspace, Vector, bilinear, dense, frac,
+    lincomb, parse_rational, sparse, vector,
 )
 
 PRODUCTS = ("dashv", "vdash")
@@ -46,10 +46,10 @@ AXIOM_NAMES = (
 
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation and diderivation spaces of
-# ``phi_dialgebra`` (weights 1, -2, 3, -1, ...) take 0.4 to 0.5 s and 0.2
-# to 0.3 s to solve, and ``diaskit spaces --which der`` with both operator
-# routes 1.8 to 2.2 s (three runs each, Python 3.11, one core of a shared
-# 2-vCPU Xeon).
+# ``phi_dialgebra`` (weights 1, -2, 3, -1, ...) take 0.11 to 0.13 s each
+# to solve, and ``diaskit spaces --which der`` with both operator routes
+# 1.1 to 1.3 s (three runs each, Python 3.11, one core of a shared 2-vCPU
+# Xeon).
 MAX_DIM = 32
 
 
@@ -66,9 +66,15 @@ def _zero_cube(n: int) -> Cube:
 
 
 class Dialgebra:
-    """A finite-dimensional dialgebra given by structure constants."""
+    """A finite-dimensional dialgebra given by structure constants.
 
-    __slots__ = ("dim", "c_vdash", "c_dashv", "_tables")
+    The instance is read-only after construction: its sparse tables, and
+    its derivation and diderivation spaces once ``spaces`` has solved them,
+    all come from the cubes, once.  Build a new dialgebra for new
+    constants.
+    """
+
+    __slots__ = ("dim", "c_vdash", "c_dashv", "_tables", "_spaces")
 
     def __init__(
         self,
@@ -85,6 +91,9 @@ class Dialgebra:
             product: tuple(tuple(sparse(row) for row in plane) for plane in cube)
             for product, cube in (("dashv", self.c_dashv), ("vdash", self.c_vdash))
         }
+        # Each rule's kernel by rule name ("der", "dider"), filled by
+        # ``spaces`` on the first solve and shared read-only after that.
+        self._spaces: dict[str, Subspace] = {}
 
     def _check_cube(self, cube: Sequence, name: str) -> Cube:
         n = self.dim

@@ -22,9 +22,14 @@ is pivoted on its highest column, and every division by a pivot goes
 through ``_quotient``.  The kernel read off that form is already in
 canonical form (see ``kernel``), so the structure-constant systems, which
 have 2n^3 rows of at most 3n nonzeros over n^2 unknowns, are solved in
-one pass.  Where the usual lowest-column RREF is wanted (``rref``,
-``Subspace``, ``solve_affine``) the column order is mirrored on the way
-in and out.
+one pass.  Most of those rows are empty or repeat an earlier row, and
+the core skips both before any arithmetic: a row equal, entry for entry
+once normalised, to an earlier row of the same elimination already lies
+in the reduced span, so it would reduce to zero.  Skipping it changes
+neither the reduced rows nor the pivot scales, and so no kernel, RREF,
+determinant or affine solution.  Where the usual lowest-column RREF is
+wanted (``rref``, ``Subspace``, ``solve_affine``) the column order is
+mirrored on the way in and out.
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
@@ -253,11 +258,24 @@ def _eliminate(rows: Iterable[Row]) -> tuple[dict[int, Row], list[Exact]]:
     omits its pivot entry (an implicit 1); its entries lie at non-pivot
     columns below its pivot.  Input rows are not changed; their entries
     are taken as ``int`` where integral.
+
+    Once its entries are normalised, a row that is empty, or equal to an
+    earlier row of the same call, is skipped before any reduction.  That
+    is exact: an earlier row already lies in the span of the reduced rows,
+    so its repeat would reduce to zero and add neither a pivot nor a
+    scale.
     """
     reduced: dict[int, Row] = {}
     scales: list[Exact] = []
+    seen: set[frozenset] = set()
     for row in rows:
         row = {j: x if type(x) is int else int_or_fraction(x) for j, x in row.items() if x}
+        if not row:
+            continue
+        key = frozenset(row.items())
+        if key in seen:
+            continue
+        seen.add(key)
         # Reduced rows are zero at other pivots, so one pass clears them all.
         for c in [c for c in row if c in reduced]:
             _axpy(row, -row.pop(c), reduced[c])

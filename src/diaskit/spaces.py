@@ -9,10 +9,15 @@ it from opposite sides:
 Both conditions are linear in the matrix of the map, so each space is
 the kernel of an explicit constraint system over the rationals.  The
 primary solvers below build that system straight from the defining
-identity on basis pairs.  A second, independent route phrases the same
-conditions as commutator identities between multiplication operators;
-agreement of the two routes is part of the verification surface, so the
-operator route never reuses the defining-identity rows.  Both routes read
+identity on basis pairs, and each rule is solved once per dialgebra:
+the first ``derivation_space`` or ``diderivation_space`` call on a
+``Dialgebra`` keeps its kernel on that instance, and every later call,
+so every check built on them, gets the same read-only ``Subspace``.  A
+second, independent route phrases the same conditions as commutator
+identities between multiplication operators; agreement of the two routes
+is part of the verification surface, so the operator route never reuses
+the defining-identity rows or kernels, and it is not memoised: every call
+solves its system again.  Both routes read
 the dialgebra's sparse structure-constant tables (``Dialgebra.table``),
 which are built once and never written: the operator route takes the
 entries of each basis operator straight off them.  Integral constants are
@@ -55,11 +60,14 @@ def subspace_matrices(space: Subspace, n: int) -> list[Matrix]:
 
 
 def _add(row: Row, key: int, value: Exact) -> None:
-    """``row[key] += value``, a sum of ``Fraction`` kept as an ``int``
-    when integral."""
+    """``row[key] += value`` for a nonzero value, a sum of ``Fraction``
+    kept as an ``int`` when integral; a sum of zero removes the key."""
     y = row.get(key)
     if y is not None:
         value += y
+        if not value:
+            del row[key]
+            return
         if type(value) is not int:
             value = int_or_fraction(value)
     row[key] = value
@@ -104,14 +112,31 @@ def _rule_kernel(d: Dialgebra, twisted: bool) -> Subspace:
     return kernel(n * n, rows())
 
 
+def _solved(d: Dialgebra, rule: str) -> Subspace:
+    """The kernel of ``rule`` ("der" or "dider") on d, solved on the first
+    call and kept on d."""
+    space = d._spaces.get(rule)
+    if space is None:
+        space = d._spaces[rule] = _rule_kernel(d, twisted=rule == "dider")
+    return space
+
+
 def derivation_space(d: Dialgebra) -> Subspace:
-    """All derivations, as a subspace of Q^(n*n)."""
-    return _rule_kernel(d, twisted=False)
+    """All derivations, as a subspace of Q^(n*n).
+
+    Solved once per dialgebra: every call on the same ``d`` returns the
+    same ``Subspace``, shared read-only.  The operator routes
+    (``derivation_space_via_left_ops``/``_right_ops``) never read it."""
+    return _solved(d, "der")
 
 
 def diderivation_space(d: Dialgebra) -> Subspace:
-    """All diderivations, as a subspace of Q^(n*n)."""
-    return _rule_kernel(d, twisted=True)
+    """All diderivations, as a subspace of Q^(n*n).
+
+    Solved once per dialgebra: every call on the same ``d`` returns the
+    same ``Subspace``, shared read-only.  The operator route
+    (``diderivation_space_via_ops``) never reads it."""
+    return _solved(d, "dider")
 
 
 # -- inner operators ----------------------------------------------------

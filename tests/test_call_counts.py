@@ -1,4 +1,5 @@
-"""Each public call computes each space, invariant set, basis bracket and
+"""Each derivation and diderivation space is solved once per dialgebra,
+and each public call computes each invariant set, basis bracket and
 polynomial operator image once.
 
 The counts are taken by wrapping the solvers through monkeypatch, so a
@@ -108,24 +109,78 @@ def stored_exactly(x) -> bool:
     return type(x) is (int if x.denominator == 1 else Fraction)
 
 
-@pytest.mark.parametrize("d", [
-    pytest.param(phi_dialgebra([1, -1, 2, -2, 3, -3, 1, -1]), id="phi8"),
-    pytest.param(catalog.instantiate("Dias2_3", {"lam": Fraction(1, 2)}), id="Dias2_3[lam=1/2]"),
-])
-def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, d):
+# Factories, not instances: each test solves a fresh dialgebra.
+PHI8 = [1, -1, 2, -2, 3, -3, 1, -1]
+INT_CASES = [
+    pytest.param(lambda: phi_dialgebra(PHI8), id="phi8"),
+    pytest.param(lambda: catalog.instantiate("Dias2_3", {"lam": Fraction(1, 2)}),
+                 id="Dias2_3[lam=1/2]"),
+]
+
+
+@pytest.mark.parametrize("make", INT_CASES)
+def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, make):
     # Integer structure constants reach the elimination as ints; a Fraction
     # only where the constant, or a sum of constants, is not an integer.
+    # In either solver route, contributions that cancel leave no key: a row
+    # maps columns to nonzero entries.
+    d = make()
     runs = eliminate_runs(monkeypatch, record=list)
     spaces.derivation_space(d)
     spaces.diderivation_space(d)
+    spaces.derivation_space_via_left_ops(d)
+    spaces.derivation_space_via_right_ops(d)
+    spaces.diderivation_space_via_ops(d)
     tables = [x for p in ("dashv", "vdash") for plane in d.table(p)
               for row in plane for x in row.values()]
-    rows = [x for rule_rows in runs for row in rule_rows for x in row.values()]
-    assert len(runs) == 2 and tables and rows
+    rows = [x for route_rows in runs for row in route_rows for x in row.values()]
+    assert len(runs) == 5 and tables and rows
     assert all(stored_exactly(x) for x in tables + rows)
+    assert all(x != 0 for x in rows)
     integral = all(x.denominator == 1 for plane in d.c_dashv + d.c_vdash
                    for row in plane for x in row)
     assert all(type(x) is int for x in tables + rows) is integral
+
+
+def checks_on(d):
+    """Every public check that reads Der or Dider, on one dialgebra."""
+    spaces.derivation_space(d)
+    spaces.diderivation_space(d)
+    spaces.check_characterizations(d)
+    spaces.check_closures(d)
+    invariants.check_invariant_actions(d)
+    spaces.check_characterizations(d)
+    try:
+        invariants.check_bider_leibniz(d)
+    except invariants.BiderSizeError:
+        pass
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: phi_dialgebra(PHI8), id="phi8"),  # b = 56, over the cap
+    pytest.param(lambda: catalog.instantiate("Dias3_10"), id="Dias3_10"),
+])
+def test_each_rule_is_solved_once_per_dialgebra(monkeypatch, make):
+    d = make()
+    solves = kernel_calls(monkeypatch)
+    checks_on(d)
+    # the operator routes are a cross-check: three per check_characterizations
+    assert solves == {"der": 1, "dider": 1, "_operator_route_kernel": 6}
+    assert spaces.derivation_space(d) is spaces.derivation_space(d)
+    assert spaces.diderivation_space(d) is spaces.diderivation_space(d)
+    # and those four calls solved nothing
+    assert solves["der"] == solves["dider"] == 1
+
+
+def test_equal_dialgebras_each_solve_their_own_spaces(monkeypatch):
+    a, b = phi_dialgebra(PHI8), phi_dialgebra(PHI8)
+    assert a == b and a is not b
+    solves = kernel_calls(monkeypatch)
+    der = spaces.derivation_space(a), spaces.derivation_space(b)
+    dider = spaces.diderivation_space(a), spaces.diderivation_space(b)
+    assert solves == {"der": 2, "dider": 2}
+    assert der[0] == der[1] and der[0] is not der[1]
+    assert dider[0] == dider[1] and dider[0] is not dider[1]
 
 
 @pytest.mark.parametrize("name, unital", [("Dias2_4", True), ("Dias3_1", False)])

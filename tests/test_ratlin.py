@@ -12,6 +12,7 @@ from diaskit.ratlin import (
     AffineSubspace,
     Matrix,
     Subspace,
+    _eliminate,
     commutator,
     dense,
     det,
@@ -299,6 +300,56 @@ class TestCoreAgainstOracle:
             k = solve(d)
             assert [list(v) for v in k.basis] == oracle.kernel_basis(d.c_vdash, d.c_dashv, twisted)
             assert Subspace(n * n, k.basis).basis == k.basis
+
+
+def written_otherwise(row, zeros, reverse):
+    """The same row in another spelling: each integral entry swapped between
+    ``int`` and ``Fraction``, the keys optionally reversed, and explicit
+    zeros added at the given columns it does not use."""
+    items = list(row.items())[::-1] if reverse else list(row.items())
+    out = {j: Fraction(x) if type(x) is int else int(x) if x.denominator == 1 else x
+           for j, x in items}
+    out.update({j: 0 for j in zeros if j not in out})
+    return out
+
+
+columns = st.integers(0, 3)
+sparse_rows = st.lists(st.dictionaries(columns, st.one_of(st.integers(-4, 4), rationals),
+                                       max_size=4), min_size=1, max_size=8)
+
+
+class TestSkippedRows:
+    """Empty rows and repeats of an earlier row are skipped by the
+    elimination core; that must not change its result."""
+
+    @given(sparse_rows, st.data())
+    def test_repeated_and_empty_rows_change_nothing(self, rows, data):
+        mixed = []
+        for i, row in enumerate(rows):
+            mixed.append(row)
+            for _ in range(data.draw(st.integers(0, 2))):
+                zeros = data.draw(st.lists(columns, max_size=2))
+                if data.draw(st.booleans()):
+                    earlier = rows[data.draw(st.integers(0, i))]
+                    mixed.append(written_otherwise(earlier, zeros, data.draw(st.booleans())))
+                else:
+                    mixed.append({j: 0 for j in zeros})
+        reduced, scales = _eliminate(rows)
+        again, scales_again = _eliminate(mixed)
+        # the same pivots in the same order, the same rows and scales
+        assert list(again.items()) == list(reduced.items())
+        assert scales_again == scales
+        assert len(reduced) == oracle.rank([dense(4, row) for row in rows])
+
+    @given(st.integers(2, 5).flatmap(lambda n: sparse_matrix(n, n)), st.data())
+    def test_det_with_a_repeated_row_is_zero(self, m, data):
+        i, j = data.draw(st.lists(st.integers(0, m.nrows - 1), min_size=2, max_size=2,
+                                  unique=True))
+        rows = [list(row) for row in m.rows]
+        rows[j] = list(rows[i])
+        value = det(Matrix(rows))
+        assert type(value) is Fraction
+        assert value == 0 == oracle.det(rows)
 
 
 def all_fractions(entries) -> bool:
