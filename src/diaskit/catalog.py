@@ -1,8 +1,11 @@
 """Built-in library of the published low-dimensional dialgebra classification.
 
-Covers every isomorphism class from the two- and three-dimensional tables,
+Holds one entry per printed class of the two- and three-dimensional tables,
 including the parametric families (``Dias2_3`` with one parameter,
-``Dias3_16``/``Dias3_17`` with five).  For each entry the module records
+``Dias3_16``/``Dias3_17`` with five).  The entries are not pairwise distinct
+classes: Dias3_17 is Dias3_16 with k renamed l, and the repaired readings of
+Dias3_2, Dias3_3 and Dias3_15, of Dias3_7 and Dias3_12, and of Dias3_9 and
+Dias3_11 are isomorphic.  For each entry the module records
 
 * the structure relations used to instantiate an axiom-valid ``Dialgebra``,
 * the relation list exactly as printed in the source table (several printed
@@ -285,6 +288,11 @@ AMBIGUOUS_ENTRIES = frozenset({"Dias3_9", "Dias3_11", "Dias3_17"})
 # Default sampling grid for the Dias2_3 parameter.
 LAMBDA_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1),
                   Fraction(1, 2))
+
+# Dias3_17 points (l, m, n, p, q), each compared with the table and with the
+# Dias3_16 kernel at the same values.
+DIAS3_17_SAMPLES = tuple(tuple(map(Fraction, point)) for point in
+                         ((1, 1, 1, 1, 1), (2, 1, 0, 1, 1), (0, 1, 1, 0, 2)))
 
 
 def entries() -> Iterator[CatalogEntry]:
@@ -730,7 +738,9 @@ def solution_families(params: Params, case: str,
     per-call kernels of a ``verify_catalog`` sweep; the point is solved only
     if the sweep did not solve it."""
     d = instantiate("Dias3_16", params)
-    kernel = _kernel(kernels, "Dias3_16", params, d)
+    kernel = kernels.get(_point_key("Dias3_16", params))
+    if kernel is None:
+        kernel = spaces.diderivation_space(d)
     vectors = case_family_vectors(case, params)
     results = []
     for label, op in vectors + [("t=0", Matrix.zero(3, 3))]:
@@ -765,53 +775,21 @@ def _point_key(name: str, params: Params | None) -> tuple:
     return name, tuple(sorted(params.items())) if params else ()
 
 
-def _kernel(kernels: dict[tuple, Subspace], name: str, params: Params | None,
-            d: Dialgebra) -> Subspace:
-    """Diderivation kernel of the catalog point ``d`` = ``name`` at
-    ``params``, solved only if ``kernels`` does not hold it yet.
-
-    Keys carry the entry name, so two entries with one relation list
-    (Dias3_9 and Dias3_11) are still solved separately.
-    """
-    key = _point_key(name, params)
-    if key not in kernels:
-        kernels[key] = spaces.diderivation_space(d)
-    return kernels[key]
-
-
-def _entry_result(name: str, params: dict[str, Fraction] | None,
-                  expected_dim: int, expected_basis: tuple[Matrix, ...] | None,
-                  failures: list[str], kernels: dict[tuple, Subspace]) -> dict:
-    d = instantiate(name, params)
-    violations = d.verify_axioms()
-    if violations:
-        where = f" at {_point_text(params.values())}" if params else ""
-        failures.append(f"{name}: axiom violations{where}")
-    actual = _kernel(kernels, name, params, d)
-    basis_match: bool | None = None
-    if expected_basis is not None:
-        basis_match = spaces.operator_subspace(d.dim, expected_basis) == actual
-    dim_match = actual.dim == expected_dim
-    status = "match" if dim_match and basis_match in (None, True) else "finding"
-    return {
-        "name": name,
-        "params": params,
-        "expected_dim": expected_dim,
-        "actual_dim": actual.dim,
-        "basis_match": basis_match,
-        "status": status,
-    }
-
-
 def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
     """Recompute every tabled diderivation space and compare with the tables.
 
     The exact solver is the ground truth; tabled values are expectations.
     Disagreements are collected as findings (the sweep never edits the
     expectations to match), and only internal errors -- an instantiation
-    failing the axioms -- count as failures.  Each point is solved once
-    per call, however often the sweep compares it; the result's
-    ``kernels`` maps (entry name, sorted params) to each solved kernel.
+    failing the axioms, or a Dias3_17 kernel differing from its Dias3_16
+    twin -- count as failures.  Every comparison goes through one step per
+    distinct point (entry name, sorted params): on first use the step
+    instantiates the point, checks its axioms and solves its kernel, so each
+    point is solved once per call however often the sweep compares it.  The
+    result's ``kernels`` maps each point to its kernel.  Findings and
+    failures name a point by the same text: ``" at lam=1/2"`` for Dias2_3,
+    ``" at (l, m, n, p, q)"`` for Dias3_17, ``" row r at (k, m, n, p, q)"``
+    for a case-table sample and nothing for a fixed entry.
     """
     if sample_count < 1:
         raise ValueError("sample_count must be >= 1")
@@ -820,51 +798,42 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
     findings: list[str] = []
     failures: list[str] = []
 
-    for entry in _ENTRIES:
-        if entry.name == "Dias3_16":
-            continue
-        if entry.name == "Dias2_3":
-            exp_dim, exp_basis = _TABLED_DIDER[entry.name]
-            for lam in LAMBDA_SAMPLES:
-                row = _entry_result(entry.name, {"lam": lam}, exp_dim,
-                                    exp_basis, failures, kernels)
-                entry_rows.append(row)
-                if row["status"] == "finding":
-                    findings.append(
-                        f"{entry.name} at lam={lam}: tabled dim "
-                        f"{exp_dim}, solver dim {row['actual_dim']}")
-        elif entry.name == "Dias3_17":
-            exp_dim, exp_basis = _TABLED_DIDER[entry.name]
-            points = [(1, 1, 1, 1, 1), (2, 1, 0, 1, 1), (0, 1, 1, 0, 2)]
-            for raw in points:
-                values = dict(zip(("l", "m", "n", "p", "q"),
-                                  (frac(v) for v in raw)))
-                row = _entry_result(entry.name, values, exp_dim, exp_basis,
-                                    failures, kernels)
-                entry_rows.append(row)
-                if row["status"] == "finding":
-                    findings.append(
-                        f"{entry.name} at {_point_text(values.values())}: "
-                        f"tabled dim {exp_dim}, solver dim {row['actual_dim']}")
+    def solve(name: str, params: Params | None, where: str) -> Subspace:
+        key = _point_key(name, params)
+        if key not in kernels:
+            d = instantiate(name, params)
+            if d.verify_axioms():
+                failures.append(f"{name}: axiom violations{where}")
+            kernels[key] = spaces.diderivation_space(d)
+        return kernels[key]
+
+    def compare(name: str, where: str, tabled: int, actual: int,
+                agree: bool = True) -> bool:
+        if agree and actual == tabled:
+            return True
+        findings.append(f"{name}{where}: tabled dim {tabled}, solver dim {actual}")
+        return False
+
+    points = {
+        "Dias2_3": [({"lam": lam}, f" at lam={lam}") for lam in LAMBDA_SAMPLES],
+        "Dias3_17": [(dict(zip(("l", "m", "n", "p", "q"), point)),
+                      f" at {_point_text(point)}") for point in DIAS3_17_SAMPLES],
+    }
+    for name, (tabled, basis) in _TABLED_DIDER.items():
+        for params, where in points.get(name, [(None, "")]):
+            kernel = solve(name, params, where)
+            basis_match = spaces.operator_subspace(_BY_NAME[name].dim, basis) == kernel
+            match = compare(name, where, tabled, kernel.dim, basis_match)
+            entry_rows.append({
+                "name": name, "params": params, "expected_dim": tabled,
+                "actual_dim": kernel.dim, "basis_match": basis_match,
+                "status": "match" if match else "finding"})
+            if name == "Dias3_17":
                 # The relation lists agree up to the parameter letter, so the
                 # two parametric entries must produce identical kernels.
-                as16 = dict(zip(("k", "m", "n", "p", "q"),
-                                (values["l"], values["m"], values["n"],
-                                 values["p"], values["q"])))
-                twin = _kernel(kernels, "Dias3_16", as16,
-                               instantiate("Dias3_16", as16))
-                if twin != kernels[_point_key("Dias3_17", values)]:
-                    failures.append(
-                        f"Dias3_17 kernel differs from Dias3_16 twin at {raw}")
-        else:
-            exp_dim, exp_basis = _TABLED_DIDER[entry.name]
-            row = _entry_result(entry.name, None, exp_dim, exp_basis, failures,
-                                kernels)
-            entry_rows.append(row)
-            if row["status"] == "finding":
-                findings.append(
-                    f"{entry.name}: tabled dim {exp_dim}, solver dim "
-                    f"{row['actual_dim']}")
+                twin = dict(zip(("k", "m", "n", "p", "q"), params.values()))
+                if solve("Dias3_16", twin, where) != kernel:
+                    failures.append(f"Dias3_17: kernel differs from Dias3_16 twin{where}")
 
     if kernels[_point_key("Dias3_9", None)] == \
             kernels[_point_key("Dias3_11", None)]:
@@ -877,20 +846,13 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
         samples = branch_samples(branch.index, sample_count, seed)
         sample_rows = []
         for point in samples:
-            params = dict(zip(("k", "m", "n", "p", "q"), point))
+            where = f" row {branch.index} at {_point_text(point)}"
             _b, tabled = branch_for_params(*point)
-            d = instantiate("Dias3_16", params)
-            if d.verify_axioms():
-                failures.append(
-                    f"Dias3_16 axiom violations at {_point_text(point)}")
-            actual = _kernel(kernels, "Dias3_16", params, d).dim
+            params = dict(zip(("k", "m", "n", "p", "q"), point))
+            actual = solve("Dias3_16", params, where).dim
             sample_rows.append({"params": point, "tabled_dim": tabled,
                                 "actual_dim": actual,
-                                "match": actual == tabled})
-            if actual != tabled:
-                findings.append(
-                    f"Dias3_16 row {branch.index} at {_point_text(point)}: "
-                    f"tabled dim {tabled}, solver dim {actual}")
+                                "match": compare("Dias3_16", where, tabled, actual)})
         if branch.index == 8 and not samples:
             findings.append(
                 "Dias3_16 row 8 conditions are unsatisfiable: k = np with "

@@ -172,6 +172,8 @@ def load_input(selector: str) -> tuple[str, Dialgebra]:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {selector!r}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{selector}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return selector, parse_dialgebra(text)
     except DialgebraError as exc:

@@ -23,6 +23,7 @@ module nothing reads the cubes.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -319,6 +320,14 @@ def serialize_dialgebra(d: Dialgebra) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_int(text: str) -> int:
+    """An optional ``-`` and ASCII digits, as in ``parse_rational``; ``int``
+    alone would also take ``+1``, ``1_0`` and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_dialgebra(text: str) -> Dialgebra:
     """Parse the text format, validating indices and duplicates.
 
@@ -345,7 +354,7 @@ def parse_dialgebra(text: str) -> Dialgebra:
     if len(parts) != 2 or parts[0] != "dim":
         raise DialgebraError(f"line {lineno}: expected 'dim <n>', got {dim_line!r}")
     try:
-        n = int(parts[1])
+        n = _parse_int(parts[1])
     except ValueError:
         raise DialgebraError(f"line {lineno}: dimension {parts[1]!r} is not an integer") from None
     if not 1 <= n <= MAX_DIM:
@@ -367,7 +376,7 @@ def parse_dialgebra(text: str) -> Dialgebra:
                 f"line {lineno}: unknown product {product!r}, expected 'vdash' or 'dashv'"
             )
         try:
-            i, j = int(head_parts[1]), int(head_parts[2])
+            i, j = _parse_int(head_parts[1]), _parse_int(head_parts[2])
         except ValueError:
             raise DialgebraError(f"line {lineno}: indices must be integers in {head!r}") from None
         if not (1 <= i <= n and 1 <= j <= n):
@@ -381,7 +390,7 @@ def parse_dialgebra(text: str) -> Dialgebra:
                 raise DialgebraError(f"line {lineno}: expected '<k>:<coeff>', got {term!r}")
             k_text, _, coeff_text = term.partition(":")
             try:
-                k = int(k_text.strip())
+                k = _parse_int(k_text.strip())
             except ValueError:
                 raise DialgebraError(
                     f"line {lineno}: target index {k_text.strip()!r} is not an integer"

@@ -216,6 +216,20 @@ def det(rows):
     return out
 
 
+
+def is_isomorphism(cubes_a, cubes_b, p):
+    """Whether p is an isomorphism from the dialgebra with cubes
+    ``(c_vdash, c_dashv)`` = cubes_a onto the one with cubes_b: det p != 0
+    and phi(e_i * e_j) = phi(e_i) * phi(e_j) for both products, where
+    phi(e_j) is column j of p."""
+    n = len(p)
+    if det(p) == 0:
+        return False
+    images = [[Fraction(row[j]) for row in p] for j in range(n)]
+    return all(apply(p, c_a[i][j]) == product(c_b, images[i], images[j])
+               for c_a, c_b in zip(cubes_a, cubes_b)
+               for i in range(n) for j in range(n))
+
 def kernel_dim(c_vdash, c_dashv, twisted=True):
     """Dimension of the (di)derivation space: n^2 minus the rank of T -> residual.
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diaskit import catalog
 from diaskit.catalog import (
     AMBIGUOUS_ENTRIES,
     BRANCHES,
@@ -28,7 +29,7 @@ from diaskit.catalog import (
     instantiate,
     verify_catalog,
 )
-from diaskit.core import DialgebraError, parse_dialgebra, serialize_dialgebra
+from diaskit.core import Dialgebra, DialgebraError, parse_dialgebra, serialize_dialgebra
 from diaskit.ratlin import Matrix, det
 from diaskit.spaces import diderivation_space
 
@@ -265,3 +266,61 @@ class TestSweep:
     def test_rejects_empty_sample_request(self):
         with pytest.raises(ValueError):
             verify_catalog(sample_count=0)
+
+
+class TestSweepFailures:
+    def test_failures_name_each_point_once(self, monkeypatch):
+        """Axiom failures at a fixed entry, a Dias2_3 point and a case-table
+        sample, and a Dias3_17 point whose kernel differs from its twin:
+        each is reported once, in the text that names its point in a
+        finding."""
+        broken = {("vdash", 1, 1): [(2, 1)], ("vdash", 2, 1): [(2, 1)]}
+        swaps = {
+            ("Dias2_1", ()): Dialgebra.from_relations(2, broken),
+            ("Dias2_3", (F(1, 2),)): Dialgebra.from_relations(2, broken),
+            ("Dias3_17", (2, 1, 0, 1, 1)): Dialgebra.from_relations(3, {}),
+            ("Dias3_16", (0, 0, 0, -1, 0)): Dialgebra.from_relations(3, broken),
+        }
+        real = catalog.instantiate
+
+        def instantiate_with_swaps(name, params=None):
+            point = tuple(params.values()) if params else ()
+            if (name, point) in swaps:
+                return swaps[name, point]
+            return real(name, params)
+
+        monkeypatch.setattr(catalog, "instantiate", instantiate_with_swaps)
+        result = verify_catalog(sample_count=3, seed=0)
+        assert result["failures"] == [
+            "Dias2_1: axiom violations",
+            "Dias2_3: axiom violations at lam=1/2",
+            "Dias3_17: kernel differs from Dias3_16 twin at (2, 1, 0, 1, 1)",
+            "Dias3_16: axiom violations row 13 at (0, 0, 0, -1, 0)",
+        ]
+        # the broken row-13 point is compared three times, solved once
+        assert len(result["kernels"]) == 62
+
+
+class TestCoincidences:
+    """Pairs of entries whose instantiations are one isomorphism class:
+    every entry here is a repaired reading of its printed list."""
+
+    @pytest.mark.parametrize("a, b, p", [
+        ("Dias3_2", "Dias3_3", [[-1, -1, 0], [0, 0, 1], [0, 1, 0]]),
+        ("Dias3_2", "Dias3_15", [[-1, -1, 0], [1, 1, 1], [0, 1, 0]]),
+        ("Dias3_7", "Dias3_12", [[-1, 0, 0], [-1, -1, -1], [0, 0, 1]]),
+        ("Dias3_9", "Dias3_11", [[-1, 0, -1], [0, -1, -1], [0, 0, 1]]),
+    ])
+    def test_isomorphic_pair(self, a, b, p):
+        da, db = instantiate(a), instantiate(b)
+        assert oracle.is_isomorphism((da.c_vdash, da.c_dashv),
+                                     (db.c_vdash, db.c_dashv), p)
+
+    def test_oracle_rejects_non_isomorphisms(self):
+        d2, d3 = instantiate("Dias3_2"), instantiate("Dias3_3")
+        cubes2, cubes3 = (d2.c_vdash, d2.c_dashv), (d3.c_vdash, d3.c_dashv)
+        identity = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert oracle.is_isomorphism(cubes2, cubes2, identity)
+        assert not oracle.is_isomorphism(cubes2, cubes3, identity)
+        # the zero map respects every product but is not invertible
+        assert not oracle.is_isomorphism(cubes2, cubes2, [[0] * 3] * 3)

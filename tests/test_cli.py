@@ -297,3 +297,33 @@ class TestCatalog:
         b = run(capsys, "catalog", "--samples", "3", "--seed", "2",
                 "--machine")
         assert json.loads(a[1])["verdict"] == json.loads(b[1])["verdict"]
+
+
+class TestFileEncodingAndIntegers:
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "bytes.dlg"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {path}: not UTF-8 text")
+
+    @pytest.mark.parametrize("lines, message", [
+        ("dim 1_0", "line 2: dimension '1_0' is not an integer"),
+        ("dim ٣", "line 2: dimension '٣' is not an integer"),
+        ("dim +2", "line 2: dimension '+2' is not an integer"),
+        ("dim 2\nvdash +1 1 -> 1:1",
+         "line 3: indices must be integers in 'vdash +1 1 '"),
+        ("dim 2\ndashv 1 0_1 -> 1:1",
+         "line 3: indices must be integers in 'dashv 1 0_1 '"),
+        ("dim 2\nvdash 1 1 -> 0_1:1", "line 3: target index '0_1' is not an integer"),
+        ("dim 2\nvdash 1 1 -> ١:1", "line 3: target index '١' is not an integer"),
+    ])
+    def test_integers_are_ascii_digits(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "bad.dlg"
+        path.write_text(f"dialgebra v1\n{lines}\n", encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: {message}"]
