@@ -22,7 +22,6 @@ module nothing reads the cubes.
 
 from __future__ import annotations
 
-import itertools
 import re
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -31,7 +30,7 @@ from typing import Mapping, Sequence
 # ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;
 # both stay importable from here.
 from .ratlin import (
-    MAX_RATIONAL_DIGITS, Matrix, Row, Scalar, Subspace, Vector, bilinear, dense, frac,
+    MAX_RATIONAL_DIGITS, Exact, Matrix, Row, Scalar, Subspace, Vector, bilinear, dense, frac,
     lincomb, parse_rational, sparse, vector,
 )
 
@@ -201,30 +200,54 @@ class Dialgebra:
     def verify_axioms(self) -> list[dict]:
         """Check all five axioms on every basis triple.
 
-        Returns a list of violation records; an empty list means the
-        structure constants define a dialgebra.  Each record carries the
-        axiom name, the offending basis triple (0-based), and both sides.
+        Returns violation records, by triple in lexicographic order, then
+        by axiom; none means the constants define a dialgebra.  Each carries
+        the axiom name, the basis triple (0-based), and both sides.  A side
+        is a composite product, (e_i * e_j) *' e_k or e_i *' (e_j * e_k),
+        built from the nonzero constants alone and keyed by
+        ((i*n + j)*n + k)*n + r; only unequal sides are walked by triple.
         """
-        n = self.dim
-        dashv, vdash = self.table("dashv"), self.table("vdash")
-        unit: list[Row] = [{i: 1} for i in range(n)]
-        violations = []
-        for i, j, k in itertools.product(range(n), repeat=3):
-            x, z = unit[i], unit[k]
-            x_jkd = bilinear(dashv, x, dashv[j][k])
-            ijv_z = bilinear(vdash, vdash[i][j], z)
-            sides = (
-                (bilinear(dashv, dashv[i][j], z), x_jkd),
-                (x_jkd, bilinear(dashv, x, vdash[j][k])),
-                (bilinear(dashv, vdash[i][j], z), bilinear(vdash, x, dashv[j][k])),
-                (bilinear(vdash, dashv[i][j], z), ijv_z),
-                (ijv_z, bilinear(vdash, x, vdash[j][k])),
-            )
-            for name, (lhs, rhs) in zip(AXIOM_NAMES, sides):
-                if lhs != rhs:
-                    violations.append({"axiom": name, "triple": (i, j, k),
-                                       "lhs": dense(n, lhs), "rhs": dense(n, rhs)})
-        return violations
+        n, dashv, vdash = self.dim, self.table("dashv"), self.table("vdash")
+
+        def composite(inner: Table, outer: Table, nested_left: bool) -> dict[int, Exact]:
+            # by_m[m]: (key offset of k, row) of each nonzero e_m *' e_k when
+            # nested left, else (key offset of i, row) of each nonzero e_i *' e_m
+            by_m: list[list[tuple[int, Row]]] = [[] for _ in range(n)]
+            for a, plane in enumerate(outer):
+                for b, row in enumerate(plane):
+                    if row:
+                        m, offset = (a, b * n) if nested_left else (b, a * n ** 3)
+                        by_m[m].append((offset, row))
+            scale, out = n * n if nested_left else n, {}
+            for a, plane in enumerate(inner):
+                for b, ab in enumerate(plane):
+                    base = (a * n + b) * scale
+                    for m, x in ab.items():
+                        for offset, row in by_m[m]:
+                            for r, y in row.items():
+                                key = base + offset + r
+                                out[key] = out.get(key, 0) + x * y
+            return {key: x for key, x in out.items() if x}
+
+        dd_right, vv_left = composite(dashv, dashv, False), composite(vdash, vdash, True)
+        sides = ((composite(dashv, dashv, True), dd_right),
+                 (dd_right, composite(vdash, dashv, False)),
+                 (composite(vdash, dashv, True), composite(dashv, vdash, False)),
+                 (composite(dashv, vdash, True), vv_left),
+                 (vv_left, composite(vdash, vdash, False)))
+        found = []
+        for axiom, (lhs, rhs) in enumerate(sides):
+            if lhs != rhs:
+                bad = {key // n: ({}, {}) for key in lhs.keys() | rhs.keys()
+                       if lhs.get(key) != rhs.get(key)}
+                for side, tensor in enumerate((lhs, rhs)):
+                    for key, x in tensor.items():
+                        if key // n in bad:
+                            bad[key // n][side][key % n] = x
+                found += [(t, axiom, *pair) for t, pair in bad.items()]
+        return [{"axiom": AXIOM_NAMES[axiom], "triple": (t // n // n, t // n % n, t % n),
+                 "lhs": dense(n, lhs), "rhs": dense(n, rhs)}
+                for t, axiom, lhs, rhs in sorted(found, key=lambda f: f[:2])]
 
     def is_dialgebra(self) -> bool:
         return not self.verify_axioms()

@@ -37,7 +37,8 @@ the coordinates of its values on basis pairs.  Every identity checked on
 basis triples (the dialgebra axioms, both Leibniz identities of a
 bracket) goes through these two.  Every bracket of operators goes through
 ``commutator``, on the sparse rows of their row-major flattenings, and
-``Subspace.coordinates``, which also decides membership.
+``Subspace.coordinates``, which also decides membership and visits only
+the pivots present in the vector, through the pivot index of the basis.
 """
 
 from __future__ import annotations
@@ -357,8 +358,9 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
         for f, x in row.items():
             free[f][p] = -x
     space = Subspace.__new__(Subspace)
-    space.ambient_dim, space._rows = ncols, tuple(free.items())
-    space.basis = tuple(dense(ncols, {f: 1, **rest}) for f, rest in space._rows)
+    space.ambient_dim = ncols
+    space._pivots = {f: (k, rest) for k, (f, rest) in enumerate(free.items())}
+    space.basis = tuple(dense(ncols, {f: 1, **rest}) for f, rest in free.items())
     return space
 
 
@@ -431,7 +433,7 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector | None, list[
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF) form."""
 
-    __slots__ = ("ambient_dim", "basis", "_rows")
+    __slots__ = ("ambient_dim", "basis", "_pivots")
 
     def __init__(self, ambient_dim: int, spanning: Iterable[Sequence[Scalar]] = ()):
         vectors = [vector(v) for v in spanning]
@@ -440,26 +442,26 @@ class Subspace:
         reduced, pivots = rref(Matrix(vectors, ncols=ambient_dim))
         self.ambient_dim = ambient_dim
         self.basis = tuple(reduced.row(i) for i in range(len(pivots)))
-        # (pivot, the other nonzero entries) of each basis vector
-        self._rows = tuple((p, {j: x for j, x in sparse(b).items() if j != p})
-                           for p, b in zip(pivots, self.basis))
+        # pivot -> (index, the other nonzero entries) of each basis vector
+        self._pivots = {p: (k, {j: x for j, x in sparse(b).items() if j != p})
+                        for k, (p, b) in enumerate(zip(pivots, self.basis))}
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def coordinates(self, v: Row) -> Row | None:
-        """The coordinates of the sparse vector v, keyed by basis index, or
-        ``None`` when v lies outside the span."""
-        # The coordinate of a member on each basis vector is its entry at
-        # that vector's pivot; what is left after removing them must be 0.
+        """The coordinates of the sparse vector v, keyed by basis index in
+        ascending order, or ``None`` when v lies outside the span."""
+        # A member's coordinate on a basis vector is its entry at that
+        # vector's pivot, where the others are 0: only the pivots in v are
+        # visited, ascending as the basis index does.  What is left must be 0.
         rest = {j: x for j, x in v.items() if x}
         coords: Row = {}
-        for k, (p, row) in enumerate(self._rows):
-            c = rest.pop(p, None)
-            if c is not None:
-                coords[k] = c
-                _axpy(rest, -c, row)
+        for p in sorted(p for p in rest if p in self._pivots):
+            k, row = self._pivots[p]
+            c = coords[k] = rest.pop(p)
+            _axpy(rest, -c, row)
         return None if rest else coords
 
     def contains(self, v: Sequence[Scalar]) -> bool:

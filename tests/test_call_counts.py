@@ -19,6 +19,8 @@ import pytest
 from diaskit import catalog, cli, invariants, kxy, ratlin, spaces
 from diaskit.core import phi_dialgebra
 
+from test_ratlin import direct_sum
+
 
 def counting(monkeypatch, owner, name, calls, key=None):
     """Replace ``owner.name`` by a wrapper that tallies each call under
@@ -140,6 +142,76 @@ def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, make):
     integral = all(x.denominator == 1 for plane in d.c_dashv + d.c_vdash
                    for row in plane for x in row)
     assert all(type(x) is int for x in tables + rows) is integral
+
+
+def rule_slots(d, twisted) -> int:
+    """The (product, i, j, r) of the Leibniz-rule system with a nonzero term,
+    counted from the cubes: c[i][j] at all, or c_first[k][j][r] or
+    c_second[i][k][r] for some k."""
+    n, total = d.dim, 0
+    for c in (d.c_dashv, d.c_vdash):
+        c_first = d.c_dashv if twisted else c
+        c_second = d.c_vdash if twisted else c
+        total += sum(any(c[i][j]) or any(c_first[k][j][r] or c_second[i][k][r] for k in range(n))
+                     for i in range(n) for j in range(n) for r in range(n))
+    return total
+
+
+def operator_slots(d, conditions) -> int:
+    """The (condition, i, r, s) of the operator-route system with a nonzero
+    term, counted from the cubes: S_k[r][s] for some k, or a nonzero row r
+    or column s of M_i."""
+    n, cubes = d.dim, {"dashv": d.c_dashv, "vdash": d.c_vdash}
+
+    def op(kind, k, r, s):
+        # entry (r, s) of L_{e_k} or R_{e_k}: e_k * e_s or e_s * e_k, at e_r
+        side, product = kind
+        c = cubes[product]
+        return c[k][s][r] if side == "left" else c[s][k][r]
+
+    return sum(
+        any(op(sub, k, r, s) or op(inside, i, r, k) or op(inside, i, k, s) for k in range(n))
+        for sub, inside in conditions
+        for i in range(n) for r in range(n) for s in range(n))
+
+
+ROUTES = [
+    ("derivation_space_via_left_ops",
+     [(("left", "dashv"), ("left", "dashv")), (("left", "vdash"), ("left", "vdash"))]),
+    ("derivation_space_via_right_ops",
+     [(("right", "dashv"), ("right", "dashv")), (("right", "vdash"), ("right", "vdash"))]),
+    ("diderivation_space_via_ops",
+     [(("left", "dashv"), ("left", "vdash")), (("right", "vdash"), ("right", "dashv"))]),
+]
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: phi_dialgebra(PHI8[:5]), id="phi5"),
+    pytest.param(lambda: catalog.instantiate("Dias3_13"), id="Dias3_13"),
+    pytest.param(lambda: direct_sum(*map(catalog.instantiate, ("Dias3_10", "Dias3_13",
+                                                              "Dias2_4"))), id="sum8"),
+])
+def test_row_builders_form_one_row_per_slot_with_a_term(monkeypatch, make):
+    # No row is formed for a slot that no structure constant reaches.
+    d = make()
+    sizes = []
+    original = spaces.kernel
+
+    def counted(ncols, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return original(ncols, rows)
+
+    monkeypatch.setattr(spaces, "kernel", counted)
+    spaces.derivation_space(d)
+    spaces.diderivation_space(d)
+    for name, _ in ROUTES:
+        getattr(spaces, name)(d)
+    expected = [rule_slots(d, False), rule_slots(d, True)]
+    expected += [operator_slots(d, conditions) for _, conditions in ROUTES]
+    assert sizes == expected
+    if d.dim == 8:  # the sum is sparse: most of the 2n^3 slots have no term
+        assert max(sizes) < d.dim ** 3
 
 
 def checks_on(d):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from diaskit import cli
+from diaskit import catalog, cli
 from diaskit.cli import MAX_BOUND, MAX_SAMPLES, main
 from diaskit.core import MAX_RATIONAL_DIGITS, phi_dialgebra, serialize_dialgebra
 from diaskit.invariants import MAX_BIDER_DIM
@@ -280,6 +280,15 @@ class TestCatalog:
             "  finding: Dias3_9 and Dias3_11 share one printed relation list "
             "and one computed kernel, yet the table assigns them different spaces"]
         assert "verdict: findings" in out
+
+    def test_filtered_run_counts_every_finding_of_the_full_sweep(self, capsys):
+        # why a filter cannot skip the other entries: the total is theirs too
+        code, out, _ = run(capsys, "catalog", "Dias2_1", "--machine")
+        assert code == 0
+        items = [item for section in json.loads(out)["sections"]
+                 if section["title"] == "findings" for item in section["items"]]
+        assert items == [["total in full sweep",
+                          str(len(catalog.verify_catalog(3, 0)["findings"]))]]
 
     def test_machine_output_deterministic(self, capsys):
         first = run(capsys, "catalog", "--samples", "5", "--seed", "7",

@@ -1,5 +1,6 @@
 """Structure-constant container, axiom checker, and the text format."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,7 @@ from diaskit.core import (
 from diaskit.invariants import LeibnizAlgebra, check_bider_leibniz, check_invariant_actions
 
 import exact_oracle as oracle
-from test_ratlin import kernel_cases
+from test_ratlin import direct_sum, kernel_cases
 
 phis = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
@@ -33,6 +34,23 @@ random_cubes = st.integers(min_value=2, max_value=3).flatmap(
     lambda n: st.tuples(*[st.lists(st.lists(st.lists(
         st.sampled_from((-1, 0, 1)), min_size=n, max_size=n),
         min_size=n, max_size=n), min_size=n, max_size=n)] * 2))
+
+
+def sparse_cube_pair(n, entries):
+    """(c_vdash, c_dashv) of dimension n, zero apart from ``entries``."""
+    cubes = {p: [[[0] * n for _ in range(n)] for _ in range(n)] for p in ("vdash", "dashv")}
+    for (product, i, j, k), x in entries.items():
+        cubes[product][i][j][k] = x
+    return cubes["vdash"], cubes["dashv"]
+
+
+# Dimension 4 to 6 with at most 2n nonzero constants: a few satisfy the
+# axioms, most violate them.
+sparse_cubes = st.integers(min_value=4, max_value=6).flatmap(
+    lambda n: st.dictionaries(
+        st.tuples(st.sampled_from(("vdash", "dashv")), *[st.integers(0, n - 1)] * 3),
+        st.sampled_from((-2, -1, 1, 2, Fraction(1, 2))), max_size=2 * n,
+    ).map(lambda entries: sparse_cube_pair(n, entries)))
 
 
 def truncated_poly_algebra():
@@ -135,9 +153,38 @@ class TestAxiomsAgainstOracle:
         assert all(isinstance(x, Fraction)
                    for r in d.verify_axioms() for x in r["lhs"] + r["rhs"])
 
+    @given(sparse_cubes)
+    @settings(max_examples=80, deadline=None)
+    def test_random_sparse_cubes(self, cubes):
+        d = Dialgebra(len(cubes[0]), *cubes)
+        assert self.records(d) == oracle.axiom_records(d.c_vdash, d.c_dashv)
+
     @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
     def test_catalog(self, d):
         assert self.records(d) == oracle.axiom_records(d.c_vdash, d.c_dashv) == []
+
+    @pytest.mark.parametrize("parts", [("Dias2_1", "Dias2_4"), ("Dias3_8", "Dias2_2"),
+                                       ("Dias3_10", "Dias3_13")])
+    def test_sparse_sums_with_one_constant_changed(self, parts):
+        # A direct sum of catalog entries holds; copying one of its first
+        # nonzero constants to the next target may break it, and the
+        # checker and the oracle agree on every record.
+        d = direct_sum(*map(instantiate, parts))
+        assert self.records(d) == oracle.axiom_records(d.c_vdash, d.c_dashv) == []
+        n = d.dim
+        nonzero = [(p, i, j, k) for p in ("vdash", "dashv")
+                   for i, j, k in itertools.product(range(n), repeat=3)
+                   if getattr(d, "c_" + p)[i][j][k]]
+        violating = 0
+        for product, i, j, k in nonzero[:4]:
+            cubes = {p: [[list(row) for row in plane] for plane in getattr(d, "c_" + p)]
+                     for p in ("vdash", "dashv")}
+            cubes[product][i][j][(k + 1) % n] += cubes[product][i][j][k]
+            changed = Dialgebra(n, cubes["vdash"], cubes["dashv"])
+            records = self.records(changed)
+            assert records == oracle.axiom_records(changed.c_vdash, changed.c_dashv)
+            violating += bool(records)
+        assert violating
 
 
 class TestOperators:

@@ -172,6 +172,38 @@ class TestSubspace:
         outside = s.coordinates(sparse(other))
         assert (outside is not None) == oracle.in_span([list(b) for b in s.basis], other)
 
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+               st.lists(st.lists(sparse_entries, min_size=n, max_size=n), max_size=n),
+               st.lists(rationals, min_size=n, max_size=n),
+               st.lists(sparse_entries, min_size=n, max_size=n))))
+    def test_coordinates_on_kernels(self, case):
+        # ``kernel`` builds its subspaces without ``Subspace.__init__``; their
+        # coordinates are checked against the oracle and by rebuilding.
+        rows, coeffs, other = case
+        n = len(coeffs)
+        s = kernel(n, map(sparse, rows))
+        basis = [list(b) for b in s.basis]
+        pivots = [next(j for j, x in enumerate(b) if x) for b in basis]
+
+        def rebuild(coords):
+            return [sum((c * basis[k][j] for k, c in coords.items()), Fraction(0))
+                    for j in range(n)]
+
+        member = rebuild(dict(enumerate(coeffs[:s.dim])))
+        assert s.coordinates(sparse(member)) == {
+            k: c for k, c in enumerate(coeffs[:s.dim]) if c}
+        # explicit zeros are not coordinates
+        assert s.coordinates(dict(enumerate(member))) == s.coordinates(sparse(member))
+        # supported off the pivots: in the span only when zero
+        off = [Fraction(0) if j in pivots else x for j, x in enumerate(other)]
+        assert (s.coordinates(dict(enumerate(off))) is not None) == (not any(off))
+        assert oracle.in_span(basis, off) == (not any(off))
+        for v in (other, off):
+            coords = s.coordinates(sparse(v))
+            assert (coords is not None) == oracle.in_span(basis, v)
+            if coords is not None:
+                assert rebuild(coords) == list(v)
+
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=4))
     def test_span_invariant_under_order(self, rows):
         assert Subspace(3, rows) == Subspace(3, list(reversed(rows)))
