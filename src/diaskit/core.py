@@ -229,14 +229,9 @@ class Dialgebra:
                                 out[key] = out.get(key, 0) + x * y
             return {key: x for key, x in out.items() if x}
 
-        dd_right, vv_left = composite(dashv, dashv, False), composite(vdash, vdash, True)
-        sides = ((composite(dashv, dashv, True), dd_right),
-                 (dd_right, composite(vdash, dashv, False)),
-                 (composite(vdash, dashv, True), composite(dashv, vdash, False)),
-                 (composite(dashv, vdash, True), vv_left),
-                 (vv_left, composite(vdash, vdash, False)))
         found = []
-        for axiom, (lhs, rhs) in enumerate(sides):
+
+        def compare(axiom: int, lhs: dict[int, Exact], rhs: dict[int, Exact]) -> None:
             if lhs != rhs:
                 bad = {key // n: ({}, {}) for key in lhs.keys() | rhs.keys()
                        if lhs.get(key) != rhs.get(key)}
@@ -244,7 +239,18 @@ class Dialgebra:
                     for key, x in tensor.items():
                         if key // n in bad:
                             bad[key // n][side][key % n] = x
-                found += [(t, axiom, *pair) for t, pair in bad.items()]
+                found.extend((t, axiom, *pair) for t, pair in bad.items())
+
+        # each tensor is built for its first axiom and dropped after its
+        # last, so at most three are alive at once
+        dd_right = composite(dashv, dashv, False)
+        compare(0, composite(dashv, dashv, True), dd_right)
+        compare(1, dd_right, composite(vdash, dashv, False))
+        del dd_right
+        compare(2, composite(vdash, dashv, True), composite(dashv, vdash, False))
+        vv_left = composite(vdash, vdash, True)
+        compare(3, composite(dashv, vdash, True), vv_left)
+        compare(4, vv_left, composite(vdash, vdash, False))
         return [{"axiom": AXIOM_NAMES[axiom], "triple": (t // n // n, t // n % n, t % n),
                  "lhs": dense(n, lhs), "rhs": dense(n, rhs)}
                 for t, axiom, lhs, rhs in sorted(found, key=lambda f: f[:2])]

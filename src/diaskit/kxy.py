@@ -26,20 +26,22 @@ results of arithmetic on clean polynomials are wrapped without being
 validated again, except where a bound check can still fail.
 
 Both products of two monomials are one monomial of coefficient 1.  So
-every sweep reads its products from one table per bound: the exponent
-pair of ``u -| v`` and of ``u |- v`` for every monomial pair of degree sum
-at most the bound, each computed once by ``dashv`` and ``vdash`` and
-checked to be such a monomial.  The last table is kept, keyed on the bound
-and on the two product functions it was built with, so the sweeps of one
-bound share it and a replaced product never reads a stale one.  The axiom
-sweep reads every product of a triple from it.  The derivation and
-diderivation identities are checked by one bounded sweep over monomial
-pairs that differs only in the right-hand side of the rule; it computes
-the operator image of each exponent pair once, reads ``u * v`` from the
-table, forms the right side from the table by bilinearity and compares
-coefficients.  The same table gives the structure constants of the graded
-truncations ``truncation(n)``, which the main solver handles as ordinary
-dialgebras.
+every sweep reads its products from one table per bound.  It numbers the
+monomials of degree at most the bound in lexicographic order of their
+exponent pairs and holds, for every pair (i, j) of degree sum at most the
+bound, the numbers of ``e_i -| e_j`` and ``e_i |- e_j``; each is computed
+once by ``dashv`` and ``vdash`` and checked to be such a monomial.  The
+last table is kept, keyed on the bound and on the two product functions
+it was built with, so the sweeps of one bound share it and a replaced
+product never reads a stale one.  The axiom sweep reads every product of
+a triple from it by list indexing.  The derivation and diderivation
+identities are checked by one bounded sweep over monomial pairs that
+differs only in the right-hand side of the rule; it computes the operator
+image of each monomial once, keys it by monomial number, reads ``u * v``
+from the table, forms the right side from the table by bilinearity and
+compares coefficients.  The same table gives the structure constants of
+the graded truncations ``truncation(n)``, which the main solver handles as
+ordinary dialgebras.  Reports name monomials by exponent pair.
 ``format_poly`` renders polynomials for reports; nothing reads polynomials
 back from text, so there is no parser.
 """
@@ -270,36 +272,42 @@ def _exponent(p: BivariatePoly) -> Exponents:
     return e
 
 
-ProductTable = dict[tuple[Exponents, Exponents], Exponents]
+Row = tuple[int | None, ...]
+ProductTable = tuple[list[Exponents], dict[Exponents, int], tuple[Row, ...], tuple[Row, ...]]
 Product = Callable[[BivariatePoly, BivariatePoly], BivariatePoly]
 
 
-def _product_table(bound: int) -> tuple[ProductTable, ProductTable]:
+def _product_table(bound: int) -> ProductTable:
     """The products of every pair of monomials of degree sum at most
-    ``bound``, under ``bound``.
+    ``bound``, under ``bound``, indexed by monomial.
 
-    Both products of two monomials are one monomial of the summed degree,
-    so each product is recorded as the exponent pair of ``u -| v`` and of
-    ``u |- v``, keyed by the pair (u, v).  Each is computed once, by the
-    ``dashv`` and ``vdash`` in force when the table is built.  The last
-    table is kept, keyed on the bound and on those two functions, so the
-    sweeps of one bound share it and a replaced product builds a new one.
-    Callers share the table: it is read-only.
+    Returns ``(exps, index, dv, vd)``: monomial i is ``exps[i]``, the i-th
+    exponent pair of ``_exponents_up_to(bound)``, and ``index`` inverts
+    ``exps``.  Both products of two monomials are one monomial of the
+    summed degree, so ``dv[i][j]`` and ``vd[i][j]`` are the indices of
+    ``e_i -| e_j`` and ``e_i |- e_j``, and ``None`` for a pair past the
+    bound.  Each is computed once, by the ``dashv`` and ``vdash`` in force
+    when the table is built.  The last table is kept, keyed on the bound
+    and on those two functions, so the sweeps of one bound share it and a
+    replaced product builds a new one.  Callers share the table: it is
+    read-only.
     """
     return _build_product_table(bound, dashv, vdash)
 
 
 @lru_cache(maxsize=1)
-def _build_product_table(bound: int, dashv: Product,
-                         vdash: Product) -> tuple[ProductTable, ProductTable]:
-    monos = {e: BivariatePoly.monomial(*e, 1, bound) for e in _exponents_up_to(bound)}
-    dv: ProductTable = {}
-    vd: ProductTable = {}
-    for u, pu in monos.items():
+def _build_product_table(bound: int, dashv: Product, vdash: Product) -> ProductTable:
+    exps = _exponents_up_to(bound)
+    index = {e: i for i, e in enumerate(exps)}
+    monos = [BivariatePoly.monomial(*e, 1, bound) for e in exps]
+    dv = [[None] * len(exps) for _ in exps]
+    vd = [[None] * len(exps) for _ in exps]
+    for i, u in enumerate(exps):
         for v in _exponents_up_to(bound - sum(u)):
-            dv[u, v] = _exponent(dashv(pu, monos[v]))
-            vd[u, v] = _exponent(vdash(pu, monos[v]))
-    return dv, vd
+            j = index[v]
+            dv[i][j] = index[_exponent(dashv(monos[i], monos[j]))]
+            vd[i][j] = index[_exponent(vdash(monos[i], monos[j]))]
+    return exps, index, tuple(map(tuple, dv)), tuple(map(tuple, vd))
 
 
 def check_axioms_truncated(bound: int) -> dict:
@@ -308,31 +316,30 @@ def check_axioms_truncated(bound: int) -> dict:
     Covers every triple of monomials whose degree sum stays within the
     bound; the products only redistribute degrees, so every intermediate
     term of such a triple is representable.  Every product of a triple is
-    read from the product table of the bound.
+    read from the product table of the bound, by index.
     """
     if bound < 3:
         raise ValueError("bound must be >= 3")
-    dv, vd = _product_table(bound)
-    exps = [_exponents_up_to(t) for t in range(bound + 1)]
+    exps, index, dv, vd = _product_table(bound)
+    ids = [[index[e] for e in _exponents_up_to(t)] for t in range(bound + 1)]
     violations = []
     tried = 0
-    for x in exps[bound]:
-        for y in exps[bound - sum(x)]:
-            xy_d, xy_v = dv[x, y], vd[x, y]
-            for z in exps[bound - sum(x) - sum(y)]:
+    for x in ids[bound]:
+        x_d, x_v, room = dv[x], vd[x], bound - sum(exps[x])
+        for y in ids[room]:
+            y_d, y_v = dv[y], vd[y]
+            # the rows of (x -| y) and of (x |- y) under -| and |-
+            xdy_d, xdy_v = dv[x_d[y]], vd[x_d[y]]
+            xvy_d, xvy_v = dv[x_v[y]], vd[x_v[y]]
+            for z in ids[room - sum(exps[y])]:
                 tried += 1
-                yz_d, yz_v = dv[y, z], vd[y, z]
-                x_yz_d, xy_v_z = dv[x, yz_d], vd[xy_v, z]
-                sides = (
-                    (dv[xy_d, z], x_yz_d),
-                    (x_yz_d, dv[x, yz_v]),
-                    (dv[xy_v, z], vd[x, yz_d]),
-                    (vd[xy_d, z], xy_v_z),
-                    (xy_v_z, vd[x, yz_v]),
-                )
-                for label, (lhs, rhs) in zip(AXIOM_NAMES, sides):
-                    if lhs != rhs:
-                        violations.append({"axiom": label, "triple": (x, y, z)})
+                x_yz_d, xy_v_z = x_d[y_d[z]], xvy_v[z]
+                # the left and the right sides of the five axioms
+                lhs = (xdy_d[z], x_yz_d, xvy_d[z], xdy_v[z], xy_v_z)
+                rhs = (x_yz_d, x_d[y_v[z]], x_v[y_d[z]], xy_v_z, x_v[y_v[z]])
+                if lhs != rhs:
+                    violations += [{"axiom": label, "triple": (exps[x], exps[y], exps[z])}
+                                   for label, a, b in zip(AXIOM_NAMES, lhs, rhs) if a != b]
     return {"bound": bound, "triples": tried, "violations": violations}
 
 
@@ -340,20 +347,22 @@ def truncation(n: int) -> Dialgebra:
     """The dialgebra K[x,y]/(deg > n) of dimension (n+1)(n+2)/2.
 
     Both products add total degree, so the monomials of degree above ``n``
-    span a two-sided ideal.  Basis element i is the i-th monomial x^a y^b
-    of degree at most ``n`` in lexicographic order of (a, b); a product of
-    degree above ``n`` is zero.  The structure constants are read from the
-    same product table as ``check_axioms_truncated``.  ``core.MAX_DIM``
-    limits ``n`` to 6.
+    span a two-sided ideal.  Basis element i + 1 is monomial i of the
+    product table of bound ``n``, the i-th x^a y^b of degree at most ``n``
+    in lexicographic order of (a, b); a product past the bound is zero.
+    The structure constants are read from the same table as
+    ``check_axioms_truncated``.  ``core.MAX_DIM`` limits ``n`` to 6.
     """
     if n < 0:
         raise ValueError("truncation degree must be nonnegative")
-    index = {e: i for i, e in enumerate(_exponents_up_to(n), start=1)}
+    exps, _index, *tables = _product_table(n)
     relations = {}
-    for name, table in zip(("dashv", "vdash"), _product_table(n)):
-        for (u, v), w in table.items():
-            relations[name, index[u], index[v]] = [(index[w], 1)]
-    return Dialgebra.from_relations(len(index), relations)
+    for name, table in zip(("dashv", "vdash"), tables):
+        for i, row in enumerate(table, start=1):
+            for j, w in enumerate(row, start=1):
+                if w is not None:
+                    relations[name, i, j] = [(w + 1, 1)]
+    return Dialgebra.from_relations(len(exps), relations)
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +491,10 @@ def derivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
     out = BivariatePoly.zero(bound)
     if m > 0:
         out = out + BivariatePoly.monomial(m - 1, n, m, bound) * f
-    x_minus_y = BivariatePoly({(1, 0): 1, (0, 1): -1}, bound)
-    out = out + BivariatePoly.monomial(m, n, 1, bound) * (x_minus_y * g)
+    if g.coeffs:
+        # x^m y^n (x-y) written out, one product per image; with g = 0 the
+        # term vanishes even where that factor alone would pass the bound
+        out = out + BivariatePoly({(m + 1, n): 1, (m, n + 1): -1}, bound) * g
     if n > 0:
         out = out + BivariatePoly.monomial(m, n - 1, n, bound) * f.swap_vars()
     return out
@@ -499,12 +510,11 @@ def diderivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
     f, g = spec
     bound = min(f.bound, g.bound)
     out = BivariatePoly.zero(bound)
-    if m > 0:
-        out = out + f * BivariatePoly.monomial(0, n, 1, bound) * \
-            geometric_sum(m, bound)
-    if n > 0:
-        out = out + g * BivariatePoly.monomial(m, 0, 1, bound) * \
-            geometric_sum(n, bound)
+    # y^n S_m and x^m S_n written out term by term, as in ``derivation_apply``
+    if m > 0 and f.coeffs:
+        out = out + f * BivariatePoly({(k, n + m - 1 - k): 1 for k in range(m)}, bound)
+    if n > 0 and g.coeffs:
+        out = out + g * BivariatePoly({(m + k, n - 1 - k): 1 for k in range(n)}, bound)
     return out
 
 
@@ -552,40 +562,50 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
     sweep is exact on that set.  Both products of two monomials are
     monomials of no larger degree, so every image the sweep compares is
     that of one monomial of degree at most ``bound - growth``; each is
-    computed once per call.  Every product is read from the product table
-    of the bound: ``u * v`` directly, and the right side by bilinearity,
-    ``p o m = sum c_t (t o m)`` over the terms c_t t of an image p.
+    computed once per call and keyed by monomial number.  Every product is
+    read from the product table of the bound: ``u * v`` directly, and the
+    right side by bilinearity, ``p o m = sum c_t (t o m)`` over the terms
+    c_t t of an image p.  An operator that raises degree past the bound
+    leaves no pair to compare, so it raises ``DegreeBoundError``.
     """
     limit = bound - growth
-    dv_table, vd_table = _product_table(bound)
-    exps = [_exponents_up_to(t) for t in range(limit + 1)]
-    image = {e: spec.apply_monomial(*e) for e in exps[limit]}
+    if limit < 0:
+        raise DegreeBoundError(
+            f"degree bound exceeded: the operator raises degree by {growth}, "
+            f"above the bound {bound}")
+    exps, index, dv, vd = _product_table(bound)
+    ids = [[index[e] for e in _exponents_up_to(t)] for t in range(limit + 1)]
+    # each image as a list of (index, coefficient) terms, the cheapest to
+    # walk, and as a dict for the comparison
+    terms = {u: [(index[t], c) for t, c in spec.apply_monomial(*exps[u]).coeffs.items()]
+             for u in ids[limit]}
+    image = {u: dict(ts) for u, ts in terms.items()}
 
-    def rhs(first: ProductTable, second: ProductTable, u: Exponents,
-            v: Exponents) -> dict[Exponents, int | Fraction]:
+    def rhs(first: tuple[Row, ...], second: tuple[Row, ...], u: int,
+            v: int) -> dict[int, int | Fraction]:
         """spec(u) first v + u second spec(v)."""
-        out: dict[Exponents, int | Fraction] = {}
-        for t, c in image[u].coeffs.items():
-            w = first[t, v]
+        out: dict[int, int | Fraction] = {}
+        for t, c in terms[u]:
+            w = first[t][v]
             out[w] = out.get(w, 0) + c
-        for t, c in image[v].coeffs.items():
-            w = second[u, t]
+        row = second[u]
+        for t, c in terms[v]:
+            w = row[t]
             out[w] = out.get(w, 0) + c
         return {w: c for w, c in out.items() if c}
 
     violations = []
     pairs = 0
-    for u in exps[limit]:
-        for v in exps[limit - sum(u)]:
+    for u in ids[limit]:
+        for v in ids[limit - sum(exps[u])]:
             pairs += 1
             if twisted:
-                sides = (rhs(dv_table, vd_table, u, v),) * 2
+                sides = (rhs(dv, vd, u, v),) * 2
             else:
-                sides = (rhs(dv_table, dv_table, u, v), rhs(vd_table, vd_table, u, v))
-            for label, table, side in (("dashv", dv_table, sides[0]),
-                                       ("vdash", vd_table, sides[1])):
-                if image[table[u, v]].coeffs != side:
-                    violations.append({"product": label, "pair": (u, v)})
+                sides = (rhs(dv, dv, u, v), rhs(vd, vd, u, v))
+            for label, table, side in (("dashv", dv, sides[0]), ("vdash", vd, sides[1])):
+                if image[table[u][v]] != side:
+                    violations.append({"product": label, "pair": (exps[u], exps[v])})
     return {"pairs": pairs, "violations": violations}
 
 

@@ -1,6 +1,7 @@
 """Structure-constant container, axiom checker, and the text format."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -125,6 +126,19 @@ class TestAxioms:
     def test_phi_construction_satisfies_axioms(self, weights):
         d = phi_dialgebra(weights)
         assert d.is_dialgebra()
+
+    def test_dense_check_holds_few_composite_tensors(self):
+        # phi is dense, so its composite products are large: holding all
+        # eight at once peaks near 9.5 MiB at n = 24, holding at most three
+        # near 3 MiB
+        d = phi_dialgebra(range(1, 25))
+        tracemalloc.start()
+        try:
+            assert d.verify_axioms() == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5 * 2 ** 20
 
     def test_phi_zero_rejected(self):
         with pytest.raises(DialgebraError, match="nonzero"):

@@ -1,5 +1,8 @@
 """Truncated two-variable polynomial dialgebra and its operator forms."""
 
+import contextlib
+import hashlib
+import io
 import random
 from fractions import Fraction
 
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaskit import kxy
+from diaskit import cli, kxy
 from diaskit.core import DialgebraError
 from diaskit.kxy import (
     BivariatePoly,
@@ -505,6 +508,17 @@ class TestProductTable:
         with pytest.raises(DegreeBoundError, match="with bound 6"):
             check(BivariatePoly(f, 6), BivariatePoly(g, 6), bound=bound)
 
+    @pytest.mark.parametrize("check, f, g, bound, growth", [
+        (check_derivation_identity, {(1, 0): 1}, {(2, 1): 1}, 3, 4),
+        (check_dider_identity, {(2, 1): 1}, {(2, 1): 1}, 1, 2),
+    ])
+    def test_growth_past_the_bound_raises(self, monkeypatch, check, f, g, bound, growth):
+        # no pair is in range, and a sweep of no pairs would pass silently;
+        # the check raises before it builds a product table
+        monkeypatch.setattr(kxy, "_build_product_table", None)
+        with pytest.raises(DegreeBoundError, match=f"by {growth}, above the bound {bound}"):
+            check(BivariatePoly(f, B), BivariatePoly(g, B), bound=bound)
+
     def test_product_of_two_terms_raises(self, monkeypatch):
         monkeypatch.setattr(kxy, "dashv", lambda f, g: f * g.subs_yy() + BivariatePoly.var_x(B))
         with pytest.raises(AssertionError, match="not a monomial of coefficient 1"):
@@ -571,3 +585,23 @@ class TestTruncation:
         assert diderivation_space(truncation(5)).contains(
             truncated_operator(spec, 5).flatten()) is member
         assert (check_dider_identity(spec.f, spec.g)["violations"] == []) is member
+
+
+# sha256 of the stdout of ``diaskit kxy --bound B --machine`` for the bounds
+# the benchmark reference does not cover (it pins 6, 8 and 10)
+KXY_REPORT_DIGESTS = {
+    4: "69b7d1f8a8ba911176f9392e41858486b6448138269bf8daddb9f9cb8c5661d9",
+    5: "4bf4709ffd8f9deb60493bcaa0bdb4d9374b292d94552c8a5eb27b535fc8097f",
+    7: "c6a6c616defe56296fb53abca3d303e2665f9e3fa87cf8710974c7f6b2883835",
+    9: "b5910d32f677aee7f9cbc8f1a8cab9a68638a2e6396b74baaabc5e600906c57b",
+    11: "51d60dd50d4492d6018d3e36dad5fa83dcaa118052abe2336b3696b84e6a0b04",
+    12: "7f5ce258fd081d22c90e822b6465ca088fac6f0275bda2bcb6147fe501dcd591",
+}
+
+
+@pytest.mark.parametrize("bound", sorted(KXY_REPORT_DIGESTS))
+def test_machine_report_is_unchanged(bound):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["kxy", "--bound", str(bound), "--machine"]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == KXY_REPORT_DIGESTS[bound]
