@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import spaces
 from .core import Dialgebra, DialgebraError
-from .ratlin import Matrix, Subspace, bilinear, det, frac, lincomb, sparse
+from .ratlin import Matrix, Subspace, bilinear, columns, det, frac, lincomb, sparse
 
 Params = Mapping[str, Fraction]
 Relations = dict[tuple[str, int, int], list[tuple[int, Fraction]]]
@@ -716,7 +716,7 @@ def _dider_identity_holds(d: Dialgebra, op: Matrix) -> bool:
     """``op(x * y) == op(x) dashv y + x vdash op(y)`` for both products on
     every basis pair, with the columns of ``op`` as sparse rows."""
     n = d.dim
-    cols = [sparse(op.column(j)) for j in range(n)]
+    cols = columns(n, sparse(op.flatten()))
     unit = [{i: 1} for i in range(n)]
     dashv, vdash = d.table("dashv"), d.table("vdash")
     return all(

@@ -374,9 +374,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
             inner = ",".join(f"{k}={v}" for k, v in row["params"].items())
             label = f"{label}[{inner}]"
         status = row["status"]
-        detail = (f"tabled {row['expected_dim']}, solver {row['actual_dim']}")
-        if row["basis_match"] is not None:
-            detail += f", basis {'ok' if row['basis_match'] else 'differs'}"
+        detail = (f"tabled {row['expected_dim']}, solver {row['actual_dim']}, "
+                  f"basis {'ok' if row['basis_match'] else 'differs'}")
         esec.add(label, f"{detail} ({status})")
     esec.add("entries shown", shown)
 

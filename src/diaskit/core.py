@@ -188,6 +188,21 @@ class Dialgebra:
         return Matrix.from_columns(
             [dense(n, lincomb((x, table[j][k]) for k, x in av)) for j in range(n)])
 
+    def basis_ops(self, side: str, product: str) -> list[Row]:
+        """L_{e_k} (side "left") or R_{e_k} (side "right") for each k, as
+        sparse rows over r*n + c read off the table: e_a * e_b is column b
+        of L_{e_a} and column a of R_{e_b}.  Inside the package every
+        operator takes this form; ``left_op``/``right_op`` are for callers."""
+        if side not in ("left", "right"):
+            raise DialgebraError(f"unknown side {side!r}")
+        n = self.dim
+        ops: list[Row] = [{} for _ in range(n)]
+        for a, plane in enumerate(self.table(product)):
+            for b, ab in enumerate(plane):
+                k, c = (a, b) if side == "left" else (b, a)
+                ops[k].update((r * n + c, x) for r, x in ab.items())
+        return ops
+
     def _row(self, a: Sequence[Scalar]) -> Row:
         """The nonzero coordinates of a vector of this dimension."""
         av = vector(a)

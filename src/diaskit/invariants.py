@@ -28,14 +28,13 @@ and the span of symmetrised squares follow from that table by
 bilinearity.
 
 ``invariant_actions`` applies each Der and Dider basis operator as sparse
-columns read off its row-major flattening, and decides membership of the
-images by ``Subspace.coordinates``.
+columns (``ratlin.columns``) to the basis rows of each set, and decides
+membership of the images by ``Subspace.coordinates``.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .core import Dialgebra
@@ -46,6 +45,7 @@ from .ratlin import (
     Subspace,
     Vector,
     bilinear,
+    columns,
     commutator,
     dense,
     lincomb,
@@ -81,14 +81,11 @@ def halo(d: Dialgebra) -> AffineSubspace:
     bar-center, also when the halo is empty.
     """
     n = d.dim
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for j in range(n):
-        ej = unit_vector(n, j)
-        for m in (d.right_op("vdash", ej), d.left_op("dashv", ej)):
-            rows.extend(m.rows)
-            rhs.extend(ej)
-    point, kernel = solve_affine(Matrix(rows, ncols=n), rhs)
+    # R^vdash_{e_j} x = e_j and L^dashv_{e_j} x = e_j, for each j in turn
+    ops = zip(d.basis_ops("right", "vdash"), d.basis_ops("left", "dashv"))
+    flat = [x for pair in ops for op in pair for x in dense(n * n, op)]
+    rhs = [x for j in range(n) for x in unit_vector(n, j) * 2]
+    point, kernel = solve_affine(Matrix.from_flat(flat, 2 * n * n, n), rhs)
     return AffineSubspace(point, Subspace(n, kernel))
 
 
@@ -166,9 +163,9 @@ def _violations(table: Sequence[Sequence[Row]], sides: Sequence[str],
 
 # Largest combined basis b (Dider block plus Der block) that
 # ``check_bider_leibniz`` accepts.  Its time grows as b^3: on
-# ``phi_dialgebra`` at n = 7 (b = 42) it takes 1.1 to 1.8 s, at n = 8
-# (b = 56) 2.4 to 3.4 s (six runs each, Python 3.11, one core of a
-# shared 2-vCPU Xeon whose load varied during the runs).
+# ``phi_dialgebra((1, -1, 2, -2, 3, -3, 1))`` (b = 42) it takes 0.59 to 0.64 s,
+# with a last weight -1 added (b = 56, cap lifted) 1.1 to 1.4 s (best and
+# median of five runs, Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_BIDER_DIM = 42
 
 
@@ -205,7 +202,6 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
         raise BiderSizeError(
             f"combined bracket checks take a basis of at most {MAX_BIDER_DIM} "
             f"elements, this one has {b}")
-    der_rows = [sparse(v) for v in der.basis]
 
     # values[i][j]: <x_i, x_j> flattened into Q^(2n^2); table[i][j]: its
     # coordinates, or None outside the combined space.  Only the Der
@@ -214,8 +210,8 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     values: list[list[Row]] = [[{} for _ in range(b)] for _ in range(b)]
     table: list[list[Row | None]] = [[{} for _ in range(b)] for _ in range(b)]
     for start, space, flat_start in ((0, dider, 0), (dider.dim, der, nn)):
-        for i, x in enumerate(map(sparse, space.basis), start=start):
-            for j, y in enumerate(der_rows, start=dider.dim):
+        for i, x in enumerate(space.rows, start=start):
+            for j, y in enumerate(der.rows, start=dider.dim):
                 bracket = commutator(n, x, y)
                 values[i][j] = _shifted(bracket, flat_start)
                 table[i][j] = _shifted(space.coordinates(bracket), start)
@@ -224,8 +220,8 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     # The ideal generators in coordinates over the same basis: DInn in the
     # Dider block, Inn in the Der block, and each Der basis element.
     unit: list[Row] = [{i: 1} for i in range(b)]
-    dinn = [dider.coordinates(sparse(v)) for v in inner_diderivations(d).basis]
-    inn = [_shifted(der.coordinates(sparse(v)), dider.dim) for v in inner_derivations(d).basis]
+    dinn = [dider.coordinates(v) for v in inner_diderivations(d).rows]
+    inn = [_shifted(der.coordinates(v), dider.dim) for v in inner_derivations(d).rows]
     generated = closed and None not in dinn + inn
 
     def is_ideal(members: list[Row]) -> bool:
@@ -279,25 +275,16 @@ def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
     direction."""
     n = d.dim
     zb = h.direction
+    der_ops = [columns(n, t) for t in derivation_space(d).rows]
+    dider_ops = [columns(n, t) for t in diderivation_space(d).rows]
 
-    def columns(flat: Vector) -> list[Row]:
-        # T(e_c) = sum_r T[r][c] e_r, and T[r][c] sits at flat index r*n + c.
-        cols: list[Row] = [{} for _ in range(n)]
-        for j, x in sparse(flat).items():
-            cols[j % n][j // n] = x
-        return cols
+    def images(ops: list[list[Row]], vectors: Sequence[Row]) -> Iterator[Row]:
+        return (lincomb((x, t[c]) for c, x in v.items()) for t in ops for v in vectors)
 
-    der_ops = [columns(v) for v in derivation_space(d).basis]
-    dider_ops = [columns(v) for v in diderivation_space(d).basis]
-
-    def images(ops: list[list[Row]], vectors: Sequence[Vector]) -> Iterator[Row]:
-        rows = [sparse(v) for v in vectors]
-        return (lincomb((x, t[c]) for c, x in v.items()) for t in ops for v in rows)
-
-    def maps_into(ops: list[list[Row]], vectors: Sequence[Vector], target: Subspace) -> bool:
+    def maps_into(ops: list[list[Row]], vectors: Sequence[Row], target: Subspace) -> bool:
         return all(target.coordinates(w) is not None for w in images(ops, vectors))
 
-    def kills(ops: list[list[Row]], vectors: Sequence[Vector]) -> bool:
+    def kills(ops: list[list[Row]], vectors: Sequence[Row]) -> bool:
         return not any(images(ops, vectors))
 
     report = {
@@ -305,16 +292,16 @@ def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
         "bar_center_dim": zb.dim,
         "unital": not h.is_empty,
         "ann_in_bar_center": ann.is_subspace_of(zb),
-        "der_preserves_ann": maps_into(der_ops, ann.basis, ann),
-        "der_preserves_bar_center": maps_into(der_ops, zb.basis, zb),
-        "dider_kills_ann": kills(dider_ops, ann.basis),
+        "der_preserves_ann": maps_into(der_ops, ann.rows, ann),
+        "der_preserves_bar_center": maps_into(der_ops, zb.rows, zb),
+        "dider_kills_ann": kills(dider_ops, ann.rows),
     }
     if not h.is_empty:
-        point = h.point
+        unit = [sparse(h.point)]
         report["halo_direction_is_bar_center"] = h.direction == zb
         report["ann_equals_bar_center"] = ann == zb
-        report["halo_is_point_plus_ann"] = h == AffineSubspace(point, ann)
-        report["der_sends_unit_into_ann"] = maps_into(der_ops, [point], ann)
-        report["dider_kills_unit"] = kills(dider_ops, [point])
-        report["dider_kills_bar_center"] = kills(dider_ops, zb.basis)
+        report["halo_is_point_plus_ann"] = h == AffineSubspace(h.point, ann)
+        report["der_sends_unit_into_ann"] = maps_into(der_ops, unit, ann)
+        report["dider_kills_unit"] = kills(dider_ops, unit)
+        report["dider_kills_bar_center"] = kills(dider_ops, zb.rows)
     return report

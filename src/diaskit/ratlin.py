@@ -13,9 +13,9 @@ arithmetic is several times faster than ``Fraction`` arithmetic and the
 structure constants are mostly integers.  The elimination builds a
 ``Fraction`` only where a division leaves a remainder.  Every vector, matrix, basis,
 determinant and point handed back to a caller is made of ``Fraction``
-again (``dense``, ``frac``); only the sparse rows themselves, as
-``lincomb``, ``commutator`` and ``Subspace.coordinates`` return them, and
-the tables built from them (``Dialgebra.table``) may hold an ``int``.
+again (``dense``, ``frac``).  Only sparse rows may hold an ``int``: those
+``lincomb``, ``commutator``, ``columns`` and ``Subspace.coordinates``
+return, ``Subspace.rows``, ``Dialgebra.table`` and ``Dialgebra.basis_ops``.
 
 All elimination goes through one sparse core, ``_eliminate``: each row
 is pivoted on its highest column, and every division by a pivot goes
@@ -33,10 +33,11 @@ mirrored on the way in and out.
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
-the coordinates of its values on basis pairs.  Every identity checked on
-basis triples (the dialgebra axioms, both Leibniz identities of a
-bracket) goes through these two.  Every bracket of operators goes through
-``commutator``, on the sparse rows of their row-major flattenings, and
+the coordinates of its values on basis pairs; both Leibniz identities of
+a bracket go through these two (the dialgebra axioms compare composite
+products, built in ``Dialgebra.verify_axioms``).  An n-by-n operator is a
+sparse row over the row-major flat index ``r*n + c``; ``columns`` splits
+it by column.  Every bracket of operators goes through ``commutator`` and
 ``Subspace.coordinates``, which also decides membership and visits only
 the pivots present in the vector, through the pivot index of the basis.
 """
@@ -173,20 +174,11 @@ class Matrix:
 
     # -- arithmetic ---------------------------------------------------
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        rows = zip(self.rows, other.rows)
-        return Matrix([[a + b for a, b in zip(*r)] for r in rows], ncols=self.ncols)
-
     def __sub__(self, other: "Matrix") -> "Matrix":
         if self.shape != other.shape:
             raise ValueError("shape mismatch")
         rows = zip(self.rows, other.rows)
         return Matrix([[a - b for a, b in zip(*r)] for r in rows], ncols=self.ncols)
-
-    def __neg__(self) -> "Matrix":
-        return Matrix([[-a for a in row] for row in self.rows], ncols=self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -326,6 +318,15 @@ def commutator(n: int, a: Row, b: Row) -> Row:
     return {j: x for j, x in out.items() if x}
 
 
+def columns(n: int, op: Row) -> list[Row]:
+    """The images ``T(e_c)`` of an n-by-n operator given as a sparse row
+    over ``r*n + c``: column c holds entry ``T[r][c]`` at r."""
+    cols: list[Row] = [{} for _ in range(n)]
+    for j, x in op.items():
+        cols[j % n][j // n] = x
+    return cols
+
+
 def sparse(v: Sequence[Scalar]) -> Row:
     """The nonzero entries of a vector, as a sparse row."""
     return {j: int_or_fraction(x) for j, x in enumerate(v) if x}
@@ -353,14 +354,15 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     only for p > f.  By f, these vectors are the kernel's RREF basis.
     """
     reduced, _ = _eliminate(rows)
-    free: dict[int, Row] = {f: {} for f in range(ncols) if f not in reduced}
+    free: dict[int, Row] = {f: {f: 1} for f in range(ncols) if f not in reduced}
     for p, row in reduced.items():
         for f, x in row.items():
-            free[f][p] = -x
+            free[f][p] = int_or_fraction(-x)
     space = Subspace.__new__(Subspace)
     space.ambient_dim = ncols
-    space._pivots = {f: (k, rest) for k, (f, rest) in enumerate(free.items())}
-    space.basis = tuple(dense(ncols, {f: 1, **rest}) for f, rest in free.items())
+    space._pivots = {f: k for k, f in enumerate(free)}
+    space.rows = tuple(free.values())
+    space.basis = tuple(dense(ncols, row) for row in space.rows)
     return space
 
 
@@ -431,9 +433,10 @@ def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector | None, list[
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF) form."""
+    """A linear subspace of Q^n in canonical (RREF) form: ``basis`` holds
+    its RREF basis and ``rows`` the same vectors as sparse rows, read-only."""
 
-    __slots__ = ("ambient_dim", "basis", "_pivots")
+    __slots__ = ("ambient_dim", "basis", "rows", "_pivots")
 
     def __init__(self, ambient_dim: int, spanning: Iterable[Sequence[Scalar]] = ()):
         vectors = [vector(v) for v in spanning]
@@ -442,9 +445,8 @@ class Subspace:
         reduced, pivots = rref(Matrix(vectors, ncols=ambient_dim))
         self.ambient_dim = ambient_dim
         self.basis = tuple(reduced.row(i) for i in range(len(pivots)))
-        # pivot -> (index, the other nonzero entries) of each basis vector
-        self._pivots = {p: (k, {j: x for j, x in sparse(b).items() if j != p})
-                        for k, (p, b) in enumerate(zip(pivots, self.basis))}
+        self.rows = tuple(map(sparse, self.basis))
+        self._pivots = {p: k for k, p in enumerate(pivots)}  # pivot -> basis index
 
     @property
     def dim(self) -> int:
@@ -459,9 +461,9 @@ class Subspace:
         rest = {j: x for j, x in v.items() if x}
         coords: Row = {}
         for p in sorted(p for p in rest if p in self._pivots):
-            k, row = self._pivots[p]
-            c = coords[k] = rest.pop(p)
-            _axpy(rest, -c, row)
+            k = self._pivots[p]
+            c = coords[k] = rest[p]
+            _axpy(rest, -c, self.rows[k])  # the pivot entry is 1, so it clears p
         return None if rest else coords
 
     def contains(self, v: Sequence[Scalar]) -> bool:
@@ -473,7 +475,7 @@ class Subspace:
     def is_subspace_of(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        return all(other.contains(b) for b in self.basis)
+        return all(other.coordinates(row) is not None for row in self.rows)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):

@@ -25,7 +25,9 @@ entries of each basis operator straight off them.  Integral constants are
 constants give integer rows; a slot no constant reaches forms no row.  Rows
 equal up to a scalar are all formed: skipping them by a normalised key
 made the Dider solve of phi at n = 12 over twice as slow.  The closure report
-brackets operators as sparse rows, through ``ratlin.commutator``.
+brackets operators as sparse rows, through ``ratlin.commutator``; the
+inner operators ``R_{e_i} - L_{e_i}`` are formed as sparse rows too, from
+``Dialgebra.basis_ops``, and become a ``Matrix`` only when returned.
 
 Operators are stored column-style: column ``j`` of the matrix of ``T``
 holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
@@ -38,8 +40,7 @@ from typing import Sequence
 
 from .core import Dialgebra
 from .ratlin import (
-    Exact, Matrix, Row, Subspace, commutator, int_or_fraction, kernel, lincomb, sparse,
-    unit_vector,
+    Exact, Matrix, Row, Subspace, commutator, columns, dense, int_or_fraction, kernel, lincomb,
 )
 
 
@@ -145,44 +146,41 @@ def diderivation_space(d: Dialgebra) -> Subspace:
 # -- inner operators ----------------------------------------------------
 
 
+def _inner_ops(d: Dialgebra, right: str, left: str) -> list[Row]:
+    """``R^right_{e_i} - L^left_{e_i}`` for each i, as sparse rows."""
+    return [lincomb(((1, r), (-1, l)))
+            for r, l in zip(d.basis_ops("right", right), d.basis_ops("left", left))]
+
+
+def _operator_at(d: Dialgebra, ops: list[Row], a: Sequence) -> Matrix:
+    """``sum_i a_i ops[i]``, the value at a of an operator linear in a."""
+    n, flat = d.dim, lincomb((x, ops[i]) for i, x in d._row(a).items())
+    return Matrix.from_flat(dense(n * n, flat), n, n)
+
+
+def _span(n: int, ops: list[Row]) -> Subspace:
+    return Subspace(n * n, [dense(n * n, op) for op in ops])
+
+
 def inner_derivation(d: Dialgebra, a: Sequence) -> Matrix:
     """ad_a = (x -> x dashv a - a vdash x), always a derivation."""
-    return d.right_op("dashv", a) - d.left_op("vdash", a)
+    return _operator_at(d, _inner_ops(d, "dashv", "vdash"), a)
 
 
 def inner_diderivation(d: Dialgebra, a: Sequence) -> Matrix:
     """Ad_a = (x -> x vdash a - a dashv x), always a diderivation."""
-    return d.right_op("vdash", a) - d.left_op("dashv", a)
+    return _operator_at(d, _inner_ops(d, "vdash", "dashv"), a)
 
 
 def inner_derivations(d: Dialgebra) -> Subspace:
-    n = d.dim
-    return operator_subspace(
-        n, [inner_derivation(d, unit_vector(n, i)) for i in range(n)]
-    )
+    return _span(d.dim, _inner_ops(d, "dashv", "vdash"))
 
 
 def inner_diderivations(d: Dialgebra) -> Subspace:
-    n = d.dim
-    return operator_subspace(
-        n, [inner_diderivation(d, unit_vector(n, i)) for i in range(n)]
-    )
+    return _span(d.dim, _inner_ops(d, "vdash", "dashv"))
 
 
 # -- operator-commutator route ------------------------------------------
-
-
-def _basis_operators(d: Dialgebra, side: str,
-                     product: str) -> list[list[tuple[int, int, Exact]]]:
-    """The nonzero entries ``(r, c, M[r][c])`` of the operator ``M_{e_k}``
-    of the given side and product, for each basis index k, read off the
-    table: e_a * e_b is column b of ``L_{e_a}`` and column a of ``R_{e_b}``."""
-    ops: list[list[tuple[int, int, Exact]]] = [[] for _ in range(d.dim)]
-    for a, plane in enumerate(d.table(product)):
-        for b, ab in enumerate(plane):
-            k, c = (a, b) if side == "left" else (b, a)
-            ops[k].extend((r, c, x) for r, x in ab.items())
-    return ops
 
 
 def _operator_route_kernel(
@@ -192,7 +190,7 @@ def _operator_route_kernel(
     """Kernel of stacked conditions ``S_{T(e_i)} = [T, M_{e_i}]`` for all i.
 
     Each condition is a pair of (side, product) operator kinds, as
-    ``_basis_operators`` takes them: ``S`` is the operator on the left of
+    ``Dialgebra.basis_ops`` takes them: ``S`` is the operator on the left of
     the equation, extended linearly to ``T(e_i)``, and ``M`` sits inside
     the commutator.
     """
@@ -202,14 +200,16 @@ def _operator_route_kernel(
         for subscript, inside in conditions:
             # subs_at[r][s]: the (k, S_k[r][s]) that are nonzero
             subs_at = [[[] for _ in range(n)] for _ in range(n)]
-            for k, entries in enumerate(_basis_operators(d, *subscript)):
-                for r, s, x in entries:
+            for k, op in enumerate(d.basis_ops(*subscript)):
+                for j, x in op.items():
+                    r, s = divmod(j, n)
                     subs_at[r][s].append((k, x))
-            for i, entries in enumerate(_basis_operators(d, *inside)):
+            for i, op in enumerate(d.basis_ops(*inside)):
                 # by_row[r]: the (t, M[r][t]); by_col[s]: the (t, -M[t][s])
                 by_row = [[] for _ in range(n)]
                 by_col = [[] for _ in range(n)]
-                for r, t, x in entries:
+                for j, x in op.items():
+                    r, t = divmod(j, n)
                     by_row[r].append((t, x))
                     by_col[t].append((r, -x))
                 for r in range(n):
@@ -289,23 +289,19 @@ def check_closures(d: Dialgebra) -> dict:
     n = d.dim
     der = derivation_space(d)
     dider = diderivation_space(d)
-    units = [unit_vector(n, i) for i in range(n)]
-    ads = [inner_derivation(d, e) for e in units]
-    di_ads = [inner_diderivation(d, e) for e in units]
-    inn, dinn = operator_subspace(n, ads), operator_subspace(n, di_ads)
-    der_rows = [sparse(v) for v in der.basis]
+    ads, di_ads = _inner_ops(d, "dashv", "vdash"), _inner_ops(d, "vdash", "dashv")
+    inn, dinn = _span(n, ads), _span(n, di_ads)
 
     def closed_under_der(space: Subspace) -> bool:
         return all(space.coordinates(commutator(n, a, t)) is not None
-                   for a in map(sparse, space.basis) for t in der_rows)
+                   for a in space.rows for t in der.rows)
 
-    def ideal_identity(inner: Sequence[Matrix]) -> bool:
+    def ideal_identity(ad: list[Row]) -> bool:
         # a -> ad_a is linear, so ad_(t e_i) = sum_k t[k][i] ad_(e_k).
-        ad = [sparse(m.flatten()) for m in inner]
         return all(
-            commutator(n, t, ad[i]) == lincomb((x, ad[j // n]) for j, x in t.items() if j % n == i)
-            for t in der_rows
-            for i in range(n)
+            commutator(n, t, ad[i]) == lincomb((x, ad[k]) for k, x in t_ei.items())
+            for t in der.rows
+            for i, t_ei in enumerate(columns(n, t))
         )
 
     report = {

@@ -20,6 +20,7 @@ from diaskit.core import (
     serialize_dialgebra,
 )
 from diaskit.invariants import LeibnizAlgebra, check_bider_leibniz, check_invariant_actions
+from diaskit.ratlin import sparse, unit_vector
 
 import exact_oracle as oracle
 from test_ratlin import direct_sum, kernel_cases
@@ -151,8 +152,8 @@ class TestAxioms:
 
 
 class TestAxiomsAgainstOracle:
-    """``verify_axioms`` evaluates sparse tables with ``ratlin.bilinear``;
-    the oracle multiplies dense vectors."""
+    """``verify_axioms`` compares composite products built from the nonzero
+    constants of the sparse tables; the oracle multiplies dense vectors."""
 
     @staticmethod
     def records(d):
@@ -218,6 +219,20 @@ class TestOperators:
             ej = tuple(Fraction(int(t == j)) for t in range(2))
             assert m.column(j) == d.dashv(ej, a)
 
+    @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()]
+                             + [pytest.param(phi_dialgebra((1, "-1/2", "2/3")), id="phi-frac")])
+    def test_basis_ops_are_the_flattened_unit_operators(self, d):
+        # same entries as the dense operators of e_k, an int where integral
+        def typed(row):
+            return {j: (type(x), x) for j, x in row.items()}
+
+        for product in ("dashv", "vdash"):
+            for side, op in (("left", d.left_op), ("right", d.right_op)):
+                assert [typed(r) for r in d.basis_ops(side, product)] == [
+                    typed(sparse(op(product, unit_vector(d.dim, k)).flatten()))
+                    for k in range(d.dim)]
+        with pytest.raises(DialgebraError, match="unknown side"):
+            d.basis_ops("middle", "vdash")
 
     def test_integer_tables_give_fraction_results(self):
         # the tables hold ints; products, operators and relations do not

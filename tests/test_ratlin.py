@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from diaskit.catalog import ENTRY_NAMES, instantiate
 from diaskit.core import Dialgebra, phi_dialgebra
+from diaskit import ratlin
 from diaskit.ratlin import (
     AffineSubspace,
     Matrix,
@@ -84,6 +85,12 @@ class TestMatrix:
     @given(square(3), square(3))
     def test_transpose_antihomomorphism(self, a, b):
         assert (a * b).transpose() == b.transpose() * a.transpose()
+
+    @given(small_square)
+    def test_columns_are_the_matrix_columns(self, m):
+        # an operator as one sparse row over r*n + c, split into its columns
+        assert ratlin.columns(m.ncols, sparse(m.flatten())) == [
+            sparse(m.column(c)) for c in range(m.ncols)]
 
     @given(square(2), square(2), square(2))
     def test_commutator_jacobi(self, a, b, c):
@@ -203,6 +210,16 @@ class TestSubspace:
             assert (coords is not None) == oracle.in_span(basis, v)
             if coords is not None:
                 assert rebuild(coords) == list(v)
+
+    @given(st.lists(st.lists(sparse_entries, min_size=4, max_size=4), max_size=5))
+    def test_rows_are_the_sparse_basis(self, rows):
+        # both constructors keep each basis vector as its sparse row, with
+        # an int exactly where the entry is integral
+        def typed(row):
+            return {j: (type(x), x) for j, x in row.items()}
+
+        for s in (Subspace(4, rows), kernel(4, map(sparse, rows))):
+            assert [typed(r) for r in s.rows] == [typed(sparse(b)) for b in s.basis]
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=4))
     def test_span_invariant_under_order(self, rows):

@@ -117,15 +117,27 @@ class TestDefiningIdentities:
 
 
 class TestInnerOperators:
-    @given(phis)
+    @given(phis, st.data())
     @settings(max_examples=20, deadline=None)
-    def test_inner_matrices_from_multiplication_ops(self, weights):
+    def test_inner_matrices_from_multiplication_ops(self, weights, data):
         d = phi_dialgebra(weights)
-        for a in basis_vectors(d.dim):
+        coords = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=3),
+                          min_size=d.dim, max_size=d.dim)
+        for a in basis_vectors(d.dim) + [tuple(data.draw(coords)) for _ in range(2)]:
             ad = inner_derivation(d, a)
             assert ad == d.right_op("dashv", a) - d.left_op("vdash", a)
             di = inner_diderivation(d, a)
             assert di == d.right_op("vdash", a) - d.left_op("dashv", a)
+
+    @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
+    def test_inner_matrices_at_random_points(self, d):
+        # on phi every ad_a is 0, so the catalog and the direct sum carry
+        # the nonzero cases
+        rng = random.Random(f"inner:{d.dim}")
+        for _ in range(3):
+            a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(d.dim)]
+            assert inner_derivation(d, a) == d.right_op("dashv", a) - d.left_op("vdash", a)
+            assert inner_diderivation(d, a) == d.right_op("vdash", a) - d.left_op("dashv", a)
 
     @given(phis)
     @settings(max_examples=15, deadline=None)
