@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import spaces
 from .core import Dialgebra, DialgebraError
-from .ratlin import Matrix, Subspace, bilinear, columns, det, frac, lincomb, sparse
+from .ratlin import Matrix, Subspace, det, frac, sparse
 
 Params = Mapping[str, Fraction]
 Relations = dict[tuple[str, int, int], list[tuple[int, Fraction]]]
@@ -712,20 +712,6 @@ def corrected_case_d_vector(params: Params) -> Matrix:
     return _family_matrix(vec)
 
 
-def _dider_identity_holds(d: Dialgebra, op: Matrix) -> bool:
-    """``op(x * y) == op(x) dashv y + x vdash op(y)`` for both products on
-    every basis pair, with the columns of ``op`` as sparse rows."""
-    n = d.dim
-    cols = columns(n, sparse(op.flatten()))
-    unit = [{i: 1} for i in range(n)]
-    dashv, vdash = d.table("dashv"), d.table("vdash")
-    return all(
-        lincomb((x, cols[k]) for k, x in table[i][j].items())
-        == lincomb(((1, bilinear(dashv, cols[i], unit[j])),
-                    (1, bilinear(vdash, unit[i], cols[j]))))
-        for table in (dashv, vdash) for i in range(n) for j in range(n))
-
-
 def check_solution_families(params: Params, case: str) -> dict:
     """Substitute a boxed solution family into the defining identity and the
     solver kernel at one admissible parameter point."""
@@ -747,7 +733,7 @@ def solution_families(params: Params, case: str,
         results.append({
             "label": label,
             "matrix": [list(r) for r in op.rows],
-            "identity_ok": _dider_identity_holds(d, op),
+            "identity_ok": spaces.rule_holds(d, "dider", sparse(op.flatten())),
             "in_solver_kernel": kernel.contains(op.flatten()),
         })
     report = {

@@ -52,6 +52,11 @@ PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # 3.11, one core of a shared 2-vCPU Xeon).
 MAX_SAMPLES = 8
 MAX_BOUND = 12
+# Most bytes read from an input file.  The largest canonical file
+# (``serialize_dialgebra``) at ``MAX_DIM`` with every coefficient of
+# ``MAX_RATIONAL_DIGITS`` digits has 3,089,300 bytes; the cap leaves room
+# for comments.  Past it a file is refused unparsed, so /dev/zero ends.
+MAX_INPUT_BYTES = 4 * 2 ** 20
 
 
 class InputError(ValueError):
@@ -168,10 +173,14 @@ def load_input(selector: str) -> tuple[str, Dialgebra]:
         except DialgebraError as exc:
             raise InputError(str(exc)) from None
     try:
-        with open(selector, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(selector, "rb") as fh:
+            data = fh.read(MAX_INPUT_BYTES + 1)
     except OSError as exc:
         raise InputError(f"cannot read {selector!r}: {exc.strerror}") from None
+    if len(data) > MAX_INPUT_BYTES:
+        raise InputError(f"{selector}: larger than {MAX_INPUT_BYTES} bytes")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{selector}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
@@ -577,8 +586,16 @@ def cmd_kxy(bound: int) -> Report:
 # Entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """An option error, in a subcommand too, is an ``InputError``: one
+    ``error:`` line and exit status 2, as for any other bad input."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="diaskit",
         description="exact workbench for finite-dimensional dialgebras")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -628,8 +645,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         report = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -44,6 +44,14 @@ AXIOM_NAMES = (
     "assoc_vdash",
 )
 
+# The Leibniz-type rules ``T(a * b) = T(a) o1 b + a o2 T(b)``, one
+# ``(*, o1, o2)`` per product ``*``.  Every solver and evaluator of a rule
+# reads its products from here.
+RULES = {
+    "der": (("dashv", "dashv", "dashv"), ("vdash", "vdash", "vdash")),
+    "dider": (("dashv", "dashv", "vdash"), ("vdash", "dashv", "vdash")),
+}
+
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation and diderivation spaces of
 # ``phi_dialgebra`` (weights 1, -2, 3, -1, ...) take 0.11 to 0.13 s each
@@ -175,18 +183,14 @@ class Dialgebra:
     # -- multiplication operators --------------------------------------
 
     def left_op(self, product: str, a: Sequence[Scalar]) -> Matrix:
-        """Matrix of x -> a * x; column j holds the coordinates of
-        a * e_j = sum_i a_i (e_i * e_j), read from the table."""
-        av, table, n = self._row(a).items(), self.table(product), self.dim
-        return Matrix.from_columns(
-            [dense(n, lincomb((x, table[i][j]) for i, x in av)) for j in range(n)])
+        """Matrix of x -> a * x, sum_k a_k L_{e_k}; column j holds the
+        coordinates of a * e_j."""
+        return self._operator_at(self.basis_ops("left", product), a)
 
     def right_op(self, product: str, a: Sequence[Scalar]) -> Matrix:
-        """Matrix of x -> x * a; column j holds the coordinates of
-        e_j * a = sum_k a_k (e_j * e_k), read from the table."""
-        av, table, n = self._row(a).items(), self.table(product), self.dim
-        return Matrix.from_columns(
-            [dense(n, lincomb((x, table[j][k]) for k, x in av)) for j in range(n)])
+        """Matrix of x -> x * a, sum_k a_k R_{e_k}; column j holds the
+        coordinates of e_j * a."""
+        return self._operator_at(self.basis_ops("right", product), a)
 
     def basis_ops(self, side: str, product: str) -> list[Row]:
         """L_{e_k} (side "left") or R_{e_k} (side "right") for each k, as
@@ -202,6 +206,12 @@ class Dialgebra:
                 k, c = (a, b) if side == "left" else (b, a)
                 ops[k].update((r * n + c, x) for r, x in ab.items())
         return ops
+
+    def _operator_at(self, ops: list[Row], a: Sequence[Scalar]) -> Matrix:
+        """``sum_k a_k ops[k]`` as a matrix, for operators ``ops`` over
+        r*n + c that are the values at the basis of a map linear in a."""
+        n, flat = self.dim, lincomb((x, ops[k]) for k, x in self._row(a).items())
+        return Matrix.from_flat(dense(n * n, flat), n, n)
 
     def _row(self, a: Sequence[Scalar]) -> Row:
         """The nonzero coordinates of a vector of this dimension."""

@@ -40,7 +40,6 @@ from typing import Iterator, Sequence
 from .core import Dialgebra
 from .ratlin import (
     AffineSubspace,
-    Matrix,
     Row,
     Subspace,
     Vector,
@@ -48,11 +47,9 @@ from .ratlin import (
     columns,
     commutator,
     dense,
+    kernel,
     lincomb,
-    solve_affine,
     sparse,
-    sub_vectors,
-    unit_vector,
     vector,
 )
 from .spaces import (
@@ -65,28 +62,33 @@ from .spaces import (
 
 def annihilator(d: Dialgebra) -> Subspace:
     """Span of all ``a dashv b - a vdash b`` over basis pairs."""
-    n = d.dim
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            gens.append(sub_vectors(d.basis_product("dashv", i, j), d.basis_product("vdash", i, j)))
-    return Subspace(n, gens)
+    n, dashv, vdash = d.dim, d.table("dashv"), d.table("vdash")
+    return Subspace(n, [dense(n, lincomb(((1, dashv[i][j]), (-1, vdash[i][j]))))
+                        for i in range(n) for j in range(n)])
 
 
 def halo(d: Dialgebra) -> AffineSubspace:
     """The set of bar units, as an affine subspace (possibly empty).
 
-    The homogeneous part of the bar-unit system is the bar-center
-    system, so one elimination gives both: the direction is the
-    bar-center, also when the halo is empty.
+    One ``kernel`` solves the bar-unit system homogenised: coordinate c
+    at column n - c, the right-hand side at column 0.  Column 0 is free
+    exactly when a bar unit exists, and its free vector is then the one
+    whose free coordinates are all 0.  The other free vectors span the
+    bar-center, the direction, also when the halo is empty.
     """
     n = d.dim
-    # R^vdash_{e_j} x = e_j and L^dashv_{e_j} x = e_j, for each j in turn
-    ops = zip(d.basis_ops("right", "vdash"), d.basis_ops("left", "dashv"))
-    flat = [x for pair in ops for op in pair for x in dense(n * n, op)]
-    rhs = [x for j in range(n) for x in unit_vector(n, j) * 2]
-    point, kernel = solve_affine(Matrix.from_flat(flat, 2 * n * n, n), rhs)
-    return AffineSubspace(point, Subspace(n, kernel))
+    # R^vdash_{e_j} e = e_j and L^dashv_{e_j} e = e_j, for each j in turn:
+    # row r of each operator, with -1 at column 0 when r = j
+    rows: list[Row] = []
+    for j, pair in enumerate(zip(d.basis_ops("right", "vdash"), d.basis_ops("left", "dashv"))):
+        for op in pair:
+            block: list[Row] = [{0: -1} if r == j else {} for r in range(n)]
+            for k, x in op.items():
+                block[k // n][n - k % n] = x
+            rows += block
+    free = [dense(n + 1, v) for v in kernel(n + 1, rows).rows]
+    point = free.pop(0)[:0:-1] if free and free[0][0] else None
+    return AffineSubspace(point, Subspace(n, [v[:0:-1] for v in free]))
 
 
 def bar_center(d: Dialgebra) -> Subspace:

@@ -36,12 +36,13 @@ it was built with, so the sweeps of one bound share it and a replaced
 product never reads a stale one.  The axiom sweep reads every product of
 a triple from it by list indexing.  The derivation and diderivation
 identities are checked by one bounded sweep over monomial pairs that
-differs only in the right-hand side of the rule; it computes the operator
+reads the rule's products from ``core.RULES``; it computes the operator
 image of each monomial once, keys it by monomial number, reads ``u * v``
-from the table, forms the right side from the table by bilinearity and
-compares coefficients.  The same table gives the structure constants of
-the graded truncations ``truncation(n)``, which the main solver handles as
-ordinary dialgebras.  Reports name monomials by exponent pair.
+from the table, forms each distinct right side from the table by
+bilinearity and compares coefficients.  The same table gives the
+structure constants of the graded truncations ``truncation(n)``, which
+the main solver handles as ordinary dialgebras.  Reports name monomials
+by exponent pair.
 ``format_poly`` renders polynomials for reports; nothing reads polynomials
 back from text, so there is no parser.
 """
@@ -53,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .core import AXIOM_NAMES, Dialgebra
+from .core import AXIOM_NAMES, RULES, Dialgebra
 from .ratlin import Scalar, int_or_fraction
 
 DEFAULT_BOUND = 8
@@ -551,11 +552,9 @@ def inner_derivation_spec(h: BivariatePoly) -> KxyOperatorSpec:
 # Identity sweeps
 
 
-def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
-                    twisted: bool) -> dict:
-    """Compare ``spec(u * v)`` with ``spec(u) o1 v + u o2 spec(v)`` for both
-    products * on monomial pairs, where o1 = o2 = * for a derivation and
-    o1 = -|, o2 = |- for a diderivation (``twisted``).
+def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -> dict:
+    """Compare ``spec(u * v)`` with ``spec(u) o1 v + u o2 spec(v)`` for each
+    ``(*, o1, o2)`` of ``core.RULES[rule]`` on monomial pairs.
 
     Pairs are restricted so that every term of both sides stays within the
     bound, given that ``spec`` raises degrees by at most ``growth``; the
@@ -565,8 +564,10 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
     computed once per call and keyed by monomial number.  Every product is
     read from the product table of the bound: ``u * v`` directly, and the
     right side by bilinearity, ``p o m = sum c_t (t o m)`` over the terms
-    c_t t of an image p.  An operator that raises degree past the bound
-    leaves no pair to compare, so it raises ``DegreeBoundError``.
+    c_t t of an image p.  Each distinct ``(o1, o2)`` gives one right side
+    per pair, shared by the products whose rule has it.  An operator that
+    raises degree past the bound leaves no pair to compare, so it raises
+    ``DegreeBoundError``.
     """
     limit = bound - growth
     if limit < 0:
@@ -594,18 +595,22 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int,
             out[w] = out.get(w, 0) + c
         return {w: c for w, c in out.items() if c}
 
+    # the products of the rule, grouped by the (o1, o2) of their right side
+    tables = {"dashv": dv, "vdash": vd}
+    by_side: dict[tuple[str, str], list[tuple[str, tuple[Row, ...]]]] = {}
+    for product, o1, o2 in RULES[rule]:
+        by_side.setdefault((o1, o2), []).append((product, tables[product]))
+    groups = [(tables[o1], tables[o2], checks) for (o1, o2), checks in by_side.items()]
     violations = []
     pairs = 0
     for u in ids[limit]:
         for v in ids[limit - sum(exps[u])]:
             pairs += 1
-            if twisted:
-                sides = (rhs(dv, vd, u, v),) * 2
-            else:
-                sides = (rhs(dv, dv, u, v), rhs(vd, vd, u, v))
-            for label, table, side in (("dashv", dv, sides[0]), ("vdash", vd, sides[1])):
-                if image[table[u][v]] != side:
-                    violations.append({"product": label, "pair": (exps[u], exps[v])})
+            for first, second, checks in groups:
+                side = rhs(first, second, u, v)
+                for label, table in checks:
+                    if image[table[u][v]] != side:
+                        violations.append({"product": label, "pair": (exps[u], exps[v])})
     return {"pairs": pairs, "violations": violations}
 
 
@@ -615,21 +620,22 @@ def check_derivation_identity(f: BivariatePoly, g: BivariatePoly,
     bound = min(f.bound, g.bound) if bound is None else bound
     return _identity_sweep(
         KxyOperatorSpec("derivation", f=f, g=g),
-        max(f.total_degree() - 1, g.total_degree() + 1, 0), bound, False)
+        max(f.total_degree() - 1, g.total_degree() + 1, 0), bound, "der")
 
 
 def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
                          bound: int | None = None) -> dict:
     """Check delta(a*b) = delta(a) -| b + a |- delta(b) for both products.
 
-    The right side uses the same twisted shape for each product; this is
-    the diderivation defining identity.  Note the sweep covers pairs whose
-    product vanishes as well, where the identity is a genuine constraint.
+    This is the diderivation rule of ``core.RULES``: both products share
+    one right side, so it is formed once per pair.  Note the sweep covers
+    pairs whose product vanishes as well, where the identity is a genuine
+    constraint.
     """
     bound = min(f.bound, g.bound) if bound is None else bound
     return _identity_sweep(
         KxyOperatorSpec("diderivation", f=f, g=g),
-        max(f.total_degree(), g.total_degree(), 1) - 1, bound, True)
+        max(f.total_degree(), g.total_degree(), 1) - 1, bound, "dider")
 
 
 # ---------------------------------------------------------------------------

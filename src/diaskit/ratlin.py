@@ -11,9 +11,9 @@ entry, where an entry is an ``int`` when integral and a ``Fraction``
 otherwise (``int_or_fraction``; ``sparse`` applies it), because integer
 arithmetic is several times faster than ``Fraction`` arithmetic and the
 structure constants are mostly integers.  The elimination builds a
-``Fraction`` only where a division leaves a remainder.  Every vector, matrix, basis,
-determinant and point handed back to a caller is made of ``Fraction``
-again (``dense``, ``frac``).  Only sparse rows may hold an ``int``: those
+``Fraction`` only where a division leaves a remainder.  Every vector,
+matrix, basis and determinant handed back to a caller is made of
+``Fraction`` again (``dense``, ``frac``).  Only sparse rows may hold an ``int``: those
 ``lincomb``, ``commutator``, ``columns`` and ``Subspace.coordinates``
 return, ``Subspace.rows``, ``Dialgebra.table`` and ``Dialgebra.basis_ops``.
 
@@ -26,10 +26,12 @@ one pass.  Most of those rows are empty or repeat an earlier row, and
 the core skips both before any arithmetic: a row equal, entry for entry
 once normalised, to an earlier row of the same elimination already lies
 in the reduced span, so it would reduce to zero.  Skipping it changes
-neither the reduced rows nor the pivot scales, and so no kernel, RREF,
-determinant or affine solution.  Where the usual lowest-column RREF is
-wanted (``rref``, ``Subspace``, ``solve_affine``) the column order is
-mirrored on the way in and out.
+neither the reduced rows nor the pivot scales, and so no kernel, RREF or
+determinant.  Where the usual lowest-column RREF is wanted (``rref``,
+``Subspace``) the column order is mirrored on the way in and out.
+``kernel`` is the one place a kernel is read off the core; an affine
+system is solved as the kernel of its homogenised form (see
+``invariants.halo``).
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
@@ -398,38 +400,6 @@ def det(m: Matrix) -> Fraction:
     order = list(reduced)
     inversions = sum(a > b for i, a in enumerate(order) for b in order[i + 1:])
     return -result if inversions % 2 else result
-
-
-def solve_affine(a: Matrix, b: Sequence[Fraction]) -> tuple[Vector | None, list[Vector]]:
-    """Solve a x = b exactly.
-
-    Returns ``(particular, kernel_basis)``, the solution set being
-    ``particular + span(kernel_basis)``; ``particular`` sets every free
-    variable of the usual RREF of ``[a | b]`` to 0, and is ``None`` when
-    the system is inconsistent.  Both come off one elimination."""
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length mismatch")
-    n = a.ncols
-    # Mirrored, the right-hand side is column 0: a pivot there means 0 = 1.
-    rows = _mirrored(a.rows, n)
-    for row, rhs in zip(rows, b):
-        if rhs:
-            row[0] = frac(rhs)
-    reduced, _ = _eliminate(rows)
-    # A pivot at column 0 is the row 0 = 1, and no other row has column 0.
-    consistent = reduced.pop(0, None) is None
-    # The kernel of ``a`` comes off the same reduction: the vector of free
-    # column f has 1 there and, at each pivot column, minus that row's entry
-    # at f.
-    particular = [_ZERO] * n
-    free: dict[int, Row] = {f: {f: 1} for f in range(n) if n - f not in reduced}
-    for p, row in reduced.items():
-        for j, x in row.items():
-            if j:
-                free[n - j][n - p] = -x
-            else:
-                particular[n - p] = frac(x)
-    return tuple(particular) if consistent else None, [dense(n, v) for v in free.values()]
 
 
 class Subspace:

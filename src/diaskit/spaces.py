@@ -1,15 +1,14 @@
 """Derivation and diderivation spaces of a dialgebra.
 
-A derivation obeys the Leibniz rule ``T(a*b) = T(a)*b + a*T(b)`` for
-both products.  A diderivation twists the rule so the two products feed
-it from opposite sides:
-
-    delta(a * b) = delta(a) dashv b + a vdash delta(b)     (both products)
-
-Both conditions are linear in the matrix of the map, so each space is
-the kernel of an explicit constraint system over the rationals.  The
-primary solvers below build that system straight from the defining
-identity on basis pairs, and each rule is solved once per dialgebra:
+Both are Leibniz-type rules ``T(a * b) = T(a) o1 b + a o2 T(b)``, one
+identity per product ``*``, and ``core.RULES`` holds each rule's
+``(*, o1, o2)`` triples: a derivation takes ``o1 = o2 = *``, a
+diderivation ``o1 = dashv`` and ``o2 = vdash`` for both products.  A rule
+is linear in the matrix of the map, so its space is the kernel of an
+explicit constraint system over the rationals, and ``rule_holds``
+evaluates the rule on one operator.  The primary solvers below build
+that system straight from the defining identity on basis pairs, and each
+rule is solved once per dialgebra:
 the first ``derivation_space`` or ``diderivation_space`` call on a
 ``Dialgebra`` keeps its kernel on that instance, and every later call,
 so every check built on them, gets the same read-only ``Subspace``.  A
@@ -38,9 +37,10 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import Dialgebra
+from .core import RULES, Dialgebra
 from .ratlin import (
-    Exact, Matrix, Row, Subspace, commutator, columns, dense, int_or_fraction, kernel, lincomb,
+    Exact, Matrix, Row, Subspace, bilinear, commutator, columns, dense, int_or_fraction, kernel,
+    lincomb,
 )
 
 
@@ -76,22 +76,17 @@ def _add(row: Row, key: int, value: Exact) -> None:
     row[key] = value
 
 
-def _rule_kernel(d: Dialgebra, twisted: bool) -> Subspace:
-    """Kernel of the Leibniz-rule system.
-
-    ``twisted=False`` solves the derivation rule, where each product
-    appears on both sides.  ``twisted=True`` solves the diderivation
-    rule, where the first summand always multiplies with dashv and the
-    second with vdash.  Unknown T[a][b] sits at flat index a*n + b.  Rows
-    are built sparse, from the nonzero structure constants only.
+def _rule_kernel(d: Dialgebra, rule: str) -> Subspace:
+    """Kernel of the system of ``RULES[rule]``: for each ``(*, o1, o2)``
+    and basis pair, ``T(e_i * e_j) - T(e_i) o1 e_j - e_i o2 T(e_j) = 0``.
+    Unknown T[a][b] sits at flat index a*n + b.  Rows are built sparse,
+    from the nonzero structure constants only.
     """
     n = d.dim
 
     def rows():
-        for product in ("dashv", "vdash"):
-            c = d.table(product)
-            c_first = d.table("dashv") if twisted else c
-            c_second = d.table("vdash") if twisted else c
+        for product, o1, o2 in RULES[rule]:
+            c, c_first, c_second = d.table(product), d.table(o1), d.table(o2)
             # first[j][r]: the (k, -c_first[k][j][r]) that are nonzero;
             # second[i][r]: the (k, -c_second[i][k][r]) that are nonzero.
             first = [[[] for _ in range(n)] for _ in range(n)]
@@ -116,12 +111,27 @@ def _rule_kernel(d: Dialgebra, twisted: bool) -> Subspace:
     return kernel(n * n, rows())
 
 
+def rule_holds(d: Dialgebra, rule: str, op: Row) -> bool:
+    """Whether the operator T, a sparse row over r*n + c, obeys
+    ``RULES[rule]`` on every basis pair: ``T(e_i * e_j)`` equals
+    ``T(e_i) o1 e_j + e_i o2 T(e_j)`` for each ``(*, o1, o2)``.  The images
+    are the columns of T; no constraint row is formed."""
+    n = d.dim
+    cols = columns(n, op)
+    unit = [{i: 1} for i in range(n)]
+    return all(
+        lincomb((x, cols[k]) for k, x in d.table(product)[i][j].items())
+        == lincomb(((1, bilinear(d.table(o1), cols[i], unit[j])),
+                    (1, bilinear(d.table(o2), unit[i], cols[j]))))
+        for product, o1, o2 in RULES[rule] for i in range(n) for j in range(n))
+
+
 def _solved(d: Dialgebra, rule: str) -> Subspace:
     """The kernel of ``rule`` ("der" or "dider") on d, solved on the first
     call and kept on d."""
     space = d._spaces.get(rule)
     if space is None:
-        space = d._spaces[rule] = _rule_kernel(d, twisted=rule == "dider")
+        space = d._spaces[rule] = _rule_kernel(d, rule)
     return space
 
 
@@ -152,24 +162,18 @@ def _inner_ops(d: Dialgebra, right: str, left: str) -> list[Row]:
             for r, l in zip(d.basis_ops("right", right), d.basis_ops("left", left))]
 
 
-def _operator_at(d: Dialgebra, ops: list[Row], a: Sequence) -> Matrix:
-    """``sum_i a_i ops[i]``, the value at a of an operator linear in a."""
-    n, flat = d.dim, lincomb((x, ops[i]) for i, x in d._row(a).items())
-    return Matrix.from_flat(dense(n * n, flat), n, n)
-
-
 def _span(n: int, ops: list[Row]) -> Subspace:
     return Subspace(n * n, [dense(n * n, op) for op in ops])
 
 
 def inner_derivation(d: Dialgebra, a: Sequence) -> Matrix:
     """ad_a = (x -> x dashv a - a vdash x), always a derivation."""
-    return _operator_at(d, _inner_ops(d, "dashv", "vdash"), a)
+    return d._operator_at(_inner_ops(d, "dashv", "vdash"), a)
 
 
 def inner_diderivation(d: Dialgebra, a: Sequence) -> Matrix:
     """Ad_a = (x -> x vdash a - a dashv x), always a diderivation."""
-    return _operator_at(d, _inner_ops(d, "vdash", "dashv"), a)
+    return d._operator_at(_inner_ops(d, "vdash", "dashv"), a)
 
 
 def inner_derivations(d: Dialgebra) -> Subspace:

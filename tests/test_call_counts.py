@@ -40,10 +40,9 @@ def run_cli(*argv):
 
 
 def kernel_calls(monkeypatch) -> Counter:
-    """Tally both solver cores: the rule system by twist, the operator route."""
+    """Tally both solver cores: the rule system by rule, the operator route."""
     calls = Counter()
-    counting(monkeypatch, spaces, "_rule_kernel", calls,
-             key=lambda d, twisted: "dider" if twisted else "der")
+    counting(monkeypatch, spaces, "_rule_kernel", calls, key=lambda d, rule: rule)
     counting(monkeypatch, spaces, "_operator_route_kernel", calls)
     return calls
 

@@ -7,9 +7,13 @@ import sys
 
 import pytest
 
+from fractions import Fraction
+
 from diaskit import catalog, cli
-from diaskit.cli import MAX_BOUND, MAX_SAMPLES, main
-from diaskit.core import MAX_RATIONAL_DIGITS, phi_dialgebra, serialize_dialgebra
+from diaskit.cli import MAX_BOUND, MAX_INPUT_BYTES, MAX_SAMPLES, main
+from diaskit.core import (
+    MAX_DIM, MAX_RATIONAL_DIGITS, Dialgebra, phi_dialgebra, serialize_dialgebra,
+)
 from diaskit.invariants import MAX_BIDER_DIM
 
 GOOD = """dialgebra v1
@@ -165,6 +169,51 @@ class TestInputErrors:
         assert out == ""
         [line] = err.splitlines()
         assert line.startswith("error: bad rational ")
+
+    def test_file_above_the_byte_cap(self, tmp_path, capsys):
+        # GOOD padded by a comment to the cap is read; one byte more is not
+        path = tmp_path / "padded.dlg"
+        path.write_text(GOOD + "#" * (MAX_INPUT_BYTES - len(GOOD)))
+        assert run(capsys, "verify", str(path))[0] == 0
+        path.write_text(GOOD + "#" * (MAX_INPUT_BYTES + 1 - len(GOOD)))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: {path}: larger than {MAX_INPUT_BYTES} bytes"]
+
+    def test_largest_canonical_file_fits_the_byte_cap(self, tmp_path):
+        # every constant at MAX_DIM has MAX_RATIONAL_DIGITS digits and a sign
+        x = Fraction(-(10 ** 20 - 1), 10 ** 19)
+        assert len(str(x)) == MAX_RATIONAL_DIGITS + 2
+        cube = [[[x] * MAX_DIM for _ in range(MAX_DIM)] for _ in range(MAX_DIM)]
+        d = Dialgebra(MAX_DIM, cube, cube)
+        path = tmp_path / "largest.dlg"
+        path.write_text(serialize_dialgebra(d))
+        assert 3 * 10 ** 6 < path.stat().st_size <= MAX_INPUT_BYTES
+        assert cli.load_input(str(path))[1] == d
+
+    @pytest.mark.parametrize("argv, start", [
+        (["kxy", "--bound", "x"], "argument --bound: invalid int value: 'x'"),
+        (["spaces", "catalog:Dias2_1", "--which", "bad"],
+         "argument --which: invalid choice: 'bad'"),
+        (["spaces", "--which", "der"], "the following arguments are required: input"),
+        (["nosuch", "catalog:Dias2_1"], "argument command: invalid choice: 'nosuch'"),
+    ])
+    def test_option_error_is_one_line(self, capsys, argv, start):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {start}")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["spaces", "--help"]])
+    def test_help_prints_usage_and_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: diaskit")
+        assert captured.err == ""
 
     def test_bider_basis_above_cap(self, tmp_path, capsys):
         # phi at n = 8 has Der of dimension 56 and Dider = 0

@@ -75,28 +75,48 @@ class TestInvariantSets:
 
     @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
     def test_bar_center_and_halo_match_oracle(self, d):
-        # The oracle takes the bar-center as the kernel of the bar-unit
-        # system and the halo from the RREF of the augmented system, with
-        # its own elimination; the cases are the catalog and phi n = 2..6.
-        n = d.dim
-        rows, rhs = oracle.bar_unit_system(d.c_vdash, d.c_dashv)
-        center = oracle.rref(oracle.nullspace(rows, n))[0]
-        reduced, pivots = oracle.rref([row + [y] for row, y in zip(rows, rhs)])
-        assert [list(v) for v in bar_center(d).basis] == center
-        units = halo(d)
-        assert [list(v) for v in units.direction.basis] == center
-        unital = n not in pivots
-        report = check_invariant_actions(d)
-        assert report["unital"] is unital
-        assert units.is_empty is not unital
-        if not unital:
-            return
-        # the particular point of the RREF: every free variable is 0
-        point = [Fraction(0)] * n
-        for row, p in zip(reduced, pivots):
-            point[p] = row[n]
-        assert list(units.point) == point
-        assert report["halo_direction_is_bar_center"]
+        # the catalog and phi n = 2..6
+        check_halo_against_oracle(d)
+
+    @given(random_cubes, st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_halo_on_random_cubes(self, cubes, unital):
+        # Almost never a dialgebra, and almost never with a bar unit unless
+        # e1 is made one: e1 |- e_j = e_j = e_j -| e1.  The halo point then
+        # sets every free coordinate to 0, so it need not be e1.
+        c_vdash, c_dashv = cubes
+        n = len(c_vdash)
+        if unital:
+            for j in range(n):
+                c_vdash[0][j] = c_dashv[j][0] = [int(k == j) for k in range(n)]
+        check_halo_against_oracle(Dialgebra(n, c_vdash, c_dashv))
+
+
+def check_halo_against_oracle(d):
+    """The bar-center and the halo against the oracle, which takes the
+    bar-center as the kernel of the bar-unit system and the halo from the
+    RREF of the augmented system, with its own elimination."""
+    n = d.dim
+    rows, rhs = oracle.bar_unit_system(d.c_vdash, d.c_dashv)
+    center = oracle.rref(oracle.nullspace(rows, n))[0]
+    reduced, pivots = oracle.rref([row + [y] for row, y in zip(rows, rhs)])
+    assert [list(v) for v in bar_center(d).basis] == center
+    units = halo(d)
+    assert [list(v) for v in units.direction.basis] == center
+    assert all(type(x) is Fraction for v in units.direction.basis for x in v)
+    unital = n not in pivots
+    report = check_invariant_actions(d)
+    assert report["unital"] is unital
+    assert units.is_empty is not unital
+    if not unital:
+        return
+    # the particular point of the RREF: every free variable is 0
+    point = [Fraction(0)] * n
+    for row, p in zip(reduced, pivots):
+        point[p] = row[n]
+    assert list(units.point) == point
+    assert all(type(x) is Fraction for x in units.point)
+    assert report["halo_direction_is_bar_center"]
 
 
 class TestBracket:

@@ -23,7 +23,6 @@ from diaskit.ratlin import (
     nullspace,
     rank,
     rref,
-    solve_affine,
     sparse,
     unit_vector,
 )
@@ -138,21 +137,6 @@ class TestElimination:
                 frac(text)
         with pytest.raises(TypeError, match="not float"):
             frac(0.1)
-
-    @given(square(3), st.lists(rationals, min_size=3, max_size=3))
-    def test_solve_affine_consistency(self, a, x):
-        b = a.apply(x)
-        solution = solve_affine(a, b)
-        assert solution is not None
-        point, basis = solution
-        assert a.apply(point) == tuple(b)
-        for h in basis:
-            assert all(c == 0 for c in a.apply(h))
-
-    def test_solve_affine_inconsistent(self):
-        a = Matrix([[1, 0], [1, 0]])
-        # no point, and the kernel of a all the same
-        assert solve_affine(a, (0, 1)) == (None, [(0, 1)])
 
 
 class TestSubspace:
@@ -326,22 +310,6 @@ class TestCoreAgainstOracle:
     def test_det(self, m):
         assert det(m) == oracle.det(m.rows)
 
-    @given(sparse_matrices, st.data())
-    def test_solve_affine(self, a, data):
-        b = data.draw(st.lists(sparse_entries, min_size=a.nrows, max_size=a.nrows))
-        reduced, pivots = oracle.rref([row + [y] for row, y in zip(a.rows, b)])
-        solution = solve_affine(a, b)
-        # the kernel of a comes back whether or not the system is consistent
-        assert oracle.rref(solution[1])[0] == oracle.rref(oracle.nullspace(a.rows, a.ncols))[0]
-        if a.ncols in pivots:
-            assert solution[0] is None
-            return
-        # the particular point of the RREF: every free variable is 0
-        point = [Fraction(0)] * a.ncols
-        for row, p in zip(reduced, pivots):
-            point[p] = row[a.ncols]
-        assert solution[0] == tuple(point)
-
     @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
     def test_kernels_match_oracle_and_are_rref_fixed_points(self, d):
         n = d.dim
@@ -427,11 +395,6 @@ class TestNoFloats:
         value = det(Matrix([[3, 0, 1], [0, 2, 1], [1, 1, 2]]))
         assert type(value) is Fraction and value == oracle.det([[3, 0, 1], [0, 2, 1], [1, 1, 2]])
 
-    def test_solve_affine_halves(self):
-        point, basis = solve_affine(Matrix([[2]]), (1,))
-        assert point == (Fraction(1, 2),) and type(point[0]) is Fraction
-        assert basis == []
-
     def test_kernel_of_a_row_whose_pivot_does_not_divide(self):
         # pivot 2 at column 2; 3 / 2 leaves a remainder
         space = kernel(3, [{0: 3, 2: 2}])
@@ -445,7 +408,4 @@ class TestNoFloats:
             reduced, _ = rref(a)
             assert all(all_fractions(row) for row in reduced.rows)
             assert all(all_fractions(v) for v in nullspace(a))
-            point, basis = solve_affine(a, [1] * a.nrows)
-            assert point is None or all_fractions(point)
-            assert all(all_fractions(v) for v in basis)
             assert all(all_fractions(v) for v in Subspace(a.ncols, a.rows).basis)

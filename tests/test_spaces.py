@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaskit.catalog import instantiate
+from diaskit.catalog import (
+    DIAS3_17_SAMPLES, LAMBDA_SAMPLES, case_family_vectors, entries, instantiate,
+)
 from diaskit.core import Dialgebra, phi_dialgebra
-from diaskit.ratlin import Matrix, unit_vector
+from diaskit.ratlin import Matrix, sparse, unit_vector
 from diaskit.spaces import (
     check_characterizations,
     check_closures,
@@ -22,6 +24,7 @@ from diaskit.spaces import (
     inner_derivations,
     inner_diderivation,
     inner_diderivations,
+    rule_holds,
     subspace_matrices,
 )
 
@@ -114,6 +117,53 @@ class TestDefiningIdentities:
         # as the identity matrix.
         d = instantiate("Dias2_1")
         assert not is_diderivation(d, Matrix.identity(2))
+
+
+def rule_cases():
+    """Every fixed catalog entry and sample points of the three parametric
+    ones, each with the operators to try besides random ones: at six
+    admissible Dias3_16 points, the boxed solution family of a case."""
+    for entry in entries():
+        if not entry.parametric:
+            yield pytest.param(instantiate(entry.name), [], id=entry.name)
+    for lam in LAMBDA_SAMPLES:
+        yield pytest.param(instantiate("Dias2_3", {"lam": lam}), [], id=f"Dias2_3[{lam}]")
+    for case, point in [("B", (1, 1, 2, 1, 1)), ("B", (2, 1, 1, 2, 0)),
+                        ("C", (1, 1, 1, 1, 4)), ("C", (1, 2, 1, 0, 1)),
+                        ("D", (1, 1, -3, 1, -4)), ("D", (1, 2, -2, 0, Fraction(-1, 2)))]:
+        params = dict(zip("kmnpq", map(Fraction, point)))
+        family = [op for _label, op in case_family_vectors(case, params)]
+        yield pytest.param(instantiate("Dias3_16", params), family,
+                           id=f"Dias3_16[{','.join(map(str, point))}]")
+    for point in DIAS3_17_SAMPLES:
+        yield pytest.param(instantiate("Dias3_17", dict(zip("lmnpq", point))), [],
+                           id=f"Dias3_17[{','.join(map(str, point))}]")
+
+
+@pytest.mark.parametrize("rule, twisted", [("der", False), ("dider", True)])
+@pytest.mark.parametrize("d, family", rule_cases())
+def test_rule_holds_matches_oracle(d, family, rule, twisted, request):
+    """``rule_holds`` against the oracle's residuals, on random integer
+    operators (almost never in the space) and random integer members of
+    the oracle's kernel, each also with a matrix unit added, and on the
+    given family."""
+    n = d.dim
+    rng = random.Random(request.node.name)
+    kernel = oracle.kernel_basis(d.c_vdash, d.c_dashv, twisted)
+    ops = [list(op.flatten()) for op in family]
+    for _ in range(20):
+        coeffs = [rng.randint(-3, 3) for _ in kernel]
+        member = [sum(c * v[i] for c, v in zip(coeffs, kernel)) for i in range(n * n)]
+        for op in ([rng.randint(-3, 3) for _ in range(n * n)], member):
+            ops += [op, op[:]]
+            ops[-1][rng.randrange(n * n)] += 1
+    outcomes = set()
+    for flat in ops:
+        rows = [flat[r * n:(r + 1) * n] for r in range(n)]
+        expected = oracle.satisfies(d.c_vdash, d.c_dashv, rows, twisted)
+        assert rule_holds(d, rule, sparse(flat)) is expected, rows
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 class TestInnerOperators:
