@@ -21,6 +21,9 @@ spaces
 invariants
     Annihilator, bar-center, halo, the associated Leibniz bracket, and
     the combined derivation/diderivation bracket.
+poly
+    Sparse exact polynomials in several variables and a division-free
+    determinant of polynomial entries.
 catalog
     Built-in low-dimensional dialgebra classes with reference dimension
     tables and the parametric family ``Dias3_16`` branch analysis.

@@ -16,8 +16,10 @@ Dias3_11 are isomorphic.  For each entry the module records
 
 For ``Dias3_16`` the module also implements the published case analysis: the
 two key factors ``delta1``/``delta2``, the 13-row dimension table with its
-first-match branch semantics, the printed 5x5 subsystem matrix, the boxed
-determinant factorization probe, and the three explicit solution families.
+first-match branch semantics, the printed 5x5 subsystem matrix (one table
+of linear polynomials), the boxed determinant factorization probe, which
+evaluates the exact determinant polynomial of that matrix, and the three
+explicit solution families.
 """
 
 from __future__ import annotations
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import spaces
+from . import poly, spaces
 from .core import Dialgebra, DialgebraError
-from .ratlin import Matrix, Subspace, det, frac, sparse
+from .ratlin import Matrix, Subspace, frac, int_or_fraction, sparse
 
 Params = Mapping[str, Fraction]
 Relations = dict[tuple[str, int, int], list[tuple[int, Fraction]]]
@@ -580,62 +582,76 @@ def branch_samples(row: int, count: int, seed: int = 0
     return out
 
 
+def _printed_dias316() -> tuple[tuple[poly.Poly, ...], ...]:
+    k, m, n, p, q = (poly.Poly.var(5, i) for i in range(5))
+    zero, one = poly.Poly.const(5, 0), poly.Poly.const(5, 1)
+    return (
+        (m, zero, zero, n + k, zero),
+        (-p, zero, -k, -q, k),
+        (-p, zero, p, -q, -k),
+        (zero, p + 1, zero, zero, q),
+        (-one, -m, one, zero, -n),
+    )
+
+
+# The printed 5x5 subsystem matrix, entries linear in (k, m, n, p, q).
+_DIAS316_PRINTED = _printed_dias316()
+
+
 def dias316_matrix(params: Params) -> Matrix:
     """The printed 5x5 subsystem matrix in unknown order (d11,d13,d22,d31,d33).
 
-    Reproduced exactly as displayed.  Read against the diderivation
-    identity (e2 components, after d12 = d32 = 0), its rows are: row 1 the
-    dashv (1,1) equation negated, row 2 the dashv (3,1) equation with the
-    signs of k flipped, row 3 the vdash (3,1) equation, row 4 the dashv
-    (3,3) equation negated, row 5 the dashv (1,3) equation.  The subsystem
-    the identity gives -- the dashv equations for (1,1), (1,3), (3,1),
-    (3,3) and the vdash equation for (1,1) -- has determinant
-    m * delta1 * delta2.  The printed matrix holds vdash (3,1) in place of
-    vdash (1,1) and has its row-2 sign defects, so its determinant has no
-    factor m; with the row-2 signs repaired it is (p - k) * delta1 * delta2.
-    The determinant probe below measures the printed matrix, not a
-    repaired one.
+    Reproduced exactly as displayed.  The printed entries have one source,
+    a module table of polynomials linear in (k, m, n, p, q): this function
+    evaluates it at ``params``, and ``check_det_factorization`` expands its
+    determinant.  Read against the diderivation identity (e2 components,
+    after d12 = d32 = 0), its rows are: row 1 the dashv (1,1) equation
+    negated, row 2 the dashv (3,1) equation with the signs of k flipped,
+    row 3 the vdash (3,1) equation, row 4 the dashv (3,3) equation negated,
+    row 5 the dashv (1,3) equation.  The subsystem the identity gives --
+    the dashv equations for (1,1), (1,3), (3,1), (3,3) and the vdash
+    equation for (1,1) -- has determinant m * delta1 * delta2.  The
+    printed matrix holds vdash (3,1) in place of vdash (1,1) and has its
+    row-2 sign defects, so its determinant has no factor m; with the row-2
+    signs repaired it is (p - k) * delta1 * delta2.  The determinant probe
+    below measures the printed matrix, not a repaired one.
     """
-    k, m, n, p, q = (frac(params[s]) for s in ("k", "m", "n", "p", "q"))
-    return Matrix([
-        [m, 0, 0, n + k, 0],
-        [-p, 0, -k, -q, k],
-        [-p, 0, p, -q, -k],
-        [0, p + 1, 0, 0, q],
-        [-1, -m, 1, 0, -n],
-    ])
+    point = tuple(frac(params[s]) for s in ("k", "m", "n", "p", "q"))
+    return Matrix([[entry(point) for entry in row] for row in _DIAS316_PRINTED])
 
 
 def check_det_factorization(samples: Sequence[Sequence]) -> dict:
     """Probe the boxed claim det(M) = unit * m * delta1 * delta2.
 
-    M is the printed matrix of ``dias316_matrix``.  Reports (i)
-    vanishing-locus agreement between det(M) and m*D1*D2 at every sample
-    and (ii) whether det(M)/(m*D1*D2) is constant across the samples where
-    both are nonzero.  Neither direction is assumed; mismatched samples are
-    listed verbatim.  The claim fails for the printed matrix (for instance
-    at (k,m,n,p,q) = (2,0,5,0,4), where det(M) = -28 and m*D1*D2 = 0) but
-    holds for the subsystem derived from the identity, whose rows
-    ``dias316_matrix`` names.
+    M is the printed matrix of ``dias316_matrix``.  Its determinant is
+    expanded once per call as an exact polynomial in (k, m, n, p, q) and
+    evaluated at each sample, in integers where the sample is integral.
+    Reports (i) vanishing-locus agreement between det(M) and m*D1*D2 at
+    every sample and (ii) whether det(M)/(m*D1*D2) is constant across the
+    samples where both are nonzero.  Neither direction is assumed;
+    mismatched samples are listed verbatim, every value a ``Fraction``.
+    The claim fails for the printed matrix (for instance at (k,m,n,p,q) =
+    (2,0,5,0,4), where det(M) = -28 and m*D1*D2 = 0) but holds for the
+    subsystem derived from the identity, whose rows ``dias316_matrix``
+    names.
     """
+    det_m = poly.det(_DIAS316_PRINTED)
     locus_mismatches: list[dict] = []
-    ratios: list[tuple[tuple[Fraction, ...], Fraction]] = []
+    ratios: list[Fraction] = []
     for raw in samples:
-        k, m, n, p, q = (frac(v) for v in raw)
-        point = (k, m, n, p, q)
-        params = dict(zip(("k", "m", "n", "p", "q"), point))
-        d = det(dias316_matrix(params))
-        target = m * delta1(*point) * delta2(*point)
+        point = tuple(int_or_fraction(v) for v in raw)
+        d = det_m(point)
+        target = point[1] * delta1(*point) * delta2(*point)
         if (d == 0) != (target == 0):
-            locus_mismatches.append(
-                {"params": point, "det": d, "target": target})
+            locus_mismatches.append({"params": tuple(map(frac, point)),
+                                     "det": frac(d), "target": frac(target)})
         elif d != 0:
-            ratios.append((point, d / target))
+            ratios.append(Fraction(d, target))
     ratio_constant = None
     ratio_first = None
     if ratios:
-        ratio_first = ratios[0][1]
-        ratio_constant = all(r == ratio_first for _, r in ratios)
+        ratio_first = ratios[0]
+        ratio_constant = all(r == ratio_first for r in ratios)
     return {
         "sample_count": len(samples),
         "locus_mismatches": locus_mismatches,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from diaskit import catalog, cli, invariants, kxy, ratlin, spaces
+from diaskit import catalog, cli, invariants, kxy, poly, ratlin, spaces
 from diaskit.core import phi_dialgebra
 
 from test_ratlin import direct_sum
@@ -339,6 +339,30 @@ def test_catalog_command_solves_each_point_once(monkeypatch):
     counting(monkeypatch, spaces, "diderivation_space", calls)
     assert run_cli("catalog", "--samples", "3") == 0
     assert calls["diderivation_space"] == len(points) == 62
+
+
+def test_determinant_probe_expands_once_and_eliminates_nothing(monkeypatch):
+    # the printed 5x5 determinant is one polynomial evaluated at each
+    # sample, not an elimination per sample
+    calls = Counter()
+    counting(monkeypatch, poly, "det", calls, key=lambda rows: "poly.det")
+    counting(monkeypatch, ratlin, "det", calls, key=lambda m: "ratlin.det")
+    runs = eliminate_runs(monkeypatch)
+    probe_runs = []
+    original = catalog.check_det_factorization
+
+    def probe(samples):
+        before = len(runs)
+        try:
+            return original(samples)
+        finally:
+            probe_runs.append(len(runs) - before)
+
+    monkeypatch.setattr(catalog, "check_det_factorization", probe)
+    assert run_cli("catalog", "Dias3_16", "--samples", "5") == 0
+    assert calls == {"poly.det": 1}
+    assert probe_runs == [0]
+    assert runs  # the sweep itself still solves through the core
 
 
 @pytest.mark.parametrize("bound", [3, 6, 10])

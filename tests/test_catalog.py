@@ -1,12 +1,13 @@
 """Catalog reconstruction, case-table resolution, and the sweeps."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaskit import catalog
+from diaskit import catalog, cli, poly
 from diaskit.catalog import (
     AMBIGUOUS_ENTRIES,
     BRANCHES,
@@ -179,6 +180,45 @@ class TestDeterminantProbe:
         assert not report["locus_agreement"]
         assert len(report["locus_mismatches"]) == 2
         assert report["nonvanishing_count"] >= 1
+
+    def test_expanded_determinant_is_the_printed_one(self):
+        # Both sides are polynomials in (k, m, n, p, q).  An entry linear in
+        # a variable raises a determinant term's degree in it by at most
+        # one, so the determinant's degree in a variable is at most the
+        # number of rows that hold it.  Agreement on a product grid with one
+        # more point per variable than the larger of that bound and the
+        # expansion's degree proves the two polynomials equal.
+        printed = catalog._DIAS316_PRINTED
+        expanded = poly.det(printed)
+        grid = []
+        for i in range(5):
+            in_rows = sum(any(e[i] for entry in row for e in entry.terms) for row in printed)
+            degree = max(e[i] for e in expanded.terms)
+            grid.append(range(-2, max(in_rows, degree) - 1))
+        points = list(itertools.product(*grid))
+        assert len(points) == 4 * 3 * 3 * 4 * 4
+        probe = [s for seed in (0, 7) for s in cli._det_probe_samples(seed)]
+        # seeds 0 and 7 have 7 and 10 points with a non-integral q
+        assert sum(s[4].denominator != 1 for s in probe) == 17
+        for point in points + probe:
+            rows = dias316_matrix(dict(zip("kmnpq", map(F, point)))).rows
+            assert expanded(point) == oracle.det(rows), point
+
+    def test_report_values_are_fractions(self):
+        pts = [(2, 0, 5, 0, 4), (1, 1, 2, 1, 1), (F(1), F(2), F(1), F(1), F(1, 2)),
+               (-1, 0, 0, 0, F(1, 2)), ("1", "3", "-2", "2", "5/3")]
+        report = check_det_factorization(pts)
+        assert report["nonvanishing_count"] == 2
+        assert [m["params"] for m in report["locus_mismatches"]] == [
+            (2, 0, 5, 0, 4), (1, 1, 2, 1, 1), (-1, 0, 0, 0, F(1, 2))]
+        values = [report["ratio_first"]] + [
+            x for m in report["locus_mismatches"]
+            for x in (*m["params"], m["det"], m["target"])]
+        # det -2 over m*D1*D2 = -6 at the third point
+        assert report["ratio_first"] == F(1, 3)
+        assert all(type(x) is Fraction for x in values)
+        with pytest.raises(TypeError):
+            check_det_factorization([(1, 1, 1, 1, 0.5)])
 
 
 class TestSolutionFamilies:
