@@ -22,14 +22,16 @@ invariants
     Annihilator, bar-center, halo, the associated Leibniz bracket, and
     the combined derivation/diderivation bracket.
 poly
-    Sparse exact polynomials in several variables and a division-free
-    determinant of polynomial entries.
+    The one sparse exact polynomial type, in several variables: ring
+    operations, renaming variables, the degree in one variable, an
+    optional total-degree bound, and a division-free determinant of
+    polynomial entries.
 catalog
     Built-in low-dimensional dialgebra classes with reference dimension
     tables and the parametric family ``Dias3_16`` branch analysis.
 kxy
     The dialgebra of polynomials in two variables with evaluation
-    products, handled degree-bounded but exactly.
+    products, on ``poly`` polynomials under a degree bound, exact.
 cli
     Command line entry points; ``diaskit --help`` lists them.
 """

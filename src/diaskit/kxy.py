@@ -20,10 +20,7 @@ assembled term by term, never via division by (x-y); the one place a
 division appears (the annihilator divisibility oracle) is an independent
 synthetic-division cross-check, not a computational shortcut.
 
-Coefficients are stored as ``int`` when integral and as ``Fraction``
-otherwise, so the integer data of the sweeps never builds a ``Fraction``;
-results of arithmetic on clean polynomials are wrapped without being
-validated again, except where a bound check can still fail.
+The arithmetic and the coefficient storage are those of ``poly.Poly``.
 
 Both products of two monomials are one monomial of coefficient 1.  So
 every sweep reads its products from one table per bound.  It numbers the
@@ -55,59 +52,30 @@ from functools import lru_cache
 from typing import Callable, Mapping
 
 from .core import AXIOM_NAMES, RULES, Dialgebra
-from .ratlin import Scalar, int_or_fraction
+from .poly import DegreeBoundError, Poly
+from .ratlin import Scalar
 
 DEFAULT_BOUND = 8
 
 Exponents = tuple[int, int]
 
 
-class DegreeBoundError(ValueError):
-    """A result would exceed the ambient total-degree bound."""
+class BivariatePoly(Poly):
+    """A ``poly.Poly`` in x and y under a total-degree bound.
 
-
-class BivariatePoly:
-    """Sparse exact polynomial in x and y under a total-degree bound.
-
-    Coefficients map (deg_x, deg_y) to nonzero rationals, stored as ``int``
-    when integral and as ``Fraction`` otherwise, so integer data never
-    builds a ``Fraction``.  The bound is a modeling device, not a quotient:
-    arithmetic whose exact result has a term beyond the bound fails loudly.
+    The bound is a modeling device, not a quotient: a result whose exact
+    value has a term beyond it fails loudly with ``DegreeBoundError``, and a
+    result of two polynomials has the smaller of their bounds.
     """
 
-    __slots__ = ("coeffs", "bound")
+    __slots__ = ("bound",)
 
-    def __init__(self, coeffs: Mapping[Exponents, Scalar] | None = None,
+    def __init__(self, terms: Mapping[Exponents, Scalar] | None = None,
                  bound: int = DEFAULT_BOUND):
         if bound < 0:
             raise ValueError("bound must be nonnegative")
-        clean: dict[Exponents, int | Fraction] = {}
-        for (a, b), c in (coeffs or {}).items():
-            if a < 0 or b < 0:
-                raise ValueError(f"negative exponent pair {(a, b)}")
-            value = int_or_fraction(c)
-            if value == 0:
-                continue
-            if a + b > bound:
-                raise DegreeBoundError(
-                    f"degree bound exceeded: x^{a}*y^{b} with bound {bound}")
-            clean[(a, b)] = value
-        self.coeffs = clean
         self.bound = bound
-
-    @classmethod
-    def _clean(cls, coeffs: dict[Exponents, int | Fraction],
-               bound: int) -> "BivariatePoly":
-        """Wrap a result of arithmetic on clean polynomials: its coefficients
-        are nonzero and its terms within ``bound``, so only an integral
-        ``Fraction`` (such as 1/2 + 1/2) is left to store as an ``int``."""
-        for key, c in coeffs.items():
-            if type(c) is Fraction:
-                coeffs[key] = int_or_fraction(c)
-        p = object.__new__(cls)
-        p.coeffs = coeffs
-        p.bound = bound
-        return p
+        Poly.__init__(self, 2, terms or {})
 
     # -- constructors ---------------------------------------------------
 
@@ -132,99 +100,16 @@ class BivariatePoly:
     def var_y(bound: int = DEFAULT_BOUND) -> "BivariatePoly":
         return BivariatePoly({(0, 1): 1}, bound)
 
-    # -- queries ----------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def total_degree(self) -> int:
         """Total degree, with the usual convention -1 for the zero polynomial."""
-        if not self.coeffs:
-            return -1
-        return max(a + b for a, b in self.coeffs)
+        return max(map(sum, self.terms), default=-1)
 
-    def is_univariate_x(self) -> bool:
-        return all(b == 0 for _a, b in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BivariatePoly):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.coeffs.items()))
-
-    # -- arithmetic -------------------------------------------------------
-
-    def __add__(self, other: "BivariatePoly") -> "BivariatePoly":
-        out = dict(self.coeffs)
-        for key, c in other.coeffs.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        if self.bound != other.bound:
-            # a term of the operand with the larger bound may exceed the other
-            return BivariatePoly(out, min(self.bound, other.bound))
-        return BivariatePoly._clean(out, self.bound)
-
-    def __sub__(self, other: "BivariatePoly") -> "BivariatePoly":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "BivariatePoly":
-        return self.scale(-1)
-
-    def scale(self, c: Scalar) -> "BivariatePoly":
-        c = int_or_fraction(c)
-        if not c:
-            return BivariatePoly.zero(self.bound)
-        return BivariatePoly._clean(
-            {k: c * v for k, v in self.coeffs.items()}, self.bound)
-
-    def __mul__(self, other: "BivariatePoly") -> "BivariatePoly":
-        bound = min(self.bound, other.bound)
-        out: dict[Exponents, int | Fraction] = {}
-        for (a1, b1), c1 in self.coeffs.items():
-            for (a2, b2), c2 in other.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > bound:
-                    raise DegreeBoundError(
-                        f"degree bound exceeded: product term x^{a}*"
-                        f"y^{b} with bound {bound}")
-                key = (a, b)
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-        return BivariatePoly._clean(out, bound)
-
-    # -- substitutions ------------------------------------------------------
-
-    def _collapse(self, onto_x: bool) -> "BivariatePoly":
-        out: dict[Exponents, int | Fraction] = {}
-        for (a, b), c in self.coeffs.items():
-            key = (a + b, 0) if onto_x else (0, a + b)
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                del out[key]
-        return BivariatePoly._clean(out, self.bound)
-
-    def subs_xx(self) -> "BivariatePoly":
-        """h(x,x): collapse both variables onto x."""
-        return self._collapse(True)
-
-    def subs_yy(self) -> "BivariatePoly":
-        """h(y,y): collapse both variables onto y."""
-        return self._collapse(False)
-
-    def swap_vars(self) -> "BivariatePoly":
-        """h(y,x)."""
-        return BivariatePoly._clean(
-            {(b, a): c for (a, b), c in self.coeffs.items()}, self.bound)
+    # Poly.__mul__ under this class's own name, where perfbench's tracer
+    # times kxy multiplications.  It checks the product's terms against the
+    # smaller bound: over the rationals the top-degree parts of two nonzero
+    # factors have a nonzero product, so it raises exactly when their total
+    # degrees add up past that bound.
+    __mul__ = Poly.__mul__
 
     # -- rendering ------------------------------------------------------
 
@@ -241,12 +126,12 @@ class BivariatePoly:
 
 def dashv(f: BivariatePoly, g: BivariatePoly) -> BivariatePoly:
     """f -| g = f(x,y) * g(y,y)."""
-    return f * g.subs_yy()
+    return f * g.rename(1, 1)
 
 
 def vdash(f: BivariatePoly, g: BivariatePoly) -> BivariatePoly:
     """f |- g = f(x,x) * g(x,y)."""
-    return f.subs_xx() * g
+    return f.rename(0, 0) * g
 
 
 def _exponents_up_to(total: int) -> list[Exponents]:
@@ -266,10 +151,10 @@ def _exponent(p: BivariatePoly) -> Exponents:
     Raises on anything else, so a product table never records a product
     that is not such a monomial.
     """
-    if len(p.coeffs) != 1 or next(iter(p.coeffs.values())) != 1:
+    if len(p.terms) != 1 or next(iter(p.terms.values())) != 1:
         raise AssertionError(
             f"product of monomials is not a monomial of coefficient 1: {p}")
-    (e,) = p.coeffs
+    (e,) = p.terms
     return e
 
 
@@ -372,7 +257,7 @@ def truncation(n: int) -> Dialgebra:
 
 def ann_membership(h: BivariatePoly) -> bool:
     """True iff h(x,x) = 0 and h(y,y) = 0."""
-    return h.subs_xx().is_zero() and h.subs_yy().is_zero()
+    return not h.rename(0, 0) and not h.rename(1, 1)
 
 
 def divides_x_minus_y(h: BivariatePoly) -> tuple[bool, BivariatePoly | None]:
@@ -382,16 +267,13 @@ def divides_x_minus_y(h: BivariatePoly) -> tuple[bool, BivariatePoly | None]:
     is the independent oracle for the annihilator membership property and
     is used nowhere else.
     """
-    if h.is_zero():
-        return True, BivariatePoly.zero(h.bound)
-    deg_x = max(a for a, _b in h.coeffs)
     # coefficient of x^a as a polynomial in y
     by_xdeg: dict[int, dict[int, int | Fraction]] = {}
-    for (a, b), c in h.coeffs.items():
+    for (a, b), c in h.terms.items():
         by_xdeg.setdefault(a, {})[b] = c
     quotient: dict[Exponents, int | Fraction] = {}
     carry: dict[int, int | Fraction] = {}
-    for a in range(deg_x, 0, -1):
+    for a in range(h.degree(0), 0, -1):
         coeff = dict(by_xdeg.get(a, {}))
         for b, c in carry.items():
             coeff[b] = coeff.get(b, 0) + c
@@ -450,7 +332,7 @@ class KxyOperatorSpec:
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.f is None or self.g is None:
             raise ValueError(f"{self.kind} spec needs f and g")
-        if self.kind == "derivation" and not self.f.is_univariate_x():
+        if self.kind == "derivation" and self.f.degree(1) > 0:
             raise ValueError("derivation spec requires univariate f(x)")
 
     def apply_monomial(self, m: int, n: int) -> BivariatePoly:
@@ -459,11 +341,11 @@ class KxyOperatorSpec:
         return diderivation_apply((self.f, self.g), m, n)
 
     def apply(self, h: BivariatePoly) -> BivariatePoly:
-        if h.is_zero():
+        if not h:
             return BivariatePoly.zero(h.bound)
         out: dict[Exponents, int | Fraction] = {}
-        for (a, b), c in h.coeffs.items():
-            for key, v in self.apply_monomial(a, b).coeffs.items():
+        for (a, b), c in h.terms.items():
+            for key, v in self.apply_monomial(a, b).terms.items():
                 out[key] = out.get(key, 0) + c * v
         return BivariatePoly(out, min(h.bound, self.f.bound, self.g.bound))
 
@@ -486,18 +368,18 @@ def derivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
     with f univariate in x; f(y) is f with the variable renamed.
     """
     f, g = spec
-    if not f.is_univariate_x():
+    if f.degree(1) > 0:
         raise ValueError("derivation spec requires univariate f(x)")
     bound = min(f.bound, g.bound)
     out = BivariatePoly.zero(bound)
     if m > 0:
         out = out + BivariatePoly.monomial(m - 1, n, m, bound) * f
-    if g.coeffs:
+    if g:
         # x^m y^n (x-y) written out, one product per image; with g = 0 the
         # term vanishes even where that factor alone would pass the bound
         out = out + BivariatePoly({(m + 1, n): 1, (m, n + 1): -1}, bound) * g
     if n > 0:
-        out = out + BivariatePoly.monomial(m, n - 1, n, bound) * f.swap_vars()
+        out = out + BivariatePoly.monomial(m, n - 1, n, bound) * f.rename(1, 0)
     return out
 
 
@@ -512,9 +394,9 @@ def diderivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
     bound = min(f.bound, g.bound)
     out = BivariatePoly.zero(bound)
     # y^n S_m and x^m S_n written out term by term, as in ``derivation_apply``
-    if m > 0 and f.coeffs:
+    if m > 0 and f:
         out = out + f * BivariatePoly({(k, n + m - 1 - k): 1 for k in range(m)}, bound)
-    if n > 0 and g.coeffs:
+    if n > 0 and g:
         out = out + g * BivariatePoly({(m + k, n - 1 - k): 1 for k in range(n)}, bound)
     return out
 
@@ -525,7 +407,7 @@ def inner_dider_apply(p: BivariatePoly, h: BivariatePoly) -> BivariatePoly:
     The two routes are the closed form and the operator definition
     R_vdash(p) - L_dashv(p); they must agree exactly.
     """
-    closed = p * (h.subs_xx() - h.subs_yy())
+    closed = p * (h.rename(0, 0) - h.rename(1, 1))
     operator = vdash(h, p) - dashv(p, h)
     if closed != operator:
         raise AssertionError("inner diderivation routes disagree")
@@ -539,12 +421,12 @@ def inner_derivation_spec(h: BivariatePoly) -> KxyOperatorSpec:
     h(y) - h(x) = (x-y) * g with g assembled from geometric sums, giving
     the closed form with f = 0.  Requires h univariate in x.
     """
-    if not h.is_univariate_x():
+    if h.degree(1) > 0:
         raise ValueError("inner derivation spot-check requires univariate h")
     g = BivariatePoly.zero(h.bound)
-    for (a, _b), c in h.coeffs.items():
+    for (a, _b), c in h.terms.items():
         # h(y) - h(x) = -sum c_a (x^a - y^a) = -(x-y) * sum c_a S_a
-        g = g + geometric_sum(a, h.bound).scale(-c)
+        g = g - geometric_sum(a, h.bound) * c
     return KxyOperatorSpec("derivation", f=BivariatePoly.zero(h.bound), g=g)
 
 
@@ -578,7 +460,7 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
     ids = [[index[e] for e in _exponents_up_to(t)] for t in range(limit + 1)]
     # each image as a list of (index, coefficient) terms, the cheapest to
     # walk, and as a dict for the comparison
-    terms = {u: [(index[t], c) for t, c in spec.apply_monomial(*exps[u]).coeffs.items()]
+    terms = {u: [(index[t], c) for t, c in spec.apply_monomial(*exps[u]).terms.items()]
              for u in ids[limit]}
     image = {u: dict(ts) for u, ts in terms.items()}
 
@@ -645,10 +527,10 @@ def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
 
 
 def format_poly(p: BivariatePoly) -> str:
-    if not p.coeffs:
+    if not p:
         return "0"
     parts: list[str] = []
-    for (a, b), c in sorted(p.coeffs.items(),
+    for (a, b), c in sorted(p.terms.items(),
                             key=lambda kv: (-(kv[0][0] + kv[0][1]),
                                             -kv[0][0], -kv[0][1])):
         factors = []

@@ -565,7 +565,7 @@ def test_criterion_09_polynomial_dialgebra_suite():
     while len(same_pairs) < 4:
         w = BivariatePoly({(rng3.randint(0, 2), rng3.randint(0, 1)):
                            F(rng3.randint(-3, 3)) for _ in range(3)}, bound)
-        if not w.is_zero():
+        if w:
             same_pairs.append(w)
     joint_clean = all(not check_dider_identity(w, w, bound=6)["violations"]
                       for w in same_pairs)

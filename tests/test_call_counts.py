@@ -370,7 +370,7 @@ def test_axiom_sweep_takes_each_monomial_product_once(monkeypatch, bound):
     calls = Counter()
     for name in ("dashv", "vdash"):
         counting(monkeypatch, kxy, name, calls,
-                 key=lambda f, g, name=name: (name, *f.coeffs, *g.coeffs))
+                 key=lambda f, g, name=name: (name, *f.terms, *g.terms))
     report = kxy.check_axioms_truncated(bound)
     assert report["violations"] == []
     # four exponents with sum at most the bound: C(bound + 4, 4) pairs,
@@ -380,6 +380,22 @@ def test_axiom_sweep_takes_each_monomial_product_once(monkeypatch, bound):
     assert report["triples"] == math.comb(bound + 6, 6)
     assert Counter(key[0] for key in calls) == {"dashv": pairs, "vdash": pairs}
     assert max(calls.values()) == 1
+
+
+def test_kxy_products_run_through_the_traced_multiplication(monkeypatch):
+    # perfbench's tracer times kxy products as kxy.BivariatePoly.__mul__, in
+    # the class's own namespace; a product that went around that name would
+    # read 0 there.  Each monomial pair of the table is multiplied once by
+    # each of dashv and vdash, which the rest of the command calls too.
+    assert "__mul__" in vars(kxy.BivariatePoly)
+    calls = Counter()
+    # frame 0 is the key, frame 1 the counting wrapper
+    counting(monkeypatch, kxy.BivariatePoly, "__mul__", calls,
+             key=lambda f, g: sys._getframe(2).f_code.co_name)
+    kxy._build_product_table.cache_clear()
+    assert run_cli("kxy", "--bound", "6") == 0
+    pairs = math.comb(6 + 4, 4)
+    assert calls["dashv"] >= pairs and calls["vdash"] >= pairs
 
 
 def product_calls(monkeypatch) -> Counter:

@@ -1,5 +1,6 @@
 """Sparse exact polynomials: ring operations, stored coefficients,
-evaluation and the division-free determinant."""
+evaluation, renaming variables, degrees in one variable, and the
+division-free determinant."""
 
 from fractions import Fraction
 
@@ -16,11 +17,19 @@ NVARS = 3
 rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 # Integral values drawn as Fractions too, so the test sees them stored as int.
 scalars = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(Fraction), rationals)
-polys = st.dictionaries(
-    st.tuples(*[st.integers(0, 3)] * NVARS), scalars, max_size=6,
-).map(lambda terms: Poly(NVARS, terms))
+
+
+def polys_in(nvars: int):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * nvars), scalars, max_size=6,
+    ).map(lambda terms: Poly(nvars, terms))
+
+
+polys = polys_in(NVARS)
 int_points = st.tuples(*[st.integers(-5, 5)] * NVARS)
 points = st.one_of(int_points, st.tuples(*[rationals] * NVARS))
+variables = st.integers(0, NVARS - 1)
+images = st.tuples(*[variables] * NVARS)
 
 
 def stored_exactly(c) -> bool:
@@ -69,6 +78,65 @@ class TestRing:
             Poly.var(2, 0)((1, 2, 3))
         with pytest.raises(ValueError):
             Poly.var(2, 2)
+
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 5), (-1, 0), (0, -2)])
+    def test_malformed_exponents_are_rejected(self, exps):
+        # a short tuple used to lose a variable in products, a long one in
+        # evaluation
+        with pytest.raises(ValueError, match="exponent"):
+            Poly(2, {exps: 1})
+
+    @given(polys)
+    def test_equal_polynomials_hash_equal(self, a):
+        as_fractions = Poly(NVARS, {e: Fraction(c) for e, c in a.terms.items()})
+        assert as_fractions == a and hash(as_fractions) == hash(a)
+        assert len({a, as_fractions}) == 1
+
+    def test_a_bounded_subclass_compares_by_terms(self):
+        from diaskit.kxy import BivariatePoly
+        b = BivariatePoly({(1, 0): 2, (0, 1): Fraction(1, 2)}, 5)
+        p = Poly(2, {(1, 0): Fraction(2), (0, 1): Fraction(1, 2)})
+        assert b == p and p == b and hash(b) == hash(p)
+
+    def test_bounded_and_unbounded_operands_do_not_mix(self):
+        # a plain Poly has no bound to keep, so neither order may drop one
+        from diaskit.kxy import BivariatePoly
+        b, p = BivariatePoly({(8, 0): 1}, 8), Poly.var(2, 0)
+        for op in (lambda u, v: u + v, lambda u, v: u - v, lambda u, v: u * v):
+            for u, v in ((b, p), (p, b)):
+                with pytest.raises(ValueError, match="unbounded"):
+                    op(u, v)
+
+
+class TestVariables:
+    @given(polys, images, points)
+    def test_rename_reads_each_variable_at_its_image(self, a, image, x):
+        assert a.rename(*image)(x) == a(tuple(x[i] for i in image))
+
+    @given(polys_in(2), st.tuples(*[st.integers(0, 1)] * 2),
+           st.tuples(*[rationals] * 2))
+    def test_rename_in_two_variables(self, a, image, x):
+        # two variables take their own spelled-out exponent map: it agrees
+        # with the general one, run in three variables with the third fixed
+        renamed = a.rename(*image)
+        assert renamed(x) == a(tuple(x[i] for i in image))
+        lifted = Poly(3, {e + (0,): c for e, c in a.terms.items()}).rename(*image, 2)
+        assert renamed.terms == {e[:2]: c for e, c in lifted.terms.items()}
+
+    @given(polys, variables)
+    def test_degree_is_the_largest_exponent_present(self, a, i):
+        d = a.degree(i)
+        assert d == max((e[i] for e in a.terms), default=-1)
+        assert (a * Poly.var(NVARS, i)).degree(i) == (d + 1 if a else -1)
+
+    def test_bad_variables_are_rejected(self):
+        x = Poly.var(2, 0)
+        for image in ((0,), (0, 2), (-1, 0), (0, 1, 1)):
+            with pytest.raises(ValueError):
+                x.rename(*image)
+        for i in (-1, 2):
+            with pytest.raises(ValueError):
+                x.degree(i)
 
 
 constant_squares = st.integers(1, 5).flatmap(lambda n: st.lists(
