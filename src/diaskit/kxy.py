@@ -257,7 +257,9 @@ def truncation(n: int) -> Dialgebra:
 
 def ann_membership(h: BivariatePoly) -> bool:
     """True iff h(x,x) = 0 and h(y,y) = 0."""
-    return not h.rename(0, 0) and not h.rename(1, 1)
+    # h(y,y) is h(x,x) with x renamed to y, so one vanishes exactly when
+    # the other does: only h(x,x) is formed.
+    return not h.rename(0, 0)
 
 
 def divides_x_minus_y(h: BivariatePoly) -> tuple[bool, BivariatePoly | None]:
@@ -341,8 +343,6 @@ class KxyOperatorSpec:
         return diderivation_apply((self.f, self.g), m, n)
 
     def apply(self, h: BivariatePoly) -> BivariatePoly:
-        if not h:
-            return BivariatePoly.zero(h.bound)
         out: dict[Exponents, int | Fraction] = {}
         for (a, b), c in h.terms.items():
             for key, v in self.apply_monomial(a, b).terms.items():

@@ -398,6 +398,19 @@ def test_kxy_products_run_through_the_traced_multiplication(monkeypatch):
     assert calls["dashv"] >= pairs and calls["vdash"] >= pairs
 
 
+def test_annihilator_membership_renames_once(monkeypatch):
+    # h(y,y) is h(x,x) renamed, so membership forms h(x,x) alone, for
+    # members and non-members alike.
+    calls = Counter()
+    counting(monkeypatch, poly.Poly, "rename", calls, key=lambda h, *image: image)
+    P = kxy.BivariatePoly
+    x_minus_y = P.var_x(8) - P.var_y(8)
+    cases = [(x_minus_y, True), (x_minus_y * P.monomial(2, 1, 3, 8), True),
+             (P.zero(8), True), (P.var_x(8), False), (P.one(8), False)]
+    assert [kxy.ann_membership(h) for h, _ in cases] == [member for _, member in cases]
+    assert calls == {(0, 0): len(cases)}
+
+
 def product_calls(monkeypatch) -> Counter:
     """Tally ``kxy.dashv`` and ``kxy.vdash`` by product and calling function."""
     calls = Counter()

@@ -241,6 +241,14 @@ class TestDiderivationForm:
         member = BivariatePoly.one(B) + x_minus_y * mono(1, 1)
         assert not spec.apply(member)
 
+    @pytest.mark.parametrize("kind", ["derivation", "diderivation"])
+    def test_apply_takes_the_smallest_bound(self, kind):
+        spec = KxyOperatorSpec(kind, f=BivariatePoly.one(6), g=BivariatePoly.one(7))
+        # the zero polynomial as well as any other argument
+        for h in (BivariatePoly.zero(10), BivariatePoly.var_x(10)):
+            assert spec.apply(h).bound == 6
+        assert spec.apply(BivariatePoly.zero(5)).bound == 5
+
 
 class TestInnerDiderivations:
     def test_routes_agree_on_samples(self):
