@@ -53,8 +53,8 @@ PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
 # (k = n = q = m = 0, p != -1 drawn from -4..4) has exactly 8 sample
 # points, so ``branch_samples`` cannot give a ninth.  ``kxy --bound 12``
-# takes about 0.1 s after import (0.08 to 0.11 s over six runs, Python
-# 3.11, one core of a shared 2-vCPU Xeon).
+# takes about 0.08 s after import (0.07 to 0.09 s over twelve runs,
+# Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_SAMPLES = 8
 MAX_BOUND = 12
 # Most bytes read from an input file.  The largest canonical file

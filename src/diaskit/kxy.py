@@ -34,9 +34,11 @@ product never reads a stale one.  The axiom sweep reads every product of
 a triple from it by list indexing.  The derivation and diderivation
 identities are checked by one bounded sweep over monomial pairs that
 reads the rule's products from ``core.RULES``; it computes the operator
-image of each monomial once, keys it by monomial number, reads ``u * v``
-from the table, forms each distinct right side from the table by
-bilinearity and compares coefficients.  The same table gives the
+image of each monomial once, keys it by monomial number and scales every
+image by one common denominator, so that the pair loop adds only ints.
+It reads ``u * v`` from the table, forms each distinct right side by
+bilinearity in one dict, reading ``t o1 v`` from a transposed copy of
+the table, and compares coefficients.  The same table gives the
 structure constants of the graded truncations ``truncation(n)``, which
 the main solver handles as ordinary dialgebras.  Reports name monomials
 by exponent pair.
@@ -46,6 +48,7 @@ back from text, so there is no parser.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -443,11 +446,18 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
     sweep is exact on that set.  Both products of two monomials are
     monomials of no larger degree, so every image the sweep compares is
     that of one monomial of degree at most ``bound - growth``; each is
-    computed once per call and keyed by monomial number.  Every product is
-    read from the product table of the bound: ``u * v`` directly, and the
-    right side by bilinearity, ``p o m = sum c_t (t o m)`` over the terms
-    c_t t of an image p.  Each distinct ``(o1, o2)`` gives one right side
-    per pair, shared by the products whose rule has it.  An operator that
+    computed once per call and keyed by monomial number.  Both sides are
+    linear in the images, so every image is multiplied by the least common
+    multiple of the denominators of all their coefficients: the verdicts
+    stay the same and the pair loop adds only ints.  Every product is read
+    from the product table of the bound: ``u * v`` directly, and the right
+    side by bilinearity, ``p o m = sum c_t (t o m)`` over the terms c_t t
+    of an image p.  The o1 table is transposed once per call, so the
+    products ``t o1 v`` of a pair are one row of it.  Each distinct
+    ``(o1, o2)`` gives one right side per pair, summed into one dict and
+    shared by the products whose rule has it.  It is compared with the
+    left image as it is; only where they differ are its cancelled (zero)
+    coefficients dropped and the two compared again.  An operator that
     raises degree past the bound leaves no pair to compare, so it raises
     ``DegreeBoundError``.
     """
@@ -458,41 +468,51 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
             f"above the bound {bound}")
     exps, index, dv, vd = _product_table(bound)
     ids = [[index[e] for e in _exponents_up_to(t)] for t in range(limit + 1)]
-    # each image as a list of (index, coefficient) terms, the cheapest to
-    # walk, and as a dict for the comparison
-    terms = {u: [(index[t], c) for t, c in spec.apply_monomial(*exps[u]).terms.items()]
-             for u in ids[limit]}
+    unscaled = {u: spec.apply_monomial(*exps[u]).terms for u in ids[limit]}
+    scale = math.lcm(*(c.denominator for p in unscaled.values() for c in p.values()))
+    # each scaled image as a list of (index, coefficient) terms, the
+    # cheapest to walk, and as a dict for the comparison
+    terms = {u: [(index[t], c.numerator * (scale // c.denominator)) for t, c in p.items()]
+             for u, p in unscaled.items()}
     image = {u: dict(ts) for u, ts in terms.items()}
 
-    def rhs(first: tuple[Row, ...], second: tuple[Row, ...], u: int,
-            v: int) -> dict[int, int | Fraction]:
-        """spec(u) first v + u second spec(v)."""
-        out: dict[int, int | Fraction] = {}
-        for t, c in terms[u]:
-            w = first[t][v]
-            out[w] = out.get(w, 0) + c
-        row = second[u]
-        for t, c in terms[v]:
-            w = row[t]
-            out[w] = out.get(w, 0) + c
-        return {w: c for w, c in out.items() if c}
-
-    # the products of the rule, grouped by the (o1, o2) of their right side
+    # the products of the rule, grouped by the (o1, o2) of their right
+    # side; o1 transposed, so that column v of it is one row
     tables = {"dashv": dv, "vdash": vd}
     by_side: dict[tuple[str, str], list[tuple[str, tuple[Row, ...]]]] = {}
     for product, o1, o2 in RULES[rule]:
         by_side.setdefault((o1, o2), []).append((product, tables[product]))
-    groups = [(tables[o1], tables[o2], checks) for (o1, o2), checks in by_side.items()]
+    groups = [(tuple(zip(*tables[o1])), tables[o2], checks)
+              for (o1, o2), checks in by_side.items()]
     violations = []
     pairs = 0
     for u in ids[limit]:
+        terms_u = terms[u]
+        # per group: its o1 columns, row u of its o2 and of each product
+        rows_u = [(first_t, second[u], [(label, table[u]) for label, table in checks])
+                  for first_t, second, checks in groups]
         for v in ids[limit - sum(exps[u])]:
             pairs += 1
-            for first, second, checks in groups:
-                side = rhs(first, second, u, v)
-                for label, table in checks:
-                    if image[table[u][v]] != side:
-                        violations.append({"product": label, "pair": (exps[u], exps[v])})
+            terms_v = terms[v]
+            for first_t, second_u, checks in rows_u:
+                # spec(u) o1 v + u o2 spec(v)
+                side: dict[int, int] = {}
+                get = side.get
+                col = first_t[v]
+                for t, c in terms_u:
+                    w = col[t]
+                    side[w] = get(w, 0) + c
+                for t, c in terms_v:
+                    w = second_u[t]
+                    side[w] = get(w, 0) + c
+                for label, products in checks:
+                    left = image[products[v]]
+                    # images hold no zero, so a cancelled term only shows
+                    # as a difference: drop zeros then and compare again
+                    if left != side:
+                        side = {w: c for w, c in side.items() if c}
+                        if left != side:
+                            violations.append({"product": label, "pair": (exps[u], exps[v])})
     return {"pairs": pairs, "violations": violations}
 
 

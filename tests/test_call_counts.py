@@ -490,3 +490,22 @@ def test_kxy_command_takes_each_image_once_per_sweep(monkeypatch):
     # 45 + 21 + 21 (derivations), 45 + 45 + 36 + 45 (diderivations) and
     # 36 + 28 (inner derivations); then 3 + 3 + 5 terms of the halo check
     assert sum(calls.values()) <= 333
+
+
+def test_identity_sweep_adds_fractions_only_in_the_images(monkeypatch):
+    # the sweep scales its images to integers, so with a non-integral
+    # coefficient every Fraction addition is made computing the images
+    calls = Counter()
+    for name in ("__add__", "__radd__"):
+        counting(monkeypatch, Fraction, name, calls, key=lambda *args: "add")
+    f = kxy.BivariatePoly({(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 3}, 8)
+    spec = kxy.KxyOperatorSpec("diderivation", f=f, g=f)
+    # f has degree 1, so the diderivation form keeps degrees: images up to 8
+    for m in range(9):
+        for n in range(9 - m):
+            spec.apply_monomial(m, n)
+    images = calls["add"]
+    calls.clear()
+    report = kxy.check_dider_identity(f, f)
+    assert report == {"pairs": math.comb(8 + 4, 4), "violations": []}
+    assert 0 < calls["add"] <= images

@@ -421,6 +421,19 @@ KXY_DIDERIVATIONS = [
     ({(1, 1): 1, (0, 0): 2}, {(1, 1): 1, (0, 0): 2}),
     ({(0, 0): 1}, {}),
 ]
+# operators with denominators 2 and 3, some coefficients int and some
+# Fraction; the last diderivation has f != g, so it has violations
+FRACTIONAL_DERIVATIONS = [
+    ({(1, 0): Fraction(1, 2), (0, 0): 3}, {(0, 1): Fraction(2, 3), (1, 0): -1}),
+    ({(2, 0): Fraction(-1, 3), (0, 0): Fraction(5, 2)}, {(1, 1): Fraction(1, 6)}),
+]
+FRACTIONAL_DIDERIVATIONS = [
+    ({(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 3},
+     {(1, 0): 2, (0, 1): Fraction(1, 2), (0, 0): 3}),
+    ({(1, 1): Fraction(2, 3), (0, 0): Fraction(-1, 2)},
+     {(1, 1): Fraction(2, 3), (0, 0): Fraction(-1, 2)}),
+    ({(0, 1): Fraction(1, 3), (0, 0): Fraction(1, 2)}, {(1, 0): Fraction(2, 3), (0, 0): 1}),
+]
 
 
 def as_oracle(terms):
@@ -438,7 +451,7 @@ class TestAgainstOracle:
         # six exponents with sum at most 6: C(12, 6) triples
         assert report["triples"] == triples == 924
 
-    @pytest.mark.parametrize("f, g", KXY_DERIVATIONS)
+    @pytest.mark.parametrize("f, g", KXY_DERIVATIONS + FRACTIONAL_DERIVATIONS)
     def test_derivation_sweeps(self, f, g):
         pairs, violations = oracle.kxy_identity_sweep(
             as_oracle(f), as_oracle(g), 6, twisted=False)
@@ -446,7 +459,7 @@ class TestAgainstOracle:
         assert (report["pairs"], report["violations"]) == (pairs, violations)
         assert pairs > 0 and violations == []
 
-    @pytest.mark.parametrize("f, g", KXY_DIDERIVATIONS)
+    @pytest.mark.parametrize("f, g", KXY_DIDERIVATIONS + FRACTIONAL_DIDERIVATIONS)
     def test_diderivation_sweeps(self, f, g):
         pairs, violations = oracle.kxy_identity_sweep(
             as_oracle(f), as_oracle(g), 6, twisted=True)
@@ -455,13 +468,54 @@ class TestAgainstOracle:
         assert pairs > 0
         assert bool(violations) is (f != g)
         if f != g:
-            # criterion 9: 1 -| x = y, and delta(y) - (delta(1) -| x + 1 |- delta(x)) = -1
+            # criterion 9: 1 -| x = y, and delta(y) - (delta(1) -| x + 1 |- delta(x)) = g - f
             assert violations[0] == {"product": "dashv", "pair": ((0, 0), (1, 0))}
+
+    @pytest.mark.parametrize("check, f, g", [
+        *((check_derivation_identity, f, g) for f, g in KXY_DERIVATIONS + FRACTIONAL_DERIVATIONS),
+        *((check_dider_identity, f, g) for f, g in KXY_DIDERIVATIONS + FRACTIONAL_DIDERIVATIONS),
+    ])
+    @pytest.mark.parametrize("c", [Fraction(-2, 3), 6, Fraction(7, 5)])
+    def test_scaled_operator_keeps_the_report(self, check, f, g, c):
+        # both sides of the identity are linear in the operator, so c * spec
+        # has the same pairs and the same violations as spec
+        report = check(BivariatePoly(f, 6), BivariatePoly(g, 6))
+        scaled = check(BivariatePoly(f, 6) * c, BivariatePoly(g, 6) * c)
+        assert scaled == report
+
+    @pytest.mark.parametrize("f, g", KXY_DERIVATIONS[1:] + FRACTIONAL_DERIVATIONS[1:])
+    def test_cancelled_right_sides_compare_equal(self, f, g):
+        # a right side summed term by term can hold a coefficient that
+        # cancels to zero, which an image never holds: for g = xy,
+        # d(1) = x^2 y - x y^2 and 1 -| d(1) sums to y^3 - y^3.  Each of
+        # these specs, with g of degree 2, meets 70 such sides at bound 6,
+        # and they still compare equal to the left side
+        f, g = as_oracle(f), as_oracle(g)
+        growth = max(oracle.poly_degree(f) - 1, oracle.poly_degree(g) + 1, 0)
+        cancelled = 0
+        for u in oracle.monomials(6 - growth):
+            for v in oracle.monomials(6 - growth - sum(u)):
+                image_u, image_v = (oracle.derivation_image(f, g, *e) for e in (u, v))
+                for mul in (oracle.poly_dashv, oracle.poly_vdash):
+                    # d(u) o v + u o d(v), summed without dropping zeros
+                    side = {}
+                    for t, c in image_u.items():
+                        (w,) = mul({t: 1}, {v: 1})
+                        side[w] = side.get(w, 0) + c
+                    for t, c in image_v.items():
+                        (w,) = mul({u: 1}, {t: 1})
+                        side[w] = side.get(w, 0) + c
+                    cancelled += 0 in side.values()
+        assert cancelled > 0
+        report = check_derivation_identity(BivariatePoly(f, 6), BivariatePoly(g, 6))
+        assert report["violations"] == []
 
     def test_monomial_images(self):
         for spec_kind, specs, image in (
-                ("derivation", KXY_DERIVATIONS, oracle.derivation_image),
-                ("diderivation", KXY_DIDERIVATIONS, oracle.diderivation_image)):
+                ("derivation", KXY_DERIVATIONS + FRACTIONAL_DERIVATIONS,
+                 oracle.derivation_image),
+                ("diderivation", KXY_DIDERIVATIONS + FRACTIONAL_DIDERIVATIONS,
+                 oracle.diderivation_image)):
             for f, g in specs:
                 spec = KxyOperatorSpec(spec_kind, f=BivariatePoly(f, 12),
                                        g=BivariatePoly(g, 12))
