@@ -27,6 +27,10 @@ checks (each ideal generator written in coordinates over the same basis)
 and the span of symmetrised squares follow from that table by
 bilinearity.
 
+Every span here (the annihilator, the bar-center, each ideal and the
+square span) is formed from sparse rows by ``ratlin.span``, one run of
+the elimination core; no row is made dense on the way.
+
 ``invariant_actions`` applies each Der and Dider basis operator as sparse
 columns (``ratlin.columns``) to the basis rows of each set, and decides
 membership of the images by ``Subspace.coordinates``.
@@ -50,6 +54,7 @@ from .ratlin import (
     kernel,
     lincomb,
     sparse,
+    span,
     vector,
 )
 from .spaces import (
@@ -63,8 +68,8 @@ from .spaces import (
 def annihilator(d: Dialgebra) -> Subspace:
     """Span of all ``a dashv b - a vdash b`` over basis pairs."""
     n, dashv, vdash = d.dim, d.table("dashv"), d.table("vdash")
-    return Subspace(n, [dense(n, lincomb(((1, dashv[i][j]), (-1, vdash[i][j]))))
-                        for i in range(n) for j in range(n)])
+    return span(n, (lincomb(((1, dashv[i][j]), (-1, vdash[i][j])))
+                    for i in range(n) for j in range(n)))
 
 
 def halo(d: Dialgebra) -> AffineSubspace:
@@ -73,8 +78,9 @@ def halo(d: Dialgebra) -> AffineSubspace:
     One ``kernel`` solves the bar-unit system homogenised: coordinate c
     at column n - c, the right-hand side at column 0.  Column 0 is free
     exactly when a bar unit exists, and its free vector is then the one
-    whose free coordinates are all 0.  The other free vectors span the
-    bar-center, the direction, also when the halo is empty.
+    whose free coordinates are all 0.  The other free vectors, laid back
+    with coordinate c at column c, span the bar-center, the direction,
+    also when the halo is empty; ``span`` brings them to canonical form.
     """
     n = d.dim
     # R^vdash_{e_j} e = e_j and L^dashv_{e_j} e = e_j, for each j in turn:
@@ -86,9 +92,10 @@ def halo(d: Dialgebra) -> AffineSubspace:
             for k, x in op.items():
                 block[k // n][n - k % n] = x
             rows += block
-    free = [dense(n + 1, v) for v in kernel(n + 1, rows).rows]
-    point = free.pop(0)[:0:-1] if free and free[0][0] else None
-    return AffineSubspace(point, Subspace(n, [v[:0:-1] for v in free]))
+    # laid back: coordinate c at column c, the right-hand side at column n
+    free = [{n - k: x for k, x in v.items()} for v in kernel(n + 1, rows).rows]
+    point = dense(n + 1, free.pop(0))[:n] if free and n in free[0] else None
+    return AffineSubspace(point, span(n, free))
 
 
 def bar_center(d: Dialgebra) -> Subspace:
@@ -230,7 +237,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
         # By bilinearity <e_i, m> and <m, e_i> are read off the table.
         if not generated:
             return False
-        ideal = Subspace(b, [dense(b, m) for m in members])
+        ideal = span(b, members)
         return all(
             ideal.coordinates(bilinear(table, e, m)) is not None
             and ideal.coordinates(bilinear(table, m, e)) is not None
@@ -240,7 +247,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
 
     squares = [lincomb(((1, values[i][j]), (1, values[j][i])))
                for i in range(b) for j in range(i + 1)]
-    square_span = Subspace(2 * nn, [dense(2 * nn, v) for v in squares if v])
+    square_span = span(2 * nn, squares)
 
     leibniz = _violations(table, ("right", "left"), True) if closed else None
     return {
@@ -252,7 +259,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
         "dinn_inn_ideal": is_ideal(dinn + inn),
         "square_span_dim": square_span.dim,
         "square_span_in_dider_component": all(
-            not any(v[nn:]) and dider.contains(v[:nn]) for v in square_span.basis),
+            max(row) < nn and dider.coordinates(row) is not None for row in square_span.rows),
     }
 
 

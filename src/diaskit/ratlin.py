@@ -27,11 +27,12 @@ the core skips both before any arithmetic: a row equal, entry for entry
 once normalised, to an earlier row of the same elimination already lies
 in the reduced span, so it would reduce to zero.  Skipping it changes
 neither the reduced rows nor the pivot scales, and so no kernel, RREF or
-determinant.  Where the usual lowest-column RREF is wanted (``rref``,
-``Subspace``) the column order is mirrored on the way in and out.
-``kernel`` is the one place a kernel is read off the core; an affine
-system is solved as the kernel of its homogenised form (see
-``invariants.halo``).
+determinant.  Two readouts of the core hand back a canonical
+``Subspace``: ``kernel``, the one place a kernel is read off it, and
+``span``, the RREF of a span of sparse rows, which lays the columns in
+reverse so that each row is pivoted on its lowest column.  ``rref`` is
+the dense view of ``span``.  An affine system is solved as the kernel of
+its homogenised form (see ``invariants.halo``).
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
@@ -104,15 +105,6 @@ def vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(frac(x) for x in entries)
 
 
-def zero_vector(n: int) -> Vector:
-    return (Fraction(0),) * n
-
-
-def unit_vector(n: int, i: int) -> Vector:
-    """Standard basis vector e_i, 0-indexed."""
-    return tuple(Fraction(1 if j == i else 0) for j in range(n))
-
-
 def sub_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
     return tuple(a - b for a, b in zip(u, v, strict=True))
 
@@ -142,12 +134,6 @@ class Matrix:
     @staticmethod
     def zero(nrows: int, ncols: int) -> "Matrix":
         return Matrix([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @staticmethod
-    def from_columns(cols: Sequence[Sequence[Scalar]]) -> "Matrix":
-        if not cols:
-            raise ValueError("need at least one column")
-        return Matrix([list(row) for row in zip(*cols, strict=True)])
 
     # -- basic queries ------------------------------------------------
 
@@ -197,10 +183,6 @@ class Matrix:
             sum((row[k] * x for k, x in nonzero if row[k]), Fraction(0))
             for row in self.rows
         )
-
-    def transpose(self) -> "Matrix":
-        cols = [[row[j] for row in self.rows] for j in range(self.ncols)]
-        return Matrix(cols, ncols=self.nrows)
 
     # -- comparisons --------------------------------------------------
 
@@ -334,17 +316,23 @@ def sparse(v: Sequence[Scalar]) -> Row:
     return {j: int_or_fraction(x) for j, x in enumerate(v) if x}
 
 
-def _mirrored(rows: Iterable[Sequence[Fraction]], last: int) -> list[Row]:
-    """Dense rows as sparse rows with column j moved to ``last - j``."""
-    return [{last - j: x for j, x in enumerate(row) if x} for row in rows]
-
-
 def dense(ncols: int, row: Row) -> Vector:
     """The sparse row as a vector of Q^ncols, of ``Fraction`` entries."""
     v = [_ZERO] * ncols
     for j, x in row.items():
         v[j] = frac(x)
     return tuple(v)
+
+
+def _subspace(ncols: int, by_pivot: dict[int, Row]) -> "Subspace":
+    """The subspace of Q^ncols whose RREF basis has these sparse rows,
+    keyed by pivot column in ascending order."""
+    space = Subspace.__new__(Subspace)
+    space.ambient_dim = ncols
+    space._pivots = {p: k for k, p in enumerate(by_pivot)}
+    space.rows = tuple(by_pivot.values())
+    space.basis = tuple(dense(ncols, row) for row in space.rows)
+    return space
 
 
 def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
@@ -360,27 +348,30 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     for p, row in reduced.items():
         for f, x in row.items():
             free[f][p] = int_or_fraction(-x)
-    space = Subspace.__new__(Subspace)
-    space.ambient_dim = ncols
-    space._pivots = {f: k for k, f in enumerate(free)}
-    space.rows = tuple(free.values())
-    space.basis = tuple(dense(ncols, row) for row in space.rows)
-    return space
+    return _subspace(ncols, free)
+
+
+def span(ncols: int, rows: Iterable[Row]) -> "Subspace":
+    """The span of sparse rows of Q^ncols in canonical form, from one
+    elimination.
+
+    Column j is laid at ``last - j`` on the way in, so the core pivots
+    each row on its lowest column; the reduced row of the pivot c, laid
+    back, is the RREF basis vector with pivot c.
+    """
+    last = ncols - 1
+    reduced, _ = _eliminate({last - j: x for j, x in row.items()} for row in rows)
+    return _subspace(ncols, {
+        c: {c: 1, **{last - j: int_or_fraction(x) for j, x in reduced[last - c].items()}}
+        for c in sorted(last - p for p in reduced)})
 
 
 def rref(m: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    last = m.ncols - 1
-    reduced, _ = _eliminate(_mirrored(m.rows, last))
-    pivots = sorted(last - p for p in reduced)
-    rows = [dense(m.ncols, {c: 1, **{last - j: x for j, x in reduced[last - c].items()}})
-            for c in pivots]
-    rows += [(_ZERO,) * m.ncols] * (m.nrows - len(rows))
-    return Matrix(rows, ncols=m.ncols), pivots
-
-
-def rank(m: Matrix) -> int:
-    return len(_eliminate(map(sparse, m.rows))[0])
+    """Reduced row echelon form and the list of pivot columns: the dense
+    view of ``span``."""
+    space = span(m.ncols, map(sparse, m.rows))
+    rows = list(space.basis) + [(_ZERO,) * m.ncols] * (m.nrows - space.dim)
+    return Matrix(rows, ncols=m.ncols), list(space._pivots)
 
 
 def nullspace(m: Matrix) -> list[Vector]:
@@ -404,7 +395,9 @@ def det(m: Matrix) -> Fraction:
 
 class Subspace:
     """A linear subspace of Q^n in canonical (RREF) form: ``basis`` holds
-    its RREF basis and ``rows`` the same vectors as sparse rows, read-only."""
+    its RREF basis and ``rows`` the same vectors as sparse rows, read-only.
+    ``Subspace(n, vectors)`` is the span of dense vectors; ``span`` and
+    ``kernel`` build one straight from sparse rows."""
 
     __slots__ = ("ambient_dim", "basis", "rows", "_pivots")
 
@@ -412,6 +405,8 @@ class Subspace:
         vectors = [vector(v) for v in spanning]
         if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector does not live in the ambient space")
+        # Through ``rref``, the dense view of ``span``, so that dense input
+        # is still timed as ``ratlin.rref`` by perfbench's tracer.
         reduced, pivots = rref(Matrix(vectors, ncols=ambient_dim))
         self.ambient_dim = ambient_dim
         self.basis = tuple(reduced.row(i) for i in range(len(pivots)))
@@ -454,11 +449,6 @@ class Subspace:
 
     def __hash__(self) -> int:
         return hash((self.ambient_dim, self.basis))
-
-    def __add__(self, other: "Subspace") -> "Subspace":
-        if self.ambient_dim != other.ambient_dim:
-            raise ValueError("ambient dimensions differ")
-        return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(str(x) for x in b) for b in self.basis)

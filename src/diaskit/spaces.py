@@ -26,7 +26,10 @@ equal up to a scalar are all formed: skipping them by a normalised key
 made the Dider solve of phi at n = 12 over twice as slow.  The closure report
 brackets operators as sparse rows, through ``ratlin.commutator``; the
 inner operators ``R_{e_i} - L_{e_i}`` are formed as sparse rows too, from
-``Dialgebra.basis_ops``, and become a ``Matrix`` only when returned.
+``Dialgebra.basis_ops``, and become a ``Matrix`` only when returned; their
+spans are read off the elimination core by ``ratlin.span``.  Only
+``operator_subspace``, which takes dense matrices, builds a ``Subspace``
+from dense vectors.
 
 Operators are stored column-style: column ``j`` of the matrix of ``T``
 holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
@@ -39,8 +42,8 @@ from typing import Sequence
 
 from .core import RULES, Dialgebra
 from .ratlin import (
-    Exact, Matrix, Row, Subspace, bilinear, commutator, columns, dense, int_or_fraction, kernel,
-    lincomb,
+    Exact, Matrix, Row, Subspace, bilinear, commutator, columns, int_or_fraction, kernel, lincomb,
+    span,
 )
 
 
@@ -162,10 +165,6 @@ def _inner_ops(d: Dialgebra, right: str, left: str) -> list[Row]:
             for r, l in zip(d.basis_ops("right", right), d.basis_ops("left", left))]
 
 
-def _span(n: int, ops: list[Row]) -> Subspace:
-    return Subspace(n * n, [dense(n * n, op) for op in ops])
-
-
 def inner_derivation(d: Dialgebra, a: Sequence) -> Matrix:
     """ad_a = (x -> x dashv a - a vdash x), always a derivation."""
     return d._operator_at(_inner_ops(d, "dashv", "vdash"), a)
@@ -177,11 +176,11 @@ def inner_diderivation(d: Dialgebra, a: Sequence) -> Matrix:
 
 
 def inner_derivations(d: Dialgebra) -> Subspace:
-    return _span(d.dim, _inner_ops(d, "dashv", "vdash"))
+    return span(d.dim ** 2, _inner_ops(d, "dashv", "vdash"))
 
 
 def inner_diderivations(d: Dialgebra) -> Subspace:
-    return _span(d.dim, _inner_ops(d, "vdash", "dashv"))
+    return span(d.dim ** 2, _inner_ops(d, "vdash", "dashv"))
 
 
 # -- operator-commutator route ------------------------------------------
@@ -294,7 +293,7 @@ def check_closures(d: Dialgebra) -> dict:
     der = derivation_space(d)
     dider = diderivation_space(d)
     ads, di_ads = _inner_ops(d, "dashv", "vdash"), _inner_ops(d, "vdash", "dashv")
-    inn, dinn = _span(n, ads), _span(n, di_ads)
+    inn, dinn = span(n * n, ads), span(n * n, di_ads)
 
     def closed_under_der(space: Subspace) -> bool:
         return all(space.coordinates(commutator(n, a, t)) is not None

@@ -105,6 +105,38 @@ def test_halo_eliminates_once_then_only_its_kernel(monkeypatch):
         assert runs == [2 * d.dim ** 2, h.direction.dim], name
 
 
+def dense_span_calls(monkeypatch) -> Counter:
+    """Tally ``Subspace.__init__`` and ``ratlin.rref``, the dense way in."""
+    calls = Counter()
+    counting(monkeypatch, ratlin.Subspace, "__init__", calls)
+    counting(monkeypatch, ratlin, "rref", calls)
+    return calls
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda: run_cli("bider", "catalog:Dias3_13") == 0, id="bider"),
+    pytest.param(lambda: run_cli("invariants", "catalog:Dias3_1") == 0, id="invariants"),
+    pytest.param(lambda: run_cli("spaces", "catalog:Dias3_10", "--which", "inn") == 0, id="inn"),
+    pytest.param(lambda: run_cli("spaces", "catalog:Dias3_10", "--which", "dinn") == 0,
+                 id="dinn"),
+    pytest.param(lambda: bool(spaces.check_closures(catalog.instantiate("Dias3_13"))),
+                 id="check_closures"),
+])
+def test_spans_of_sparse_rows_are_not_made_dense(monkeypatch, run):
+    # every span these checks form is read off its sparse rows by ratlin.span
+    calls = dense_span_calls(monkeypatch)
+    assert run()
+    assert not calls
+
+
+def test_tabled_bases_still_enter_through_rref(monkeypatch):
+    # dense matrices, as the catalog tables its bases, take the dense way
+    calls = dense_span_calls(monkeypatch)
+    space = spaces.operator_subspace(2, [ratlin.Matrix([[1, 2], [0, 1]])])
+    assert space.dim == 1
+    assert calls == {"__init__": 1, "rref": 1}
+
+
 def stored_exactly(x) -> bool:
     """An ``int`` when integral, a ``Fraction`` when not."""
     return type(x) is (int if x.denominator == 1 else Fraction)

@@ -20,7 +20,7 @@ from diaskit.core import (
     serialize_dialgebra,
 )
 from diaskit.invariants import LeibnizAlgebra, check_bider_leibniz, check_invariant_actions
-from diaskit.ratlin import sparse, unit_vector
+from diaskit.ratlin import sparse
 
 import exact_oracle as oracle
 from test_ratlin import direct_sum, kernel_cases
@@ -229,7 +229,7 @@ class TestOperators:
         for product in ("dashv", "vdash"):
             for side, op in (("left", d.left_op), ("right", d.right_op)):
                 assert [typed(r) for r in d.basis_ops(side, product)] == [
-                    typed(sparse(op(product, unit_vector(d.dim, k)).flatten()))
+                    typed(sparse(op(product, oracle.unit(d.dim, k)).flatten()))
                     for k in range(d.dim)]
         with pytest.raises(DialgebraError, match="unknown side"):
             d.basis_ops("middle", "vdash")

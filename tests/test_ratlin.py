@@ -21,10 +21,9 @@ from diaskit.ratlin import (
     kernel,
     lincomb,
     nullspace,
-    rank,
     rref,
     sparse,
-    unit_vector,
+    span,
 )
 from diaskit.spaces import derivation_space, diderivation_space
 
@@ -58,10 +57,6 @@ class TestMatrix:
         m = Matrix([[1, 2], [3, 4], [5, 6]])
         assert Matrix.from_flat(m.flatten(), 3, 2) == m
 
-    def test_from_columns(self):
-        m = Matrix.from_columns([[1, 0], [2, 1]])
-        assert m == Matrix([[1, 2], [0, 1]])
-
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError):
             Matrix([[1, 2], [3]])
@@ -80,10 +75,6 @@ class TestMatrix:
     @given(square(3), square(3), square(3))
     def test_mul_associative(self, a, b, c):
         assert (a * b) * c == a * (b * c)
-
-    @given(square(3), square(3))
-    def test_transpose_antihomomorphism(self, a, b):
-        assert (a * b).transpose() == b.transpose() * a.transpose()
 
     @given(small_square)
     def test_columns_are_the_matrix_columns(self, m):
@@ -110,7 +101,7 @@ class TestElimination:
 
     @given(small_square)
     def test_rank_plus_nullity(self, m):
-        assert rank(m) + len(nullspace(m)) == m.ncols
+        assert len(rref(m)[1]) + len(nullspace(m)) == m.ncols
 
     @given(small_square)
     def test_nullspace_vectors_annihilated(self, m):
@@ -202,17 +193,13 @@ class TestSubspace:
         def typed(row):
             return {j: (type(x), x) for j, x in row.items()}
 
-        for s in (Subspace(4, rows), kernel(4, map(sparse, rows))):
+        for s in (Subspace(4, rows), kernel(4, map(sparse, rows)), span(4, map(sparse, rows))):
             assert [typed(r) for r in s.rows] == [typed(sparse(b)) for b in s.basis]
 
     @given(st.lists(st.lists(rationals, min_size=3, max_size=3), max_size=4))
     def test_span_invariant_under_order(self, rows):
         assert Subspace(3, rows) == Subspace(3, list(reversed(rows)))
-
-    def test_sum_and_intersection(self):
-        a = Subspace(3, [unit_vector(3, 0), unit_vector(3, 1)])
-        b = Subspace(3, [unit_vector(3, 1), unit_vector(3, 2)])
-        assert (a + b).dim == 3
+        assert span(3, map(sparse, rows)) == span(3, map(sparse, reversed(rows)))
 
     def test_is_subspace_of(self):
         small = Subspace(3, [(1, 1, 0)])
@@ -294,7 +281,7 @@ class TestCoreAgainstOracle:
         reduced, pivots = oracle.rref(m.rows)
         padding = [[0] * m.ncols] * (m.nrows - len(pivots))
         assert rref(m) == (Matrix(reduced + padding, ncols=m.ncols), pivots)
-        assert rank(m) == len(pivots)
+        assert len(_eliminate(map(sparse, m.rows))[0]) == len(pivots)
         kernel = nullspace(m)
         # the canonical kernel basis is the RREF of any kernel basis
         assert [list(v) for v in kernel] == oracle.rref(oracle.nullspace(m.rows, m.ncols))[0]
@@ -357,6 +344,15 @@ class TestSkippedRows:
         assert list(again.items()) == list(reduced.items())
         assert scales_again == scales
         assert len(reduced) == oracle.rank([dense(4, row) for row in rows])
+
+    @given(sparse_rows, st.data())
+    def test_span_matches_the_dense_constructor_and_the_oracle(self, rows, data):
+        # int and Fraction entries, an empty row and repeats of earlier rows
+        rows = rows + [{}] + data.draw(st.lists(st.sampled_from(rows), max_size=3))
+        vectors = [dense(4, row) for row in rows]
+        s = span(4, rows)
+        assert s == Subspace(4, vectors)
+        assert [list(v) for v in s.basis] == oracle.rref(vectors)[0]
 
     @given(st.integers(2, 5).flatmap(lambda n: sparse_matrix(n, n)), st.data())
     def test_det_with_a_repeated_row_is_zero(self, m, data):

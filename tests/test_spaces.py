@@ -11,7 +11,7 @@ from diaskit.catalog import (
     DIAS3_17_SAMPLES, LAMBDA_SAMPLES, case_family_vectors, entries, instantiate,
 )
 from diaskit.core import Dialgebra, phi_dialgebra
-from diaskit.ratlin import Matrix, sparse, unit_vector
+from diaskit.ratlin import Matrix, sparse
 from diaskit.spaces import (
     check_characterizations,
     check_closures,
@@ -39,7 +39,7 @@ phis = st.integers(min_value=2, max_value=4).flatmap(
 
 
 def basis_vectors(n):
-    return [unit_vector(n, i) for i in range(n)]
+    return [tuple(oracle.unit(n, i)) for i in range(n)]
 
 
 def is_derivation(d: Dialgebra, t: Matrix) -> bool:
