@@ -53,11 +53,12 @@ RULES = {
 }
 
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
-# unknowns; at n = 32 the derivation and diderivation spaces of
-# ``phi_dialgebra`` (weights 1, -2, 3, -1, ...) take 0.11 to 0.13 s each
-# to solve, and ``diaskit spaces --which der`` with both operator routes
-# 1.1 to 1.3 s (three runs each, Python 3.11, one core of a shared 2-vCPU
-# Xeon).
+# unknowns; at n = 32 the derivation space of ``phi_dialgebra`` (weights
+# 1, -2, 3, -1, ...) takes 0.12 to 0.20 s to solve, and its diderivation
+# space, 0 and so read off its first n^2 rows, 0.02 to 0.035 s;
+# ``diaskit spaces --which der`` with both operator routes takes 1.1 to
+# 1.6 s and ``--which dider`` 0.20 to 0.22 s (three to six runs each,
+# Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_DIM = 32
 
 

@@ -23,7 +23,9 @@ entries of each basis operator straight off them.  Integral constants are
 ``int`` there and both routes keep them that way: integer structure
 constants give integer rows; a slot no constant reaches forms no row.  Rows
 equal up to a scalar are all formed: skipping them by a normalised key
-made the Dider solve of phi at n = 12 over twice as slow.  The closure report
+made the Dider solve of phi at n = 12 over twice as slow.  Both routes
+yield their rows one at a time, so the rows after the elimination core
+has a pivot in every column are never built.  The closure report
 brackets operators as sparse rows, through ``ratlin.commutator``; the
 inner operators ``R_{e_i} - L_{e_i}`` are formed as sparse rows too, from
 ``Dialgebra.basis_ops``, and become a ``Matrix`` only when returned; their

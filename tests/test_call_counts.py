@@ -85,10 +85,30 @@ def eliminate_runs(monkeypatch, record=len) -> list:
     runs = []
     original = ratlin._eliminate
 
-    def wrapper(rows):
+    def wrapper(rows, ncols):
         rows = list(rows)
         runs.append(record(rows))
-        return original(rows)
+        return original(rows, ncols)
+
+    monkeypatch.setattr(ratlin, "_eliminate", wrapper)
+    return runs
+
+
+def rows_read(monkeypatch) -> list:
+    """The number of rows each ``ratlin._eliminate`` run pulls from its
+    input, counted lazily as the core reads them."""
+    runs = []
+    original = ratlin._eliminate
+
+    def wrapper(rows, ncols):
+        runs.append(0)
+
+        def counted():
+            for row in rows:
+                runs[-1] += 1
+                yield row
+
+        return original(counted(), ncols)
 
     monkeypatch.setattr(ratlin, "_eliminate", wrapper)
     return runs
@@ -243,6 +263,27 @@ def test_row_builders_form_one_row_per_slot_with_a_term(monkeypatch, make):
     assert sizes == expected
     if d.dim == 8:  # the sum is sparse: most of the 2n^3 slots have no term
         assert max(sizes) < d.dim ** 3
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_full_rank_systems_stop_after_one_pivot_per_column(monkeypatch, n):
+    # Dider of phi is 0: the first n^2 rows already give n^2 pivots, and the
+    # lazy row builder is never asked for the other 2n^3 - n^2
+    d = phi_dialgebra((PHI8 * 2)[:n])
+    runs = rows_read(monkeypatch)
+    assert spaces.diderivation_space(d).dim == 0
+    assert runs == [n * n]
+    # Der has a nonzero kernel, so every row is read
+    runs.clear()
+    assert spaces.derivation_space(d).dim > 0
+    assert runs == [2 * n ** 3]
+
+
+def test_operator_route_stops_at_full_rank(monkeypatch):
+    d = phi_dialgebra((PHI8 * 2)[:12])
+    runs = rows_read(monkeypatch)
+    assert spaces.diderivation_space_via_ops(d).dim == 0
+    assert runs == [1717]  # of 2n^3 = 3456
 
 
 def checks_on(d):

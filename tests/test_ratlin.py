@@ -281,7 +281,7 @@ class TestCoreAgainstOracle:
         reduced, pivots = oracle.rref(m.rows)
         padding = [[0] * m.ncols] * (m.nrows - len(pivots))
         assert rref(m) == (Matrix(reduced + padding, ncols=m.ncols), pivots)
-        assert len(_eliminate(map(sparse, m.rows))[0]) == len(pivots)
+        assert len(_eliminate(map(sparse, m.rows), m.ncols)[0]) == len(pivots)
         kernel = nullspace(m)
         # the canonical kernel basis is the RREF of any kernel basis
         assert [list(v) for v in kernel] == oracle.rref(oracle.nullspace(m.rows, m.ncols))[0]
@@ -338,8 +338,8 @@ class TestSkippedRows:
                     mixed.append(written_otherwise(earlier, zeros, data.draw(st.booleans())))
                 else:
                     mixed.append({j: 0 for j in zeros})
-        reduced, scales = _eliminate(rows)
-        again, scales_again = _eliminate(mixed)
+        reduced, scales = _eliminate(rows, 4)
+        again, scales_again = _eliminate(mixed, 4)
         # the same pivots in the same order, the same rows and scales
         assert list(again.items()) == list(reduced.items())
         assert scales_again == scales
@@ -363,6 +363,58 @@ class TestSkippedRows:
         value = det(Matrix(rows))
         assert type(value) is Fraction
         assert value == 0 == oracle.det(rows)
+
+
+# n rows of Q^n with full column rank, then up to three more sparse rows:
+# a square or a tall system whose first rows already fix every pivot.
+full_rank_systems = st.integers(1, 4).flatmap(lambda n: st.tuples(
+    st.lists(st.lists(rationals, min_size=n, max_size=n), min_size=n, max_size=n)
+    .filter(lambda rows: oracle.rank(rows) == len(rows)),
+    st.lists(st.lists(sparse_entries, min_size=n, max_size=n), max_size=3)))
+
+
+class TestFullRank:
+    """The core stops reading rows once it holds one pivot per column;
+    the rows it leaves unread, and rows outside Q^ncols, are handled as
+    the docstrings say."""
+
+    @given(full_rank_systems, st.data())
+    def test_rows_after_full_rank_change_nothing(self, system, data):
+        first, extra = system
+        n = len(first)
+        rows = first + extra
+        # empty rows, repeats of earlier rows, int rows and Fraction rows
+        appended = data.draw(st.lists(st.one_of(
+            st.just([0] * n),
+            st.sampled_from(rows),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+            st.lists(rationals, min_size=n, max_size=n)), min_size=1, max_size=4))
+        reduced, pivots = oracle.rref(rows)
+        assert pivots == list(range(n))
+        for system_rows in (rows, rows + appended):
+            as_rows = [{j: x for j, x in enumerate(row) if x} for row in system_rows]
+            m = Matrix(system_rows, ncols=n)
+            padding = [[0] * n] * (m.nrows - n)
+            assert rref(m) == (Matrix(reduced + padding, ncols=n), pivots)
+            assert nullspace(m) == oracle.nullspace(system_rows, n) == []
+            assert kernel(n, as_rows).basis == ()
+            assert [list(v) for v in span(n, as_rows).basis] == reduced
+        # a system with rows after its n pivots is not square, so the
+        # determinant is checked on the first rows, and the core is shown
+        # to give the same pivots and scales with every later row added
+        assert det(Matrix(first)) == oracle.det(first) != 0
+        assert _eliminate(map(sparse, first), n) == \
+            _eliminate(map(sparse, rows + appended), n)
+
+    @pytest.mark.parametrize("solve", [kernel, span])
+    @pytest.mark.parametrize("column", [2, 5, -1])
+    def test_a_column_outside_the_space_is_rejected(self, solve, column):
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            solve(2, [{column: 1}])
+        with pytest.raises(ValueError, match=r"outside range\(2\)"):
+            solve(2, [{0: 1}, {0: 2, column: 3}])
+        # a row whose entries there are all zero is empty, and skipped
+        assert solve(2, [{column: 0}]).dim == (2 if solve is kernel else 0)
 
 
 def all_fractions(entries) -> bool:
