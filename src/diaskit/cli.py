@@ -47,7 +47,7 @@ from typing import Sequence
 
 from . import invariants, spaces
 from .core import Dialgebra, DialgebraError, parse_dialgebra, parse_rational
-from .ratlin import Matrix
+from .ratlin import Row
 
 PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
@@ -77,9 +77,10 @@ class Section:
     def add(self, key: str, value) -> None:
         self.items.append((key, _text(value)))
 
-    def add_matrix(self, label: str, m: Matrix) -> None:
+    def add_operator(self, label: str, n: int, op: Row) -> None:
+        """An n-by-n operator given as a sparse row over r*n + c."""
         self.matrices.append(
-            (label, [[_text(x) for x in row] for row in m.rows]))
+            (label, [[str(op.get(r * n + c, 0)) for c in range(n)] for r in range(n)]))
 
 
 @dataclass
@@ -103,8 +104,6 @@ class Report:
 def _text(value) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(_text(v) for v in value) + ")"
     return str(value)
@@ -230,8 +229,8 @@ def cmd_spaces(selector: str, which: str) -> Report:
     sec = report.section(title)
     space = solver(d)
     sec.add("dim", space.dim)
-    for idx, mat in enumerate(spaces.subspace_matrices(space, d.dim), start=1):
-        sec.add_matrix(f"basis {idx}", mat)
+    for idx, op in enumerate(space.rows, start=1):
+        sec.add_operator(f"basis {idx}", d.dim, op)
     if which == "der":
         routes = [
             ("left operator route equal", spaces.derivation_space_via_left_ops(d)),

@@ -14,10 +14,11 @@ let the products absorb each other:
 Structure constants are given per product as ``c[i][j][k]``, the
 coefficient of basis vector ``k`` in ``e_i * e_j`` (0-based internally;
 the text format is 1-based).  These dense cubes are the constructor's
-data.  From them ``Dialgebra`` builds, once, one read-only sparse table
-per product (``Dialgebra.table``), whose integral constants are ``int``.
-Every product, operator and solver route reads the tables; outside this
-module nothing reads the cubes.
+input.  From them ``Dialgebra`` builds, once, one read-only sparse table
+per product (``Dialgebra.table``), whose integral constants are ``int``,
+and stores nothing else: every product, operator, solver route,
+comparison and hash reads the tables, and the cubes ``c_vdash`` and
+``c_dashv`` are dense views rebuilt from them on each read.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ RULES = {
 
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation space of ``phi_dialgebra`` (weights
-# 1, -2, 3, -1, ...) takes 0.12 to 0.20 s to solve, and its diderivation
-# space, 0 and so read off its first n^2 rows, 0.02 to 0.035 s;
-# ``diaskit spaces --which der`` with both operator routes takes 1.1 to
-# 1.6 s and ``--which dider`` 0.20 to 0.22 s (three to six runs each,
+# 1, -2, 3, -1, ...) takes 0.10 to 0.18 s to solve, and its diderivation
+# space, 0 and so read off its first n^2 rows, 0.017 to 0.03 s;
+# ``diaskit spaces --which der`` with both operator routes takes 0.77 to
+# 0.80 s and ``--which dider`` 0.21 to 0.33 s (three to six runs each,
 # Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_DIM = 32
 
@@ -77,13 +78,14 @@ def _zero_cube(n: int) -> Cube:
 class Dialgebra:
     """A finite-dimensional dialgebra given by structure constants.
 
-    The instance is read-only after construction: its sparse tables, and
-    its derivation and diderivation spaces once ``spaces`` has solved them,
-    all come from the cubes, once.  Build a new dialgebra for new
-    constants.
+    The instance is read-only after construction: its sparse tables are
+    built from the cubes once, and its derivation and diderivation spaces
+    from the tables once ``spaces`` has solved them.  ``c_vdash`` and
+    ``c_dashv`` hand back a fresh dense copy on each read, so writing into
+    one changes nothing.  Build a new dialgebra for new constants.
     """
 
-    __slots__ = ("dim", "c_vdash", "c_dashv", "_tables", "_spaces")
+    __slots__ = ("dim", "_tables", "_spaces")
 
     def __init__(
         self,
@@ -94,21 +96,18 @@ class Dialgebra:
         if not 1 <= dim <= MAX_DIM:
             raise DialgebraError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
         self.dim = dim
-        self.c_vdash = self._check_cube(c_vdash, "vdash")
-        self.c_dashv = self._check_cube(c_dashv, "dashv")
-        self._tables = {
-            product: tuple(tuple(sparse(row) for row in plane) for plane in cube)
-            for product, cube in (("dashv", self.c_dashv), ("vdash", self.c_vdash))
-        }
+        self._tables = {"vdash": self._check_cube(c_vdash, "vdash"),
+                        "dashv": self._check_cube(c_dashv, "dashv")}
         # Each rule's kernel by rule name ("der", "dider"), filled by
         # ``spaces`` on the first solve and shared read-only after that.
         self._spaces: dict[str, Subspace] = {}
 
-    def _check_cube(self, cube: Sequence, name: str) -> Cube:
+    def _check_cube(self, cube: Sequence, name: str) -> Table:
+        """The sparse table of a cube of n^3 exact scalars."""
         n = self.dim
         if len(cube) != n:
             raise DialgebraError(f"{name} table has {len(cube)} rows, expected {n}")
-        out: Cube = []
+        out = []
         for i, plane in enumerate(cube):
             if len(plane) != n:
                 raise DialgebraError(f"{name} table row {i} has wrong length")
@@ -116,9 +115,24 @@ class Dialgebra:
             for j, entries in enumerate(plane):
                 if len(entries) != n:
                     raise DialgebraError(f"{name} table entry ({i},{j}) has wrong length")
-                rows.append([frac(x) for x in entries])
-            out.append(rows)
-        return out
+                # frac first: it rejects a float, and reads "0" as zero
+                rows.append(sparse([frac(x) for x in entries]))
+            out.append(tuple(rows))
+        return tuple(out)
+
+    @property
+    def c_vdash(self) -> Cube:
+        """The vdash constants as a dense cube, built on each read."""
+        return self._cube("vdash")
+
+    @property
+    def c_dashv(self) -> Cube:
+        """The dashv constants as a dense cube, built on each read."""
+        return self._cube("dashv")
+
+    def _cube(self, product: str) -> Cube:
+        n = self.dim
+        return [[list(dense(n, row)) for row in plane] for plane in self._tables[product]]
 
     # -- constructors -------------------------------------------------
 
@@ -286,26 +300,16 @@ class Dialgebra:
 
     def products_coincide(self) -> bool:
         """True when vdash and dashv agree, i.e. the algebra is associative."""
-        return self.c_vdash == self.c_dashv
+        return self._tables["vdash"] == self._tables["dashv"]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dialgebra):
             return NotImplemented
-        return (
-            self.dim == other.dim
-            and self.c_vdash == other.c_vdash
-            and self.c_dashv == other.c_dashv
-        )
+        return self.dim == other.dim and self._tables == other._tables
 
     def __hash__(self) -> int:
-        flat = tuple(
-            x
-            for cube in (self.c_vdash, self.c_dashv)
-            for plane in cube
-            for row in plane
-            for x in row
-        )
-        return hash((self.dim, flat))
+        return hash((self.dim, tuple(frozenset(row.items()) for product in PRODUCTS
+                                     for plane in self._tables[product] for row in plane)))
 
     def relations(self) -> dict[tuple[str, int, int], list[tuple[int, Fraction]]]:
         """Sparse view of the nonzero structure constants, 1-based."""

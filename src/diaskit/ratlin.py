@@ -2,9 +2,9 @@
 
 Everything here is exact, so results are free of rounding questions.
 Vectors are tuples of :class:`fractions.Fraction`; matrices are row-major
-lists of rows of ``Fraction``.  Subspaces are stored through the reduced
-row echelon form (RREF) of a spanning set, which makes equality a data
-comparison.
+lists of rows of ``Fraction``.  A subspace stores only the reduced row
+echelon form (RREF) of a spanning set, as sparse rows, which makes
+equality a data comparison; its dense ``basis`` is built on each read.
 
 Sparse rows (``Row``) are the working form: dicts from column to nonzero
 entry, where an entry is an ``int`` when integral and a ``Fraction``
@@ -349,7 +349,6 @@ def _subspace(ncols: int, by_pivot: dict[int, Row]) -> "Subspace":
     space.ambient_dim = ncols
     space._pivots = {p: k for k, p in enumerate(by_pivot)}
     space.rows = tuple(by_pivot.values())
-    space.basis = tuple(dense(ncols, row) for row in space.rows)
     return space
 
 
@@ -419,12 +418,15 @@ def det(m: Matrix) -> Fraction:
 
 
 class Subspace:
-    """A linear subspace of Q^n in canonical (RREF) form: ``basis`` holds
-    its RREF basis and ``rows`` the same vectors as sparse rows, read-only.
-    ``Subspace(n, vectors)`` is the span of dense vectors; ``span`` and
-    ``kernel`` build one straight from sparse rows."""
+    """A linear subspace of Q^n in canonical (RREF) form, read-only.
 
-    __slots__ = ("ambient_dim", "basis", "rows", "_pivots")
+    Only ``rows`` is stored: the RREF basis as sparse rows, in ascending
+    order of pivot.  ``basis`` is the dense view of the same vectors,
+    built of ``Fraction`` on each read.  ``Subspace(n, vectors)`` is the
+    span of dense vectors; ``span`` and ``kernel`` build one straight from
+    sparse rows."""
+
+    __slots__ = ("ambient_dim", "rows", "_pivots")
 
     def __init__(self, ambient_dim: int, spanning: Iterable[Sequence[Scalar]] = ()):
         vectors = [vector(v) for v in spanning]
@@ -434,13 +436,16 @@ class Subspace:
         # is still timed as ``ratlin.rref`` by perfbench's tracer.
         reduced, pivots = rref(Matrix(vectors, ncols=ambient_dim))
         self.ambient_dim = ambient_dim
-        self.basis = tuple(reduced.row(i) for i in range(len(pivots)))
-        self.rows = tuple(map(sparse, self.basis))
+        self.rows = tuple(map(sparse, reduced.rows[:len(pivots)]))
         self._pivots = {p: k for k, p in enumerate(pivots)}  # pivot -> basis index
 
     @property
+    def basis(self) -> tuple[Vector, ...]:
+        return tuple(dense(self.ambient_dim, row) for row in self.rows)
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def coordinates(self, v: Row) -> Row | None:
         """The coordinates of the sparse vector v, keyed by basis index in
@@ -470,10 +475,10 @@ class Subspace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.basis == other.basis
+        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self.rows)))
 
     def __repr__(self) -> str:
         rows = "; ".join(" ".join(str(x) for x in b) for b in self.basis)

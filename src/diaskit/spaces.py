@@ -28,8 +28,10 @@ yield their rows one at a time, so the rows after the elimination core
 has a pivot in every column are never built.  The closure report
 brackets operators as sparse rows, through ``ratlin.commutator``; the
 inner operators ``R_{e_i} - L_{e_i}`` are formed as sparse rows too, from
-``Dialgebra.basis_ops``, and become a ``Matrix`` only when returned; their
-spans are read off the elimination core by ``ratlin.span``.  Only
+``Dialgebra.basis_ops``; their spans are read off the elimination core
+by ``ratlin.span``.  No solver or check here makes a row dense: a
+``Matrix`` is built only to be returned, by ``inner_derivation``,
+``inner_diderivation`` and ``subspace_matrices``, and only
 ``operator_subspace``, which takes dense matrices, builds a ``Subspace``
 from dense vectors.
 

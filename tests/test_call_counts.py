@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from diaskit import catalog, cli, invariants, kxy, poly, ratlin, spaces
+from diaskit import catalog, cli, core, invariants, kxy, poly, ratlin, spaces
 from diaskit.core import phi_dialgebra
 
 from test_ratlin import direct_sum
@@ -155,6 +155,43 @@ def test_tabled_bases_still_enter_through_rref(monkeypatch):
     space = spaces.operator_subspace(2, [ratlin.Matrix([[1, 2], [0, 1]])])
     assert space.dim == 1
     assert calls == {"__init__": 1, "rref": 1}
+
+
+def dense_calls(monkeypatch) -> Counter:
+    """Tally ``ratlin.dense`` in each module that calls it."""
+    calls = Counter()
+    for module in (ratlin, core, invariants):
+        counting(monkeypatch, module, "dense", calls)
+    return calls
+
+
+def bider_or_cap(d):
+    try:
+        return invariants.check_bider_leibniz(d)
+    except invariants.BiderSizeError:  # phi at n = 8 has b = 56
+        return None
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: phi_dialgebra(PHI8), id="phi8"),
+    pytest.param(lambda: direct_sum(*map(catalog.instantiate, ("Dias3_10", "Dias3_13",
+                                                              "Dias2_4"))), id="sum8"),
+])
+def test_solvers_and_checks_make_no_row_dense(monkeypatch, make):
+    # kernels are stored as sparse rows, and every check reads those
+    d = make()
+    calls = dense_calls(monkeypatch)
+    for check in (spaces.derivation_space, spaces.diderivation_space,
+                  spaces.check_characterizations, spaces.check_closures, bider_or_cap):
+        check(d)
+        assert not calls, check.__name__
+
+
+def test_spaces_report_renders_basis_operators_from_sparse_rows(monkeypatch):
+    calls = dense_calls(monkeypatch)
+    counting(monkeypatch, ratlin.Matrix, "__init__", calls)
+    assert run_cli("spaces", "catalog:Dias3_13", "--which", "der", "--machine") == 0
+    assert not calls
 
 
 def stored_exactly(x) -> bool:

@@ -103,6 +103,20 @@ class TestConstruction:
         again = Dialgebra.from_relations(3, d.relations())
         assert again == d
 
+    def test_int_fraction_and_string_constants_give_one_dialgebra(self):
+        # a string "0" is zero, as an int 0 is: it leaves no entry behind
+        d = instantiate("Dias2_1")
+
+        def retyped(cube, to):
+            return [[[to(x) for x in row] for row in plane] for plane in cube]
+
+        built = [Dialgebra(2, retyped(d.c_vdash, to), retyped(d.c_dashv, to))
+                 for to in (int, Fraction, str)]
+        assert all(b.table(p) == d.table(p) for b in built for p in ("vdash", "dashv"))
+        assert built[0] == built[1] == built[2]
+        assert hash(built[0]) == hash(built[1]) == hash(built[2])
+        assert len(set(built)) == 1
+
 
 class TestAxioms:
     def test_associative_algebra_is_dialgebra(self):
@@ -324,6 +338,17 @@ class TestSharedTables:
             assert d.table(product) == tuple(
                 tuple({k: x for k, x in enumerate(row) if x} for row in plane)
                 for plane in cube)
+
+    def test_writing_into_a_cube_changes_nothing(self):
+        # c_vdash is a dense copy of the table, built on each read
+        d, fresh = instantiate("Dias2_1"), instantiate("Dias2_1")
+        before = d.c_vdash
+        cube = d.c_vdash
+        assert cube[1][0][1] == 0
+        cube[1][0][1] = 1
+        assert d == fresh and hash(d) == hash(fresh)
+        assert d.products_coincide() == fresh.products_coincide()
+        assert d.c_vdash == before != cube
 
     def test_unknown_product(self):
         with pytest.raises(DialgebraError, match="unknown product 'star'"):

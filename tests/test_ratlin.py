@@ -352,6 +352,7 @@ class TestSkippedRows:
         vectors = [dense(4, row) for row in rows]
         s = span(4, rows)
         assert s == Subspace(4, vectors)
+        assert hash(s) == hash(Subspace(4, vectors))
         assert [list(v) for v in s.basis] == oracle.rref(vectors)[0]
 
     @given(st.integers(2, 5).flatmap(lambda n: sparse_matrix(n, n)), st.data())
