@@ -78,9 +78,12 @@ class Section:
         self.items.append((key, _text(value)))
 
     def add_operator(self, label: str, n: int, op: Row) -> None:
-        """An n-by-n operator given as a sparse row over r*n + c."""
-        self.matrices.append(
-            (label, [[str(op.get(r * n + c, 0)) for c in range(n)] for r in range(n)]))
+        """An n-by-n operator given as a sparse row over r*n + c; only its
+        nonzero entries are rendered, the rest are "0"."""
+        rows = [["0"] * n for _ in range(n)]
+        for key, x in op.items():
+            rows[key // n][key % n] = str(x)
+        self.matrices.append((label, rows))
 
 
 @dataclass

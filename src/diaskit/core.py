@@ -13,10 +13,15 @@ let the products absorb each other:
 
 Structure constants are given per product as ``c[i][j][k]``, the
 coefficient of basis vector ``k`` in ``e_i * e_j`` (0-based internally;
-the text format is 1-based).  These dense cubes are the constructor's
-input.  From them ``Dialgebra`` builds, once, one read-only sparse table
-per product (``Dialgebra.table``), whose integral constants are ``int``,
-and stores nothing else: every product, operator, solver route,
+the text format is 1-based).  A dialgebra is built from these dense
+cubes, ``Dialgebra(dim, c_vdash, c_dashv)``, or from sparse relations
+``(product, i, j) -> [(k, coeff), ...]``, ``Dialgebra.from_relations``,
+which ``zero``, ``phi_dialgebra``, ``parse_dialgebra``, the catalog and
+the kxy truncations use.  Both check the dimension before anything of
+its size is made, and both feed one builder, which makes, once, one
+read-only sparse table per product (``Dialgebra.table``), whose integral
+constants are ``int``; relations never pass through a cube.  The
+instance stores nothing else: every product, operator, solver route,
 comparison and hash reads the tables, and the cubes ``c_vdash`` and
 ``c_dashv`` are dense views rebuilt from them on each read.
 """
@@ -25,7 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # The text grammar of a rational, ``parse_rational`` and its digit cap
 # ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;
@@ -57,9 +62,9 @@ RULES = {
 # unknowns; at n = 32 the derivation space of ``phi_dialgebra`` (weights
 # 1, -2, 3, -1, ...) takes 0.10 to 0.18 s to solve, and its diderivation
 # space, 0 and so read off its first n^2 rows, 0.017 to 0.03 s;
-# ``diaskit spaces --which der`` with both operator routes takes 0.77 to
-# 0.80 s and ``--which dider`` 0.21 to 0.33 s (three to six runs each,
-# Python 3.11, one core of a shared 2-vCPU Xeon).
+# ``diaskit spaces --which der --machine`` with both operator routes takes
+# 0.38 to 0.57 s and ``--which dider`` 0.10 to 0.12 s (three to six runs
+# each, Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_DIM = 32
 
 
@@ -69,20 +74,30 @@ class DialgebraError(ValueError):
 
 Cube = list[list[list[Fraction]]]
 Table = tuple[tuple[Row, ...], ...]
+# The checked constants of one product on their way into its table: the
+# Fraction coefficients of each basis product, (i, j) -> {k: c}, 0-based,
+# zeros allowed and keys in any order.
+Sums = dict[tuple[int, int], dict[int, Fraction]]
 
 
-def _zero_cube(n: int) -> Cube:
-    return [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+def check_dim(dim: int) -> None:
+    """Reject a dimension outside 1..MAX_DIM, before anything of that size
+    is built."""
+    if not 1 <= dim <= MAX_DIM:
+        raise DialgebraError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
 
 
 class Dialgebra:
     """A finite-dimensional dialgebra given by structure constants.
 
-    The instance is read-only after construction: its sparse tables are
-    built from the cubes once, and its derivation and diderivation spaces
-    from the tables once ``spaces`` has solved them.  ``c_vdash`` and
-    ``c_dashv`` hand back a fresh dense copy on each read, so writing into
-    one changes nothing.  Build a new dialgebra for new constants.
+    ``Dialgebra(dim, c_vdash, c_dashv)`` takes dense cubes and
+    ``from_relations`` sparse relations; both check the dimension first and
+    hand their constants to one builder, which makes the sparse tables.
+    The instance is read-only after construction: it holds the tables, and
+    its derivation and diderivation spaces once ``spaces`` has solved them.
+    ``c_vdash`` and ``c_dashv`` hand back a fresh dense copy on each read,
+    so writing into one changes nothing.  Build a new dialgebra for new
+    constants.
     """
 
     __slots__ = ("dim", "_tables", "_spaces")
@@ -93,32 +108,25 @@ class Dialgebra:
         c_vdash: Sequence[Sequence[Sequence[Scalar]]],
         c_dashv: Sequence[Sequence[Sequence[Scalar]]],
     ):
-        if not 1 <= dim <= MAX_DIM:
-            raise DialgebraError(f"dimension {dim} outside supported range 1..{MAX_DIM}")
+        check_dim(dim)
+        self._build(dim, {"vdash": _check_cube(dim, c_vdash, "vdash"),
+                          "dashv": _check_cube(dim, c_dashv, "dashv")})
+
+    def _build(self, dim: int, sums: Mapping[str, Sums]) -> None:
+        """Fill the instance from checked constants: one sparse table per
+        product, each row's zero sums dropped, its keys ascending and its
+        integral values ``int``, as ``ratlin.sparse`` gives them."""
         self.dim = dim
-        self._tables = {"vdash": self._check_cube(c_vdash, "vdash"),
-                        "dashv": self._check_cube(c_dashv, "dashv")}
+        self._tables = {}
+        for product in PRODUCTS:
+            table: list[list[Row]] = [[{} for _ in range(dim)] for _ in range(dim)]
+            for (i, j), terms in sums[product].items():
+                table[i][j] = {k: x.numerator if x.denominator == 1 else x
+                               for k, x in sorted(terms.items()) if x}
+            self._tables[product] = tuple(map(tuple, table))
         # Each rule's kernel by rule name ("der", "dider"), filled by
         # ``spaces`` on the first solve and shared read-only after that.
         self._spaces: dict[str, Subspace] = {}
-
-    def _check_cube(self, cube: Sequence, name: str) -> Table:
-        """The sparse table of a cube of n^3 exact scalars."""
-        n = self.dim
-        if len(cube) != n:
-            raise DialgebraError(f"{name} table has {len(cube)} rows, expected {n}")
-        out = []
-        for i, plane in enumerate(cube):
-            if len(plane) != n:
-                raise DialgebraError(f"{name} table row {i} has wrong length")
-            rows = []
-            for j, entries in enumerate(plane):
-                if len(entries) != n:
-                    raise DialgebraError(f"{name} table entry ({i},{j}) has wrong length")
-                # frac first: it rejects a float, and reads "0" as zero
-                rows.append(sparse([frac(x) for x in entries]))
-            out.append(tuple(rows))
-        return tuple(out)
 
     @property
     def c_vdash(self) -> Cube:
@@ -139,28 +147,34 @@ class Dialgebra:
     @staticmethod
     def from_relations(
         dim: int,
-        relations: Mapping[tuple[str, int, int], Sequence[tuple[int, Scalar]]],
+        relations: Mapping[tuple[str, int, int], Iterable[tuple[int, Scalar]]],
     ) -> "Dialgebra":
         """Build from sparse relations ``(product, i, j) -> [(k, coeff), ...]``.
 
         Indices are 1-based to match the text format and printed tables.
-        Unlisted products are zero.
+        Unlisted products are zero, and repeated terms of one product add
+        up.  No dense cube is made: the terms go straight into the builder
+        behind ``Dialgebra(dim, c_vdash, c_dashv)``.
         """
-        c = {"vdash": _zero_cube(dim), "dashv": _zero_cube(dim)}
+        check_dim(dim)
+        sums: dict[str, Sums] = {"vdash": {}, "dashv": {}}
         for (product, i, j), terms in relations.items():
             if product not in PRODUCTS:
                 raise DialgebraError(f"unknown product {product!r}")
             if not (1 <= i <= dim and 1 <= j <= dim):
                 raise DialgebraError(f"index out of range in relation ({product},{i},{j})")
+            row = sums[product].setdefault((i - 1, j - 1), {})
             for k, coeff in terms:
                 if not 1 <= k <= dim:
                     raise DialgebraError(f"index out of range in relation ({product},{i},{j})")
-                c[product][i - 1][j - 1][k - 1] += frac(coeff)
-        return Dialgebra(dim, c["vdash"], c["dashv"])
+                row[k - 1] = row[k - 1] + frac(coeff) if k - 1 in row else frac(coeff)
+        d = Dialgebra.__new__(Dialgebra)
+        d._build(dim, sums)
+        return d
 
     @staticmethod
     def zero(dim: int) -> "Dialgebra":
-        return Dialgebra(dim, _zero_cube(dim), _zero_cube(dim))
+        return Dialgebra.from_relations(dim, {})
 
     # -- products -----------------------------------------------------
 
@@ -331,6 +345,22 @@ class Dialgebra:
         return f"Dialgebra(dim {self.dim}: {body or '0'})"
 
 
+def _check_cube(n: int, cube: Sequence, name: str) -> Sums:
+    """The constants of a cube of n^3 exact scalars, by basis product."""
+    if len(cube) != n:
+        raise DialgebraError(f"{name} table has {len(cube)} rows, expected {n}")
+    out = {}
+    for i, plane in enumerate(cube):
+        if len(plane) != n:
+            raise DialgebraError(f"{name} table row {i} has wrong length")
+        for j, entries in enumerate(plane):
+            if len(entries) != n:
+                raise DialgebraError(f"{name} table entry ({i},{j}) has wrong length")
+            # frac first: it rejects a float, and reads "0" as zero
+            out[i, j] = dict(enumerate(map(frac, entries)))
+    return out
+
+
 def phi_dialgebra(phi: Sequence[Scalar]) -> Dialgebra:
     """Dialgebra attached to a nonzero linear functional on Q^n.
 
@@ -338,19 +368,20 @@ def phi_dialgebra(phi: Sequence[Scalar]) -> Dialgebra:
     ``e_i vdash e_j = phi_i e_j`` and ``e_i dashv e_j = phi_j e_i``:
     the functional weighs the absorbed factor.  The zero functional is
     rejected because it gives the zero algebra, which is excluded here
-    to keep the family's invariants nontrivial.
+    to keep the family's invariants nontrivial.  ``len(phi)`` is checked
+    against ``MAX_DIM`` first; the products go in as relations.
     """
+    n = len(phi)
+    check_dim(n)
     weights = vector(phi)
     if all(w == 0 for w in weights):
         raise DialgebraError("phi must be a nonzero functional")
-    n = len(weights)
-    c_vdash = _zero_cube(n)
-    c_dashv = _zero_cube(n)
-    for i in range(n):
-        for j in range(n):
-            c_vdash[i][j][j] += weights[i]
-            c_dashv[i][j][i] += weights[j]
-    return Dialgebra(n, c_vdash, c_dashv)
+    relations = {}
+    for i, wi in enumerate(weights, start=1):
+        for j, wj in enumerate(weights, start=1):
+            relations["vdash", i, j] = [(j, wi)]
+            relations["dashv", i, j] = [(i, wj)]
+    return Dialgebra.from_relations(n, relations)
 
 
 # -- text format --------------------------------------------------------
@@ -419,8 +450,8 @@ def parse_dialgebra(text: str) -> Dialgebra:
     if not 1 <= n <= MAX_DIM:
         raise DialgebraError(f"line {lineno}: dimension {n} outside supported range 1..{MAX_DIM}")
 
-    c = {"vdash": _zero_cube(n), "dashv": _zero_cube(n)}
-    seen: set[tuple[str, int, int, int]] = set()
+    # (product, i, j) -> {k: coeff}; a k given twice is an error
+    relations: dict[tuple[str, int, int], dict[int, Fraction]] = {}
 
     for lineno, line in meaningful[2:]:
         if "->" not in line:
@@ -443,6 +474,7 @@ def parse_dialgebra(text: str) -> Dialgebra:
 
         if not tail.strip():
             raise DialgebraError(f"line {lineno}: empty term list after '->'")
+        terms = relations.setdefault((product, i, j), {})
         for term in tail.split(","):
             term = term.strip()
             if ":" not in term:
@@ -462,12 +494,10 @@ def parse_dialgebra(text: str) -> Dialgebra:
                 raise DialgebraError(
                     f"line {lineno}: bad coefficient {coeff_text.strip()!r}: {exc}"
                 ) from None
-            key = (product, i, j, k)
-            if key in seen:
+            if k in terms:
                 raise DialgebraError(
                     f"line {lineno}: duplicate entry for {product} {i} {j} -> {k}"
                 )
-            seen.add(key)
-            c[product][i - 1][j - 1][k - 1] = coeff
+            terms[k] = coeff
 
-    return Dialgebra(n, c["vdash"], c["dashv"])
+    return Dialgebra.from_relations(n, {key: terms.items() for key, terms in relations.items()})

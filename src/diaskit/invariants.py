@@ -110,10 +110,12 @@ def bar_center(d: Dialgebra) -> Subspace:
 class LeibnizAlgebra:
     """The bracket algebra ``[a, b] = a dashv b - b vdash a``.
 
-    ``table[i][j]`` holds the sparse coordinates of ``[e_i, e_j]``.
+    ``table[i][j]`` holds the sparse coordinates of ``[e_i, e_j]``.  The
+    first call for either Leibniz identity runs one sweep for both, which
+    the other reads; each call returns a fresh list.
     """
 
-    __slots__ = ("dim", "table")
+    __slots__ = ("dim", "table", "_sweep")
 
     def __init__(self, d: Dialgebra):
         n = d.dim
@@ -121,6 +123,7 @@ class LeibnizAlgebra:
         self.dim = n
         self.table = [[lincomb(((1, dashv[i][j]), (-1, vdash[j][i]))) for j in range(n)]
                       for i in range(n)]
+        self._sweep: dict[str, list[tuple[int, int, int]]] | None = None
 
     def bracket(self, x: Sequence, y: Sequence) -> Vector:
         u, v = dict(enumerate(vector(x))), dict(enumerate(vector(y)))
@@ -128,11 +131,16 @@ class LeibnizAlgebra:
 
     def left_identity_violations(self) -> list[tuple[int, int, int]]:
         """Triples where ``[x,[y,z]] != [[x,y],z] + [y,[x,z]]``."""
-        return _violations(self.table, ("left",), False)["left"]
+        return self._side("left")
 
     def right_identity_violations(self) -> list[tuple[int, int, int]]:
         """Triples where ``[[x,y],z] != [[x,z],y] + [x,[y,z]]``."""
-        return _violations(self.table, ("right",), False)["right"]
+        return self._side("right")
+
+    def _side(self, side: str) -> list[tuple[int, int, int]]:
+        if self._sweep is None:
+            self._sweep = _violations(self.table, ("right", "left"), False)
+        return list(self._sweep[side])
 
 
 def _violations(table: Sequence[Sequence[Row]], sides: Sequence[str],

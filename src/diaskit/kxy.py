@@ -54,7 +54,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .core import AXIOM_NAMES, RULES, Dialgebra
+from .core import AXIOM_NAMES, RULES, Dialgebra, check_dim
 from .poly import DegreeBoundError, Poly
 from .ratlin import Scalar
 
@@ -240,10 +240,12 @@ def truncation(n: int) -> Dialgebra:
     product table of bound ``n``, the i-th x^a y^b of degree at most ``n``
     in lexicographic order of (a, b); a product past the bound is zero.
     The structure constants are read from the same table as
-    ``check_axioms_truncated``.  ``core.MAX_DIM`` limits ``n`` to 6.
+    ``check_axioms_truncated``.  ``core.MAX_DIM`` limits ``n`` to 6; a
+    larger ``n`` is rejected before the table is built.
     """
     if n < 0:
         raise ValueError("truncation degree must be nonnegative")
+    check_dim((n + 1) * (n + 2) // 2)
     exps, _index, *tables = _product_table(n)
     relations = {}
     for name, table in zip(("dashv", "vdash"), tables):

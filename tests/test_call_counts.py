@@ -391,6 +391,8 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
         counting(monkeypatch, invariants, name, calls)
     for name in ("left_identity_violations", "right_identity_violations"):
         counting(monkeypatch, invariants.LeibnizAlgebra, name, calls)
+    brackets = Counter()
+    counting(monkeypatch, invariants, "bilinear", brackets)
     assert run_cli("invariants", "catalog:Dias3_1") == 0
     # the bar-center is read off the halo's solve
     assert calls == {
@@ -398,6 +400,9 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
         "left_identity_violations": 1, "right_identity_violations": 1,
         "der": 1, "dider": 1,
     }
+    # both Leibniz identities come from one sweep: four brackets per
+    # triple of the three-dimensional algebra, not three for each identity
+    assert brackets["bilinear"] == 4 * 3 ** 3
 
 
 def test_leibniz_sweep_evaluates_the_shared_brackets_once(monkeypatch):
@@ -414,6 +419,16 @@ def test_leibniz_sweep_evaluates_the_shared_brackets_once(monkeypatch):
     # each side stops at its first violation; the right one has none
     assert invariants._violations(leib.table, ("right", "left"), True) == \
         {"right": [], "left": left[:1]}
+
+
+def test_instantiate_reads_each_coefficient_once(monkeypatch):
+    # the six relation coefficients of Dias3_16 go straight into the
+    # sparse tables; no dense cube is built and read back
+    calls = Counter()
+    counting(monkeypatch, core, "frac", calls)
+    d = catalog.instantiate("Dias3_16", {"k": 1, "m": 2, "n": Fraction(1, 2), "p": 0, "q": -3})
+    assert calls["frac"] == 6
+    assert d.table("vdash")[0] == ({1: 2}, {}, {1: Fraction(1, 2)})
 
 
 def sweep_points(sweep) -> set:

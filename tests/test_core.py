@@ -55,6 +55,17 @@ sparse_cubes = st.integers(min_value=4, max_value=6).flatmap(
     ).map(lambda entries: sparse_cube_pair(n, entries)))
 
 
+def rational_point(name):
+    """The entry at integral and non-integral values of its parameters."""
+    values = (Fraction(2), Fraction(-1, 3), Fraction(5, 2), Fraction(-3), Fraction(1, 7))
+    return instantiate(name, dict(zip(get_entry(name).param_names, values)))
+
+
+def typed_rows(table):
+    """Each row of a table as its (key, type, value) items in order."""
+    return [[[(k, type(x), x) for k, x in row.items()] for row in plane] for plane in table]
+
+
 def truncated_poly_algebra():
     # Q[t]/(t^3) with both products equal: e_i e_j = e_{i+j} while in range.
     rel = {}
@@ -92,6 +103,19 @@ class TestConstruction:
             Dialgebra.zero(0)
         with pytest.raises(DialgebraError):
             Dialgebra.zero(MAX_DIM + 1)
+        # the dimension is checked before anything of its size is built:
+        # two dense cubes at n = 128 would take some 37 MB
+        weights = [1] * 128
+        for build in (lambda: Dialgebra.from_relations(128, {}), lambda: Dialgebra.zero(128),
+                      lambda: phi_dialgebra(weights)):
+            tracemalloc.start()
+            try:
+                with pytest.raises(DialgebraError, match="dimension 128 outside supported range"):
+                    build()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 ** 20
 
     def test_vector_length_checked(self):
         d = Dialgebra.zero(3)
@@ -99,9 +123,27 @@ class TestConstruction:
             d.vdash((1, 0), (0, 1, 0))
 
     def test_relations_roundtrip(self):
-        d = truncated_poly_algebra()
-        again = Dialgebra.from_relations(3, d.relations())
-        assert again == d
+        # every front door gives the tables the dense cubes give through
+        # ``sparse``: the same rows, key order and int/Fraction types
+        subjects = {"poly": truncated_poly_algebra(),
+                    "phi": phi_dialgebra([1, Fraction(-2, 3), 0, 3]),
+                    "sum": direct_sum(instantiate("Dias2_1"), rational_point("Dias3_16")),
+                    # terms out of order, repeated, and adding up to 0 or an integer
+                    "terms": Dialgebra.from_relations(3, {
+                        ("vdash", 1, 2): [(3, Fraction(1, 2)), (1, "-1/3"), (3, Fraction(1, 2))],
+                        ("dashv", 2, 2): [(2, 1), (2, -1)]})}
+        assert subjects["terms"].table("vdash")[0][1] == {0: Fraction(-1, 3), 2: 1}
+        assert subjects["terms"].table("dashv")[1][1] == {}
+        subjects.update((name, rational_point(name)) for name in ENTRY_NAMES)
+        for name, d in subjects.items():
+            expected = {p: typed_rows([[sparse(row) for row in plane] for plane in cube])
+                        for p, cube in (("vdash", d.c_vdash), ("dashv", d.c_dashv))}
+            copies = (d, Dialgebra.from_relations(d.dim, d.relations()),
+                      Dialgebra(d.dim, d.c_vdash, d.c_dashv),
+                      parse_dialgebra(serialize_dialgebra(d)))
+            for again in copies:
+                assert again == d and hash(again) == hash(d), name
+                assert {p: typed_rows(again.table(p)) for p in expected} == expected, name
 
     def test_int_fraction_and_string_constants_give_one_dialgebra(self):
         # a string "0" is zero, as an int 0 is: it leaves no entry behind

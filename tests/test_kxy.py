@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -36,6 +37,7 @@ from diaskit.ratlin import Matrix
 from diaskit.spaces import derivation_space, diderivation_space
 
 import exact_oracle as oracle
+from test_call_counts import counting
 
 B = 8
 
@@ -643,9 +645,13 @@ class TestTruncation:
                     expected = oracle.unit(d.dim, index[w]) if sum(w) <= n else [0] * d.dim
                     assert list(d.basis_product(name, i, j)) == expected, (name, u, v)
 
-    def test_above_the_dimension_cap(self):
-        with pytest.raises(DialgebraError, match="outside supported range"):
+    def test_above_the_dimension_cap(self, monkeypatch):
+        # rejected before the product table of bound 7 is built
+        calls = Counter()
+        counting(monkeypatch, kxy, "_product_table", calls)
+        with pytest.raises(DialgebraError, match="dimension 36 outside supported range"):
             truncation(7)
+        assert calls["_product_table"] == 0
 
     # Closed forms that do not lower degree descend to truncation(5); the
     # solver's kernels agree with the bounded sweep on each of them.
