@@ -14,6 +14,10 @@ Dias3_11 are isomorphic.  For each entry the module records
   exact solver disagrees -- ``verify_catalog`` reports such disagreements as
   findings rather than silently editing the expectations.
 
+Entries are reached by name: ``ENTRY_NAMES`` lists them in table order,
+``get_entry`` returns the record of one and ``instantiate`` builds it.  An
+entry's parameters are its ``param_names``, empty for a fixed entry.
+
 For ``Dias3_16`` the module also implements the published case analysis: the
 two key factors ``delta1``/``delta2``, the 13-row dimension table with its
 first-match branch semantics, the printed 5x5 subsystem matrix (one table
@@ -27,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import poly, spaces
 from .core import Dialgebra, DialgebraError
@@ -67,10 +71,6 @@ class CatalogEntry:
     build: Callable[[Params], Relations]
     printed: tuple[str, ...]
     note: str = ""
-
-    @property
-    def parametric(self) -> bool:
-        return bool(self.param_names)
 
 
 def _fixed(relations: Relations) -> Callable[[Params], Relations]:
@@ -283,10 +283,6 @@ _BY_NAME = {e.name: e for e in _ENTRIES}
 
 ENTRY_NAMES = tuple(e.name for e in _ENTRIES)
 
-# Entries whose tabled data is internally inconsistent (duplicated relation
-# lists, or a fixed dimension clashing with the parametric case analysis).
-AMBIGUOUS_ENTRIES = frozenset({"Dias3_9", "Dias3_11", "Dias3_17"})
-
 # Default sampling grid for the Dias2_3 parameter.
 LAMBDA_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1),
                   Fraction(1, 2))
@@ -295,10 +291,6 @@ LAMBDA_SAMPLES = (Fraction(0), Fraction(1), Fraction(2), Fraction(-1),
 # Dias3_16 kernel at the same values.
 DIAS3_17_SAMPLES = tuple(tuple(map(Fraction, point)) for point in
                          ((1, 1, 1, 1, 1), (2, 1, 0, 1, 1), (0, 1, 1, 0, 2)))
-
-
-def entries() -> Iterator[CatalogEntry]:
-    return iter(_ENTRIES)
 
 
 def get_entry(name: str) -> CatalogEntry:
@@ -745,7 +737,7 @@ def solution_families(params: Params, case: str,
         kernel = spaces.diderivation_space(d)
     vectors = case_family_vectors(case, params)
     results = []
-    for label, op in vectors + [("t=0", Matrix.zero(3, 3))]:
+    for label, op in vectors + [("t=0", _family_matrix((0,) * 7))]:
         results.append({
             "label": label,
             "matrix": [list(r) for r in op.rows],
@@ -824,7 +816,9 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
     for name, (tabled, basis) in _TABLED_DIDER.items():
         for params, where in points.get(name, [(None, "")]):
             kernel = solve(name, params, where)
-            basis_match = spaces.operator_subspace(_BY_NAME[name].dim, basis) == kernel
+            # the tabled bases are dense matrices, so they take the dense way in
+            n = _BY_NAME[name].dim
+            basis_match = Subspace(n * n, [m.flatten() for m in basis]) == kernel
             match = compare(name, where, tabled, kernel.dim, basis_match)
             entry_rows.append({
                 "name": name, "params": params, "expected_dim": tabled,

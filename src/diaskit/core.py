@@ -16,14 +16,21 @@ coefficient of basis vector ``k`` in ``e_i * e_j`` (0-based internally;
 the text format is 1-based).  A dialgebra is built from these dense
 cubes, ``Dialgebra(dim, c_vdash, c_dashv)``, or from sparse relations
 ``(product, i, j) -> [(k, coeff), ...]``, ``Dialgebra.from_relations``,
-which ``zero``, ``phi_dialgebra``, ``parse_dialgebra``, the catalog and
-the kxy truncations use.  Both check the dimension before anything of
-its size is made, and both feed one builder, which makes, once, one
-read-only sparse table per product (``Dialgebra.table``), whose integral
-constants are ``int``; relations never pass through a cube.  The
-instance stores nothing else: every product, operator, solver route,
-comparison and hash reads the tables, and the cubes ``c_vdash`` and
-``c_dashv`` are dense views rebuilt from them on each read.
+which ``phi_dialgebra``, ``parse_dialgebra``, the catalog and the kxy
+truncations use; ``from_relations(dim, {})`` is the zero dialgebra.  Both
+check the dimension before anything of its size is made, and both feed
+one builder, which makes, once, one read-only sparse table per product
+(``Dialgebra.table``), whose integral constants are ``int``; relations
+never pass through a cube.  The instance stores nothing else: every
+product, operator, solver route, comparison and hash reads the tables,
+and the cubes ``c_vdash`` and ``c_dashv`` are dense views rebuilt from
+them on each read.
+
+Each product, operator and check has one way in: ``table(product)[i][j]``
+is the product of two basis vectors, ``multiply(product, x, y)`` that of
+two coordinate vectors, ``left_op``/``right_op`` the matrix of a
+multiplication operator (``basis_ops`` the sparse operators of the basis)
+and ``verify_axioms()``, empty exactly for a dialgebra, the axiom check.
 """
 
 from __future__ import annotations
@@ -172,10 +179,6 @@ class Dialgebra:
         d._build(dim, sums)
         return d
 
-    @staticmethod
-    def zero(dim: int) -> "Dialgebra":
-        return Dialgebra.from_relations(dim, {})
-
     # -- products -----------------------------------------------------
 
     def table(self, product: str) -> Table:
@@ -198,16 +201,6 @@ class Dialgebra:
         """Bilinear extension of the chosen product to coordinate vectors."""
         xr, yr = self._row(x), self._row(y)
         return dense(self.dim, bilinear(self.table(product), xr, yr))
-
-    def vdash(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        return self.multiply("vdash", x, y)
-
-    def dashv(self, x: Sequence[Scalar], y: Sequence[Scalar]) -> Vector:
-        return self.multiply("dashv", x, y)
-
-    def basis_product(self, product: str, i: int, j: int) -> Vector:
-        """e_i * e_j, 0-based indices."""
-        return dense(self.dim, self.table(product)[i][j])
 
     # -- multiplication operators --------------------------------------
 
@@ -308,9 +301,6 @@ class Dialgebra:
         return [{"axiom": AXIOM_NAMES[axiom], "triple": (t // n // n, t // n % n, t % n),
                  "lhs": dense(n, lhs), "rhs": dense(n, rhs)}
                 for t, axiom, lhs, rhs in sorted(found, key=lambda f: f[:2])]
-
-    def is_dialgebra(self) -> bool:
-        return not self.verify_axioms()
 
     def products_coincide(self) -> bool:
         """True when vdash and dashv agree, i.e. the algebra is associative."""

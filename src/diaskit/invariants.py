@@ -13,8 +13,9 @@ identity in one chirality only; rather than hard-coding which one, the
 checks below evaluate both on all basis triples and report what holds.
 Both brackets here are kept as tables of sparse coordinates, one per
 pair of basis elements, and every identity is evaluated from such a
-table by ``ratlin.bilinear``; ``_violations`` is the one Leibniz sweep, and
-it evaluates the terms both chiralities share once per triple.
+table by ``ratlin.bilinear``: ``bilinear(LeibnizAlgebra(d).table, u, v)``
+is the bracket of two sparse vectors.  ``_violations`` is the one Leibniz
+sweep, and it evaluates the terms both chiralities share once per triple.
 
 The combined space pairs diderivations with derivations under the
 bracket ``<(s, d), (s', d')> = ([s, d'], [d, d'])``.  Its basis is the
@@ -27,9 +28,12 @@ checks (each ideal generator written in coordinates over the same basis)
 and the span of symmetrised squares follow from that table by
 bilinearity.
 
-Every span here (the annihilator, the bar-center, each ideal and the
-square span) is formed from sparse rows by ``ratlin.span``, one run of
-the elimination core; no row is made dense on the way.
+Every span here (the annihilator, the halo's direction, each ideal and
+the square span) is formed from sparse rows by ``ratlin.span``, one run of
+the elimination core; no row is made dense on the way.  The bar-center is
+solved twice on purpose: ``halo`` reads it off the homogenised bar-unit
+system, ``bar_center`` solves the homogeneous system alone, and
+``invariant_actions`` reports whether the two agree.
 
 ``invariant_actions`` applies each Der and Dider basis operator as sparse
 columns (``ratlin.columns``) to the basis rows of each set, and decides
@@ -46,7 +50,6 @@ from .ratlin import (
     AffineSubspace,
     Row,
     Subspace,
-    Vector,
     bilinear,
     columns,
     commutator,
@@ -55,7 +58,6 @@ from .ratlin import (
     lincomb,
     sparse,
     span,
-    vector,
 )
 from .spaces import (
     derivation_space,
@@ -99,9 +101,19 @@ def halo(d: Dialgebra) -> AffineSubspace:
 
 
 def bar_center(d: Dialgebra) -> Subspace:
-    """Elements z with ``z vdash x = 0`` and ``x dashv z = 0`` for all x:
-    the direction of the halo."""
-    return halo(d).direction
+    """Elements z with ``z vdash x = 0`` and ``x dashv z = 0`` for all x.
+
+    Solved on its own, not read off ``halo``, so that it checks the halo's
+    direction: ``R^vdash_{e_j} z = 0`` and ``L^dashv_{e_j} z = 0`` for each
+    j, row r of each operator over the n coordinates of z, one ``kernel``.
+    """
+    n = d.dim
+    rows: list[Row] = [{} for _ in range(2 * n * n)]
+    for j, pair in enumerate(zip(d.basis_ops("right", "vdash"), d.basis_ops("left", "dashv"))):
+        for s, op in enumerate(pair):
+            for k, x in op.items():
+                rows[(2 * j + s) * n + k // n][k % n] = x
+    return kernel(n, rows)
 
 
 # -- the skew bracket ----------------------------------------------------
@@ -125,10 +137,6 @@ class LeibnizAlgebra:
                       for i in range(n)]
         self._sweep: dict[str, list[tuple[int, int, int]]] | None = None
 
-    def bracket(self, x: Sequence, y: Sequence) -> Vector:
-        u, v = dict(enumerate(vector(x))), dict(enumerate(vector(y)))
-        return dense(self.dim, bilinear(self.table, u, v))
-
     def left_identity_violations(self) -> list[tuple[int, int, int]]:
         """Triples where ``[x,[y,z]] != [[x,y],z] + [y,[x,z]]``."""
         return self._side("left")
@@ -139,24 +147,24 @@ class LeibnizAlgebra:
 
     def _side(self, side: str) -> list[tuple[int, int, int]]:
         if self._sweep is None:
-            self._sweep = _violations(self.table, ("right", "left"), False)
+            self._sweep = _violations(self.table, False)
         return list(self._sweep[side])
 
 
-def _violations(table: Sequence[Sequence[Row]], sides: Sequence[str],
+def _violations(table: Sequence[Sequence[Row]],
                 first_only: bool) -> dict[str, list[tuple[int, int, int]]]:
-    """For each of the ``sides`` "right" and "left", the basis triples, in
-    order, where the bracket whose value on (e_i, e_j) has the coordinates
+    """For each side, "right" and "left", the basis triples, in order,
+    where the bracket whose value on (e_i, e_j) has the coordinates
     ``table[i][j]`` breaks that Leibniz identity.
 
     Both identities share ``[[x,y],z]`` and ``[x,[y,z]]``, which are
-    evaluated once per triple for all sides.  With ``first_only`` a side
+    evaluated once per triple for both sides.  With ``first_only`` a side
     is no longer checked after its first violation, and the sweep ends
-    once every side has one.
+    once both have one.
     """
     unit: list[Row] = [{i: 1} for i in range(len(table))]
-    found: dict[str, list[tuple[int, int, int]]] = {side: [] for side in sides}
-    open_sides = list(sides)
+    found: dict[str, list[tuple[int, int, int]]] = {"right": [], "left": []}
+    open_sides = list(found)
     for i, j, k in itertools.product(range(len(table)), repeat=3):
         xy_z = bilinear(table, table[i][j], unit[k])
         x_yz = bilinear(table, unit[i], table[j][k])
@@ -257,7 +265,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
                for i in range(b) for j in range(i + 1)]
     square_span = span(2 * nn, squares)
 
-    leibniz = _violations(table, ("right", "left"), True) if closed else None
+    leibniz = _violations(table, True) if closed else None
     return {
         "bider_dim": b,
         "bracket_closed": closed,
@@ -288,10 +296,10 @@ def check_invariant_actions(d: Dialgebra) -> dict:
 
 def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
     """``check_invariant_actions`` on the annihilator and halo of ``d``
-    already computed by the caller; the bar-center is the halo's
-    direction."""
+    already computed by the caller; the bar-center is solved here, on its
+    own, and compared with the halo's direction."""
     n = d.dim
-    zb = h.direction
+    zb = bar_center(d)
     der_ops = [columns(n, t) for t in derivation_space(d).rows]
     dider_ops = [columns(n, t) for t in diderivation_space(d).rows]
 
@@ -317,7 +325,7 @@ def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
         unit = [sparse(h.point)]
         report["halo_direction_is_bar_center"] = h.direction == zb
         report["ann_equals_bar_center"] = ann == zb
-        report["halo_is_point_plus_ann"] = h == AffineSubspace(h.point, ann)
+        report["halo_is_point_plus_ann"] = h.direction == ann
         report["der_sends_unit_into_ann"] = maps_into(der_ops, unit, ann)
         report["dider_kills_unit"] = kills(dider_ops, unit)
         report["dider_kills_bar_center"] = kills(dider_ops, zb.rows)

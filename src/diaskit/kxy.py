@@ -331,14 +331,12 @@ class KxyOperatorSpec:
     """
 
     kind: str
-    f: BivariatePoly | None = None
-    g: BivariatePoly | None = None
+    f: BivariatePoly
+    g: BivariatePoly
 
     def __post_init__(self):
         if self.kind not in ("derivation", "diderivation"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.f is None or self.g is None:
-            raise ValueError(f"{self.kind} spec needs f and g")
         if self.kind == "derivation" and self.f.degree(1) > 0:
             raise ValueError("derivation spec requires univariate f(x)")
 

@@ -37,7 +37,10 @@ rows.  Two readouts of the core hand back a canonical ``Subspace``:
 RREF of a span of sparse rows, which lays the columns in reverse so that
 each row is pivoted on its lowest column.  ``rref`` is the dense view of
 ``span``.  An affine system is solved as the kernel of its homogenised
-form (see ``invariants.halo``).
+form (see ``invariants.halo``) and handed back as an ``AffineSubspace``,
+the plain pair (point, direction): a coset is compared through its
+direction and the membership of a vector v through
+``direction.contains(v - point)``.
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
@@ -55,7 +58,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 Scalar = Union[int, str, Fraction]
 Exact = Union[int, Fraction]
@@ -110,12 +113,9 @@ def vector(entries: Iterable[Scalar]) -> Vector:
     return tuple(frac(x) for x in entries)
 
 
-def sub_vectors(u: Sequence[Fraction], v: Sequence[Fraction]) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 class Matrix:
-    """Immutable-by-convention rational matrix."""
+    """Immutable-by-convention rational matrix.  Its entries are read
+    through ``rows``; a matrix compares by value and is not hashable."""
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -130,30 +130,11 @@ class Matrix:
             raise ValueError("ncols disagrees with row width")
         self.rows, self.nrows, self.ncols = data, len(data), width
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def identity(n: int) -> "Matrix":
-        return Matrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
-    def zero(nrows: int, ncols: int) -> "Matrix":
-        return Matrix([[0] * ncols for _ in range(nrows)], ncols=ncols)
-
     # -- basic queries ------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.nrows, self.ncols)
-
-    def row(self, i: int) -> Vector:
-        return tuple(self.rows[i])
-
-    def column(self, j: int) -> Vector:
-        return tuple(self.rows[i][j] for i in range(self.nrows))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
 
     def flatten(self) -> Vector:
         """Row-major flattening, the convention used by the kernel solvers."""
@@ -166,12 +147,6 @@ class Matrix:
         return Matrix([entries[i * ncols:(i + 1) * ncols] for i in range(nrows)], ncols=ncols)
 
     # -- arithmetic ---------------------------------------------------
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if self.shape != other.shape:
-            raise ValueError("shape mismatch")
-        rows = zip(self.rows, other.rows)
-        return Matrix([[a - b for a, b in zip(*r)] for r in rows], ncols=self.ncols)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -195,9 +170,6 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return self.shape == other.shape and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.shape, tuple(tuple(r) for r in self.rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -485,35 +457,13 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {rows})"
 
 
-class AffineSubspace:
-    """A coset ``point + direction`` of a subspace, possibly empty."""
+class AffineSubspace(NamedTuple):
+    """A coset ``point + direction`` of a subspace, or, with no point, the
+    empty set.  Equality is that of the pair (point, direction)."""
 
-    __slots__ = ("point", "direction")
-
-    def __init__(self, point: Vector | None, direction: Subspace):
-        if point is not None and len(point) != direction.ambient_dim:
-            raise ValueError("point does not live in the ambient space")
-        self.point = point
-        self.direction = direction
+    point: Vector | None
+    direction: Subspace
 
     @property
     def is_empty(self) -> bool:
         return self.point is None
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        if self.point is None:
-            return False
-        return self.direction.contains(sub_vectors(vector(v), self.point))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AffineSubspace):
-            return NotImplemented
-        if self.is_empty or other.is_empty:
-            return self.is_empty and other.is_empty
-        return self.direction == other.direction and other.contains(self.point)
-
-    def __repr__(self) -> str:
-        if self.point is None:
-            return "AffineSubspace(empty)"
-        pt = " ".join(str(x) for x in self.point)
-        return f"AffineSubspace({pt} + {self.direction!r})"

@@ -29,11 +29,11 @@ has a pivot in every column are never built.  The closure report
 brackets operators as sparse rows, through ``ratlin.commutator``; the
 inner operators ``R_{e_i} - L_{e_i}`` are formed as sparse rows too, from
 ``Dialgebra.basis_ops``; their spans are read off the elimination core
-by ``ratlin.span``.  No solver or check here makes a row dense: a
-``Matrix`` is built only to be returned, by ``inner_derivation``,
-``inner_diderivation`` and ``subspace_matrices``, and only
-``operator_subspace``, which takes dense matrices, builds a ``Subspace``
-from dense vectors.
+by ``ratlin.span``; ``inner_derivations`` and ``inner_diderivations``
+are those spans, Inn and DInn, and the one way to reach the inner
+operators.  No solver or check here makes a row dense or builds a
+``Subspace`` from dense vectors: a ``Matrix`` is built only to be
+returned, by ``subspace_matrices``.
 
 Operators are stored column-style: column ``j`` of the matrix of ``T``
 holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
@@ -49,14 +49,6 @@ from .ratlin import (
     Exact, Matrix, Row, Subspace, bilinear, commutator, columns, int_or_fraction, kernel, lincomb,
     span,
 )
-
-
-def operator_subspace(n: int, matrices: Sequence[Matrix]) -> Subspace:
-    """Span of n-by-n matrices inside Q^(n*n), row-major flattening."""
-    for m in matrices:
-        if m.shape != (n, n):
-            raise ValueError("operator has wrong shape")
-    return Subspace(n * n, [m.flatten() for m in matrices])
 
 
 def subspace_matrices(space: Subspace, n: int) -> list[Matrix]:
@@ -169,21 +161,15 @@ def _inner_ops(d: Dialgebra, right: str, left: str) -> list[Row]:
             for r, l in zip(d.basis_ops("right", right), d.basis_ops("left", left))]
 
 
-def inner_derivation(d: Dialgebra, a: Sequence) -> Matrix:
-    """ad_a = (x -> x dashv a - a vdash x), always a derivation."""
-    return d._operator_at(_inner_ops(d, "dashv", "vdash"), a)
-
-
-def inner_diderivation(d: Dialgebra, a: Sequence) -> Matrix:
-    """Ad_a = (x -> x vdash a - a dashv x), always a diderivation."""
-    return d._operator_at(_inner_ops(d, "vdash", "dashv"), a)
-
-
 def inner_derivations(d: Dialgebra) -> Subspace:
+    """Inn, the span of the inner derivations
+    ``ad_a = (x -> x dashv a - a vdash x)``."""
     return span(d.dim ** 2, _inner_ops(d, "dashv", "vdash"))
 
 
 def inner_diderivations(d: Dialgebra) -> Subspace:
+    """DInn, the span of the inner diderivations
+    ``Ad_a = (x -> x vdash a - a dashv x)``."""
     return span(d.dim ** 2, _inner_ops(d, "vdash", "dashv"))
 
 

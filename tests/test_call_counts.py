@@ -79,15 +79,15 @@ def test_bider_above_the_cap_stops_before_the_table(monkeypatch):
     assert brackets["commutator"] == 0
 
 
-def eliminate_runs(monkeypatch, record=len) -> list:
-    """``record(rows)`` for each ``ratlin._eliminate`` run, in order: by
-    default its number of rows."""
+def eliminate_runs(monkeypatch, record=lambda rows, ncols: len(rows)) -> list:
+    """``record(rows, ncols)`` for each ``ratlin._eliminate`` run, in order:
+    by default its number of rows."""
     runs = []
     original = ratlin._eliminate
 
     def wrapper(rows, ncols):
         rows = list(rows)
-        runs.append(record(rows))
+        runs.append(record(rows, ncols))
         return original(rows, ncols)
 
     monkeypatch.setattr(ratlin, "_eliminate", wrapper)
@@ -150,11 +150,11 @@ def test_spans_of_sparse_rows_are_not_made_dense(monkeypatch, run):
 
 
 def test_tabled_bases_still_enter_through_rref(monkeypatch):
-    # dense matrices, as the catalog tables its bases, take the dense way
+    # the catalog tables its bases as dense matrices, which take the dense
+    # way: one span per tabled point the sweep compares
     calls = dense_span_calls(monkeypatch)
-    space = spaces.operator_subspace(2, [ratlin.Matrix([[1, 2], [0, 1]])])
-    assert space.dim == 1
-    assert calls == {"__init__": 1, "rref": 1}
+    compared = len(catalog.verify_catalog(1)["entries"])
+    assert compared and calls == {"__init__": compared, "rref": compared}
 
 
 def dense_calls(monkeypatch) -> Counter:
@@ -215,7 +215,7 @@ def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, make):
     # In either solver route, contributions that cancel leave no key: a row
     # maps columns to nonzero entries.
     d = make()
-    runs = eliminate_runs(monkeypatch, record=list)
+    runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: rows)
     spaces.derivation_space(d)
     spaces.diderivation_space(d)
     spaces.derivation_space_via_left_ops(d)
@@ -367,9 +367,12 @@ def test_equal_dialgebras_each_solve_their_own_spaces(monkeypatch):
 @pytest.mark.parametrize("name, unital", [("Dias2_4", True), ("Dias3_1", False)])
 def test_invariants_solves_the_bar_unit_system_once(monkeypatch, name, unital):
     n = catalog.instantiate(name).dim
-    runs = eliminate_runs(monkeypatch)
+    runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: (ncols, len(rows)))
     assert run_cli("invariants", f"catalog:{name}") == 0
-    assert runs.count(2 * n * n) == 1
+    # both have 2n^2 rows: the bar-unit system [A | b] of the halo over
+    # n + 1 columns, and the bar-center's own system A over n
+    assert runs.count((n + 1, 2 * n * n)) == 1
+    assert runs.count((n, 2 * n * n)) == 1
     assert invariants.halo(catalog.instantiate(name)).is_empty is not unital
 
 
@@ -394,9 +397,9 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
     brackets = Counter()
     counting(monkeypatch, invariants, "bilinear", brackets)
     assert run_cli("invariants", "catalog:Dias3_1") == 0
-    # the bar-center is read off the halo's solve
+    # the bar-center is solved on its own, as a check on the halo's direction
     assert calls == {
-        "annihilator": 1, "halo": 1,
+        "annihilator": 1, "bar_center": 1, "halo": 1,
         "left_identity_violations": 1, "right_identity_violations": 1,
         "der": 1, "dider": 1,
     }
@@ -413,11 +416,11 @@ def test_leibniz_sweep_evaluates_the_shared_brackets_once(monkeypatch):
     counting(monkeypatch, invariants, "bilinear", calls)
     n = leib.dim
     # [[x,y],z] and [x,[y,z]] once per triple, then one bracket per identity
-    assert invariants._violations(leib.table, ("right", "left"), False) == \
+    assert invariants._violations(leib.table, False) == \
         {"right": right, "left": left}
     assert calls["bilinear"] == 4 * n ** 3
     # each side stops at its first violation; the right one has none
-    assert invariants._violations(leib.table, ("right", "left"), True) == \
+    assert invariants._violations(leib.table, True) == \
         {"right": [], "left": left[:1]}
 
 

@@ -1,12 +1,14 @@
 """Annihilator, bar-center, halo, induced bracket, and combined space."""
 
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diaskit import invariants
+from diaskit import cli, invariants
 from diaskit.catalog import ENTRY_NAMES, instantiate
 from diaskit.core import Dialgebra, phi_dialgebra
 from diaskit.invariants import (
@@ -17,7 +19,7 @@ from diaskit.invariants import (
     check_invariant_actions,
     halo,
 )
-from diaskit.ratlin import Subspace
+from diaskit.ratlin import AffineSubspace, Subspace, bilinear
 from diaskit.spaces import derivation_space, diderivation_space
 
 import exact_oracle as oracle
@@ -69,9 +71,13 @@ class TestInvariantSets:
     def test_halo_membership(self):
         d = phi_dialgebra((1, 0))
         units = halo(d)
-        assert units.contains((1, 0))
-        assert units.contains((1, 7))
-        assert not units.contains((2, 0))
+
+        def member(v):
+            return units.direction.contains([a - b for a, b in zip(v, units.point)])
+
+        assert member((1, 0))
+        assert member((1, 7))
+        assert not member((2, 0))
 
     @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
     def test_bar_center_and_halo_match_oracle(self, d):
@@ -136,10 +142,8 @@ class TestBracket:
         d = phi_dialgebra(weights)
         leib = LeibnizAlgebra(d)
         n = d.dim
-        basis = [tuple(Fraction(int(t == i)) for t in range(n))
-                 for i in range(n)]
-        assert all(leib.bracket(x, y) == tuple([0] * n)
-                   for x in basis for y in basis)
+        assert all(bilinear(leib.table, {i: 1}, {j: 1}) == {}
+                   for i in range(n) for j in range(n))
 
 
 class TestBracketAgainstOracle:
@@ -179,6 +183,22 @@ class TestActions:
             for key, value in report.items():
                 if isinstance(value, bool) and key != "unital":
                     assert value, (name, key)
+
+    def test_wrong_halo_direction_is_reported(self, monkeypatch):
+        # Dias2_4 is unital with bar-center span(e2).  A halo with the right
+        # point and a zero direction must fail the check against the
+        # bar-center solved on its own, and fail the command with it.
+        d = instantiate("Dias2_4")
+        right = halo(d)
+        assert right.direction.dim == 1
+        monkeypatch.setattr(invariants, "halo",
+                            lambda d: AffineSubspace(right.point, Subspace(d.dim)))
+        report = check_invariant_actions(d)
+        assert report["bar_center_dim"] == 1
+        assert report["halo_direction_is_bar_center"] is False
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert cli.main(["invariants", "catalog:Dias2_4"]) == 1
+        assert "halo direction is bar center: no" in out.getvalue()
 
 
 class TestCombinedSpace:

@@ -49,9 +49,9 @@ class TestMatrix:
     def test_shape_and_entry(self):
         m = Matrix([[1, 2, 3], [4, 5, 6]])
         assert m.shape == (2, 3)
-        assert m.entry(1, 2) == 6
-        assert m.row(0) == (1, 2, 3)
-        assert m.column(1) == (2, 5)
+        assert m.rows[1][2] == 6
+        assert m.rows[0] == [1, 2, 3]
+        assert [row[1] for row in m.rows] == [2, 5]
 
     def test_flatten_roundtrip(self):
         m = Matrix([[1, 2], [3, 4], [5, 6]])
@@ -80,7 +80,7 @@ class TestMatrix:
     def test_columns_are_the_matrix_columns(self, m):
         # an operator as one sparse row over r*n + c, split into its columns
         assert ratlin.columns(m.ncols, sparse(m.flatten())) == [
-            sparse(m.column(c)) for c in range(m.ncols)]
+            sparse([row[c] for row in m.rows]) for c in range(m.ncols)]
 
     @given(square(2), square(2), square(2))
     def test_commutator_jacobi(self, a, b, c):
@@ -114,8 +114,8 @@ class TestElimination:
 
     def test_det_known(self):
         assert det(Matrix([[2, 1], [7, 4]])) == 1
-        assert det(Matrix.identity(5)) == 1
-        assert det(Matrix.zero(3, 3)) == 0
+        assert det(Matrix([[int(i == j) for j in range(5)] for i in range(5)])) == 1
+        assert det(Matrix([[0] * 3] * 3)) == 0
 
     def test_det_fractions(self):
         m = Matrix([[frac("1/2"), 1], [1, frac("1/3")]])
@@ -209,21 +209,9 @@ class TestSubspace:
 
 
 class TestAffineSubspace:
-    def test_membership(self):
-        line = AffineSubspace((1, 0), Subspace(2, [(0, 1)]))
-        assert line.contains((1, 5))
-        assert not line.contains((2, 0))
-        assert not line.is_empty
-
     def test_empty(self):
-        nothing = AffineSubspace(None, Subspace(2))
-        assert nothing.is_empty
-        assert not nothing.contains((0, 0))
-
-    def test_equality_uses_the_flat_not_the_point(self):
-        d = Subspace(2, [(0, 1)])
-        assert AffineSubspace((1, 0), d) == AffineSubspace((1, 7), d)
-        assert AffineSubspace((1, 0), d) != AffineSubspace((2, 0), d)
+        assert AffineSubspace(None, Subspace(2)).is_empty
+        assert not AffineSubspace((1, 0), Subspace(2, [(0, 1)])).is_empty
 
 
 def sparse_matrix(nrows, ncols):

@@ -1,12 +1,15 @@
-"""The runtime imports nothing outside the standard library, and every
-import inside the package names a module and a name that exist."""
+"""The runtime and the tools import nothing outside the standard library,
+and every import inside the package names a module and a name that
+exist."""
 
 import ast
 import importlib
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "diaskit").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = sorted((ROOT / "src" / "diaskit").glob("*.py"))
+TOOLS = sorted((ROOT / "tools").glob("*.py"))
 
 
 def absolute_imports(path: Path) -> set[str]:
@@ -25,8 +28,9 @@ def test_sources_found():
 
 
 def test_runtime_is_standard_library_only():
+    assert TOOLS
     allowed = sys.stdlib_module_names | {"diaskit"}
-    outside = {path.name: sorted(absolute_imports(path) - allowed) for path in SOURCES}
+    outside = {path.name: sorted(absolute_imports(path) - allowed) for path in SOURCES + TOOLS}
     assert {name: mods for name, mods in outside.items() if mods} == {}
 
 
