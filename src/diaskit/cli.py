@@ -53,8 +53,8 @@ PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
 # (k = n = q = m = 0, p != -1 drawn from -4..4) has exactly 8 sample
 # points, so ``branch_samples`` cannot give a ninth.  ``kxy --bound 12``
-# takes about 0.08 s after import (0.07 to 0.09 s over twelve runs,
-# Python 3.11, one core of a shared 2-vCPU Xeon).
+# takes about 0.05 s after import (medians 0.048 to 0.057 s over five sets
+# of twelve runs, Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_SAMPLES = 8
 MAX_BOUND = 12
 # Most bytes read from an input file.  The largest canonical file
@@ -480,7 +480,7 @@ def cmd_kxy(bound: int) -> Report:
         for _t in range(rng.randint(0, 6)):
             a = rng.randint(0, bound)
             b = rng.randint(0, bound - a)
-            coeffs[(a, b)] = Fraction(rng.randint(-4, 4))
+            coeffs[(a, b)] = rng.randint(-4, 4)
         h = P(coeffs, bound)
         if rng.random() < 0.5 and h.total_degree() <= bound - 1:
             h = h * x_minus_y

@@ -18,7 +18,12 @@ the two-generator diderivation form built from geometric sums, and the
 inner diderivation h |-> p * (h(x,x) - h(y,y)).  Geometric sums are always
 assembled term by term, never via division by (x-y); the one place a
 division appears (the annihilator divisibility oracle) is an independent
-synthetic-division cross-check, not a computational shortcut.
+synthetic-division cross-check, not a computational shortcut.  The
+derivation and diderivation forms write each image out term by term in
+one dict and build one polynomial from it.  Each summand's degree is
+checked against the bound before any term is added, so an image raises
+``DegreeBoundError`` where a product of the summand's factors would, even
+when the sum cancels the terms past the bound.
 
 The arithmetic and the coefficient storage are those of ``poly.Poly``.
 
@@ -274,25 +279,20 @@ def divides_x_minus_y(h: BivariatePoly) -> tuple[bool, BivariatePoly | None]:
     is the independent oracle for the annihilator membership property and
     is used nowhere else.
     """
-    # coefficient of x^a as a polynomial in y
-    by_xdeg: dict[int, dict[int, int | Fraction]] = {}
+    # row a holds the coefficient of x^a as a polynomial in y, {b: c}
+    rows: list[dict[int, int | Fraction]] = [{} for _ in range(max(h.degree(0), 0) + 1)]
     for (a, b), c in h.terms.items():
-        by_xdeg.setdefault(a, {})[b] = c
+        rows[a][b] = c
     quotient: dict[Exponents, int | Fraction] = {}
-    carry: dict[int, int | Fraction] = {}
-    for a in range(h.degree(0), 0, -1):
-        coeff = dict(by_xdeg.get(a, {}))
-        for b, c in carry.items():
-            coeff[b] = coeff.get(b, 0) + c
-        for b, c in coeff.items():
+    for a in range(len(rows) - 1, 0, -1):
+        # row a, with its carry already added, is the quotient's x^(a-1)
+        # row; dividing by (x - y) carries it, times y, onto row a - 1
+        below = rows[a - 1]
+        for b, c in rows[a].items():
             if c:
                 quotient[(a - 1, b)] = c
-        # dividing by (x - y) shifts the running coefficient by y
-        carry = {b + 1: c for b, c in coeff.items() if c}
-    remainder = dict(by_xdeg.get(0, {}))
-    for b, c in carry.items():
-        remainder[b] = remainder.get(b, 0) + c
-    if any(c != 0 for c in remainder.values()):
+                below[b + 1] = below.get(b + 1, 0) + c
+    if any(rows[0].values()):
         return False, None
     return True, BivariatePoly(quotient, h.bound)
 
@@ -363,27 +363,58 @@ def geometric_sum(m: int, bound: int = DEFAULT_BOUND) -> BivariatePoly:
     return BivariatePoly({(k, m - 1 - k): 1 for k in range(m)}, bound)
 
 
+def _check_image(m: int, n: int, reach: int, bound: int) -> None:
+    """Raise ``ValueError`` for a negative m or n, and ``DegreeBoundError``
+    when a summand of the closed form for x^m y^n reaches degree ``reach``
+    past ``bound``.
+
+    The closed forms check each summand, a product of f or g with a
+    monomial, a binomial or a geometric sum, before any term is summed: an
+    image whose top terms cancel raises all the same, as the product of
+    the summand's factors does.
+    """
+    if m < 0 or n < 0:
+        raise ValueError(f"no monomial x^{m} y^{n}")
+    if reach > bound:
+        raise DegreeBoundError(
+            f"degree bound exceeded: a summand of the image of x^{m} y^{n} "
+            f"reaches degree {reach} with bound {bound}")
+
+
 def derivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
                      n: int) -> BivariatePoly:
     """Image of x^m y^n under the closed derivation form for (f, g).
 
     d(x^m y^n) = m x^(m-1) y^n f(x) + x^m y^n (x-y) g + n x^m y^(n-1) f(y)
-    with f univariate in x; f(y) is f with the variable renamed.
+    with f univariate in x; f(y) is f with the variable renamed.  The
+    summands are written out term by term into one dict.
     """
     f, g = spec
     if f.degree(1) > 0:
         raise ValueError("derivation spec requires univariate f(x)")
     bound = min(f.bound, g.bound)
-    out = BivariatePoly.zero(bound)
-    if m > 0:
-        out = out + BivariatePoly.monomial(m - 1, n, m, bound) * f
-    if g:
-        # x^m y^n (x-y) written out, one product per image; with g = 0 the
-        # term vanishes even where that factor alone would pass the bound
-        out = out + BivariatePoly({(m + 1, n): 1, (m, n + 1): -1}, bound) * g
-    if n > 0:
-        out = out + BivariatePoly.monomial(m, n - 1, n, bound) * f.rename(1, 0)
-    return out
+    # with g = 0 the middle summand vanishes even where x^m y^n (x-y) alone
+    # would pass the bound
+    _check_image(m, n, max(m + n - 1 + max(f.total_degree(), 0) if m > 0 or n > 0 else -1,
+                           m + n + 1 + g.total_degree() if g else -1), bound)
+    out: dict[Exponents, int | Fraction] = {}
+    get = out.get
+    for (a, _b), c in f.terms.items():
+        if m > 0:
+            key = (m - 1 + a, n)
+            out[key] = get(key, 0) + m * c
+        if n > 0:
+            key = (m, n - 1 + a)
+            out[key] = get(key, 0) + n * c
+    for (a, b), c in g.terms.items():
+        key = (m + 1 + a, n + b)
+        out[key] = get(key, 0) + c
+        key = (m + a, n + 1 + b)
+        out[key] = get(key, 0) - c
+    # wrapped as ``Poly`` wraps a result of arithmetic on f and g: the
+    # image takes the smaller bound, and no term's exponents are checked
+    # again
+    return f._clean(out, g)
 
 
 def diderivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
@@ -391,17 +422,27 @@ def diderivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
     """Image of x^m y^n under the two-generator diderivation form.
 
     delta(x^m y^n) = f * y^n * S_m + g * x^m * S_n where S_m is the
-    geometric sum with m terms, f = delta(x) and g = delta(y).
+    geometric sum with m terms, f = delta(x) and g = delta(y).  The
+    summands are written out term by term into one dict.
     """
     f, g = spec
     bound = min(f.bound, g.bound)
-    out = BivariatePoly.zero(bound)
-    # y^n S_m and x^m S_n written out term by term, as in ``derivation_apply``
-    if m > 0 and f:
-        out = out + f * BivariatePoly({(k, n + m - 1 - k): 1 for k in range(m)}, bound)
-    if n > 0 and g:
-        out = out + g * BivariatePoly({(m + k, n - 1 - k): 1 for k in range(n)}, bound)
-    return out
+    _check_image(m, n, max(f.total_degree() + m + n - 1 if m > 0 and f else -1,
+                           g.total_degree() + m + n - 1 if n > 0 and g else -1), bound)
+    out: dict[Exponents, int | Fraction] = {}
+    get = out.get
+    # y^n S_m = sum over k < m of x^k y^(n+m-1-k), x^m S_n likewise
+    if m > 0:
+        for (a, b), c in f.terms.items():
+            for k in range(m):
+                key = (a + k, b + n + m - 1 - k)
+                out[key] = get(key, 0) + c
+    if n > 0:
+        for (a, b), c in g.terms.items():
+            for k in range(n):
+                key = (a + m + k, b + n - 1 - k)
+                out[key] = get(key, 0) + c
+    return f._clean(out, g)
 
 
 def inner_dider_apply(p: BivariatePoly, h: BivariatePoly) -> BivariatePoly:

@@ -53,10 +53,11 @@ class Poly:
         bound = self.bound
         for exps, c in terms.items():
             if type(exps) is not tuple or len(exps) != nvars:
-                raise ValueError(f"exponents {exps!r} are not {nvars} integers")
+                raise ValueError(f"exponents {exps!r} are not {nvars} nonnegative integers")
             for e in exps:
-                if e < 0:
-                    raise ValueError(f"a negative exponent in {exps!r}")
+                # exactly int: a bool, a float or a string is no exponent
+                if type(e) is not int or e < 0:
+                    raise ValueError(f"exponents {exps!r} are not {nvars} nonnegative integers")
             if type(c) is not int:
                 c = int_or_fraction(c)
             if c:

@@ -1,0 +1,82 @@
+"""``tools/bench_pairs.py``: the summary of paired benchmark runs, read
+from canned results, and the refusal of a run that is not correct."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPEC = [{"name": "slowest_op_s", "unit": "s", "better": "lower", "bound": 0.15},
+        {"name": "peak_rss_mib", "unit": "MiB", "better": "lower", "bound": 0.05}]
+
+
+def runs(slowest, rss):
+    return [{"slowest_op_s": s, "peak_rss_mib": r} for s, r in zip(slowest, rss)]
+
+
+PARENT = runs([0.030, 0.031, 0.032, 0.033, 0.034, 0.035, 0.036, 0.037, 0.038, 0.039],
+              [20.0, 20.1, 20.2, 20.3, 20.4, 20.5, 20.6, 20.7, 20.8, 20.9])
+# slowest_op_s: better in 9 pairs, tied in the last; peak_rss_mib: 4 % worse
+CHANGE = runs([0.025, 0.026, 0.027, 0.028, 0.029, 0.030, 0.031, 0.032, 0.033, 0.039],
+              [r * 1.04 for r in (20.0, 20.1, 20.2, 20.3, 20.4, 20.5, 20.6, 20.7, 20.8, 20.9)])
+
+
+def test_summary_of_canned_pairs():
+    slowest, rss = bench_pairs.summarize(SPEC, PARENT, CHANGE)
+    assert slowest["parent"] == pytest.approx((0.03225, 0.0345, 0.03675))
+    assert slowest["change"] == pytest.approx((0.02725, 0.0295, 0.03175))
+    assert (slowest["wins"], slowest["pairs"]) == (9, 10)
+    assert slowest["gap"] == pytest.approx(0.005)
+    assert slowest["parent_iqr"] == pytest.approx(0.0045)
+    assert slowest["within_bound"] and slowest["claim"]
+    assert (rss["wins"], rss["within_bound"], rss["claim"]) == (0, True, False)
+
+
+def test_claim_needs_nine_tenths_of_the_pairs_and_a_gap_above_the_iqr():
+    # 8 wins of 10: the gap alone does not make a claim
+    change = runs([s - 0.005 for s in [0.030, 0.031, 0.032, 0.033, 0.034, 0.035,
+                                       0.036, 0.037]] + [0.038, 0.040], [20.0] * 10)
+    slowest, _ = bench_pairs.summarize(SPEC, PARENT, change)
+    assert slowest["wins"] == 8 and not slowest["claim"]
+    # 10 wins of 10, but by less than the parent's IQR
+    change = runs([r["slowest_op_s"] - 0.001 for r in PARENT], [20.0] * 10)
+    slowest, _ = bench_pairs.summarize(SPEC, PARENT, change)
+    assert slowest["wins"] == 10 and not slowest["claim"]
+
+
+def test_a_median_past_the_bound_is_reported():
+    change = runs([r["slowest_op_s"] * 1.2 for r in PARENT], [20.0] * 10)
+    slowest, _ = bench_pairs.summarize(SPEC, PARENT, change)
+    assert not slowest["within_bound"]
+    text = bench_pairs.render(bench_pairs.summarize(SPEC, PARENT, change))
+    assert "slowest_op_s (s, lower is better, bound 0.15)" in text
+    assert "within bound: NO" in text and "change wins 0/10" in text
+
+
+def test_higher_is_better_metrics_are_mirrored():
+    spec = [{"name": "rate", "unit": "1/s", "better": "higher", "bound": 0.1}]
+    parent = [{"rate": v} for v in (10, 11, 12, 13)]
+    change = [{"rate": v} for v in (20, 21, 22, 23)]
+    (rate,) = bench_pairs.summarize(spec, parent, change)
+    assert rate["wins"] == 4 and rate["gap"] == pytest.approx(10) and rate["claim"]
+
+
+@pytest.mark.parametrize("result", [
+    {"correct": False, "failed": 1, "metrics": {}},
+    {"correct": True, "failed": 2, "metrics": {}},
+    {"failed": 0, "metrics": {}},
+])
+def test_runs_that_are_not_correct_are_refused(result):
+    with pytest.raises(bench_pairs.RunRefused, match="not correct"):
+        bench_pairs.checked_metrics(result)
+
+
+def test_correct_runs_give_their_values():
+    result = {"correct": True, "failed": 0,
+              "metrics": {"run_s": {"value": 0.06, "unit": "s"}}}
+    assert bench_pairs.checked_metrics(result) == {"run_s": 0.06}

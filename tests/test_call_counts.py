@@ -516,14 +516,25 @@ def test_kxy_products_run_through_the_traced_multiplication(monkeypatch):
     # read 0 there.  Each monomial pair of the table is multiplied once by
     # each of dashv and vdash, which the rest of the command calls too.
     assert "__mul__" in vars(kxy.BivariatePoly)
-    calls = Counter()
-    # frame 0 is the key, frame 1 the counting wrapper
-    counting(monkeypatch, kxy.BivariatePoly, "__mul__", calls,
-             key=lambda f, g: sys._getframe(2).f_code.co_name)
+    calls, renames, images = Counter(), Counter(), Counter()
+
+    def caller(*args):
+        # frame 0 is this key, frame 1 the counting wrapper
+        return sys._getframe(2).f_code.co_name
+
+    counting(monkeypatch, kxy.BivariatePoly, "__mul__", calls, key=caller)
+    counting(monkeypatch, poly.Poly, "rename", renames, key=caller)
+    for name in ("derivation_apply", "diderivation_apply"):
+        counting(monkeypatch, kxy, name, images)
     kxy._build_product_table.cache_clear()
     assert run_cli("kxy", "--bound", "6") == 0
     pairs = math.comb(6 + 4, 4)
     assert calls["dashv"] >= pairs and calls["vdash"] >= pairs
+    # the closed forms write each image term by term, with no product and
+    # no renaming of their own
+    assert images["derivation_apply"] > 0 and images["diderivation_apply"] > 0
+    for name in images:
+        assert calls[name] == renames[name] == 0, name
 
 
 def test_annihilator_membership_renames_once(monkeypatch):

@@ -8,7 +8,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diaskit import cli, kxy
@@ -183,6 +183,13 @@ class TestDerivationForm:
         x_minus_y = BivariatePoly.var_x(B) - BivariatePoly.var_y(B)
         assert out == mono(2, 0) * x_minus_y * g
 
+    @pytest.mark.parametrize("image", [derivation_apply, diderivation_apply])
+    def test_negative_exponents_are_rejected(self, image):
+        one = BivariatePoly.one(B)
+        for m, n in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="no monomial"):
+                image((one, one), m, n)
+
     def test_identity_holds_for_valid_specs(self):
         f = BivariatePoly({(1, 0): 2, (0, 0): -1}, B)
         g = mono(1, 1, Fraction(1, 2))
@@ -250,6 +257,89 @@ class TestDiderivationForm:
         for h in (BivariatePoly.zero(10), BivariatePoly.var_x(10)):
             assert spec.apply(h).bound == 6
         assert spec.apply(BivariatePoly.zero(5)).bound == 5
+
+
+def composed_derivation_apply(spec, m, n):
+    """The derivation image of x^m y^n composed from ``BivariatePoly``
+    products, each summand formed, checked against the bound and added on
+    its own: the reference for ``kxy.derivation_apply``."""
+    f, g = spec
+    bound = min(f.bound, g.bound)
+    out = BivariatePoly.zero(bound)
+    if m > 0:
+        out = out + BivariatePoly.monomial(m - 1, n, m, bound) * f
+    if g:
+        out = out + BivariatePoly({(m + 1, n): 1, (m, n + 1): -1}, bound) * g
+    if n > 0:
+        out = out + BivariatePoly.monomial(m, n - 1, n, bound) * f.rename(1, 0)
+    return out
+
+
+def composed_diderivation_apply(spec, m, n):
+    """The diderivation image of x^m y^n composed from ``BivariatePoly``
+    products, as ``composed_derivation_apply``: the reference for
+    ``kxy.diderivation_apply``."""
+    f, g = spec
+    bound = min(f.bound, g.bound)
+    out = BivariatePoly.zero(bound)
+    if m > 0 and f:
+        out = out + f * BivariatePoly({(k, n + m - 1 - k): 1 for k in range(m)}, bound)
+    if n > 0 and g:
+        out = out + g * BivariatePoly({(m + k, n - 1 - k): 1 for k in range(n)}, bound)
+    return out
+
+
+IMAGES = {"derivation": (derivation_apply, composed_derivation_apply),
+          "diderivation": (diderivation_apply, composed_diderivation_apply)}
+
+
+@st.composite
+def closed_form_cases(draw):
+    """(kind, f, g, m, n): f and g of bounds 3 to 8, f univariate for a
+    derivation, and m, n up to one past the smaller bound."""
+    kind = draw(st.sampled_from(sorted(IMAGES)))
+    spec = []
+    for univariate in (kind == "derivation", False):
+        bound = draw(st.integers(3, 8))
+        if univariate:
+            exps = st.integers(0, bound).map(lambda a: (a, 0))
+        else:
+            exps = st.integers(0, bound).flatmap(
+                lambda t: st.integers(0, t).map(lambda a, t=t: (a, t - a)))
+        terms = draw(st.dictionaries(
+            exps, st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3), max_size=4))
+        spec.append(BivariatePoly(terms, bound))
+    top = min(p.bound for p in spec) + 1
+    return kind, *spec, draw(st.integers(0, top)), draw(st.integers(0, top))
+
+
+class TestClosedFormsAgainstComposedProducts:
+    """The closed forms write each image term by term into one dict; they
+    equal the sum of the summands' products and raise where one of those
+    products passes the bound, even when the sum cancels it."""
+
+    @given(closed_form_cases())
+    @settings(max_examples=300)
+    # f y S_1 + g x S_1 = x^7 y - x^7 y: the sum is 0, the summands pass bound 7
+    @example(("diderivation", BivariatePoly({(7, 0): 1}, 7),
+              BivariatePoly({(6, 1): -1}, 7), 1, 1))
+    # f = g = 0, yet the factor m x^(m-1) y^n alone passes the bound
+    @example(("derivation", BivariatePoly.zero(8), BivariatePoly.zero(8), 9, 1))
+    def test_images_equal_the_composed_formula(self, case):
+        kind, f, g, m, n = case
+        single, composed = IMAGES[kind]
+        try:
+            expected = composed((f, g), m, n)
+        except DegreeBoundError:
+            bound = min(f.bound, g.bound)
+            with pytest.raises(DegreeBoundError,
+                               match=f"^degree bound exceeded: .* with bound {bound}$"):
+                single((f, g), m, n)
+            return
+        image = single((f, g), m, n)
+        assert type(image) is BivariatePoly and image.bound == expected.bound
+        assert {e: (c, type(c)) for e, c in image.terms.items()} == \
+            {e: (c, type(c)) for e, c in expected.terms.items()}
 
 
 class TestInnerDiderivations:

@@ -79,12 +79,16 @@ class TestRing:
         with pytest.raises(ValueError):
             Poly.var(2, 2)
 
-    @pytest.mark.parametrize("exps", [(1,), (1, 0, 5), (-1, 0), (0, -2)])
+    @pytest.mark.parametrize("exps", [(1,), (1, 0, 5), (-1, 0), (0, -2),
+                                      (1.5, 0), (True, 0), ("a", 0)])
     def test_malformed_exponents_are_rejected(self, exps):
         # a short tuple used to lose a variable in products, a long one in
-        # evaluation
-        with pytest.raises(ValueError, match="exponent"):
+        # evaluation; a float, a bool or a string is no exponent, bounded or not
+        from diaskit.kxy import BivariatePoly
+        with pytest.raises(ValueError, match="are not 2 nonnegative integers"):
             Poly(2, {exps: 1})
+        with pytest.raises(ValueError, match="are not 2 nonnegative integers"):
+            BivariatePoly({exps: 1}, 8)
 
     @given(polys)
     def test_equal_polynomials_hash_equal(self, a):
