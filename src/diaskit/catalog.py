@@ -29,9 +29,8 @@ explicit solution families.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from . import poly, spaces
 from .core import Dialgebra, DialgebraError
@@ -63,8 +62,7 @@ def _rel(*items: tuple[str, int, int, object]) -> Relations:
 # Entry records
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     name: str
     dim: int
     param_names: tuple[str, ...]
@@ -387,8 +385,7 @@ def delta2(k: Fraction, m: Fraction, n: Fraction, p: Fraction,
     return (k + n) * (p + 1) - m * q
 
 
-@dataclass(frozen=True)
-class Dias316Branch:
+class Dias316Branch(NamedTuple):
     """One printed row of the case table; ``branch_for_params`` resolves
     which row a parameter point falls in."""
 

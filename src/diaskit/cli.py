@@ -9,10 +9,14 @@ Subcommands::
     diaskit catalog    [FILTER]       reproduce the classification tables
     diaskit kxy                       polynomial-dialgebra checks
 
-Start-up loads ``core``, ``ratlin``, ``spaces`` and ``invariants``, all
-that ``verify``, ``spaces``, ``invariants`` and ``bider`` of a file need.
-``catalog`` (with ``poly``) loads on a ``catalog:`` selector and in
-``catalog``, and ``kxy`` (with ``poly``) only in ``kxy``.
+Start-up loads ``core`` and ``ratlin``, all that ``verify`` of a file
+needs.  Each other module loads in the command that runs it: ``spaces``
+in ``spaces``, ``invariants`` (with ``spaces``) in ``invariants`` and
+``bider``, ``catalog`` (with ``poly`` and ``spaces``) on a ``catalog:``
+selector and in ``catalog``, and ``kxy`` (with ``poly``) in ``kxy``.
+No module builds classes with ``dataclasses``, and ``json`` loads only
+for ``--machine``.  Where bytecode is not written, every start compiles
+each loaded module again, so what a command loads is most of its start-up.
 
 INPUT is either a path to a structure-constants file (format written by
 ``serialize_dialgebra``) or a selector ``catalog:<Name>`` with optional
@@ -36,16 +40,13 @@ All numeric values are exact rationals rendered as strings.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import re
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from . import invariants, spaces
 from .core import Dialgebra, DialgebraError, parse_dialgebra, parse_rational
 from .ratlin import Row
 
@@ -68,11 +69,13 @@ class InputError(ValueError):
     """Bad file, selector, or parameter syntax (exit status 2)."""
 
 
-@dataclass
 class Section:
-    title: str
-    items: list[tuple[str, str]] = field(default_factory=list)
-    matrices: list[tuple[str, list[list[str]]]] = field(default_factory=list)
+    __slots__ = ("title", "items", "matrices")
+
+    def __init__(self, title: str):
+        self.title = title
+        self.items: list[tuple[str, str]] = []
+        self.matrices: list[tuple[str, list[list[str]]]] = []
 
     def add(self, key: str, value) -> None:
         self.items.append((key, _text(value)))
@@ -86,12 +89,14 @@ class Section:
         self.matrices.append((label, rows))
 
 
-@dataclass
 class Report:
-    subject: str
-    command: str
-    sections: list[Section] = field(default_factory=list)
-    verdict: str = PASS
+    __slots__ = ("subject", "command", "sections", "verdict")
+
+    def __init__(self, subject: str, command: str):
+        self.subject = subject
+        self.command = command
+        self.sections: list[Section] = []
+        self.verdict = PASS
 
     def section(self, title: str) -> Section:
         s = Section(title)
@@ -129,6 +134,8 @@ def render_human(report: Report) -> str:
 
 
 def render_machine(report: Report) -> str:
+    import json
+
     doc = {
         "schema": "diaskit.report/1",
         "command": report.command,
@@ -217,20 +224,24 @@ def cmd_verify(selector: str) -> Report:
     return report
 
 
+# Each choice's title and the name of its ``spaces`` function, looked up
+# when the command runs, so a wrapper put on the module attribute runs.
 _WHICH = {
-    "der": ("derivations", spaces.derivation_space),
-    "dider": ("diderivations", spaces.diderivation_space),
-    "inn": ("inner derivations", spaces.inner_derivations),
-    "dinn": ("inner diderivations", spaces.inner_diderivations),
+    "der": ("derivations", "derivation_space"),
+    "dider": ("diderivations", "diderivation_space"),
+    "inn": ("inner derivations", "inner_derivations"),
+    "dinn": ("inner diderivations", "inner_diderivations"),
 }
 
 
 def cmd_spaces(selector: str, which: str) -> Report:
+    from . import spaces
+
     subject, d = load_input(selector)
     title, solver = _WHICH[which]
     report = Report(subject, "spaces")
     sec = report.section(title)
-    space = solver(d)
+    space = getattr(spaces, solver)(d)
     sec.add("dim", space.dim)
     for idx, op in enumerate(space.rows, start=1):
         sec.add_operator(f"basis {idx}", d.dim, op)
@@ -253,6 +264,8 @@ def cmd_spaces(selector: str, which: str) -> Report:
 
 
 def cmd_invariants(selector: str) -> Report:
+    from . import invariants
+
     subject, d = load_input(selector)
     report = Report(subject, "invariants")
     n = d.dim
@@ -303,6 +316,8 @@ def cmd_invariants(selector: str) -> Report:
 
 
 def cmd_bider(selector: str) -> Report:
+    from . import invariants
+
     subject, d = load_input(selector)
     report = Report(subject, "bider")
     try:

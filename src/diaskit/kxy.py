@@ -54,10 +54,9 @@ back from text, so there is no parser.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, NamedTuple
 
 from .core import AXIOM_NAMES, RULES, Dialgebra, check_dim
 from .poly import DegreeBoundError, Poly
@@ -80,8 +79,9 @@ class BivariatePoly(Poly):
 
     def __init__(self, terms: Mapping[Exponents, Scalar] | None = None,
                  bound: int = DEFAULT_BOUND):
-        if bound < 0:
-            raise ValueError("bound must be nonnegative")
+        # exactly int: a float or a bool bound would fail later, in a sweep
+        if type(bound) is not int or bound < 0:
+            raise ValueError(f"bound {bound!r} is not a nonnegative integer")
         self.bound = bound
         Poly.__init__(self, 2, terms or {})
 
@@ -321,8 +321,15 @@ def halo_membership(h: BivariatePoly) -> bool:
 # Closed operator formulas
 
 
-@dataclass(frozen=True)
-class KxyOperatorSpec:
+# A NamedTuple's own body may not define ``__new__``, so the checks at
+# construction sit in a subclass.
+class _SpecFields(NamedTuple):
+    kind: str
+    f: BivariatePoly
+    g: BivariatePoly
+
+
+class KxyOperatorSpec(_SpecFields):
     """A closed-form operator on the truncated polynomial dialgebra.
 
     kind:
@@ -330,15 +337,14 @@ class KxyOperatorSpec:
       * ``diderivation``: data (f, g) = images of x and y
     """
 
-    kind: str
-    f: BivariatePoly
-    g: BivariatePoly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in ("derivation", "diderivation"):
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind == "derivation" and self.f.degree(1) > 0:
+    def __new__(cls, kind: str, f: BivariatePoly, g: BivariatePoly):
+        if kind not in ("derivation", "diderivation"):
+            raise ValueError(f"unknown operator kind {kind!r}")
+        if kind == "derivation" and f.degree(1) > 0:
             raise ValueError("derivation spec requires univariate f(x)")
+        return _SpecFields.__new__(cls, kind, f, g)
 
     def apply_monomial(self, m: int, n: int) -> BivariatePoly:
         if self.kind == "derivation":

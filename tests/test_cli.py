@@ -248,6 +248,30 @@ def test_main_dispatches_to_the_module_attribute(monkeypatch, capsys, argv, name
     assert calls == [expected]
 
 
+@pytest.mark.parametrize("which, name", [
+    ("der", "derivation_space"), ("dider", "diderivation_space"),
+    ("inn", "inner_derivations"), ("dinn", "inner_diderivations"),
+])
+def test_spaces_runs_the_solver_on_the_module_attribute(monkeypatch, capsys, tmp_path,
+                                                         which, name):
+    # a wrapper put on ``spaces.*`` after ``cli`` is imported (as a tracer
+    # does) is what ``spaces --which`` runs
+    from diaskit import spaces
+
+    original = getattr(spaces, name)
+    calls = []
+
+    def wrapper(d):
+        calls.append(d.dim)
+        return original(d)
+
+    monkeypatch.setattr(spaces, name, wrapper)
+    path = tmp_path / "good.dlg"
+    path.write_text(GOOD, encoding="utf-8")
+    assert run(capsys, "spaces", str(path), "--which", which)[0] == 0
+    assert calls == [2]
+
+
 def test_closed_pipe_ends_quietly():
     """``diaskit catalog | head -1``: the reader is gone before the report
     is written, so the write fails with EPIPE."""

@@ -65,6 +65,13 @@ class TestPolyRing:
         with pytest.raises(ValueError):
             BivariatePoly({(-1, 0): 1}, B)
 
+    @pytest.mark.parametrize("bound", [1.5, True, -1])
+    def test_bound_not_a_nonnegative_int_is_rejected(self, bound):
+        # a float or a bool bound used to be kept, and a sweep on the
+        # polynomial failed later inside ``range``
+        with pytest.raises(ValueError, match="is not a nonnegative integer"):
+            BivariatePoly({(0, 0): 1}, bound)
+
     def test_bound_enforced_on_build_and_mul(self):
         with pytest.raises(DegreeBoundError):
             BivariatePoly({(5, 4): 1}, B)

@@ -1,0 +1,93 @@
+"""Show what each diaskit module costs a command at start-up.
+
+Usage, from anywhere:
+
+    python3 tools/startup_cost.py -- ARGV [-- ARGV ...]
+
+e.g. ``python3 tools/startup_cost.py -- verify catalog:Dias3_8 -- kxy``.
+Each ARGV is one command line of ``diaskit``.  It runs in a fresh
+``python -X importtime`` that imports ``diaskit.cli`` and calls its
+``main`` on ARGV, with this checkout's ``src`` on ``PYTHONPATH``; ``-m
+diaskit.cli`` would run ``cli`` as ``__main__``, which ``-X importtime``
+does not list.  For each command the tool prints its exit status, the self
+import time of each diaskit module loaded, in the order their imports
+ended, and their total.  A module's self time is the time to find, compile
+and run it, without the modules it imports; where bytecode is not written
+(``PYTHONDONTWRITEBYTECODE``) every start compiles every line again.  The
+report goes to stdout, the command's own output nowhere.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+RUN = "import sys; from diaskit.cli import main; sys.exit(main(sys.argv[1:]))"
+# "import time:  self [us] | cumulative | imported package", the name
+# indented by two spaces per level of nesting
+_LINE = re.compile(r"import time:\s*(\d+)\s*\|\s*\d+\s*\|\s*(\S+)\s*$")
+
+
+def split_commands(argv: list[str]) -> list[list[str]]:
+    """The command lines of ``-- ARGV [-- ARGV ...]``; ``ValueError``
+    unless ``argv`` starts with ``--`` and every command is nonempty."""
+    if not argv or argv[0] != "--":
+        raise ValueError("expected -- ARGV [-- ARGV ...]")
+    commands: list[list[str]] = []
+    for arg in argv:
+        if arg == "--":
+            commands.append([])
+        else:
+            commands[-1].append(arg)
+    if not all(commands):
+        raise ValueError("an empty command between two --")
+    return commands
+
+
+def diaskit_self_us(text: str) -> list[tuple[str, int]]:
+    """Each diaskit module in ``-X importtime`` output ``text``, with its
+    self time in microseconds, in the order of the lines."""
+    out = []
+    for line in text.splitlines():
+        m = _LINE.match(line)
+        if m and (m[2] == "diaskit" or m[2].startswith("diaskit.")):
+            out.append((m[2], int(m[1])))
+    return out
+
+
+def render(argv: list[str], code: int, modules: list[tuple[str, int]]) -> str:
+    width = max([len(name) for name, _ in modules] + [len("total")])
+    lines = [f"$ diaskit {' '.join(argv)}  (exit {code})"]
+    lines += [f"  {name:{width}}  {us / 1000:7.2f} ms" for name, us in modules]
+    lines.append(f"  {'total':{width}}  {sum(us for _, us in modules) / 1000:7.2f} ms")
+    return "\n".join(lines)
+
+
+def measure(argv: list[str]) -> tuple[int, list[tuple[str, int]]]:
+    """Exit status of one command in a fresh process, and its diaskit
+    modules' self import times."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", RUN, *argv],
+        env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE, text=True)
+    return proc.returncode, diaskit_self_us(proc.stderr)
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        commands = split_commands(sys.argv[1:] if argv is None else argv)
+    except ValueError as exc:
+        print(f"usage: startup_cost.py -- ARGV [-- ARGV ...]\nerror: {exc}", file=sys.stderr)
+        return 2
+    for command in commands:
+        print(render(command, *measure(command)), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
