@@ -8,6 +8,9 @@ Dias3_2, Dias3_3 and Dias3_15, of Dias3_7 and Dias3_12, and of Dias3_9 and
 Dias3_11 are isomorphic.  For each entry the module records
 
 * the structure relations used to instantiate an axiom-valid ``Dialgebra``,
+  declared as a table in which each coefficient is an exact number or the
+  name of one of the entry's parameters; ``instantiate`` substitutes the
+  given values and calls ``Dialgebra.from_relations``,
 * the relation list exactly as printed in the source table (several printed
   lists are garbled or axiom-inconsistent; those entries carry a repair note),
 * the tabled diderivation dimension and basis, kept verbatim even where the
@@ -17,6 +20,8 @@ Dias3_11 are isomorphic.  For each entry the module records
 Entries are reached by name: ``ENTRY_NAMES`` lists them in table order,
 ``get_entry`` returns the record of one and ``instantiate`` builds it.  An
 entry's parameters are its ``param_names``, empty for a fixed entry.
+Dias3_16's parameter order is ``DIAS3_16_PARAMS``, and ``FAMILY_POINTS``
+holds the point at which each of its solution families is checked.
 
 For ``Dias3_16`` the module also implements the published case analysis: the
 two key factors ``delta1``/``delta2``, the 13-row dimension table with its
@@ -30,30 +35,35 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import poly, spaces
 from .core import Dialgebra, DialgebraError
 from .ratlin import Matrix, Subspace, frac, int_or_fraction, sparse
 
 Params = Mapping[str, Fraction]
-Relations = dict[tuple[str, int, int], list[tuple[int, Fraction]]]
+Relations = dict[tuple[str, int, int], list[tuple[int, Fraction | str]]]
 
 ONE = Fraction(1)
+
+# The parameter order of Dias3_16: its ``param_names``, the order of every
+# (k, m, n, p, q) point and of the arguments of ``branch_for_params``.
+DIAS3_16_PARAMS = ("k", "m", "n", "p", "q")
 
 
 def _rel(*items: tuple[str, int, int, object]) -> Relations:
     """Assemble a relation dict from (product, i, j, value) items.
 
     ``value`` is either a single 1-based basis index (coefficient 1) or a
-    list of (index, coefficient) pairs.
+    list of (index, coefficient) pairs, a coefficient being a number or a
+    parameter name.
     """
     out: Relations = {}
     for product, i, j, value in items:
         if isinstance(value, int):
             terms = [(value, ONE)]
         else:
-            terms = [(k, frac(c)) for k, c in value]
+            terms = [(k, c if isinstance(c, str) else frac(c)) for k, c in value]
         out[(product, i, j)] = terms
     return out
 
@@ -63,16 +73,15 @@ def _rel(*items: tuple[str, int, int, object]) -> Relations:
 
 
 class CatalogEntry(NamedTuple):
+    """One printed class: its relation table, whose coefficients name the
+    entry's ``param_names`` where the printed list has a parameter."""
+
     name: str
     dim: int
     param_names: tuple[str, ...]
-    build: Callable[[Params], Relations]
+    relations: Relations
     printed: tuple[str, ...]
     note: str = ""
-
-
-def _fixed(relations: Relations) -> Callable[[Params], Relations]:
-    return lambda _params: dict(relations)
 
 
 def _both(*items: tuple[int, int, object]) -> list[tuple[str, int, int, object]]:
@@ -84,27 +93,17 @@ def _both(*items: tuple[int, int, object]) -> list[tuple[str, int, int, object]]
     return out
 
 
-def _dias2_3(params: Params) -> Relations:
-    lam = params["lam"]
-    return _rel(("vdash", 1, 1, 2), ("dashv", 1, 1, [(2, lam)]))
-
-
-def _dias3_16(params: Params) -> Relations:
-    k, m, n, p, q = (params[s] for s in ("k", "m", "n", "p", "q"))
+def _dias3_16(first: str) -> Relations:
+    """The Dias3_16 table with its first parameter named ``first``: "k" for
+    Dias3_16, "l" for Dias3_17."""
     return _rel(
         ("dashv", 1, 3, 2),
-        ("dashv", 3, 1, [(2, k)]),
-        ("vdash", 1, 1, [(2, m)]),
-        ("vdash", 1, 3, [(2, n)]),
-        ("vdash", 3, 1, [(2, p)]),
-        ("vdash", 3, 3, [(2, q)]),
+        ("dashv", 3, 1, [(2, first)]),
+        ("vdash", 1, 1, [(2, "m")]),
+        ("vdash", 1, 3, [(2, "n")]),
+        ("vdash", 3, 1, [(2, "p")]),
+        ("vdash", 3, 3, [(2, "q")]),
     )
-
-
-def _dias3_17(params: Params) -> Relations:
-    renamed = dict(params)
-    renamed["k"] = params["l"]
-    return _dias3_16(renamed)
 
 
 _REPAIR_NOTE = (
@@ -119,158 +118,159 @@ _LAYOUT_NOTE = (
 _ENTRIES: list[CatalogEntry] = [
     CatalogEntry(
         "Dias2_1", 2, (),
-        _fixed(_rel(("vdash", 1, 1, 1), ("dashv", 1, 1, 1), ("dashv", 2, 1, 2))),
+        _rel(("vdash", 1, 1, 1), ("dashv", 1, 1, 1), ("dashv", 2, 1, 2)),
         ("e1 |- e = e1", "e1 -| e1 = e1", "e2 -| e1 = e2"),
         "printed left factor 'e' read as e1",
     ),
     CatalogEntry(
         "Dias2_2", 2, (),
-        _fixed(_rel(("vdash", 1, 1, 1), ("dashv", 1, 1, 1), ("vdash", 1, 2, 2))),
+        _rel(("vdash", 1, 1, 1), ("dashv", 1, 1, 1), ("vdash", 1, 2, 2)),
         ("e1 |- e1 = e1", "e1 -| e1 = e1", "e1 -| e2 = e2"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
-        "Dias2_3", 2, ("lam",), _dias2_3,
+        "Dias2_3", 2, ("lam",),
+        _rel(("vdash", 1, 1, 2), ("dashv", 1, 1, [(2, "lam")])),
         ("e1 |- e1 = e2", "e1 -| e1 = lam e2"),
     ),
     CatalogEntry(
         "Dias2_4", 2, (),
-        _fixed(_rel(("vdash", 1, 1, 1), ("dashv", 1, 1, 1),
-                    ("vdash", 1, 2, 2), ("dashv", 2, 1, 2))),
+        _rel(("vdash", 1, 1, 1), ("dashv", 1, 1, 1),
+             ("vdash", 1, 2, 2), ("dashv", 2, 1, 2)),
         ("e1 |- e1 = e1", "e1 -| e1 = e1", "e1 |- e2 = e2", "e2 -| e1 = e2"),
     ),
     CatalogEntry(
         "Dias3_1", 3, (),
-        _fixed(_rel(("dashv", 1, 2, 1), ("dashv", 2, 2, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 2, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 2, 1), ("dashv", 2, 2, 2), ("dashv", 3, 3, 3),
+             ("vdash", 2, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e2 = e1", "e2 |- e2 = e2", "e3 |- e3 = e3",
          "e2 -| e2 = e2", "e3 -| e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_2", 3, (),
-        _fixed(_rel(("dashv", 1, 2, 1), ("dashv", 2, 2, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 2, 1, 1), ("vdash", 2, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 2, 1), ("dashv", 2, 2, 2), ("dashv", 3, 3, 3),
+             ("vdash", 2, 1, 1), ("vdash", 2, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e2 = e1", "e2 |- e2 = e2", "e3 |- e3 = e3",
          "e2 -| e1 = e1", "e2 -| e2 = e2", "e3 -| e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_3", 3, (),
-        _fixed(_rel(("dashv", 1, 3, 1), ("dashv", 2, 2, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 2, 2, 2), ("vdash", 3, 1, 1), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 3, 1), ("dashv", 2, 2, 2), ("dashv", 3, 3, 3),
+             ("vdash", 2, 2, 2), ("vdash", 3, 1, 1), ("vdash", 3, 3, 3)),
         ("e1 |- e2 = e1", "e2 |- e2 = e2", "e3 |- e3 = e3",
          "e2 -| e2 = e2", "e3 |- e1 = e1", "e3 -| e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_4", 3, (),
-        _fixed(_rel(*_both((1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 1, 2), (2, 2, 2),
-                           (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 3)))),
+        _rel(*_both((1, 1, 2), (1, 2, 2), (1, 3, 2), (2, 1, 2), (2, 2, 2),
+                    (2, 3, 2), (3, 1, 2), (3, 2, 2), (3, 3, 3))),
         ("e1 |- e3 = e2", "e2 |- e3 = e2", "e3 |- e3 = e3", "e3 -| e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_5", 3, (),
-        _fixed(_rel(*_both((1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2),
-                           (1, 3, [(1, 1), (2, -1)]), (3, 1, [(1, 1), (2, -1)]),
-                           (3, 3, 3)))),
+        _rel(*_both((1, 1, 2), (1, 2, 2), (2, 1, 2), (2, 2, 2),
+                    (1, 3, [(1, 1), (2, -1)]), (3, 1, [(1, 1), (2, -1)]),
+                    (3, 3, 3))),
         ("e1 |- e3 = e2", "e2 |- e3 = e2", "e3 |- e3 = e3",
          "e3 |- e1 = e1 - e2", "e3 -| e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_6", 3, (),
-        _fixed(_rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
+             ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e3 = e2", "e2 |- e3 = e2", "e3 |- e3 = e3",
          "e3 |- e1 = e1", "e3 |- e2 = e2", "e3 -| e3 = e3"),
         _LAYOUT_NOTE,
     ),
     CatalogEntry(
         "Dias3_7", 3, (),
-        _fixed(_rel(("dashv", 1, 3, 2), ("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 3, 1, 2), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 3, 2), ("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
+             ("vdash", 3, 1, 2), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e3 = e2", "e2 |- e3 = e2", "e3 |- e3 = e3",
          "e3 |- e1 = e2", "e3 |- e2 = e2", "e3 -| e3 = e3"),
         _LAYOUT_NOTE,
     ),
     CatalogEntry(
         "Dias3_8", 3, (),
-        _fixed(_rel(("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
+             ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e3 = e2", "e1 |- e3 = e2", "e2 |- e3 = e2", "e3 |- e3 = e3",
          "e3 |- e1 = e1 - e2", "e3 -| e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_9", 3, (),
-        _fixed(_rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
-                    ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
+             ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e3 |- e1 = e1", "e3 |- e2 = e2", "e3 |- e3 = e3"),
         _REPAIR_NOTE + "; printed list identical to Dias3_11",
     ),
     CatalogEntry(
         "Dias3_10", 3, (),
-        _fixed(_rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 1, 3, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
+             ("vdash", 1, 3, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e3 |- e1 = e1", "e3 |- e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_11", 3, (),
-        _fixed(_rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
-                    ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
+             ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e3 |- e1 = e1", "e3 |- e2 = e2", "e3 |- e3 = e3"),
         _REPAIR_NOTE + "; printed list identical to Dias3_9",
     ),
     CatalogEntry(
         "Dias3_12", 3, (),
-        _fixed(_rel(("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
-                    ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 2, 3, 2), ("dashv", 3, 3, 3),
+             ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e3 = e1", "e2 |- e3 = e2", "e3 |- e1 = e1", "e3 |- e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
         "Dias3_13", 3, (),
-        _fixed(_rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 1, 1),
-                    ("dashv", 3, 3, 3),
-                    ("vdash", 1, 3, 1), ("vdash", 3, 1, 1), ("vdash", 3, 2, 2),
-                    ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 1, 1),
+             ("dashv", 3, 3, 3),
+             ("vdash", 1, 3, 1), ("vdash", 3, 1, 1), ("vdash", 3, 2, 2),
+             ("vdash", 3, 3, 3)),
         ("e1 |- e3 = e1", "e2 |- e3 = e2", "e3 |- e1 = e1", "e3 |- e2 = e2",
          "e3 |- e3 = e3"),
         _LAYOUT_NOTE,
     ),
     CatalogEntry(
         "Dias3_14", 3, (),
-        _fixed(_rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 1, 1),
-                    ("dashv", 3, 3, 3),
-                    ("vdash", 1, 3, [(1, 1), (2, 1)]), ("vdash", 3, 1, 1),
-                    ("vdash", 3, 2, 2), ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 3, 1), ("dashv", 2, 3, 2), ("dashv", 3, 1, 1),
+             ("dashv", 3, 3, 3),
+             ("vdash", 1, 3, [(1, 1), (2, 1)]), ("vdash", 3, 1, 1),
+             ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
         ("e1 |- e3 = e1 + e2", "e3 |- e1 = e1", "e3 |- e2 = e2",
          "e3 |- e3 = e3"),
         _LAYOUT_NOTE,
     ),
     CatalogEntry(
         "Dias3_15", 3, (),
-        _fixed(_rel(("dashv", 1, 1, 2), ("dashv", 1, 2, 2), ("dashv", 2, 1, 2),
-                    ("dashv", 2, 2, 2), ("dashv", 1, 3, [(1, 1), (2, -1)]),
-                    ("dashv", 3, 3, 3),
-                    ("vdash", 1, 1, 2), ("vdash", 1, 2, 2), ("vdash", 2, 1, 2),
-                    ("vdash", 2, 2, 2), ("vdash", 3, 1, [(1, 1), (2, -1)]),
-                    ("vdash", 3, 3, 3))),
+        _rel(("dashv", 1, 1, 2), ("dashv", 1, 2, 2), ("dashv", 2, 1, 2),
+             ("dashv", 2, 2, 2), ("dashv", 1, 3, [(1, 1), (2, -1)]),
+             ("dashv", 3, 3, 3),
+             ("vdash", 1, 1, 2), ("vdash", 1, 2, 2), ("vdash", 2, 1, 2),
+             ("vdash", 2, 2, 2), ("vdash", 3, 1, [(1, 1), (2, -1)]),
+             ("vdash", 3, 3, 3)),
         ("e1 |- e1 = e2", "e3 |- e3 = e3"),
         _REPAIR_NOTE,
     ),
     CatalogEntry(
-        "Dias3_16", 3, ("k", "m", "n", "p", "q"), _dias3_16,
+        "Dias3_16", 3, DIAS3_16_PARAMS, _dias3_16("k"),
         ("e1 -| e3 = e2", "e3 |- e1 = k e2", "e1 -| e1 = m e2",
          "e1 |- e3 = n e2", "e3 -| e1 = p e2", "e3 |- e3 = q e2"),
         "printed product glyphs are inconsistent with the companion case "
         "analysis; instantiation follows the operator data of that analysis",
     ),
     CatalogEntry(
-        "Dias3_17", 3, ("l", "m", "n", "p", "q"), _dias3_17,
+        "Dias3_17", 3, ("l",) + DIAS3_16_PARAMS[1:], _dias3_16("l"),
         ("e1 -| e3 = e2", "e3 |- e1 = l e2", "e1 -| e1 = m e2",
          "e1 |- e3 = n e2", "e3 -| e1 = p e2", "e3 |- e3 = q e2"),
         "same relation list as Dias3_16 up to the parameter letter",
@@ -313,10 +313,13 @@ def _coerce_params(entry: CatalogEntry, params: Params | None) -> dict[str, Frac
 
 
 def instantiate(name: str, params: Params | None = None) -> Dialgebra:
-    """Build the named catalog dialgebra at the given rational parameters."""
+    """Build the named catalog dialgebra at the given rational parameters:
+    its relation table with each parameter name replaced by its value."""
     entry = get_entry(name)
     values = _coerce_params(entry, params)
-    return Dialgebra.from_relations(entry.dim, entry.build(values))
+    return Dialgebra.from_relations(entry.dim, {
+        key: [(k, values[c] if isinstance(c, str) else c) for k, c in terms]
+        for key, terms in entry.relations.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +461,7 @@ def branch_for_params(k, m, n, p, q) -> tuple[Dias316Branch, int]:
 # kernel jumps; the picks stay off those, matching the rows' generic intent.
 # Row 8's conditions are unsatisfiable (k = np with p = -1 forces n+k = 0)
 # and row 13's conditions pin a single parameter point.
-_BRANCH_BASE_SAMPLES: dict[int, tuple[tuple[Fraction, ...], ...]] = {
+_BRANCH_BASE_SAMPLES: dict[int, tuple[tuple[int | Fraction, ...], ...]] = {
     1: ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (0, 1, 0, 0, 1)),
     2: ((1, 1, 2, 1, 1), (2, 1, 1, 2, 0), (0, 2, 3, 0, 0)),
     3: ((1, 1, 1, 1, 4), (1, 1, 0, 1, 2), (1, 2, 1, 0, 1)),
@@ -473,6 +476,12 @@ _BRANCH_BASE_SAMPLES: dict[int, tuple[tuple[Fraction, ...], ...]] = {
     12: ((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 0, 2, 0)),
     13: ((0, 0, 0, -1, 0),),
 }
+
+# The point at which each case of ``case_family_vectors`` is checked: the
+# first hand-picked sample of the row whose conditions the case assumes,
+# delta1 = 0 (row 2), delta2 = 0 (row 3) or both (row 4).
+FAMILY_POINTS = {case: _BRANCH_BASE_SAMPLES[row][0]
+                 for case, row in (("B", 2), ("C", 3), ("D", 4))}
 
 
 def _random_branch_sample(row: int, rng: random.Random
@@ -547,6 +556,8 @@ def branch_samples(row: int, count: int, seed: int = 0
     """
     if row not in _BRANCH_BY_INDEX:
         raise ValueError(f"no branch row {row}")
+    if count < 0:
+        raise ValueError(f"negative sample count {count}")
     base = [tuple(frac(v) for v in s) for s in _BRANCH_BASE_SAMPLES[row]]
     out = base[:count]
     if row == 8:
@@ -605,7 +616,7 @@ def dias316_matrix(params: Params) -> Matrix:
     signs repaired it is (p - k) * delta1 * delta2.  The determinant probe
     below measures the printed matrix, not a repaired one.
     """
-    point = tuple(frac(params[s]) for s in ("k", "m", "n", "p", "q"))
+    point = tuple(frac(params[s]) for s in DIAS3_16_PARAMS)
     return Matrix([[entry(point) for entry in row] for row in _DIAS316_PRINTED])
 
 
@@ -679,7 +690,7 @@ def case_family_vectors(case: str, params: Params
     printed two-parameter family, returned as its two generators.  Hypotheses
     are validated and the failing condition is named on rejection.
     """
-    k, m, n, p, q = (frac(params[s]) for s in ("k", "m", "n", "p", "q"))
+    k, m, n, p, q = (frac(params[s]) for s in DIAS3_16_PARAMS)
     point = (k, m, n, p, q)
     if case == "B":
         _require(m != 0, "case B requires m != 0")
@@ -737,19 +748,17 @@ def solution_families(params: Params, case: str,
     for label, op in vectors + [("t=0", _family_matrix((0,) * 7))]:
         results.append({
             "label": label,
-            "matrix": [list(r) for r in op.rows],
             "identity_ok": spaces.rule_holds(d, "dider", sparse(op.flatten())),
             "in_solver_kernel": kernel.contains(op.flatten()),
         })
     report = {
         "case": case,
-        "params": {s: frac(params[s]) for s in ("k", "m", "n", "p", "q")},
+        "params": {s: frac(params[s]) for s in DIAS3_16_PARAMS},
         "vectors": results,
         "all_member": all(r["in_solver_kernel"] for r in results),
     }
     if case == "D":
         fixed = corrected_case_d_vector(params)
-        report["corrected_generator"] = [list(r) for r in fixed.rows]
         report["corrected_in_kernel"] = kernel.contains(fixed.flatten())
     return report
 
@@ -807,7 +816,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
 
     points = {
         "Dias2_3": [({"lam": lam}, f" at lam={lam}") for lam in LAMBDA_SAMPLES],
-        "Dias3_17": [(dict(zip(("l", "m", "n", "p", "q"), point)),
+        "Dias3_17": [(dict(zip(_BY_NAME["Dias3_17"].param_names, point)),
                       f" at {_point_text(point)}") for point in DIAS3_17_SAMPLES],
     }
     for name, (tabled, basis) in _TABLED_DIDER.items():
@@ -824,7 +833,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
             if name == "Dias3_17":
                 # The relation lists agree up to the parameter letter, so the
                 # two parametric entries must produce identical kernels.
-                twin = dict(zip(("k", "m", "n", "p", "q"), params.values()))
+                twin = dict(zip(DIAS3_16_PARAMS, params.values()))
                 if solve("Dias3_16", twin, where) != kernel:
                     failures.append(f"Dias3_17: kernel differs from Dias3_16 twin{where}")
 
@@ -841,7 +850,7 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
         for point in samples:
             where = f" row {branch.index} at {_point_text(point)}"
             _b, tabled = branch_for_params(*point)
-            params = dict(zip(("k", "m", "n", "p", "q"), point))
+            params = dict(zip(DIAS3_16_PARAMS, point))
             actual = solve("Dias3_16", params, where).dim
             sample_rows.append({"params": point, "tabled_dim": tabled,
                                 "actual_dim": actual,
@@ -853,7 +862,6 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
         branch_rows.append({
             "row": branch.index,
             "conditions": branch.conditions,
-            "dim_text": branch.dim_text,
             "samples": sample_rows,
         })
 

@@ -108,6 +108,12 @@ class Report:
         if order[verdict] > order[self.verdict]:
             self.verdict = verdict
 
+    def check(self, sec: Section, label: str, ok: bool) -> None:
+        """A yes/no line in ``sec``; "no" fails the report."""
+        sec.add(label, ok)
+        if not ok:
+            self.worsen(FAIL)
+
 
 def _text(value) -> str:
     if isinstance(value, bool):
@@ -257,9 +263,7 @@ def cmd_spaces(selector: str, which: str) -> Report:
     if routes:
         rsec = report.section("route cross-check")
         for label, route in routes:
-            rsec.add(label, route == space)
-            if route != space:
-                report.worsen(FAIL)
+            report.check(rsec, label, route == space)
     return report
 
 
@@ -309,9 +313,7 @@ def cmd_invariants(selector: str) -> Report:
     for key in sorted(actions):
         if key.endswith("dim") or key == "unital":
             continue
-        asec.add(key.replace("_", " "), actions[key])
-        if actions[key] is False:
-            report.worsen(FAIL)
+        report.check(asec, key.replace("_", " "), actions[key])
     return report
 
 
@@ -326,17 +328,14 @@ def cmd_bider(selector: str) -> Report:
         raise InputError(str(exc)) from None
     sec = report.section("combined bracket")
     sec.add("space dim", res["bider_dim"])
-    sec.add("bracket closed", res["bracket_closed"])
-    sec.add("right identity", res["right_identity"])
+    report.check(sec, "bracket closed", res["bracket_closed"])
+    report.check(sec, "right identity", res["right_identity"])
     sec.add("left identity", res["left_identity"])
     sec.add("inner-dider + der is ideal", res["dinn_der_ideal"])
-    sec.add("inner-dider + inner-der is ideal", res["dinn_inn_ideal"])
+    report.check(sec, "inner-dider + inner-der is ideal", res["dinn_inn_ideal"])
     sec.add("square span dim", res["square_span_dim"])
     sec.add("squares in diderivation component",
             res["square_span_in_dider_component"])
-    if not (res["bracket_closed"] and res["right_identity"]
-            and res["dinn_inn_ideal"]):
-        report.worsen(FAIL)
     if not res["dinn_der_ideal"]:
         # One-sided only: bracketing with a general derivation on the
         # right can push an inner diderivation component out of the
@@ -375,13 +374,6 @@ def _det_probe_samples(seed: int) -> list[tuple]:
         m = Fraction(rng.randint(1, 4))
         out.append((k, m, n, k, q))
     return out
-
-
-_FAMILY_POINTS = {
-    "B": (1, 1, 2, 1, 1),
-    "C": (1, 1, 1, 1, 4),
-    "D": (1, 1, -3, 1, -4),
-}
 
 
 def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
@@ -438,9 +430,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
             report.worsen(FINDINGS)
 
         fsec = report.section("solution families")
-        for case, point in _FAMILY_POINTS.items():
-            params = dict(zip(("k", "m", "n", "p", "q"),
-                              (Fraction(v) for v in point)))
+        for case, point in catalog.FAMILY_POINTS.items():
+            params = dict(zip(catalog.DIAS3_16_PARAMS, map(Fraction, point)))
             fam = catalog.solution_families(params, case, sweep["kernels"])
             for vec in fam["vectors"]:
                 fsec.add(
@@ -479,6 +470,15 @@ def cmd_kxy(bound: int) -> Report:
         raise InputError(f"kxy checks take --bound of at most {MAX_BOUND}")
     report = Report(f"polynomial dialgebra (bound {bound})", "kxy")
     P = kxy.BivariatePoly
+    one, zero = P.one(bound), P.zero(bound)
+    x, y, xy = P.var_x(bound), P.var_y(bound), P.monomial(1, 1, 1, bound)
+    x_minus_y = x - y
+
+    def add_sweep(sec: Section, label: str, rep: dict, verdict: str) -> None:
+        """One identity sweep's line; a violation worsens to ``verdict``."""
+        sec.add(label, f"{rep['pairs']} pairs, {len(rep['violations'])} violations")
+        if rep["violations"]:
+            report.worsen(verdict)
 
     axioms = kxy.check_axioms_truncated(bound)
     asec = report.section("axioms")
@@ -488,7 +488,6 @@ def cmd_kxy(bound: int) -> Report:
         report.worsen(FAIL)
 
     rng = random.Random(f"kxy:{bound}")
-    x_minus_y = P.var_x(bound) - P.var_y(bound)
     agree = True
     for _ in range(200):
         coeffs = {}
@@ -506,53 +505,33 @@ def cmd_kxy(bound: int) -> Report:
             agree = False
     msec = report.section("annihilator and halo")
     msec.add("x - y in annihilator", kxy.ann_membership(x_minus_y))
-    msec.add("x in annihilator", kxy.ann_membership(P.var_x(bound)))
-    msec.add("membership matches divisibility (200 seeded)", agree)
-    msec.add("1 in halo", kxy.halo_membership(P.one(bound)))
-    halo_elt = P.one(bound) + (P.var_y(bound) - P.var_x(bound)) * \
-        P.monomial(1, 1, 1, bound)
-    msec.add("1 + (y-x)xy in halo", kxy.halo_membership(halo_elt))
-    msec.add("x in halo", kxy.halo_membership(P.var_x(bound)))
-    if not agree:
-        report.worsen(FAIL)
+    msec.add("x in annihilator", kxy.ann_membership(x))
+    report.check(msec, "membership matches divisibility (200 seeded)", agree)
+    msec.add("1 in halo", kxy.halo_membership(one))
+    msec.add("1 + (y-x)xy in halo", kxy.halo_membership(one + (y - x) * xy))
+    msec.add("x in halo", kxy.halo_membership(x))
 
     dsec = report.section("derivation closed form")
-    der_specs = [
-        ("f=1, g=0", P.one(bound), P.zero(bound)),
-        ("f=x, g=xy", P.var_x(bound), P.monomial(1, 1, 1, bound)),
+    for label, f, g in [
+        ("f=1, g=0", one, zero),
+        ("f=x, g=xy", x, xy),
         ("f=3x^2-1, g=y^2+2x", P({(2, 0): 3, (0, 0): -1}, bound),
          P({(0, 2): 1, (1, 0): 2}, bound)),
-    ]
-    for label, f, g in der_specs:
-        rep = kxy.check_derivation_identity(f, g)
-        dsec.add(f"{label}", f"{rep['pairs']} pairs, "
-                 f"{len(rep['violations'])} violations")
-        if rep["violations"]:
-            report.worsen(FAIL)
+    ]:
+        add_sweep(dsec, label, kxy.check_derivation_identity(f, g), FAIL)
 
     ssec = report.section("diderivation closed form")
     same = P({(1, 1): 1, (0, 0): 2}, bound)
-    for label, f, g in [
-        ("f=g=1", P.one(bound), P.one(bound)),
-        ("f=g=x+y", P.var_x(bound) + P.var_y(bound),
-         P.var_x(bound) + P.var_y(bound)),
-        ("f=g=xy+2", same, same),
-    ]:
-        rep = kxy.check_dider_identity(f, g)
-        ssec.add(label, f"{rep['pairs']} pairs, "
-                 f"{len(rep['violations'])} violations")
-        if rep["violations"]:
-            report.worsen(FAIL)
-    split = kxy.check_dider_identity(P.one(bound), P.zero(bound))
-    ssec.add("f=1, g=0 (two-generator claim)",
-             f"{split['pairs']} pairs, {len(split['violations'])} violations")
+    for label, f in [("f=g=1", one), ("f=g=x+y", x + y), ("f=g=xy+2", same)]:
+        add_sweep(ssec, label, kxy.check_dider_identity(f, f), FAIL)
+    split = kxy.check_dider_identity(one, zero)
+    # The two-generator form is only a diderivation when f = g; the tabled
+    # claim admits arbitrary pairs, so a violation is a finding.
+    add_sweep(ssec, "f=1, g=0 (two-generator claim)", split, FINDINGS)
     if split["violations"]:
         first = split["violations"][0]
         ssec.add("first violation",
                  f"product {first['product']}, pair {first['pair']}")
-        # The two-generator form is only a diderivation when f = g; the
-        # tabled claim admits arbitrary pairs, so this is a finding.
-        report.worsen(FINDINGS)
 
     max_m = bound - same.total_degree() + 1
     telescope = all(
@@ -560,26 +539,24 @@ def cmd_kxy(bound: int) -> Report:
         same * kxy.geometric_sum(m, bound)
         for m in range(max_m + 1)
     )
-    ssec.add(f"delta(x^m) telescoping (m <= {max_m})", telescope)
+    report.check(ssec, f"delta(x^m) telescoping (m <= {max_m})", telescope)
     spec = kxy.KxyOperatorSpec("diderivation", f=same, g=same)
     halo_killed = all(
-        not spec.apply(P.one(bound) + x_minus_y * q)
-        for q in (P.one(bound), P.monomial(1, 1, 1, bound),
-                  P({(2, 0): 1, (0, 1): -3}, bound))
+        not spec.apply(one + x_minus_y * q)
+        for q in (one, xy, P({(2, 0): 1, (0, 1): -3}, bound))
     )
-    ssec.add("diderivation kills halo elements", halo_killed)
-    if not (telescope and halo_killed):
-        report.worsen(FAIL)
+    report.check(ssec, "diderivation kills halo elements", halo_killed)
+
+    def small_poly() -> kxy.BivariatePoly:
+        """A seeded draw of 1 to 3 terms x^a y^b, a, b <= 2, coefficients -3..3."""
+        return P({(rng.randint(0, 2), rng.randint(0, 2)): rng.randint(-3, 3)
+                  for _t in range(rng.randint(1, 3))}, bound)
 
     isec = report.section("inner diderivations")
     routes_ok = True
     image_ok = True
     for _ in range(40):
-        pc = {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(
-            rng.randint(-3, 3)) for _t in range(rng.randint(1, 3))}
-        hc = {(rng.randint(0, 2), rng.randint(0, 2)): Fraction(
-            rng.randint(-3, 3)) for _t in range(rng.randint(1, 3))}
-        p_, h_ = P(pc, bound), P(hc, bound)
+        p_, h_ = small_poly(), small_poly()
         try:
             out = kxy.inner_dider_apply(p_, h_)
         except AssertionError:
@@ -589,24 +566,14 @@ def cmd_kxy(bound: int) -> Report:
             continue
         if not kxy.ann_membership(out):
             image_ok = False
-    isec.add("closed form equals operator route (40 seeded)", routes_ok)
-    isec.add("image in annihilator", image_ok)
-    isec.add("Ad_x(x)", kxy.format_poly(
-        kxy.inner_dider_apply(P.var_x(bound), P.var_x(bound))))
-    if not (routes_ok and image_ok):
-        report.worsen(FAIL)
+    report.check(isec, "closed form equals operator route (40 seeded)", routes_ok)
+    report.check(isec, "image in annihilator", image_ok)
+    isec.add("Ad_x(x)", kxy.format_poly(kxy.inner_dider_apply(x, x)))
 
     fsec = report.section("inner derivation forward check")
-    fwd_ok = True
-    for label, hc in [("h=x", {(1, 0): 1}), ("h=x^2-x", {(2, 0): 1, (1, 0): -1})]:
-        ispec = kxy.inner_derivation_spec(P(hc, bound))
-        rep = kxy.check_derivation_identity(ispec.f, ispec.g)
-        fsec.add(label, f"{rep['pairs']} pairs, "
-                 f"{len(rep['violations'])} violations")
-        if rep["violations"]:
-            fwd_ok = False
-    if not fwd_ok:
-        report.worsen(FAIL)
+    for label, h in [("h=x", x), ("h=x^2-x", P({(2, 0): 1, (1, 0): -1}, bound))]:
+        ispec = kxy.inner_derivation_spec(h)
+        add_sweep(fsec, label, kxy.check_derivation_identity(ispec.f, ispec.g), FAIL)
     return report
 
 

@@ -386,16 +386,12 @@ def phi_dialgebra(phi: Sequence[Scalar]) -> Dialgebra:
 # in the whole file.
 
 
-def _format_coeff(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-
 def serialize_dialgebra(d: Dialgebra) -> str:
     """Canonical text form: sorted relations, coefficients in lowest terms."""
     lines = ["dialgebra v1", f"dim {d.dim}"]
     rels = d.relations()
     for (product, i, j) in sorted(rels):
-        terms = ", ".join(f"{k}:{_format_coeff(c)}" for k, c in sorted(rels[(product, i, j)]))
+        terms = ", ".join(f"{k}:{c}" for k, c in sorted(rels[(product, i, j)]))
         lines.append(f"{product} {i} {j} -> {terms}")
     return "\n".join(lines) + "\n"
 

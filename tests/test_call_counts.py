@@ -461,7 +461,7 @@ def test_verify_catalog_solves_each_point_once(monkeypatch):
 def test_catalog_command_solves_each_point_once(monkeypatch):
     points = sweep_points(catalog.verify_catalog(3, 0))
     # the solution-family points are case-table samples (rows 2, 3, 4)
-    for point in cli._FAMILY_POINTS.values():
+    for point in catalog.FAMILY_POINTS.values():
         assert ("Dias3_16", tuple(sorted(zip("kmnpq", point)))) in points
     calls = Counter()
     counting(monkeypatch, spaces, "diderivation_space", calls)

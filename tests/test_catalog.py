@@ -91,6 +91,21 @@ class TestEntries:
         assert get_entry("Dias2_2").note
         assert get_entry("Dias2_1").note
 
+    def test_relations_name_exactly_the_declared_parameters(self):
+        for name in ENTRY_NAMES:
+            entry = get_entry(name)
+            named = {c for terms in entry.relations.values()
+                     for _k, c in terms if isinstance(c, str)}
+            assert named == set(entry.param_names), name
+
+    def test_dias3_17_table_is_dias3_16_with_k_renamed_l(self):
+        rename = {"k": "l"}
+        renamed = {key: [(k, rename.get(c, c)) for k, c in terms]
+                   for key, terms in get_entry("Dias3_16").relations.items()}
+        assert renamed == get_entry("Dias3_17").relations
+        assert get_entry("Dias3_17").param_names == tuple(
+            rename.get(s, s) for s in get_entry("Dias3_16").param_names)
+
 
 class TestTabledExpectations:
     def test_expected_dimensions(self):
@@ -141,6 +156,11 @@ class TestCaseTable:
 
     def test_row8_is_empty(self):
         assert branch_samples(8, 5, seed=0) == []
+
+    def test_sample_count_zero_or_negative(self):
+        assert branch_samples(1, 0) == []
+        with pytest.raises(ValueError, match="negative sample count"):
+            branch_samples(1, -1)
 
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=15, deadline=None)
@@ -245,6 +265,12 @@ class TestSolutionFamilies:
         mat = corrected_case_d_vector(params)
         d31, d33 = mat.rows[2][0], mat.rows[2][2]
         assert (params["p"] + 1) * d31 == params["m"] * d33
+
+    @pytest.mark.parametrize("case,row", [("B", 2), ("C", 3), ("D", 4)])
+    def test_family_points_lie_in_the_row_their_case_assumes(self, case, row):
+        point = catalog.FAMILY_POINTS[case]
+        assert branch_for_params(*point)[0].index == row
+        assert case_family_vectors(case, params316(*point))
 
     def test_inadmissible_point_names_condition(self):
         with pytest.raises(ValueError, match="delta1"):
