@@ -28,7 +28,9 @@ two key factors ``delta1``/``delta2``, the 13-row dimension table with its
 first-match branch semantics, the printed 5x5 subsystem matrix (one table
 of linear polynomials), the boxed determinant factorization probe, which
 evaluates the exact determinant polynomial of that matrix, and the three
-explicit solution families.
+explicit solution families.  The case table is declared once, as the rows
+of ``BRANCHES``: each holds its printed conditions and dimension and its
+hand-picked sample points.
 """
 
 from __future__ import annotations
@@ -390,97 +392,87 @@ def delta2(k: Fraction, m: Fraction, n: Fraction, p: Fraction,
 
 class Dias316Branch(NamedTuple):
     """One printed row of the case table; ``branch_for_params`` resolves
-    which row a parameter point falls in."""
+    which row a parameter point falls in.
+
+    ``samples`` are hand-picked small parameter points satisfying the row's
+    conditions, the start of ``branch_samples``.  Rows 6, 7 and 11 contain
+    lower-dimensional exceptional sub-loci on which the kernel jumps; the
+    picks stay off those, matching the rows' generic intent.  Row 8 has no
+    points: its conditions are unsatisfiable (k = np with p = -1 forces
+    n+k = 0).  Row 13's conditions pin a single parameter point.
+    """
 
     index: int
     conditions: str
     dim_text: str
+    samples: tuple[tuple[int | Fraction, ...], ...]
 
 
 BRANCHES: tuple[Dias316Branch, ...] = (
-    Dias316Branch(1, "m != 0; D1 != 0, D2 != 0", "2"),
-    Dias316Branch(2, "m != 0; D1 = 0, D2 != 0", "3"),
-    Dias316Branch(3, "m != 0; D1 != 0, D2 = 0", "3"),
-    Dias316Branch(4, "m != 0; D1 = D2 = 0", "4"),
-    Dias316Branch(5, "m != 0; additionally p = -1, q = 0", "+1"),
-    Dias316Branch(6, "m = 0; n+k != 0, k != np", "2"),
-    Dias316Branch(7, "m = 0; n+k != 0, k = np", "3"),
-    Dias316Branch(8, "m = 0; n+k != 0, k = np, p = -1, q = 0", "4"),
-    Dias316Branch(9, "m = 0; n+k = 0, q != 0", "3"),
-    Dias316Branch(10, "m = 0; n+k = 0, q != 0, k = -1", "4"),
-    Dias316Branch(11, "m = 0; n+k = 0, q = 0", "4"),
-    Dias316Branch(12, "m = n = k = q = 0; p != -1", "5"),
-    Dias316Branch(13, "m = n = k = q = 0; p = -1", "6"),
+    Dias316Branch(1, "m != 0; D1 != 0, D2 != 0", "2",
+                  ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (0, 1, 0, 0, 1))),
+    Dias316Branch(2, "m != 0; D1 = 0, D2 != 0", "3",
+                  ((1, 1, 2, 1, 1), (2, 1, 1, 2, 0), (0, 2, 3, 0, 0))),
+    Dias316Branch(3, "m != 0; D1 != 0, D2 = 0", "3",
+                  ((1, 1, 1, 1, 4), (1, 1, 0, 1, 2), (1, 2, 1, 0, 1))),
+    Dias316Branch(4, "m != 0; D1 = D2 = 0", "4",
+                  ((1, 1, -3, 1, -4), (2, 1, -4, 0, -2),
+                   (1, 2, -2, 0, Fraction(-1, 2)))),
+    Dias316Branch(5, "m != 0; additionally p = -1, q = 0", "+1",
+                  ((1, 1, 1, -1, 0), (1, 1, -1, -1, 0), (2, 1, 5, -1, 0))),
+    Dias316Branch(6, "m = 0; n+k != 0, k != np", "2",
+                  ((1, 0, 1, 2, 1), (1, 0, 2, 0, 1), (2, 0, 1, 1, 3))),
+    Dias316Branch(7, "m = 0; n+k != 0, k = np", "3",
+                  ((2, 0, 1, 2, 1), (2, 0, 2, 1, 3), (6, 0, 2, 3, 1))),
+    Dias316Branch(8, "m = 0; n+k != 0, k = np, p = -1, q = 0", "4", ()),
+    Dias316Branch(9, "m = 0; n+k = 0, q != 0", "3",
+                  ((2, 0, -2, 1, 1), (3, 0, -3, 2, 1), (2, 0, -2, 0, 3))),
+    Dias316Branch(10, "m = 0; n+k = 0, q != 0, k = -1", "4",
+                  ((-1, 0, 1, 1, 1), (-1, 0, 1, 2, 1), (-1, 0, 1, 0, 3))),
+    Dias316Branch(11, "m = 0; n+k = 0, q = 0", "4",
+                  ((2, 0, -2, 1, 0), (1, 0, -1, 2, 0), (3, 0, -3, 0, 0))),
+    Dias316Branch(12, "m = n = k = q = 0; p != -1", "5",
+                  ((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 0, 2, 0))),
+    Dias316Branch(13, "m = n = k = q = 0; p = -1", "6", ((0, 0, 0, -1, 0),)),
 )
-
-_BRANCH_BY_INDEX = {b.index: b for b in BRANCHES}
 
 
 def branch_for_params(k, m, n, p, q) -> tuple[Dias316Branch, int]:
     """Resolve the case-table row and tabled dimension for one parameter point.
 
     Rows are matched most-specific first, mirroring the table's implicit
-    "generic unless stated otherwise" convention: the p=-1,q=0 overlay rows
-    (5 and 8) and the single-point specializations (10, 12, 13) take
-    precedence over the rows they refine.
+    "generic unless stated otherwise" convention: the p=-1,q=0 overlay row 5
+    and the single-point specializations (10, 12, 13) take precedence over
+    the rows they refine.  Row 8, the other overlay, is never matched: its
+    k = np with p = -1 forces n+k = 0.  The dimension is the row's printed
+    one; row 5 prints "+1", one more than the row 3 or 4 its point is in
+    (D2 vanishes where p = -1 and q = 0).
     """
     k, m, n, p, q = (frac(v) for v in (k, m, n, p, q))
     d1 = delta1(k, m, n, p, q)
     d2 = delta2(k, m, n, p, q)
     if m != 0:
+        # rows 1 to 4: neither delta vanishes, D1 only, D2 only, or both
+        row = 1 + (d1 == 0) + 2 * (d2 == 0)
         if p == -1 and q == 0:
-            base = 4 if d1 == 0 else 3
-            return _BRANCH_BY_INDEX[5], base + 1
-        if d1 == 0 and d2 == 0:
-            return _BRANCH_BY_INDEX[4], 4
-        if d1 == 0:
-            return _BRANCH_BY_INDEX[2], 3
-        if d2 == 0:
-            return _BRANCH_BY_INDEX[3], 3
-        return _BRANCH_BY_INDEX[1], 2
-    if n == 0 and k == 0 and q == 0:
-        if p == -1:
-            return _BRANCH_BY_INDEX[13], 6
-        return _BRANCH_BY_INDEX[12], 5
-    if n + k != 0:
-        if k == n * p and p == -1 and q == 0:
-            # Unsatisfiable on rationals: k = np and p = -1 force n+k = 0.
-            return _BRANCH_BY_INDEX[8], 4
-        if k == n * p:
-            return _BRANCH_BY_INDEX[7], 3
-        return _BRANCH_BY_INDEX[6], 2
-    if q != 0:
-        if k == -1:
-            return _BRANCH_BY_INDEX[10], 4
-        return _BRANCH_BY_INDEX[9], 3
-    return _BRANCH_BY_INDEX[11], 4
+            overlay = BRANCHES[4]
+            return overlay, int(BRANCHES[row - 1].dim_text) + int(overlay.dim_text)
+    elif n == 0 and k == 0 and q == 0:
+        row = 13 if p == -1 else 12
+    elif n + k != 0:
+        row = 7 if k == n * p else 6
+    elif q != 0:
+        row = 10 if k == -1 else 9
+    else:
+        row = 11
+    branch = BRANCHES[row - 1]
+    return branch, int(branch.dim_text)
 
-
-# Hand-picked small parameter points satisfying each row's conditions.  Rows
-# 6, 7 and 11 contain lower-dimensional exceptional sub-loci on which the
-# kernel jumps; the picks stay off those, matching the rows' generic intent.
-# Row 8's conditions are unsatisfiable (k = np with p = -1 forces n+k = 0)
-# and row 13's conditions pin a single parameter point.
-_BRANCH_BASE_SAMPLES: dict[int, tuple[tuple[int | Fraction, ...], ...]] = {
-    1: ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (0, 1, 0, 0, 1)),
-    2: ((1, 1, 2, 1, 1), (2, 1, 1, 2, 0), (0, 2, 3, 0, 0)),
-    3: ((1, 1, 1, 1, 4), (1, 1, 0, 1, 2), (1, 2, 1, 0, 1)),
-    4: ((1, 1, -3, 1, -4), (2, 1, -4, 0, -2), (1, 2, -2, 0, Fraction(-1, 2))),
-    5: ((1, 1, 1, -1, 0), (1, 1, -1, -1, 0), (2, 1, 5, -1, 0)),
-    6: ((1, 0, 1, 2, 1), (1, 0, 2, 0, 1), (2, 0, 1, 1, 3)),
-    7: ((2, 0, 1, 2, 1), (2, 0, 2, 1, 3), (6, 0, 2, 3, 1)),
-    8: (),
-    9: ((2, 0, -2, 1, 1), (3, 0, -3, 2, 1), (2, 0, -2, 0, 3)),
-    10: ((-1, 0, 1, 1, 1), (-1, 0, 1, 2, 1), (-1, 0, 1, 0, 3)),
-    11: ((2, 0, -2, 1, 0), (1, 0, -1, 2, 0), (3, 0, -3, 0, 0)),
-    12: ((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 0, 2, 0)),
-    13: ((0, 0, 0, -1, 0),),
-}
 
 # The point at which each case of ``case_family_vectors`` is checked: the
 # first hand-picked sample of the row whose conditions the case assumes,
 # delta1 = 0 (row 2), delta2 = 0 (row 3) or both (row 4).
-FAMILY_POINTS = {case: _BRANCH_BASE_SAMPLES[row][0]
+FAMILY_POINTS = {case: BRANCHES[row - 1].samples[0]
                  for case, row in (("B", 2), ("C", 3), ("D", 4))}
 
 
@@ -517,8 +509,6 @@ def _random_branch_sample(row: int, rng: random.Random
     elif row == 7:
         m, n, p, q = Fraction(0), nonzero(), nonzero(), nonzero()
         k = n * p
-    elif row == 8:
-        return None
     elif row == 9:
         m, k, p, q = Fraction(0), nonzero(), small(), nonzero()
         if k == -1:
@@ -532,16 +522,11 @@ def _random_branch_sample(row: int, rng: random.Random
         if k == -1 and p == -1:
             return None
         n = -k
-    elif row == 12:
+    else:  # row 12
         k = n = q = m = Fraction(0)
         p = small()
         if p == -1:
             return None
-    elif row == 13:
-        k = n = q = m = Fraction(0)
-        p = Fraction(-1)
-    else:
-        raise ValueError(f"no branch row {row}")
     return (k, m, n, p, q)
 
 
@@ -549,23 +534,19 @@ def branch_samples(row: int, count: int, seed: int = 0
                    ) -> list[tuple[Fraction, ...]]:
     """Deterministic parameter points satisfying one case-table row.
 
-    Starts from hand-picked smallest-height points and extends with seeded
-    random points built from the row's defining equations.  Row 8 always
-    yields an empty list (its conditions are contradictory); row 13 repeats
-    its unique point when more samples are requested.
+    Starts from the row's hand-picked smallest-height samples and extends
+    with seeded random points built from the row's defining equations.  Row
+    8 always yields an empty list (its conditions are contradictory); row 13
+    repeats its unique point when more samples are requested.
     """
-    if row not in _BRANCH_BY_INDEX:
+    if row not in range(1, len(BRANCHES) + 1):
         raise ValueError(f"no branch row {row}")
     if count < 0:
         raise ValueError(f"negative sample count {count}")
-    base = [tuple(frac(v) for v in s) for s in _BRANCH_BASE_SAMPLES[row]]
+    base = [tuple(frac(v) for v in s) for s in BRANCHES[row - 1].samples]
+    if row in (8, 13):
+        return (base * count)[:count]
     out = base[:count]
-    if row == 8:
-        return out
-    if row == 13:
-        while len(out) < count:
-            out.append(base[0])
-        return out
     rng = random.Random(f"dias316:{seed}:{row}")
     attempts = 0
     while len(out) < count and attempts < 1000:
@@ -573,8 +554,7 @@ def branch_samples(row: int, count: int, seed: int = 0
         sample = _random_branch_sample(row, rng)
         if sample is None or sample in out:
             continue
-        resolved, _dim = branch_for_params(*sample)
-        if resolved.index != row and not (row == 5 and resolved.index == 5):
+        if branch_for_params(*sample)[0].index != row:
             continue
         out.append(sample)
     if len(out) < count:
@@ -752,8 +732,6 @@ def solution_families(params: Params, case: str,
             "in_solver_kernel": kernel.contains(op.flatten()),
         })
     report = {
-        "case": case,
-        "params": {s: frac(params[s]) for s in DIAS3_16_PARAMS},
         "vectors": results,
         "all_member": all(r["in_solver_kernel"] for r in results),
     }
@@ -852,9 +830,9 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
             _b, tabled = branch_for_params(*point)
             params = dict(zip(DIAS3_16_PARAMS, point))
             actual = solve("Dias3_16", params, where).dim
+            compare("Dias3_16", where, tabled, actual)
             sample_rows.append({"params": point, "tabled_dim": tabled,
-                                "actual_dim": actual,
-                                "match": compare("Dias3_16", where, tabled, actual)})
+                                "actual_dim": actual})
         if branch.index == 8 and not samples:
             findings.append(
                 "Dias3_16 row 8 conditions are unsatisfiable: k = np with "

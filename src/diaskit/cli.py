@@ -230,13 +230,18 @@ def cmd_verify(selector: str) -> Report:
     return report
 
 
-# Each choice's title and the name of its ``spaces`` function, looked up
-# when the command runs, so a wrapper put on the module attribute runs.
+# Each choice's title, the name of its ``spaces`` function and its route
+# cross-checks, each a label and the name of the route's ``spaces``
+# function.  The names are looked up when the command runs, so a wrapper
+# put on the module attribute runs.
 _WHICH = {
-    "der": ("derivations", "derivation_space"),
-    "dider": ("diderivations", "diderivation_space"),
-    "inn": ("inner derivations", "inner_derivations"),
-    "dinn": ("inner diderivations", "inner_diderivations"),
+    "der": ("derivations", "derivation_space", (
+        ("left operator route equal", "derivation_space_via_left_ops"),
+        ("right operator route equal", "derivation_space_via_right_ops"))),
+    "dider": ("diderivations", "diderivation_space", (
+        ("operator route equal", "diderivation_space_via_ops"),)),
+    "inn": ("inner derivations", "inner_derivations", ()),
+    "dinn": ("inner diderivations", "inner_diderivations", ()),
 }
 
 
@@ -244,26 +249,17 @@ def cmd_spaces(selector: str, which: str) -> Report:
     from . import spaces
 
     subject, d = load_input(selector)
-    title, solver = _WHICH[which]
+    title, solver, routes = _WHICH[which]
     report = Report(subject, "spaces")
     sec = report.section(title)
     space = getattr(spaces, solver)(d)
     sec.add("dim", space.dim)
     for idx, op in enumerate(space.rows, start=1):
         sec.add_operator(f"basis {idx}", d.dim, op)
-    if which == "der":
-        routes = [
-            ("left operator route equal", spaces.derivation_space_via_left_ops(d)),
-            ("right operator route equal", spaces.derivation_space_via_right_ops(d)),
-        ]
-    elif which == "dider":
-        routes = [("operator route equal", spaces.diderivation_space_via_ops(d))]
-    else:
-        routes = []
     if routes:
         rsec = report.section("route cross-check")
         for label, route in routes:
-            report.check(rsec, label, route == space)
+            report.check(rsec, label, getattr(spaces, route)(d) == space)
     return report
 
 

@@ -62,8 +62,6 @@ from .core import AXIOM_NAMES, RULES, Dialgebra, check_dim
 from .poly import DegreeBoundError, Poly
 from .ratlin import Scalar
 
-DEFAULT_BOUND = 8
-
 Exponents = tuple[int, int]
 
 
@@ -77,35 +75,33 @@ class BivariatePoly(Poly):
 
     __slots__ = ("bound",)
 
-    def __init__(self, terms: Mapping[Exponents, Scalar] | None = None,
-                 bound: int = DEFAULT_BOUND):
+    def __init__(self, terms: Mapping[Exponents, Scalar], bound: int):
         # exactly int: a float or a bool bound would fail later, in a sweep
         if type(bound) is not int or bound < 0:
             raise ValueError(f"bound {bound!r} is not a nonnegative integer")
         self.bound = bound
-        Poly.__init__(self, 2, terms or {})
+        Poly.__init__(self, 2, terms)
 
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(bound: int = DEFAULT_BOUND) -> "BivariatePoly":
+    def zero(bound: int) -> "BivariatePoly":
         return BivariatePoly({}, bound)
 
     @staticmethod
-    def one(bound: int = DEFAULT_BOUND) -> "BivariatePoly":
+    def one(bound: int) -> "BivariatePoly":
         return BivariatePoly({(0, 0): 1}, bound)
 
     @staticmethod
-    def monomial(a: int, b: int, c: Scalar = 1,
-                 bound: int = DEFAULT_BOUND) -> "BivariatePoly":
+    def monomial(a: int, b: int, c: Scalar, bound: int) -> "BivariatePoly":
         return BivariatePoly({(a, b): c}, bound)
 
     @staticmethod
-    def var_x(bound: int = DEFAULT_BOUND) -> "BivariatePoly":
+    def var_x(bound: int) -> "BivariatePoly":
         return BivariatePoly({(1, 0): 1}, bound)
 
     @staticmethod
-    def var_y(bound: int = DEFAULT_BOUND) -> "BivariatePoly":
+    def var_y(bound: int) -> "BivariatePoly":
         return BivariatePoly({(0, 1): 1}, bound)
 
     def total_degree(self) -> int:
@@ -359,7 +355,7 @@ class KxyOperatorSpec(_SpecFields):
         return BivariatePoly(out, min(h.bound, self.f.bound, self.g.bound))
 
 
-def geometric_sum(m: int, bound: int = DEFAULT_BOUND) -> BivariatePoly:
+def geometric_sum(m: int, bound: int) -> BivariatePoly:
     """The telescoping quotient (x^m - y^m)/(x - y) as an explicit sum.
 
     Returns sum over k < m of x^k y^(m-1-k); empty (zero) for m = 0.

@@ -1,8 +1,12 @@
 """``tools/bench_pairs.py``: the summary of paired benchmark runs, read
-from canned results, and the refusal of a run that is not correct."""
+from canned results, the refusal of a run that is not correct, and the
+bytecode settings of each run."""
 
 import importlib.util
+import json
+import os
 import pathlib
+import subprocess
 
 import pytest
 
@@ -80,3 +84,30 @@ def test_correct_runs_give_their_values():
     result = {"correct": True, "failed": 0,
               "metrics": {"run_s": {"value": 0.06, "unit": "s"}}}
     assert bench_pairs.checked_metrics(result) == {"run_s": 0.06}
+
+
+def test_runs_read_and_write_no_bytecode_in_either_tree(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    seen = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append({"tree": cwd, "dont_write": env["PYTHONDONTWRITEBYTECODE"],
+                     "cache": cache, "empty": cache.is_dir() and not any(cache.iterdir())})
+        line = json.dumps({"correct": True, "failed": 0,
+                           "metrics": {"run_s": {"value": 0.06, "unit": "s"}}})
+        return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for tree in (parent, change):
+        assert bench_pairs.run(tree, "kxy_sweep", 1) == {"run_s": 0.06}
+    assert [(s["tree"], s["dont_write"], s["empty"]) for s in seen] == \
+        [(parent, "1", True), (change, "1", True)]
+    assert seen[0]["cache"] != seen[1]["cache"]
+    for s in seen:
+        # removed afterwards, and never inside either tree
+        assert not s["cache"].exists()
+        for tree in (parent, change):
+            assert os.path.commonpath([s["cache"], tree]) != str(tree)

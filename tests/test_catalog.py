@@ -1,6 +1,7 @@
 """Catalog reconstruction, case-table resolution, and the sweeps."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,75 @@ class TestEntries:
             rename.get(s, s) for s in get_entry("Dias3_16").param_names)
 
 
+_PRODUCTS = {"|-": "vdash", "-|": "dashv"}
+
+
+def parse_printed(line, names):
+    """One printed relation ``eI |- eJ = t [+ t | - t ...]`` (or ``-|``) as
+    ((product, i, j), terms), each term t being ``eK``, ``- eK`` or ``c eK``
+    with c an integer or one of ``names``; None for any other line."""
+    head = re.fullmatch(r"e(\d+) (\|-|-\|) e(\d+) = (.+)", line)
+    if head is None:
+        return None
+    terms = []
+    for piece in re.split(r" (?=[+-] )", head[4]):
+        term = re.fullmatch(r"(?:([+-]) )?(?:(\w+) )?e(\d+)", piece)
+        if term is None:
+            return None
+        sign, coeff, k = term.groups()
+        if coeff is None:
+            value = F(-1 if sign == "-" else 1)
+        elif coeff.isdigit():
+            value = F(-int(coeff) if sign == "-" else int(coeff))
+        elif coeff in names and sign != "-":
+            value = coeff
+        else:
+            return None
+        terms.append((int(k), value))
+    return (_PRODUCTS[head[2]], int(head[1]), int(head[3])), terms
+
+
+def parse_printed_list(entry):
+    """An entry's printed list as a relation table, or None when a line
+    does not parse or two lines give the same product of basis elements."""
+    parsed = [parse_printed(line, entry.param_names) for line in entry.printed]
+    if None in parsed or len({key for key, _ in parsed}) < len(parsed):
+        return None
+    return dict(parsed)
+
+
+class TestPrintedLists:
+    """The printed relation lists, read against the declared tables."""
+
+    def test_parser_reads_each_term_form(self):
+        assert parse_printed("e3 |- e1 = e1 - e2", ()) == \
+            (("vdash", 3, 1), [(1, F(1)), (2, F(-1))])
+        assert parse_printed("e1 -| e1 = lam e2", ("lam",)) == \
+            (("dashv", 1, 1), [(2, "lam")])
+        assert parse_printed("e2 -| e1 = - e1 + 3 e2", ()) == \
+            (("dashv", 2, 1), [(1, F(-1)), (2, F(3))])
+        assert parse_printed("e1 -| e1 = lam e2", ()) is None
+
+    def test_an_entry_has_no_note_exactly_when_its_list_is_its_table(self):
+        plain = [name for name in ENTRY_NAMES
+                 if parse_printed_list(get_entry(name)) == get_entry(name).relations]
+        assert plain == [name for name in ENTRY_NAMES if not get_entry(name).note]
+        assert plain == ["Dias2_3", "Dias2_4"]
+
+    def test_garbled_lines(self):
+        printed = get_entry("Dias2_1").printed
+        assert parse_printed(printed[0], ()) is None
+        assert printed[0] == "e1 |- e = e1"
+        assert get_entry("Dias3_8").printed.count("e1 |- e3 = e2") == 2
+
+    def test_dias3_9_and_dias3_11_print_one_list(self):
+        assert get_entry("Dias3_9").printed == get_entry("Dias3_11").printed
+
+    def test_dias3_17_prints_dias3_16_with_k_renamed_l(self):
+        assert tuple(line.replace("k", "l") for line in get_entry("Dias3_16").printed) \
+            == get_entry("Dias3_17").printed
+
+
 class TestTabledExpectations:
     def test_expected_dimensions(self):
         assert expected_dider("Dias2_1")[0] == 1
@@ -177,6 +247,28 @@ class TestCaseTable:
     def test_row13_single_point(self):
         samples = branch_samples(13, 4, seed=1)
         assert samples and set(samples) == {(F(0), F(0), F(0), F(-1), F(0))}
+
+
+class TestCaseTableRows:
+    """The rows ``branch_samples`` takes and the points it can give."""
+
+    @pytest.mark.parametrize("row", [0, 14, "1", None])
+    def test_rows_outside_the_table_are_refused(self, row):
+        with pytest.raises(ValueError, match="no branch row"):
+            branch_samples(row, 1)
+
+    def test_max_samples_is_what_the_sampler_can_give(self):
+        for seed in range(21):
+            for branch in BRANCHES:
+                samples = branch_samples(branch.index, cli.MAX_SAMPLES, seed)
+                if branch.index == 8:
+                    assert samples == []
+                elif branch.index == 13:
+                    assert samples == [tuple(map(F, branch.samples[0]))] * cli.MAX_SAMPLES
+                else:
+                    assert len(set(samples)) == cli.MAX_SAMPLES
+            with pytest.raises(RuntimeError, match="could not sample branch row 12"):
+                branch_samples(12, cli.MAX_SAMPLES + 1, seed)
 
 
 class TestDeterminantProbe:

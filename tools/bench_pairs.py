@@ -8,7 +8,11 @@ Pair i runs ``python3 perfbench/run.py --workload W --seed S+i`` once in
 each checkout, from its root: the parent first in even pairs, the change
 first in odd ones, so that a drift in the machine's speed falls on both
 sides alike.  ``S`` is 1 unless given.  A run that does not end with
-``correct: true`` and 0 failed ops stops the comparison.
+``correct: true`` and 0 failed ops stops the comparison.  Each run writes
+no bytecode and reads none from either tree's ``__pycache__``: its cache
+prefix is a fresh, empty directory, removed afterwards.  So stale bytecode
+in one tree cannot skew that side, and every run compiles each module it
+loads, the standard library's included.
 
 For each end-to-end metric of the change's ``BENCHMARK.json`` it prints
 both sides' medians and quartiles, the pairs the change wins (a tie counts
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -43,10 +49,12 @@ def checked_metrics(result: dict) -> dict[str, float]:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict[str, float]:
-    """One benchmark run in ``tree``; its metric values."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
-        cwd=tree, capture_output=True, text=True)
+    """One benchmark run in ``tree``, past any bytecode; its metric values."""
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+            cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RunRefused(f"{tree}: exit {proc.returncode}\n{proc.stderr}")
