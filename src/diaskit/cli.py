@@ -12,8 +12,9 @@ Subcommands::
 Start-up loads ``core`` and ``ratlin``, all that ``verify`` of a file
 needs.  Each other module loads in the command that runs it: ``spaces``
 in ``spaces``, ``invariants`` (with ``spaces``) in ``invariants`` and
-``bider``, ``catalog`` (with ``poly`` and ``spaces``) on a ``catalog:``
-selector and in ``catalog``, and ``kxy`` (with ``poly``) in ``kxy``.
+``bider``, the table module ``entries`` on a ``catalog:`` selector,
+``catalog`` (with ``entries``, ``poly`` and ``spaces``) in ``catalog``,
+and ``kxy`` (with ``poly``) in ``kxy``.
 No module builds classes with ``dataclasses``, and ``json`` loads only
 for ``--machine``.  Where bytecode is not written, every start compiles
 each loaded module again, so what a command loads is most of its start-up.
@@ -185,13 +186,13 @@ def _parse_param_query(query: str) -> dict[str, Fraction]:
 def load_input(selector: str) -> tuple[str, Dialgebra]:
     """Resolve a file path or ``catalog:<Name>?k=v,...`` selector."""
     if selector.startswith("catalog:"):
-        from . import catalog
+        from . import entries
 
         rest = selector[len("catalog:"):]
         name, _, query = rest.partition("?")
         params = _parse_param_query(query) if query else None
         try:
-            return selector, catalog.instantiate(name, params)
+            return selector, entries.instantiate(name, params)
         except DialgebraError as exc:
             raise InputError(str(exc)) from None
     try:

@@ -4,8 +4,9 @@ run it.
 Importing ``diaskit.cli`` loads ``core`` and ``ratlin``, and ``verify`` of
 a file needs no more.  ``spaces`` loads ``spaces``; ``invariants`` and
 ``bider`` load ``invariants``, which imports ``spaces``; a ``catalog:``
-selector loads ``catalog``, which imports ``poly`` and ``spaces``; ``kxy``
-loads ``kxy`` and ``poly``.  No command loads ``dataclasses`` or
+selector loads the table module ``entries`` and nothing more; ``catalog``
+loads ``catalog``, which imports ``entries``, ``poly`` and ``spaces``;
+``kxy`` loads ``kxy`` and ``poly``.  No command loads ``dataclasses`` or
 ``inspect``, whose import and generated code would be paid at every start,
 and ``json`` loads only to write ``--machine`` output.
 
@@ -103,11 +104,18 @@ def test_invariants_and_bider_load_both_solvers(dlg_file, command):
     assert not modules & {"diaskit.catalog", "diaskit.kxy"}
 
 
-def test_catalog_selector_loads_catalog():
+def test_catalog_selector_loads_the_table_only():
     code, modules = loaded("verify", "catalog:Dias3_8")
     assert code == 0
-    assert {"diaskit.catalog", "diaskit.spaces"} <= modules
-    assert "diaskit.invariants" not in modules
+    assert modules == {"diaskit", "diaskit.cli", "diaskit.core", "diaskit.ratlin",
+                       "diaskit.entries"}
+
+
+def test_catalog_command_loads_the_study_but_not_invariants_or_kxy():
+    code, modules = loaded("catalog", "Dias2_1", "--samples", "1")
+    assert code == 0
+    assert {"diaskit.catalog", "diaskit.entries", "diaskit.spaces", "diaskit.poly"} <= modules
+    assert not modules & {"diaskit.invariants", "diaskit.kxy"}
 
 
 def test_json_loads_only_for_machine_output(dlg_file):
