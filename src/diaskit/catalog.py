@@ -85,7 +85,8 @@ _TABLED_DIDER: dict[str, tuple[int, tuple[Matrix, ...]]] = {
 
 def expected_dider(name: str, params: Params | None = None
                    ) -> tuple[int, tuple[Matrix, ...] | None]:
-    """Tabled diderivation dimension and basis for a catalog entry.
+    """Tabled diderivation dimension and basis for a catalog entry, the
+    one way to read an expectation: ``verify_catalog`` reads each through it.
 
     For ``Dias3_16`` the dimension comes from the 13-row case table resolved
     at the given parameters, and no basis is tabled.
@@ -474,7 +475,8 @@ def _point_key(name: str, params: Params | None) -> tuple:
 def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
     """Recompute every tabled diderivation space and compare with the tables.
 
-    The exact solver is the ground truth; tabled values are expectations.
+    The exact solver is the ground truth; tabled values are expectations,
+    each read through ``expected_dider``.
     Disagreements are collected as findings (the sweep never edits the
     expectations to match), and only internal errors -- an instantiation
     failing the axioms, or a Dias3_17 kernel differing from its Dias3_16
@@ -515,8 +517,9 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
         "Dias3_17": [(dict(zip(get_entry("Dias3_17").param_names, point)),
                       f" at {_point_text(point)}") for point in DIAS3_17_SAMPLES],
     }
-    for name, (tabled, basis) in _TABLED_DIDER.items():
+    for name in _TABLED_DIDER:
         for params, where in points.get(name, [(None, "")]):
+            tabled, basis = expected_dider(name, params)
             kernel = solve(name, params, where)
             # the tabled bases are dense matrices, so they take the dense way in
             n = get_entry(name).dim
@@ -545,8 +548,8 @@ def verify_catalog(sample_count: int = 3, seed: int = 0) -> dict:
         sample_rows = []
         for point in samples:
             where = f" row {branch.index} at {_point_text(point)}"
-            _b, tabled = branch_for_params(*point)
             params = dict(zip(DIAS3_16_PARAMS, point))
+            tabled, _ = expected_dider("Dias3_16", params)
             actual = solve("Dias3_16", params, where).dim
             compare("Dias3_16", where, tabled, actual)
             sample_rows.append({"params": point, "tabled_dim": tabled,

@@ -295,9 +295,12 @@ def _coerce_params(entry: CatalogEntry, params: Params | None) -> dict[str, Frac
 
 def instantiate(name: str, params: Params | None = None) -> Dialgebra:
     """Build the named catalog dialgebra at the given rational parameters:
-    its relation table with each parameter name replaced by its value."""
+    its relation table with each parameter name replaced by its value.  A
+    fixed entry's table has no name to replace and goes in unchanged."""
     entry = get_entry(name)
     values = _coerce_params(entry, params)
+    if not entry.param_names:
+        return Dialgebra.from_relations(entry.dim, entry.relations)
     return Dialgebra.from_relations(entry.dim, {
         key: [(k, values[c] if isinstance(c, str) else c) for k, c in terms]
         for key, terms in entry.relations.items()})

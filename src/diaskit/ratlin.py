@@ -22,8 +22,12 @@ is pivoted on its highest column, and every division by a pivot goes
 through ``_quotient``.  The kernel read off that form is already in
 canonical form (see ``kernel``), so the structure-constant systems, which
 have 2n^3 rows of at most 3n nonzeros over n^2 unknowns, are solved in
-one pass.  Most of those rows are empty or repeat an earlier row, and
-the core skips both before any arithmetic: a row equal, entry for entry
+one pass.  Their builders in ``spaces`` drop each row whose terms
+cancel, but many rows left repeat an earlier row (Der of phi at n = 12:
+288 rows, 12 of them distinct), and other callers hand over empty rows
+too (the systems of ``invariants.halo``, ``bar_center`` and
+``annihilator``).  The core still skips both before any arithmetic: a
+row equal, entry for entry
 once normalised, to an earlier row of the same elimination already lies
 in the reduced span, so it would reduce to zero.  Skipping it changes
 neither the reduced rows nor the pivot scales, and so no kernel, RREF or

@@ -21,7 +21,11 @@ the dialgebra's sparse structure-constant tables (``Dialgebra.table``),
 which are built once and never written: the operator route takes the
 entries of each basis operator straight off them.  Integral constants are
 ``int`` there and both routes keep them that way: integer structure
-constants give integer rows; a slot no constant reaches forms no row.  Rows
+constants give integer rows.  A route hands the elimination core
+(``kernel``) only rows with a nonzero entry: a slot no constant reaches
+forms no row, and a slot whose terms cancel once summed is dropped.  On
+``phi_dialgebra`` every slot of the Der systems has a term, but only 2n^2
+of the 2n^3 keep one (288 of 3,456 at n = 12), on each route.  Rows
 equal up to a scalar are all formed: skipping them by a normalised key
 made the Dider solve of phi at n = 12 over twice as slow.  Both routes
 yield their rows one at a time, so the rows after the elimination core
@@ -105,7 +109,8 @@ def _rule_kernel(d: Dialgebra, rule: str) -> Subspace:
                             _add(row, k * n + i, a)
                         for k, b in second[i][r]:
                             _add(row, k * n + j, b)
-                        yield row
+                        if row:  # its terms may all cancel
+                            yield row
 
     return kernel(n * n, rows())
 
@@ -215,7 +220,8 @@ def _operator_route_kernel(
                             _add(row, r * n + t, v)
                         for t, w in by_row[r]:
                             _add(row, t * n + s, w)
-                        yield row
+                        if row:  # its terms may all cancel
+                            yield row
 
     return kernel(n * n, rows())
 

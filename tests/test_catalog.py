@@ -105,6 +105,23 @@ class TestEntries:
                      for _k, c in terms if isinstance(c, str)}
             assert named == set(entry.param_names), name
 
+    def test_only_a_parametric_table_is_copied(self, monkeypatch):
+        # a fixed entry's table holds no parameter name, so it goes in as is
+        tables = []
+        real = Dialgebra.from_relations
+
+        def recording(dim, relations):
+            tables.append(relations)
+            return real(dim, relations)
+
+        monkeypatch.setattr(Dialgebra, "from_relations", staticmethod(recording))
+        assert instantiate("Dias3_8") == real(3, get_entry("Dias3_8").relations)
+        instantiate("Dias2_3", {"lam": F(1, 2)})
+        assert tables[0] is get_entry("Dias3_8").relations
+        assert tables[1] is not get_entry("Dias2_3").relations
+        assert tables[1].keys() == get_entry("Dias2_3").relations.keys()
+        assert not any(isinstance(c, str) for terms in tables[1].values() for _k, c in terms)
+
     def test_dias3_17_table_is_dias3_16_with_k_renamed_l(self):
         rename = {"k": "l"}
         renamed = {key: [(k, rename.get(c, c)) for k, c in terms]
@@ -199,6 +216,22 @@ class TestTabledExpectations:
     def test_parametric_expected_dim_uses_case_table(self):
         dim, basis = expected_dider("Dias3_16", params316(1, 1, 1, 1, 1))
         assert dim == 2 and basis is None
+
+
+    def test_sweep_reads_every_expectation_through_expected_dider(self, monkeypatch):
+        calls = []
+        real = catalog.expected_dider
+
+        def recording(name, params=None):
+            calls.append((name, params))
+            return real(name, params)
+
+        monkeypatch.setattr(catalog, "expected_dider", recording)
+        sweep = verify_catalog(sample_count=2, seed=0)
+        samples = [dict(zip("kmnpq", s["params"]))
+                   for row in sweep["dias316_rows"] for s in row["samples"]]
+        assert samples and calls == [(r["name"], r["params"]) for r in sweep["entries"]] + \
+            [("Dias3_16", params) for params in samples]
 
 
 class TestCaseTable:

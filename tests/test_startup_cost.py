@@ -36,13 +36,33 @@ def test_ignores_lines_that_are_not_import_times():
     assert startup_cost.diaskit_self_us(text) == []
 
 
-def test_render_lists_each_module_and_the_total():
-    modules = startup_cost.diaskit_self_us(IMPORTTIME)
-    lines = startup_cost.render(["kxy", "--bound", "6"], 0, modules).splitlines()
-    assert lines[0] == "$ diaskit kxy --bound 6  (exit 0)"
+def test_render_lists_each_modules_median_and_the_totals_range():
+    modules = startup_cost.diaskit_self_us(IMPORTTIME)  # total 34.53 ms
+    slower = [(name, us + 1000) for name, us in modules]  # total 40.53 ms
+    runs = [(0, modules), (1, slower), (0, modules)]
+    lines = startup_cost.render(["kxy", "--bound", "6"], runs).splitlines()
+    # each exit status once, in order
+    assert lines[0] == "$ diaskit kxy --bound 6  (exit 0, 1; median of 3 runs)"
     assert lines[1] == "  diaskit.ratlin     6.73 ms"
-    assert lines[-1] == "  total             34.53 ms"
+    assert lines[-1] == "  total             34.53 ms  (min 34.53, max 40.53)"
     assert len(lines) == 8
+
+
+def test_each_command_runs_a_fixed_number_of_times(monkeypatch, capsys):
+    calls = []
+
+    def measure(argv):
+        calls.append(argv)
+        return 0, [("diaskit", 1000 * len(calls))]
+
+    monkeypatch.setattr(startup_cost, "measure", measure)
+    assert startup_cost.main(["--", "verify", "--", "kxy"]) == 0
+    runs = startup_cost.RUNS
+    assert runs == 5 and calls == [["verify"]] * runs + [["kxy"]] * runs
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "$ diaskit verify  (exit 0; median of 5 runs)"
+    assert out[2] == "  total       3.00 ms  (min 1.00, max 5.00)"
+    assert out[5] == "  total       8.00 ms  (min 6.00, max 10.00)"
 
 
 def test_commands_split_on_double_dash():

@@ -9,24 +9,28 @@ Each ARGV is one command line of ``diaskit``.  It runs in a fresh
 ``python -X importtime`` that imports ``diaskit.cli`` and calls its
 ``main`` on ARGV, with this checkout's ``src`` on ``PYTHONPATH``; ``-m
 diaskit.cli`` would run ``cli`` as ``__main__``, which ``-X importtime``
-does not list.  For each command the tool prints its exit status, the self
-import time of each diaskit module loaded, in the order their imports
-ended, and their total.  A module's self time is the time to find, compile
-and run it, without the modules it imports; where bytecode is not written
-(``PYTHONDONTWRITEBYTECODE``) every start compiles every line again.  The
-report goes to stdout, the command's own output nowhere.  Standard library
-only.
+does not list.  Each command runs ``RUNS`` times, one after the other,
+because one start-up varies by tens of percent on a shared machine.  For
+each command the tool prints its exit status, the median self import time
+of each diaskit module loaded, in the order their imports ended, and the
+median, least and greatest of the runs' totals.  A module's self time is
+the time to find, compile and run it, without the modules it imports;
+where bytecode is not written (``PYTHONDONTWRITEBYTECODE``) every start
+compiles every line again.  The report goes to stdout, the command's own
+output nowhere.  Standard library only.
 """
 
 from __future__ import annotations
 
 import os
 import re
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+RUNS = 5
 RUN = "import sys; from diaskit.cli import main; sys.exit(main(sys.argv[1:]))"
 # "import time:  self [us] | cumulative | imported package", the name
 # indented by two spaces per level of nesting
@@ -60,11 +64,21 @@ def diaskit_self_us(text: str) -> list[tuple[str, int]]:
     return out
 
 
-def render(argv: list[str], code: int, modules: list[tuple[str, int]]) -> str:
-    width = max([len(name) for name, _ in modules] + [len("total")])
-    lines = [f"$ diaskit {' '.join(argv)}  (exit {code})"]
-    lines += [f"  {name:{width}}  {us / 1000:7.2f} ms" for name, us in modules]
-    lines.append(f"  {'total':{width}}  {sum(us for _, us in modules) / 1000:7.2f} ms")
+def render(argv: list[str], runs: list[tuple[int, list[tuple[str, int]]]]) -> str:
+    """The report on the runs of one command: each run's exit status and
+    diaskit modules' self times, as ``measure`` gives them."""
+    times: dict[str, list[int]] = {}
+    for _, modules in runs:
+        for name, us in modules:
+            times.setdefault(name, []).append(us)
+    totals = [sum(us for _, us in modules) / 1000 for _, modules in runs]
+    codes = ", ".join(str(code) for code in sorted({code for code, _ in runs}))
+    width = max([len(name) for name in times] + [len("total")])
+    lines = [f"$ diaskit {' '.join(argv)}  (exit {codes}; median of {len(runs)} runs)"]
+    lines += [f"  {name:{width}}  {statistics.median(us) / 1000:7.2f} ms"
+              for name, us in times.items()]
+    lines.append(f"  {'total':{width}}  {statistics.median(totals):7.2f} ms"
+                 f"  (min {min(totals):.2f}, max {max(totals):.2f})")
     return "\n".join(lines)
 
 
@@ -85,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage: startup_cost.py -- ARGV [-- ARGV ...]\nerror: {exc}", file=sys.stderr)
         return 2
     for command in commands:
-        print(render(command, *measure(command)), flush=True)
+        print(render(command, [measure(command) for _ in range(RUNS)]), flush=True)
     return 0
 
 
