@@ -18,6 +18,9 @@ and ``kxy`` (with ``poly``) in ``kxy``.
 No module builds classes with ``dataclasses``, and ``json`` loads only
 for ``--machine``.  Where bytecode is not written, every start compiles
 each loaded module again, so what a command loads is most of its start-up.
+A call builds the argument parser of its own subcommand only; help, no
+arguments or an unknown command build all six, and nothing is kept
+between calls.
 
 INPUT is either a path to a structure-constants file (format written by
 ``serialize_dialgebra``) or a selector ``catalog:<Name>`` with optional
@@ -586,59 +589,59 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each subcommand once: its help line, the ``add_argument`` calls that
+# come before ``--machine`` (positional and keyword arguments), and its
+# ``run``.  Each ``run`` looks its ``cmd_*`` up when called, so a wrapper
+# put on the module attribute afterwards is the one that runs.
+_INPUT = (("input",), {})
+_COMMANDS = {
+    "verify": ("check the five axioms", (_INPUT,),
+               lambda a: cmd_verify(a.input)),
+    "spaces": ("compute operator spaces",
+               (_INPUT, (("--which",), {"choices": sorted(_WHICH), "default": "dider"})),
+               lambda a: cmd_spaces(a.input, a.which)),
+    "invariants": ("annihilator, bar-center, halo, bracket", (_INPUT,),
+                   lambda a: cmd_invariants(a.input)),
+    "bider": ("combined-bracket checks", (_INPUT,),
+              lambda a: cmd_bider(a.input)),
+    "catalog": ("reproduce the classification tables",
+                ((("filter",), {"nargs": "?", "default": None,
+                                "help": "restrict to one entry name"}),
+                 (("--samples",), {"type": int, "default": 3}),
+                 (("--seed",), {"type": int, "default": 0})),
+                lambda a: cmd_catalog(a.filter, a.samples, a.seed)),
+    "kxy": ("polynomial dialgebra checks",
+            ((("--bound",), {"type": int, "default": 6}),),
+            lambda a: cmd_kxy(a.bound)),
+}
+
+
+def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
+    """The parser for ``argv``.  It holds only the subcommand ``argv[0]``
+    names, the one that parses it; when ``argv[0]`` names none (no
+    arguments, ``--help``, an unknown name, an option first) it holds all
+    six, so the help and the invalid-choice error list them all."""
     parser = _Parser(
         prog="diaskit",
         description="exact workbench for finite-dimensional dialgebras")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_machine(p):
+    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
+    for name in names:
+        help_text, arguments, run = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for args, kwargs in arguments:
+            p.add_argument(*args, **kwargs)
+        p.set_defaults(run=run)
         p.add_argument("--machine", action="store_true",
                        help="emit one JSON document instead of text")
-
-    # Each ``run`` looks its ``cmd_*`` up when called, so a wrapper put on
-    # the module attribute afterwards is the one that runs.
-    p = sub.add_parser("verify", help="check the five axioms")
-    p.add_argument("input")
-    p.set_defaults(run=lambda a: cmd_verify(a.input))
-    add_machine(p)
-
-    p = sub.add_parser("spaces", help="compute operator spaces")
-    p.add_argument("input")
-    p.add_argument("--which", choices=sorted(_WHICH), default="dider")
-    p.set_defaults(run=lambda a: cmd_spaces(a.input, a.which))
-    add_machine(p)
-
-    p = sub.add_parser("invariants",
-                       help="annihilator, bar-center, halo, bracket")
-    p.add_argument("input")
-    p.set_defaults(run=lambda a: cmd_invariants(a.input))
-    add_machine(p)
-
-    p = sub.add_parser("bider", help="combined-bracket checks")
-    p.add_argument("input")
-    p.set_defaults(run=lambda a: cmd_bider(a.input))
-    add_machine(p)
-
-    p = sub.add_parser("catalog", help="reproduce the classification tables")
-    p.add_argument("filter", nargs="?", default=None,
-                   help="restrict to one entry name")
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=lambda a: cmd_catalog(a.filter, a.samples, a.seed))
-    add_machine(p)
-
-    p = sub.add_parser("kxy", help="polynomial dialgebra checks")
-    p.add_argument("--bound", type=int, default=6)
-    p.set_defaults(run=lambda a: cmd_kxy(a.bound))
-    add_machine(p)
-
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         report = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

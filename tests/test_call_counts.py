@@ -1,12 +1,14 @@
 """Each derivation and diderivation space is solved once per dialgebra,
-and each public call computes each invariant set, basis bracket and
-polynomial operator image once.
+each public call computes each invariant set, basis bracket and
+polynomial operator image once, and a CLI call builds the parser of its
+own subcommand only.
 
 The counts are taken by wrapping the solvers through monkeypatch, so a
 change that solves a space twice, re-runs a sweep or goes back to a cubic
 bracket loop fails here even when every report stays the same.
 """
 
+import argparse
 import contextlib
 import io
 import math
@@ -680,3 +682,17 @@ def test_identity_sweep_adds_fractions_only_in_the_images(monkeypatch):
     report = kxy.check_dider_identity(f, f)
     assert report == {"pairs": math.comb(8 + 4, 4), "violations": []}
     assert 0 < calls["add"] <= images
+
+
+@pytest.mark.parametrize("argv, parsers", [
+    # the top-level parser and the one of the subcommand argv names
+    (["verify", "catalog:Dias3_8", "--machine"], 2),
+    # names no subcommand, so the help lists all six
+    (["--help"], 7),
+])
+def test_cli_call_builds_the_parsers_it_uses(monkeypatch, argv, parsers):
+    calls = Counter()
+    counting(monkeypatch, argparse.ArgumentParser, "__init__", calls)
+    with contextlib.suppress(SystemExit):
+        run_cli(*argv)
+    assert calls["__init__"] == parsers

@@ -206,13 +206,21 @@ class TestInputErrors:
         [line] = err.splitlines()
         assert line.startswith(f"error: {start}")
 
-    @pytest.mark.parametrize("argv", [["--help"], ["spaces", "--help"]])
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["spaces", "--help"], ["verify", "--help"], ["invariants", "--help"],
+        ["bider", "--help"], ["catalog", "--help"], ["kxy", "--help"],
+    ])
     def test_help_prints_usage_and_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == 0
         captured = capsys.readouterr()
-        assert captured.out.startswith("usage: diaskit")
+        if argv == ["--help"]:
+            # names no subcommand, so the parser holds and lists all six
+            assert captured.out.startswith("usage: diaskit ")
+            assert "{verify,spaces,invariants,bider,catalog,kxy}" in captured.out
+        else:
+            assert captured.out.startswith(f"usage: diaskit {argv[0]} ")
         assert captured.err == ""
 
     def test_bider_basis_above_cap(self, tmp_path, capsys):
@@ -246,6 +254,31 @@ def test_main_dispatches_to_the_module_attribute(monkeypatch, capsys, argv, name
     monkeypatch.setattr(cli, name, stub)
     assert run(capsys, *argv)[0] == 0
     assert calls == [expected]
+
+
+@pytest.mark.parametrize("argv", [
+    ["spaces", "--machine", "--which", "der", "catalog:Dias2_1"],
+    ["spaces", "catalog:Dias2_1", "--which=inn"],
+    ["catalog", "--samp", "2", "--mach"],
+    ["catalog"],
+    ["kxy"],
+])
+def test_parser_of_one_subcommand_parses_as_the_full_parser(argv):
+    # ``build_parser(argv)`` holds only the subcommand ``argv[0]`` names;
+    # ``build_parser([])`` holds all six
+    own = vars(cli.build_parser(argv).parse_args(argv))
+    full = vars(cli.build_parser([]).parse_args(argv))
+    del own["run"], full["run"]
+    assert own == full
+
+
+def test_console_script_reads_sys_argv(monkeypatch, capsys):
+    # the ``diaskit`` entry point calls ``main()`` with no argument
+    monkeypatch.setattr(sys, "argv", ["diaskit", "verify", "catalog:Dias2_1"])
+    assert main() == 0
+    out = capsys.readouterr().out
+    assert out.startswith("subject: catalog:Dias2_1\n\n[axioms]\n")
+    assert out.endswith("verdict: pass\n")
 
 
 @pytest.mark.parametrize("which, name", [
