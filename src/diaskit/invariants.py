@@ -35,15 +35,21 @@ solved twice on purpose: ``halo`` reads it off the homogenised bar-unit
 system, ``bar_center`` solves the homogeneous system alone, and
 ``invariant_actions`` reports whether the two agree.
 
-``invariant_actions`` applies each Der and Dider basis operator as sparse
-columns (``ratlin.columns``) to the basis rows of each set, and decides
-membership of the images by ``Subspace.coordinates``.
+``invariant_actions`` decides whether operators T map a set S into a
+target U as ``E T V = 0``.  The rows of E, the equations of U, are the
+basis of ``kernel(n, U.rows)`` scaled to integers, solved once per target
+and indexed by row (those of 0 are the identity); the columns of V are
+the basis rows of S, scaled to integers and indexed by column.  Each
+``E T V`` is formed in one pass over T's flat sparse row, T scaled to
+integers too.  No image ``T v`` is formed and no ``Subspace.coordinates``
+is called.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Sequence
+import math
+from typing import Sequence
 
 from .core import Dialgebra
 from .ratlin import (
@@ -51,7 +57,6 @@ from .ratlin import (
     Row,
     Subspace,
     bilinear,
-    columns,
     commutator,
     dense,
     kernel,
@@ -294,39 +299,85 @@ def check_invariant_actions(d: Dialgebra) -> dict:
     return invariant_actions(d, annihilator(d), halo(d))
 
 
+def _integral(row: Row) -> Row:
+    """The row times the least common multiple of its denominators: the
+    same line, spanned by a row of ints."""
+    scale = math.lcm(*(x.denominator for x in row.values() if type(x) is not int))
+    if scale == 1:
+        return row
+    return {j: x * scale if type(x) is int else x.numerator * (scale // x.denominator)
+            for j, x in row.items()}
+
+
+def _equations(target: Subspace) -> list[list[tuple[int, int]]]:
+    """Integer equations of ``target``, indexed by row.
+
+    The basis vectors of ``kernel(n, target.rows)``, each scaled to
+    integers, are the rows of a matrix E with ``E w = 0`` exactly when w
+    lies in target.  Entry r lists the (q, E[q][r]) that are nonzero."""
+    n = target.ambient_dim
+    by_row: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for q, e in enumerate(kernel(n, target.rows).rows):
+        for r, x in _integral(e).items():
+            by_row[r].append((q, x))
+    return by_row
+
+
+def _maps_into(ops: Sequence[Row], vectors: Sequence[Row],
+               equations: list[list[tuple[int, int]]]) -> bool:
+    """Whether each operator of ``ops`` (a sparse row over r*n + c) sends
+    each of ``vectors`` into the subspace whose integer equations E are
+    ``equations``, given by row as ``_equations`` gives them: whether
+    ``E T V = 0`` for each T, where the columns of V are the vectors."""
+    n, m = len(equations), len(vectors)
+    # by_col[c]: the (k, V[c][k]) that are nonzero; E T V is 0 all the same
+    # with each vector scaled to integers
+    by_col: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for k, v in enumerate(vectors):
+        for c, y in _integral(v).items():
+            by_col[c].append((k, y))
+    for t in ops:
+        # (E T V)[q][k] at q*m + k, in one pass over T
+        etv: Row = {}
+        for j, x in t.items():
+            r, c = divmod(j, n)
+            if by_col[c]:
+                for q, e in equations[r]:
+                    for k, y in by_col[c]:
+                        etv[q * m + k] = etv.get(q * m + k, 0) + e * x * y
+        if any(etv.values()):
+            return False
+    return True
+
+
 def invariant_actions(d: Dialgebra, ann: Subspace, h: AffineSubspace) -> dict:
     """``check_invariant_actions`` on the annihilator and halo of ``d``
     already computed by the caller; the bar-center is solved here, on its
     own, and compared with the halo's direction."""
     n = d.dim
     zb = bar_center(d)
-    der_ops = [columns(n, t) for t in derivation_space(d).rows]
-    dider_ops = [columns(n, t) for t in diderivation_space(d).rows]
-
-    def images(ops: list[list[Row]], vectors: Sequence[Row]) -> Iterator[Row]:
-        return (lincomb((x, t[c]) for c, x in v.items()) for t in ops for v in vectors)
-
-    def maps_into(ops: list[list[Row]], vectors: Sequence[Row], target: Subspace) -> bool:
-        return all(target.coordinates(w) is not None for w in images(ops, vectors))
-
-    def kills(ops: list[list[Row]], vectors: Sequence[Row]) -> bool:
-        return not any(images(ops, vectors))
-
+    # each operator scaled to integers, once: E T v is 0 all the same
+    der_ops, dider_ops = ([_integral(t) for t in space.rows]
+                          for space in (derivation_space(d), diderivation_space(d)))
+    # the equations of each distinct target; those of 0 are E = 1
+    in_ann, zero = _equations(ann), [[(r, 1)] for r in range(n)]
+    in_zb = in_ann if zb == ann else _equations(zb)
+    identity = {r * n + r: 1 for r in range(n)}
     report = {
         "ann_dim": ann.dim,
         "bar_center_dim": zb.dim,
         "unital": not h.is_empty,
-        "ann_in_bar_center": ann.is_subspace_of(zb),
-        "der_preserves_ann": maps_into(der_ops, ann.rows, ann),
-        "der_preserves_bar_center": maps_into(der_ops, zb.rows, zb),
-        "dider_kills_ann": kills(dider_ops, ann.rows),
+        "ann_in_bar_center": _maps_into([identity], ann.rows, in_zb),
+        "der_preserves_ann": _maps_into(der_ops, ann.rows, in_ann),
+        "der_preserves_bar_center": _maps_into(der_ops, zb.rows, in_zb),
+        "dider_kills_ann": _maps_into(dider_ops, ann.rows, zero),
     }
     if not h.is_empty:
         unit = [sparse(h.point)]
         report["halo_direction_is_bar_center"] = h.direction == zb
         report["ann_equals_bar_center"] = ann == zb
         report["halo_is_point_plus_ann"] = h.direction == ann
-        report["der_sends_unit_into_ann"] = maps_into(der_ops, unit, ann)
-        report["dider_kills_unit"] = kills(dider_ops, unit)
-        report["dider_kills_bar_center"] = kills(dider_ops, zb.rows)
+        report["der_sends_unit_into_ann"] = _maps_into(der_ops, unit, in_ann)
+        report["dider_kills_unit"] = _maps_into(dider_ops, unit, zero)
+        report["dider_kills_bar_center"] = _maps_into(dider_ops, zb.rows, zero)
     return report

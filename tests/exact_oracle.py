@@ -265,6 +265,14 @@ def in_span(vectors, v):
     return rank(list(vectors) + [v]) == rank(vectors)
 
 
+def maps_into(operators, vectors, target):
+    """Whether every operator sends every vector into the span of
+    ``target``: the target's rank, with each image added, stays its rank.
+    An empty target is 0."""
+    r = rank(target)
+    return all(rank(list(target) + [apply(t, v)]) == r for t in operators for v in vectors)
+
+
 def same_span(us, vs):
     r = rank(us)
     return r == rank(vs) == rank(list(us) + list(vs))

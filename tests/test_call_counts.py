@@ -255,28 +255,27 @@ def rule_rows(d, twisted) -> int:
     return total
 
 
+def operator_entry(d, kind, k, r, s):
+    """Entry (r, s) of L_{e_k} or R_{e_k}: e_k * e_s or e_s * e_k, at e_r."""
+    side, product = kind
+    c = d.c_dashv if product == "dashv" else d.c_vdash
+    return c[k][s][r] if side == "left" else c[s][k][r]
+
+
 def operator_rows(d, conditions) -> int:
     """The (condition, i, r, s) of the operator-route system whose terms do
     not all cancel, summed densely from the cubes: S_k[r][s] at T[k][i],
     -M_i[t][s] at T[r][t] and M_i[r][t] at T[t][s]."""
-    n, cubes = d.dim, {"dashv": d.c_dashv, "vdash": d.c_vdash}
-
-    def op(kind, k, r, s):
-        # entry (r, s) of L_{e_k} or R_{e_k}: e_k * e_s or e_s * e_k, at e_r
-        side, product = kind
-        c = cubes[product]
-        return c[k][s][r] if side == "left" else c[s][k][r]
-
-    total = 0
+    n, total = d.dim, 0
     for sub, inside in conditions:
         for i in range(n):
             for r in range(n):
                 for s in range(n):
                     row = [0] * (n * n)
                     for k in range(n):
-                        row[k * n + i] += op(sub, k, r, s)
-                        row[r * n + k] -= op(inside, i, k, s)
-                        row[k * n + s] += op(inside, i, r, k)
+                        row[k * n + i] += operator_entry(d, sub, k, r, s)
+                        row[r * n + k] -= operator_entry(d, inside, i, k, s)
+                        row[k * n + s] += operator_entry(d, inside, i, r, k)
                     total += any(row)
     return total
 
@@ -355,6 +354,105 @@ def test_operator_route_stops_at_full_rank(monkeypatch):
     runs = rows_read(monkeypatch)
     assert spaces.diderivation_space_via_ops(d).dim == 0
     assert runs == [1717]  # of 2n^3 = 3456
+
+
+def operator_slots(d, conditions) -> int:
+    """The (condition, i, r, s) of the operator-route system with a term
+    that summing cannot remove, or a term of S, read densely from the
+    cubes: a gap M_i[r][r] - M_i[s][s], an off-diagonal entry of M_i in
+    row r or column s, or a nonzero S_k[r][s]."""
+    n, total = d.dim, 0
+
+    def matrix(kind, k):
+        return [[operator_entry(d, kind, k, r, s) for s in range(n)] for r in range(n)]
+
+    for sub, inside in conditions:
+        subs = [matrix(sub, k) for k in range(n)]
+        for i in range(n):
+            m = matrix(inside, i)
+            for r in range(n):
+                for s in range(n):
+                    total += (m[r][r] != m[s][s]
+                              or any(m[r][t] for t in range(n) if t != r)
+                              or any(m[t][s] for t in range(n) if t != s)
+                              or any(s_k[r][s] for s_k in subs))
+    return total
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: phi_dialgebra(PHI8[:5]), id="phi5"),
+    pytest.param(lambda: phi_dialgebra([Fraction(1, 2), 0, -3]), id="phi3[1/2,0,-3]"),
+    pytest.param(lambda: catalog.instantiate("Dias3_13"), id="Dias3_13"),
+    pytest.param(lambda: direct_sum(*map(catalog.instantiate, ("Dias3_10", "Dias3_13",
+                                                              "Dias2_4"))), id="sum8"),
+])
+def test_operator_rows_are_formed_only_where_a_term_cannot_cancel_away(make):
+    # The commutator part of a slot has one term per unknown, so only a
+    # slot with no gap, no off-diagonal entry of M in its row or column and
+    # no S term is skipped; a row whose S part cancels the rest comes out
+    # empty (the nonempty ones are pinned by the test above).
+    d = make()
+    for _, conditions in ROUTES:
+        assert sum(1 for _ in spaces._operator_rows(d, conditions)) == \
+            operator_slots(d, conditions)
+
+
+def formed_rows(monkeypatch) -> list:
+    """The rows ``spaces._operator_rows`` forms in each operator-route
+    call, empty ones included."""
+    formed = []
+    original = spaces._operator_rows
+
+    def counted(d, conditions):
+        formed.append(0)
+        for row in original(d, conditions):
+            formed[-1] += 1
+            yield row
+
+    monkeypatch.setattr(spaces, "_operator_rows", counted)
+    return formed
+
+
+@pytest.mark.parametrize("n, formed", [(3, 36), (5, 150), (8, 576), (12, 1872)])
+def test_phi_der_operator_routes_skip_the_scalar_conditions(monkeypatch, n, formed):
+    # L^vdash and R^dashv of phi are scalar, so their condition forms a row
+    # only where S has a term, on the diagonal (n^2 slots); the other
+    # condition forms one in each of its n^3 slots.  Each route formed
+    # 2n^3 (3,456 at n = 12), and hands the core the same 2n^2 rows.
+    d = phi_dialgebra((PHI8 * 2)[:n])
+    counts = formed_rows(monkeypatch)
+    runs = eliminate_runs(monkeypatch)
+    spaces.derivation_space_via_left_ops(d)
+    spaces.derivation_space_via_right_ops(d)
+    assert counts == [formed] * 2 == [n ** 3 + n ** 2] * 2
+    assert runs == [2 * n * n] * 2
+
+
+@pytest.mark.parametrize("make, targets", [
+    # the annihilator and the bar-center are one target where they are equal
+    pytest.param(lambda: phi_dialgebra(PHI8), 1, id="phi8"),
+    pytest.param(lambda: catalog.instantiate("Dias2_4"), 1, id="Dias2_4"),  # unital
+    pytest.param(lambda: catalog.instantiate("Dias3_7"), 2, id="Dias3_7"),
+    pytest.param(lambda: direct_sum(*map(catalog.instantiate, ("Dias3_10", "Dias3_13",
+                                                              "Dias2_4"))), 1, id="sum8"),
+])
+def test_invariant_actions_solve_each_target_once_and_reduce_no_image(monkeypatch, make,
+                                                                      targets):
+    d = make()
+    spaces.derivation_space(d)
+    spaces.diderivation_space(d)
+    ann, h = invariants.annihilator(d), invariants.halo(d)
+    assert (targets == 1) is (invariants.bar_center(d) == ann)
+    calls = Counter()
+    counting(monkeypatch, ratlin.Subspace, "coordinates", calls)
+    # frame 0 is the key, frame 1 the counting wrapper
+    counting(monkeypatch, invariants, "kernel", calls,
+             key=lambda *args: sys._getframe(2).f_code.co_name)
+    report = invariants.invariant_actions(d, ann, h)
+    # the bar-center's own system, then the equations of each distinct
+    # target; those of 0 need no kernel
+    assert calls == {"bar_center": 1, "_equations": targets}
+    assert all(value for key, value in report.items() if key != "unital")
 
 
 def checks_on(d):

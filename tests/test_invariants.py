@@ -19,11 +19,11 @@ from diaskit.invariants import (
     check_invariant_actions,
     halo,
 )
-from diaskit.ratlin import AffineSubspace, Subspace, bilinear
+from diaskit.ratlin import AffineSubspace, Subspace, bilinear, sparse, span
 from diaskit.spaces import derivation_space, diderivation_space
 
 import exact_oracle as oracle
-from test_ratlin import kernel_cases
+from test_ratlin import direct_sum, kernel_cases
 
 phis = st.integers(min_value=2, max_value=4).flatmap(
     lambda n: st.lists(
@@ -199,6 +199,83 @@ class TestActions:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             assert cli.main(["invariants", "catalog:Dias2_4"]) == 1
         assert "halo direction is bar center: no" in out.getvalue()
+
+
+def action_cases():
+    """The catalog, phi for n = 2..8, the direct sums of the solve ladder's
+    summands (dimensions 9 and 12) and the zero algebra, whose annihilator
+    is 0 and whose bar-center is all of Q^2."""
+    point = dict(zip("kmnpq", map(Fraction, (1, 1, 1, 1, 1))))
+    zero = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+    return kernel_cases() + [
+        ("phi7", phi_dialgebra([1, -1, 2, -2, 3, -3, 1])),
+        ("phi8", phi_dialgebra([1, -1, 2, -2, 3, -3, 1, -1])),
+        ("Dias3_10+Dias3_13+Dias3_14+Dias3_16", direct_sum(*(
+            instantiate(name) for name in ("Dias3_10", "Dias3_13", "Dias3_14")),
+            instantiate("Dias3_16", point))),
+        ("zero2", Dialgebra(2, zero, zero)),
+    ]
+
+
+def oracle_actions(d, der, dider):
+    """Each operator-action key of ``check_invariant_actions`` for the
+    operators ``der`` and ``dider`` (n-by-n lists), by the oracle's rank
+    test; the annihilator and the bar-center are the oracle's own, the bar
+    unit is the halo's point."""
+    n = d.dim
+    units = [oracle.unit(n, i) for i in range(n)]
+    ann = oracle.rref([[x - y for x, y in zip(oracle.product(d.c_dashv, a, b),
+                                              oracle.product(d.c_vdash, a, b))]
+                       for a in units for b in units])[0]
+    center = oracle.nullspace(oracle.bar_unit_system(d.c_vdash, d.c_dashv)[0], n)
+    keys = {
+        "ann_in_bar_center": oracle.maps_into([units], ann, center),  # the identity
+        "der_preserves_ann": oracle.maps_into(der, ann, ann),
+        "der_preserves_bar_center": oracle.maps_into(der, center, center),
+        "dider_kills_ann": oracle.maps_into(dider, ann, []),
+    }
+    h = halo(d)
+    if not h.is_empty:
+        keys["der_sends_unit_into_ann"] = oracle.maps_into(der, [h.point], ann)
+        keys["dider_kills_unit"] = oracle.maps_into(dider, [h.point], [])
+        keys["dider_kills_bar_center"] = oracle.maps_into(dider, center, [])
+    return keys
+
+
+class TestFailingActions:
+    """Spaces holding an operator that is not a (di)derivation, put in
+    place of Der and Dider: every action key against the oracle."""
+
+    @staticmethod
+    def matrices(space, n):
+        return [[list(v[r * n:(r + 1) * n]) for r in range(n)] for v in space.basis]
+
+    @pytest.mark.parametrize("case", [pytest.param(d, id=label) for label, d in action_cases()])
+    def test_each_action_key_against_the_rank_test(self, case):
+        n = case.dim
+        d = Dialgebra(n, case.c_vdash, case.c_dashv)
+        der, dider = derivation_space(d), diderivation_space(d)
+        held = check_invariant_actions(d)
+        expected = oracle_actions(d, self.matrices(der, n), self.matrices(dider, n))
+        assert {key: held[key] for key in expected} == expected
+        # a dense operator, which moves a set of every algebra but the zero
+        # one out of its target, and the matrix unit sending e_1 to e_n
+        dense = [[Fraction((3 * r + 5 * c) % 7 - 3) for c in range(n)] for r in range(n)]
+        corner = oracle.matrix_unit(n, n - 1, 0)
+        for t in (dense, corner):
+            flat = sparse(oracle.flatten(t))
+            d._spaces["der"] = span(n * n, [flat, *der.rows])
+            d._spaces["dider"] = span(n * n, [flat, *dider.rows])
+            report = check_invariant_actions(d)
+            expected = oracle_actions(d, [t, *self.matrices(der, n)],
+                                      [t, *self.matrices(dider, n)])
+            # the keys t alone moves out of their target read False
+            moved = {key for key, holds in oracle_actions(d, [t], [t]).items() if not holds}
+            # the other keys do not read Der or Dider
+            assert report == {**held, **expected}
+            assert not any(report[key] for key in moved)
+            if t is dense and held["bar_center_dim"] < n:  # all but the zero algebra
+                assert moved
 
 
 class TestCombinedSpace:

@@ -21,6 +21,14 @@ bound of the parent's, and whether a gain can be claimed: the change wins
 at least nine tenths of the pairs, and its median is better than the
 parent's by more than the parent's interquartile range.  Standard library
 only.
+
+Compare ``peak_rss_mib`` only between two fresh exports.  The same
+``src/`` and ``perfbench/`` have read about 0.15 MiB higher in one
+checkout than in another (a working tree against an export, with no cause
+found), so export both commits into empty directories first:
+
+    git archive PARENT_COMMIT | tar -x -C PARENT_DIR
+    git archive CHANGE_COMMIT | tar -x -C CHANGE_DIR
 """
 
 from __future__ import annotations
