@@ -26,9 +26,12 @@ poly
     operations, renaming variables, the degree in one variable, an
     optional total-degree bound, and a division-free determinant of
     polynomial entries.
+entries
+    The published table of two- and three-dimensional dialgebra classes,
+    their relation lists, and ``instantiate``, which builds one.
 catalog
-    Built-in low-dimensional dialgebra classes with reference dimension
-    tables and the parametric family ``Dias3_16`` branch analysis.
+    The tabled diderivation bases, the check of every entry against the
+    solver, and the case analysis of the parametric family ``Dias3_16``.
 kxy
     The dialgebra of polynomials in two variables with evaluation
     products, on ``poly`` polynomials under a degree bound, exact.

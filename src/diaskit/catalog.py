@@ -10,11 +10,11 @@ of the table is still reached through ``catalog``.  They are the
 ``catalog.instantiate`` in every module that binds it, and the sweep
 tests monkeypatch it here, so both modules must hold one function.
 
-For each entry the module records the tabled diderivation dimension and
-basis, kept verbatim even where the exact solver disagrees --
-``verify_catalog`` reports such disagreements as findings rather than
-silently editing the expectations.  ``FAMILY_POINTS`` holds the point at
-which each Dias3_16 solution family is checked.
+For each entry the module records the tabled diderivation basis, whose
+length is the tabled dimension, kept verbatim even where the exact solver
+disagrees -- ``verify_catalog`` reports such disagreements as findings
+rather than silently editing the expectations.  ``FAMILY_POINTS`` holds
+the point at which each Dias3_16 solution family is checked.
 
 For ``Dias3_16`` the module also implements the published case analysis: the
 two key factors ``delta1``/``delta2``, the 13-row dimension table with its
@@ -59,27 +59,27 @@ def _e(n: int, i: int, j: int) -> Matrix:
 
 _DIFF_BASIS_3 = Matrix([[1, 0, 0], [-1, 0, 0], [0, 0, 0]])  # E11 - E21
 
-_TABLED_DIDER: dict[str, tuple[int, tuple[Matrix, ...]]] = {
-    "Dias2_1": (1, (_e(2, 2, 1),)),
-    "Dias2_2": (1, (_e(2, 2, 1),)),
-    "Dias2_3": (1, (_e(2, 2, 1),)),
-    "Dias2_4": (0, ()),
-    "Dias3_1": (1, (_e(3, 1, 2),)),
-    "Dias3_2": (0, ()),
-    "Dias3_3": (0, ()),
-    "Dias3_4": (1, (_DIFF_BASIS_3,)),
-    "Dias3_5": (1, (_DIFF_BASIS_3,)),
-    "Dias3_6": (0, ()),
-    "Dias3_7": (1, (_DIFF_BASIS_3,)),
-    "Dias3_8": (1, (_e(3, 1, 3),)),
-    "Dias3_9": (1, (Matrix([[0, 0, 0], [1, 1, 0], [0, 0, 0]]),)),
-    "Dias3_10": (2, (_e(3, 1, 1), _e(3, 1, 3))),
-    "Dias3_11": (2, (_e(3, 1, 1), _e(3, 1, 3))),
-    "Dias3_12": (1, (_e(3, 1, 1),)),
-    "Dias3_13": (2, (_e(3, 1, 1), _e(3, 2, 1))),
-    "Dias3_14": (2, (_e(3, 1, 1), _e(3, 2, 1))),
-    "Dias3_15": (0, ()),
-    "Dias3_17": (1, (_e(3, 3, 1),)),
+_TABLED_DIDER: dict[str, tuple[Matrix, ...]] = {
+    "Dias2_1": (_e(2, 2, 1),),
+    "Dias2_2": (_e(2, 2, 1),),
+    "Dias2_3": (_e(2, 2, 1),),
+    "Dias2_4": (),
+    "Dias3_1": (_e(3, 1, 2),),
+    "Dias3_2": (),
+    "Dias3_3": (),
+    "Dias3_4": (_DIFF_BASIS_3,),
+    "Dias3_5": (_DIFF_BASIS_3,),
+    "Dias3_6": (),
+    "Dias3_7": (_DIFF_BASIS_3,),
+    "Dias3_8": (_e(3, 1, 3),),
+    "Dias3_9": (Matrix([[0, 0, 0], [1, 1, 0], [0, 0, 0]]),),
+    "Dias3_10": (_e(3, 1, 1), _e(3, 1, 3)),
+    "Dias3_11": (_e(3, 1, 1), _e(3, 1, 3)),
+    "Dias3_12": (_e(3, 1, 1),),
+    "Dias3_13": (_e(3, 1, 1), _e(3, 2, 1)),
+    "Dias3_14": (_e(3, 1, 1), _e(3, 2, 1)),
+    "Dias3_15": (),
+    "Dias3_17": (_e(3, 3, 1),),
 }
 
 
@@ -88,6 +88,7 @@ def expected_dider(name: str, params: Params | None = None
     """Tabled diderivation dimension and basis for a catalog entry, the
     one way to read an expectation: ``verify_catalog`` reads each through it.
 
+    The tabled dimension of an entry is the length of its tabled basis.
     For ``Dias3_16`` the dimension comes from the 13-row case table resolved
     at the given parameters, and no basis is tabled.
     """
@@ -96,7 +97,8 @@ def expected_dider(name: str, params: Params | None = None
         values = _coerce_params(entry, params)
         _row, dim = branch_for_params(**values)
         return dim, None
-    return _TABLED_DIDER[name]
+    basis = _TABLED_DIDER[name]
+    return len(basis), basis
 
 
 # ---------------------------------------------------------------------------
@@ -427,36 +429,32 @@ def corrected_case_d_vector(params: Params) -> Matrix:
     return _family_matrix(vec)
 
 
-def check_solution_families(params: Params, case: str) -> dict:
+def check_solution_families(params: Params, case: str,
+                            kernels: dict[tuple, Subspace] | None = None) -> dict:
     """Substitute a boxed solution family into the defining identity and the
-    solver kernel at one admissible parameter point."""
-    return solution_families(params, case, {})
+    solver kernel at one admissible parameter point.
 
-
-def solution_families(params: Params, case: str,
-                      kernels: dict[tuple, Subspace]) -> dict:
-    """``check_solution_families`` reading the kernel from ``kernels``, the
-    per-call kernels of a ``verify_catalog`` sweep; the point is solved only
-    if the sweep did not solve it."""
+    ``kernels`` holds the per-point kernels of a ``verify_catalog`` sweep;
+    the point is solved only if it is not among them."""
     d = instantiate("Dias3_16", params)
-    kernel = kernels.get(_point_key("Dias3_16", params))
-    if kernel is None:
-        kernel = spaces.diderivation_space(d)
+    key = _point_key("Dias3_16", params)
+    kernel = kernels[key] if kernels and key in kernels else spaces.diderivation_space(d)
     vectors = case_family_vectors(case, params)
     results = []
     for label, op in vectors + [("t=0", _family_matrix((0,) * 7))]:
+        row = sparse(op.flatten())
         results.append({
             "label": label,
-            "identity_ok": spaces.rule_holds(d, "dider", sparse(op.flatten())),
-            "in_solver_kernel": kernel.contains(op.flatten()),
+            "identity_ok": spaces.rule_holds(d, "dider", row),
+            "in_solver_kernel": kernel.coordinates(row) is not None,
         })
     report = {
         "vectors": results,
         "all_member": all(r["in_solver_kernel"] for r in results),
     }
     if case == "D":
-        fixed = corrected_case_d_vector(params)
-        report["corrected_in_kernel"] = kernel.contains(fixed.flatten())
+        fixed = sparse(corrected_case_d_vector(params).flatten())
+        report["corrected_in_kernel"] = kernel.coordinates(fixed) is not None
     return report
 
 

@@ -361,18 +361,14 @@ def _det_probe_samples(seed: int) -> list[tuple]:
     for _ in range(12):
         k, n, p, q = (Fraction(rng.randint(-5, 5)) for _ in range(4))
         out.append((k, Fraction(0), n, p, q))
-    for _ in range(12):
-        k, n, p = (Fraction(rng.randint(-4, 4)) for _ in range(3))
-        m = Fraction(rng.randint(1, 4))
-        out.append((k, m, n, p, (n * p - k) / m))
-    for _ in range(12):
-        k, n, p = (Fraction(rng.randint(-4, 4)) for _ in range(3))
-        m = Fraction(rng.randint(1, 4))
-        out.append((k, m, n, p, (k + n) * (p + 1) / m))
-    for _ in range(12):
-        k, n, q = (Fraction(rng.randint(-4, 4)) for _ in range(3))
-        m = Fraction(rng.randint(1, 4))
-        out.append((k, m, n, k, q))
+    # m != 0 on D1 = 0, on D2 = 0 and on p = k: each point is built from
+    # three draws in -4..4 and then m in 1..4
+    for point in (lambda k, n, p, m: (k, m, n, p, (n * p - k) / m),
+                  lambda k, n, p, m: (k, m, n, p, (k + n) * (p + 1) / m),
+                  lambda k, n, q, m: (k, m, n, k, q)):
+        for _ in range(12):
+            drawn = [Fraction(rng.randint(-4, 4)) for _ in range(3)]
+            out.append(point(*drawn, Fraction(rng.randint(1, 4))))
     return out
 
 
@@ -432,7 +428,7 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
         fsec = report.section("solution families")
         for case, point in catalog.FAMILY_POINTS.items():
             params = dict(zip(catalog.DIAS3_16_PARAMS, map(Fraction, point)))
-            fam = catalog.solution_families(params, case, sweep["kernels"])
+            fam = catalog.check_solution_families(params, case, sweep["kernels"])
             for vec in fam["vectors"]:
                 fsec.add(
                     f"case {case} at {point} {vec['label']}",

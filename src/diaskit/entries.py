@@ -14,6 +14,9 @@ Dias3_11 are isomorphic.  For each entry the module records
 * the relation list exactly as printed in the source table (several printed
   lists are garbled or axiom-inconsistent; those entries carry a repair note).
 
+Dias3_9 and Dias3_11 print the same list, so the two entries share one
+declaration of it and of its relation table.
+
 Entries are reached by name: ``ENTRY_NAMES`` lists them in table order,
 ``get_entry`` returns the record of one and ``instantiate`` builds it.  An
 entry's parameters are its ``param_names``, empty for a fixed entry.
@@ -105,6 +108,14 @@ _LAYOUT_NOTE = (
     "redistributes the relations so the axioms hold"
 )
 
+# Dias3_9 and Dias3_11 print one relation list, and both entries read
+# this one declaration of it and of its repaired table.
+_DIAS3_9_11 = (
+    _rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
+         ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
+    ("e3 |- e1 = e1", "e3 |- e2 = e2", "e3 |- e3 = e3"),
+)
+
 _ENTRIES: list[CatalogEntry] = [
     CatalogEntry(
         "Dias2_1", 2, (),
@@ -194,10 +205,7 @@ _ENTRIES: list[CatalogEntry] = [
         _REPAIR_NOTE,
     ),
     CatalogEntry(
-        "Dias3_9", 3, (),
-        _rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
-             ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
-        ("e3 |- e1 = e1", "e3 |- e2 = e2", "e3 |- e3 = e3"),
+        "Dias3_9", 3, (), *_DIAS3_9_11,
         _REPAIR_NOTE + "; printed list identical to Dias3_11",
     ),
     CatalogEntry(
@@ -208,10 +216,7 @@ _ENTRIES: list[CatalogEntry] = [
         _REPAIR_NOTE,
     ),
     CatalogEntry(
-        "Dias3_11", 3, (),
-        _rel(("dashv", 2, 3, 2), ("dashv", 3, 1, 1), ("dashv", 3, 3, 3),
-             ("vdash", 3, 1, 1), ("vdash", 3, 2, 2), ("vdash", 3, 3, 3)),
-        ("e3 |- e1 = e1", "e3 |- e2 = e2", "e3 |- e3 = e3"),
+        "Dias3_11", 3, (), *_DIAS3_9_11,
         _REPAIR_NOTE + "; printed list identical to Dias3_9",
     ),
     CatalogEntry(

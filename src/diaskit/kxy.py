@@ -38,9 +38,11 @@ it was built with, so the sweeps of one bound share it and a replaced
 product never reads a stale one.  The axiom sweep reads every product of
 a triple from it by list indexing.  The derivation and diderivation
 identities are checked by one bounded sweep over monomial pairs that
-reads the rule's products from ``core.RULES``; it computes the operator
-image of each monomial once, keys it by monomial number and scales every
-image by one common denominator, so that the pair loop adds only ints.
+reads the rule's products from ``core.RULES``.  Its bound is the smaller
+bound of the operator's two polynomials, the one its images take.  It
+computes the operator image of each monomial once, keys it by monomial
+number and scales every image by one common denominator, so that the
+pair loop adds only ints.
 It reads ``u * v`` from the table, forms each distinct right side by
 bilinearity in one dict, reading ``t o1 v`` from a transposed copy of
 the table, and compares coefficients.  The same table gives the
@@ -559,28 +561,26 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
     return {"pairs": pairs, "violations": violations}
 
 
-def check_derivation_identity(f: BivariatePoly, g: BivariatePoly,
-                              bound: int | None = None) -> dict:
-    """Check d(a*b) = d(a)*b + a*d(b) for both products on monomial pairs."""
-    bound = min(f.bound, g.bound) if bound is None else bound
+def check_derivation_identity(f: BivariatePoly, g: BivariatePoly) -> dict:
+    """Check d(a*b) = d(a)*b + a*d(b) for both products on monomial pairs,
+    up to the polynomials' bound."""
     return _identity_sweep(
         KxyOperatorSpec("derivation", f=f, g=g),
-        max(f.total_degree() - 1, g.total_degree() + 1, 0), bound, "der")
+        max(f.total_degree() - 1, g.total_degree() + 1, 0), min(f.bound, g.bound), "der")
 
 
-def check_dider_identity(f: BivariatePoly, g: BivariatePoly,
-                         bound: int | None = None) -> dict:
-    """Check delta(a*b) = delta(a) -| b + a |- delta(b) for both products.
+def check_dider_identity(f: BivariatePoly, g: BivariatePoly) -> dict:
+    """Check delta(a*b) = delta(a) -| b + a |- delta(b) for both products,
+    up to the polynomials' bound.
 
     This is the diderivation rule of ``core.RULES``: both products share
     one right side, so it is formed once per pair.  Note the sweep covers
     pairs whose product vanishes as well, where the identity is a genuine
     constraint.
     """
-    bound = min(f.bound, g.bound) if bound is None else bound
     return _identity_sweep(
         KxyOperatorSpec("diderivation", f=f, g=g),
-        max(f.total_degree(), g.total_degree(), 1) - 1, bound, "dider")
+        max(f.total_degree(), g.total_degree(), 1) - 1, min(f.bound, g.bound), "dider")
 
 
 # ---------------------------------------------------------------------------

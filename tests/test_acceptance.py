@@ -536,14 +536,15 @@ def test_criterion_09_polynomial_dialgebra_suite():
     else:
         lines.append("annihilator = (x-y)-multiples on 200 seeded polys")
 
+    # the identity sweeps run at the bound of their polynomials, 6
     derivation_specs = [
-        (BivariatePoly.one(bound), BivariatePoly.zero(bound)),
-        (BivariatePoly({(1, 0): 1}, bound), BivariatePoly({(1, 1): 1}, bound)),
-        (BivariatePoly({(2, 0): 3, (0, 0): -1}, bound),
-         BivariatePoly({(0, 2): 1, (1, 0): 2}, bound)),
+        (BivariatePoly.one(6), BivariatePoly.zero(6)),
+        (BivariatePoly({(1, 0): 1}, 6), BivariatePoly({(1, 1): 1}, 6)),
+        (BivariatePoly({(2, 0): 3, (0, 0): -1}, 6),
+         BivariatePoly({(0, 2): 1, (1, 0): 2}, 6)),
     ]
     der_bad = sum(
-        bool(check_derivation_identity(f, g, bound=6)["violations"])
+        bool(check_derivation_identity(f, g)["violations"])
         for f, g in derivation_specs)
     if der_bad:
         ok = False
@@ -554,20 +555,20 @@ def test_criterion_09_polynomial_dialgebra_suite():
     one, zero = BivariatePoly.one(bound), BivariatePoly.zero(bound)
     x, y = BivariatePoly.var_x(bound), BivariatePoly.var_y(bound)
     split_spec = KxyOperatorSpec("diderivation", f=one, g=zero)
-    split = check_dider_identity(one, zero, bound=6)
+    split = check_dider_identity(BivariatePoly.one(6), BivariatePoly.zero(6))
     first = split["violations"][0] if split["violations"] else None
     residual = (dashv(split_spec.apply(one), x) + vdash(one, split_spec.apply(x))
                 - split_spec.apply(dashv(one, x)))
     refuted = (first == {"product": "dashv", "pair": ((0, 0), (1, 0))}
                and dashv(one, x) == y and residual == one - zero)
     rng3 = random.Random("acceptance:dider")
-    same_pairs = [BivariatePoly({(1, 1): 1, (0, 0): 2}, bound)]
+    same_pairs = [BivariatePoly({(1, 1): 1, (0, 0): 2}, 6)]
     while len(same_pairs) < 4:
         w = BivariatePoly({(rng3.randint(0, 2), rng3.randint(0, 1)):
-                           F(rng3.randint(-3, 3)) for _ in range(3)}, bound)
+                           F(rng3.randint(-3, 3)) for _ in range(3)}, 6)
         if w:
             same_pairs.append(w)
-    joint_clean = all(not check_dider_identity(w, w, bound=6)["violations"]
+    joint_clean = all(not check_dider_identity(w, w)["violations"]
                       for w in same_pairs)
     if refuted and joint_clean:
         lines.append(

@@ -195,6 +195,12 @@ class TestPrintedLists:
     def test_dias3_9_and_dias3_11_print_one_list(self):
         assert get_entry("Dias3_9").printed == get_entry("Dias3_11").printed
 
+    def test_dias3_9_and_dias3_11_share_one_declaration(self):
+        # one declaration, so the two tables cannot drift apart
+        nine, eleven = get_entry("Dias3_9"), get_entry("Dias3_11")
+        assert nine.relations is eleven.relations
+        assert nine.printed is eleven.printed
+
     def test_dias3_17_prints_dias3_16_with_k_renamed_l(self):
         assert tuple(line.replace("k", "l") for line in get_entry("Dias3_16").printed) \
             == get_entry("Dias3_17").printed
@@ -408,6 +414,9 @@ class TestSolutionFamilies:
             case_family_vectors("B", params316(1, 1, 1, 1, 1))
         with pytest.raises(ValueError, match="m != 0"):
             case_family_vectors("C", params316(1, 0, -1, 1, 1))
+        with pytest.raises(ValueError) as exc:
+            case_family_vectors("E", params316(1, 1, 1, 1, 1))
+        assert str(exc.value) == "unknown case 'E' (expected B, C or D)"
 
 
 class TestSweep:

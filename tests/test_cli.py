@@ -1,5 +1,6 @@
 """Command-line interface: selectors, verdicts, exit codes, machine mode."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 from fractions import Fraction
 
-from diaskit import catalog, cli
+from diaskit import catalog, cli, kxy
 from diaskit.cli import MAX_BOUND, MAX_INPUT_BYTES, MAX_SAMPLES, main
 from diaskit.core import (
     MAX_DIM, MAX_RATIONAL_DIGITS, Dialgebra, phi_dialgebra, serialize_dialgebra,
@@ -108,6 +109,11 @@ class TestInputErrors:
         [line] = err.splitlines()
         assert line.startswith("error: bad parameter ")
         assert line.endswith(", empty name before '='")
+
+    def test_trailing_comma_is_accepted(self, capsys):
+        # an empty piece of the query is skipped, as a blank one is
+        assert run(capsys, "spaces", "catalog:Dias2_3?lam=1,")[:2] == \
+            (0, run(capsys, "spaces", "catalog:Dias2_3?lam=1")[1].replace("lam=1", "lam=1,"))
 
     def test_missing_parameter(self, capsys):
         code, _, err = run(capsys, "verify", "catalog:Dias2_3")
@@ -365,6 +371,83 @@ class TestReports:
         assert code == 2
         assert "at least 4" in err
 
+
+# Dialgebra files on which the induced bracket breaks the right Leibniz
+# identity only, or both identities.
+RIGHT_LEIBNIZ_BROKEN = """dialgebra v1
+dim 2
+dashv 2 1 -> 1:1
+"""
+BOTH_LEIBNIZ_BROKEN = """dialgebra v1
+dim 2
+vdash 1 1 -> 1:-1
+vdash 1 2 -> 2:-1
+dashv 1 1 -> 1:-1
+dashv 2 2 -> 2:-1
+"""
+
+
+def routes_disagree(real, p, h):
+    """``kxy.inner_dider_apply`` whose two routes disagree, except where
+    p = h, so that the report's closing Ad_x(x) line still prints."""
+    if p == h:
+        return real(p, h)
+    raise AssertionError("inner diderivation routes disagree")
+
+
+class TestFailVerdicts:
+    """Each command's fail verdict ends with exit status 1."""
+
+    @pytest.mark.parametrize("text, right, left, chirality", [
+        (RIGHT_LEIBNIZ_BROKEN, 1, 0, "left"),
+        (BOTH_LEIBNIZ_BROKEN, 2, 4, "neither"),
+    ])
+    def test_invariants_right_identity_violation(self, tmp_path, capsys, text, right, left,
+                                                 chirality):
+        path = tmp_path / "bracket.dlg"
+        path.write_text(text, encoding="utf-8")
+        code, out, _ = run(capsys, "invariants", str(path))
+        assert code == 1
+        assert f"  right identity violations: {right}\n" \
+            f"  left identity violations: {left}\n  chirality: {chirality}\n" in out
+        assert out.endswith("verdict: fail\n")
+
+    def test_catalog_failure_section(self, monkeypatch, capsys):
+        # Dias2_1 swapped for a table that breaks the axioms
+        broken = Dialgebra.from_relations(2, {("vdash", 1, 1): [(2, 1)], ("vdash", 2, 1): [(2, 1)]})
+        real = catalog.instantiate
+        monkeypatch.setattr(catalog, "instantiate",
+                            lambda name, params=None: broken if name == "Dias2_1"
+                            else real(name, params))
+        code, out, _ = run(capsys, "catalog", "Dias2_1", "--samples", "1")
+        assert code == 1
+        assert "\n[failures]\n  failure: Dias2_1: axiom violations\n\nverdict: fail\n" in out
+
+    @pytest.mark.parametrize("name, wrong, line", [
+        # -| with x and y swapped where the right factor is a nonconstant
+        # monomial.  The bar unit's products, by a constant or a binomial,
+        # stay right, so the halo's cross-check does not raise; the product
+        # table, keyed on the product, is built afresh and breaks the axioms.
+        ("dashv", lambda real, f, g: real(f, g).rename(1, 0)
+         if len(g.terms) == 1 and g.total_degree() > 0 else real(f, g),
+         "[axioms]\n  monomial triples: 210\n  violations: 160\n"),
+        # membership read off the constant term, which the halo's three
+        # differences 0, (y-x)xy and x-1 do not tell from the true test
+        ("ann_membership", lambda real, h: (0, 0) not in h.terms,
+         "membership matches divisibility (200 seeded): no"),
+        # the right verdict with a wrong quotient, 0
+        ("divides_x_minus_y", lambda real, h: (real(h)[0], h - h),
+         "membership matches divisibility (200 seeded): no"),
+        ("inner_dider_apply", lambda real, p, h: p * h, "image in annihilator: no"),
+        ("inner_dider_apply", routes_disagree,
+         "closed form equals operator route (40 seeded): no"),
+    ])
+    def test_kxy_fail(self, monkeypatch, capsys, name, wrong, line):
+        monkeypatch.setattr(kxy, name, functools.partial(wrong, getattr(kxy, name)))
+        code, out, _ = run(capsys, "kxy", "--bound", "4")
+        assert code == 1
+        assert line in out
+        assert out.endswith("verdict: fail\n")
 
 class TestCatalog:
     def test_filter_restricts_entries(self, capsys):

@@ -116,6 +116,18 @@ class TestConstruction:
                 tracemalloc.stop()
             assert peak < 2 ** 20
 
+    @pytest.mark.parametrize("product, cube, message", [
+        ("vdash", [[[0, 0], [0, 0]]], "vdash table has 1 rows, expected 2"),
+        ("dashv", [[[0, 0]], [[0, 0], [0, 0]]], "dashv table row 0 has wrong length"),
+        ("vdash", [[[0, 0], [0, 0]], [[0, 0], [0, 0, 0]]],
+         "vdash table entry (1,1) has wrong length"),
+    ])
+    def test_cube_shape_checked(self, product, cube, message):
+        cubes = {"vdash": [[[0, 0], [0, 0]]] * 2, "dashv": [[[0, 0], [0, 0]]] * 2, product: cube}
+        with pytest.raises(DialgebraError) as exc:
+            Dialgebra(2, cubes["vdash"], cubes["dashv"])
+        assert str(exc.value) == message
+
     def test_vector_length_checked(self):
         d = Dialgebra.from_relations(3, {})
         with pytest.raises(DialgebraError, match="length"):
@@ -318,9 +330,15 @@ class TestTextFormat:
         ("dialgebra v2\n", 1, "header"),
         ("dialgebra v1\n", 1, "missing 'dim"),
         ("dialgebra v1\ndim two\n", 2, "not an integer"),
+        ("dialgebra v1\ndim 2 3\n", 2, "expected 'dim <n>', got 'dim 2 3'"),
+        ("dialgebra v1\nsize 2\n", 2, "expected 'dim <n>', got 'size 2'"),
         ("dialgebra v1\ndim 0\n", 2, "outside supported range"),
         ("dialgebra v1\ndim 2\nvdash 1 1 2:1\n", 3, "missing '->'"),
         ("dialgebra v1\ndim 2\ntimes 1 1 -> 2:1\n", 3, "unknown product"),
+        ("dialgebra v1\ndim 2\nvdash 1 -> 2:1\n", 3,
+         "expected '<product> <i> <j> ->', got 'vdash 1 '"),
+        ("dialgebra v1\ndim 2\nvdash 1 1 1 -> 2:1\n", 3,
+         "expected '<product> <i> <j> ->', got 'vdash 1 1 1 '"),
         ("dialgebra v1\ndim 2\nvdash 1 x -> 2:1\n", 3, "integers"),
         ("dialgebra v1\ndim 2\nvdash 1 3 -> 2:1\n", 3, "out of range"),
         ("dialgebra v1\ndim 2\nvdash 1 1 ->\n", 3, "empty term list"),

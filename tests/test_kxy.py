@@ -198,9 +198,9 @@ class TestDerivationForm:
                 image((one, one), m, n)
 
     def test_identity_holds_for_valid_specs(self):
-        f = BivariatePoly({(1, 0): 2, (0, 0): -1}, B)
-        g = mono(1, 1, Fraction(1, 2))
-        report = check_derivation_identity(f, g, bound=6)
+        f = BivariatePoly({(1, 0): 2, (0, 0): -1}, 6)
+        g = BivariatePoly.monomial(1, 1, Fraction(1, 2), 6)
+        report = check_derivation_identity(f, g)
         assert report["violations"] == []
         assert report["pairs"] > 0
 
@@ -209,11 +209,24 @@ class TestDerivationForm:
             KxyOperatorSpec("derivation", f=mono(0, 1), g=mono(0, 0))
 
     def test_inner_derivations_take_this_form(self):
-        h = BivariatePoly({(2, 0): 1, (1, 0): -3}, B)
+        h = BivariatePoly({(2, 0): 1, (1, 0): -3}, 6)
         spec = inner_derivation_spec(h)
         assert spec.kind == "derivation"
-        report = check_derivation_identity(spec.f, spec.g, bound=6)
+        report = check_derivation_identity(spec.f, spec.g)
         assert report["violations"] == []
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: truncation(-1), "truncation degree must be nonnegative"),
+        (lambda: geometric_sum(-1, B), "m must be nonnegative"),
+        (lambda: KxyOperatorSpec("other", f=mono(0, 0), g=mono(0, 0)),
+         "unknown operator kind 'other'"),
+        (lambda: derivation_apply((mono(0, 1), mono(0, 0)), 1, 0),
+         "derivation spec requires univariate f(x)"),
+    ])
+    def test_bad_arguments_are_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_inner_derivation_spec_rejects_bivariate(self):
         with pytest.raises(ValueError):
@@ -222,15 +235,14 @@ class TestDerivationForm:
 
 class TestDiderivationForm:
     def test_single_generator_identity_clean(self):
-        w = BivariatePoly({(1, 0): 1, (0, 1): 1, (0, 0): -2}, B)
-        report = check_dider_identity(w, w, bound=6)
+        w = BivariatePoly({(1, 0): 1, (0, 1): 1, (0, 0): -2}, 6)
+        report = check_dider_identity(w, w)
         assert report["violations"] == []
 
     def test_two_generator_claim_fails(self):
         # f = 1, g = 0 is the smallest split pair; the pair (1, x) under
         # the left product already breaks the defining identity.
-        report = check_dider_identity(
-            BivariatePoly.one(B), BivariatePoly.zero(B), bound=5)
+        report = check_dider_identity(BivariatePoly.one(5), BivariatePoly.zero(5))
         assert report["violations"]
         assert {"product": "dashv", "pair": ((0, 0), (1, 0))} in \
             report["violations"]
@@ -679,29 +691,15 @@ class TestProductTable:
         report = check(BivariatePoly(f, 6), BivariatePoly(g, 6))
         assert (report["pairs"], report["violations"]) == (pairs, expected)
 
-    @pytest.mark.parametrize("check, f, g", [
-        (check_derivation_identity, {(1, 0): 1}, {(1, 1): 1}),
-        (check_derivation_identity, {(0, 0): 1}, {}),
-        (check_dider_identity, {(1, 1): 1, (0, 0): 2}, {(1, 1): 1, (0, 0): 2}),
-        (check_dider_identity, {(0, 0): 1}, {}),
-    ])
-    @pytest.mark.parametrize("bound", [8, 10])
-    def test_bound_above_the_polynomials_bound_raises(self, check, f, g, bound):
-        # the product table covers the requested bound; the images of the
-        # polynomials of bound 6 do not
-        with pytest.raises(DegreeBoundError, match="with bound 6"):
-            check(BivariatePoly(f, 6), BivariatePoly(g, 6), bound=bound)
-
     @pytest.mark.parametrize("check, f, g, bound, growth", [
         (check_derivation_identity, {(1, 0): 1}, {(2, 1): 1}, 3, 4),
-        (check_dider_identity, {(2, 1): 1}, {(2, 1): 1}, 1, 2),
     ])
     def test_growth_past_the_bound_raises(self, monkeypatch, check, f, g, bound, growth):
         # no pair is in range, and a sweep of no pairs would pass silently;
         # the check raises before it builds a product table
         monkeypatch.setattr(kxy, "_build_product_table", None)
         with pytest.raises(DegreeBoundError, match=f"by {growth}, above the bound {bound}"):
-            check(BivariatePoly(f, B), BivariatePoly(g, B), bound=bound)
+            check(BivariatePoly(f, bound), BivariatePoly(g, bound))
 
     def test_product_of_two_terms_raises(self, monkeypatch):
         monkeypatch.setattr(kxy, "dashv", lambda f, g: f * g.rename(1, 1) + BivariatePoly.var_x(B))

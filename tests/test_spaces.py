@@ -77,6 +77,9 @@ class TestKnownSpaces:
         space = diderivation_space(instantiate("Dias2_1"))
         assert space.dim == 1
         assert subspace_matrices(space, 2) == [Matrix([[0, 0], [1, 0]])]
+        with pytest.raises(ValueError) as exc:
+            subspace_matrices(space, 3)
+        assert str(exc.value) == "subspace is not a space of n-by-n operators"
 
     def test_two_dim_zero_space(self):
         assert diderivation_space(instantiate("Dias2_4")).dim == 0
