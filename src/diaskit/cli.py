@@ -476,8 +476,13 @@ def cmd_kxy(bound: int) -> Report:
         if rep["violations"]:
             report.worsen(verdict)
 
-    axioms = kxy.check_axioms_truncated(bound)
     asec = report.section("axioms")
+    try:
+        axioms = kxy.check_axioms_truncated(bound)
+    except AssertionError:
+        # every later sweep reads the product table that could not be built
+        report.check(asec, "products of monomials are monomials of coefficient 1", False)
+        return report
     asec.add("monomial triples", axioms["triples"])
     asec.add("violations", len(axioms["violations"]))
     if axioms["violations"]:
@@ -497,15 +502,19 @@ def cmd_kxy(bound: int) -> Report:
         div, quot = kxy.divides_x_minus_y(h)
         if div != kxy.ann_membership(h):
             agree = False
-        if div and quot is not None and quot * x_minus_y != h:
+        # a quotient of degree bound is wrong, and times x - y passes the bound
+        if div and quot is not None and (quot.total_degree() >= bound or quot * x_minus_y != h):
             agree = False
     msec = report.section("annihilator and halo")
     msec.add("x - y in annihilator", kxy.ann_membership(x_minus_y))
     msec.add("x in annihilator", kxy.ann_membership(x))
     report.check(msec, "membership matches divisibility (200 seeded)", agree)
-    msec.add("1 in halo", kxy.halo_membership(one))
-    msec.add("1 + (y-x)xy in halo", kxy.halo_membership(one + (y - x) * xy))
-    msec.add("x in halo", kxy.halo_membership(x))
+    for label, h in [("1 in halo", one), ("1 + (y-x)xy in halo", one + (y - x) * xy),
+                     ("x in halo", x)]:
+        try:
+            msec.add(label, kxy.halo_membership(h))
+        except AssertionError:
+            report.check(msec, f"{label}, routes agree", False)
 
     dsec = report.section("derivation closed form")
     for label, f, g in [
@@ -529,14 +538,11 @@ def cmd_kxy(bound: int) -> Report:
         ssec.add("first violation",
                  f"product {first['product']}, pair {first['pair']}")
 
+    spec = kxy.KxyOperatorSpec("dider", f=same, g=same)
     max_m = bound - same.total_degree() + 1
-    telescope = all(
-        kxy.diderivation_apply((same, same), m, 0) ==
-        same * kxy.geometric_sum(m, bound)
-        for m in range(max_m + 1)
-    )
+    telescope = all(spec.apply_monomial(m, 0) == same * kxy.geometric_sum(m, bound)
+                    for m in range(max_m + 1))
     report.check(ssec, f"delta(x^m) telescoping (m <= {max_m})", telescope)
-    spec = kxy.KxyOperatorSpec("diderivation", f=same, g=same)
     halo_killed = all(
         not spec.apply(one + x_minus_y * q)
         for q in (one, xy, P({(2, 0): 1, (0, 1): -3}, bound))
@@ -551,8 +557,9 @@ def cmd_kxy(bound: int) -> Report:
     isec = report.section("inner diderivations")
     routes_ok = True
     image_ok = True
-    for _ in range(40):
-        p_, h_ = small_poly(), small_poly()
+    # Ad_x(x) last, its routes checked with the seeded pairs': when every
+    # pair's routes agree, ``out`` is its image
+    for p_, h_ in [(small_poly(), small_poly()) for _ in range(40)] + [(x, x)]:
         try:
             out = kxy.inner_dider_apply(p_, h_)
         except AssertionError:
@@ -564,7 +571,8 @@ def cmd_kxy(bound: int) -> Report:
             image_ok = False
     report.check(isec, "closed form equals operator route (40 seeded)", routes_ok)
     report.check(isec, "image in annihilator", image_ok)
-    isec.add("Ad_x(x)", kxy.format_poly(kxy.inner_dider_apply(x, x)))
+    if routes_ok:
+        isec.add("Ad_x(x)", kxy.format_poly(out))
 
     fsec = report.section("inner derivation forward check")
     for label, h in [("h=x", x), ("h=x^2-x", P({(2, 0): 1, (1, 0): -1}, bound))]:

@@ -18,9 +18,11 @@ the two-generator diderivation form built from geometric sums, and the
 inner diderivation h |-> p * (h(x,x) - h(y,y)).  Geometric sums are always
 assembled term by term, never via division by (x-y); the one place a
 division appears (the annihilator divisibility oracle) is an independent
-synthetic-division cross-check, not a computational shortcut.  The
-derivation and diderivation forms write each image out term by term in
-one dict and build one polynomial from it.  Each summand's degree is
+synthetic-division cross-check, not a computational shortcut.  A closed
+form is one ``KxyOperatorSpec``: its kind is the ``core.RULES`` key of
+its rule, ``"der"`` or ``"dider"``, and its ``apply_monomial`` is the one
+way to its images.  Each image is written out term by term in one dict
+and built as one polynomial from it.  Each summand's degree is
 checked against the bound before any term is added, so an image raises
 ``DegreeBoundError`` where a product of the summand's factors would, even
 when the sum cancels the terms past the bound.
@@ -38,11 +40,11 @@ it was built with, so the sweeps of one bound share it and a replaced
 product never reads a stale one.  The axiom sweep reads every product of
 a triple from it by list indexing.  The derivation and diderivation
 identities are checked by one bounded sweep over monomial pairs that
-reads the rule's products from ``core.RULES``.  Its bound is the smaller
-bound of the operator's two polynomials, the one its images take.  It
-computes the operator image of each monomial once, keys it by monomial
-number and scales every image by one common denominator, so that the
-pair loop adds only ints.
+reads the products of the spec's kind from ``core.RULES``.  Its bound
+is the smaller bound of the spec's two polynomials, the one its images
+take.  It computes the operator image of each monomial once, keys it by
+monomial number and scales every image by one common denominator, so
+that the pair loop adds only ints.
 It reads ``u * v`` from the table, forms each distinct right side by
 bilinearity in one dict, reading ``t o1 v`` from a transposed copy of
 the table, and compares coefficients.  The same table gives the
@@ -144,11 +146,6 @@ def _exponents_up_to(total: int) -> list[Exponents]:
     """Exponent pairs of total degree at most ``total``, lexicographic, so
     the list for a smaller total keeps the order of this one."""
     return [(a, b) for a in range(total + 1) for b in range(total + 1 - a)]
-
-
-def _monomials_up_to(total: int, bound: int) -> list[BivariatePoly]:
-    return [BivariatePoly.monomial(a, b, 1, bound)
-            for a, b in _exponents_up_to(total)]
 
 
 def _exponent(p: BivariatePoly) -> Exponents:
@@ -306,7 +303,8 @@ def halo_membership(h: BivariatePoly) -> bool:
     primary = ann_membership(h - BivariatePoly.one(h.bound))
     direct = True
     room = h.bound - max(h.total_degree(), 0)
-    for m in _monomials_up_to(max(room, 0), h.bound):
+    for a, b in _exponents_up_to(max(room, 0)):
+        m = BivariatePoly.monomial(a, b, 1, h.bound)
         if vdash(h, m) != m or dashv(m, h) != m:
             direct = False
             break
@@ -328,26 +326,27 @@ class _SpecFields(NamedTuple):
 
 
 class KxyOperatorSpec(_SpecFields):
-    """A closed-form operator on the truncated polynomial dialgebra.
+    """A closed-form operator on the truncated polynomial dialgebra, and
+    the one way to its images: ``apply_monomial`` and ``apply``.
 
-    kind:
-      * ``derivation``: data (f, g) with f univariate in x
-      * ``diderivation``: data (f, g) = images of x and y
+    kind, a key of ``core.RULES``:
+      * ``"der"``: the derivation form, data (f, g) with f univariate in x
+      * ``"dider"``: the two-generator diderivation form, data (f, g) =
+        images of x and y
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, f: BivariatePoly, g: BivariatePoly):
-        if kind not in ("derivation", "diderivation"):
+        if kind not in RULES:
             raise ValueError(f"unknown operator kind {kind!r}")
-        if kind == "derivation" and f.degree(1) > 0:
+        if kind == "der" and f.degree(1) > 0:
             raise ValueError("derivation spec requires univariate f(x)")
         return _SpecFields.__new__(cls, kind, f, g)
 
     def apply_monomial(self, m: int, n: int) -> BivariatePoly:
-        if self.kind == "derivation":
-            return derivation_apply((self.f, self.g), m, n)
-        return diderivation_apply((self.f, self.g), m, n)
+        image = _der_image if self.kind == "der" else _dider_image
+        return image(self.f, self.g, m, n)
 
     def apply(self, h: BivariatePoly) -> BivariatePoly:
         out: dict[Exponents, int | Fraction] = {}
@@ -385,17 +384,14 @@ def _check_image(m: int, n: int, reach: int, bound: int) -> None:
             f"reaches degree {reach} with bound {bound}")
 
 
-def derivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
-                     n: int) -> BivariatePoly:
+def _der_image(f: BivariatePoly, g: BivariatePoly, m: int, n: int) -> BivariatePoly:
     """Image of x^m y^n under the closed derivation form for (f, g).
 
     d(x^m y^n) = m x^(m-1) y^n f(x) + x^m y^n (x-y) g + n x^m y^(n-1) f(y)
-    with f univariate in x; f(y) is f with the variable renamed.  The
-    summands are written out term by term into one dict.
+    with f univariate in x, which ``KxyOperatorSpec`` checks; f(y) is f
+    with the variable renamed.  The summands are written out term by term
+    into one dict.
     """
-    f, g = spec
-    if f.degree(1) > 0:
-        raise ValueError("derivation spec requires univariate f(x)")
     bound = min(f.bound, g.bound)
     # with g = 0 the middle summand vanishes even where x^m y^n (x-y) alone
     # would pass the bound
@@ -421,15 +417,13 @@ def derivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
     return f._clean(out, g)
 
 
-def diderivation_apply(spec: tuple[BivariatePoly, BivariatePoly], m: int,
-                       n: int) -> BivariatePoly:
+def _dider_image(f: BivariatePoly, g: BivariatePoly, m: int, n: int) -> BivariatePoly:
     """Image of x^m y^n under the two-generator diderivation form.
 
     delta(x^m y^n) = f * y^n * S_m + g * x^m * S_n where S_m is the
     geometric sum with m terms, f = delta(x) and g = delta(y).  The
     summands are written out term by term into one dict.
     """
-    f, g = spec
     bound = min(f.bound, g.bound)
     _check_image(m, n, max(f.total_degree() + m + n - 1 if m > 0 and f else -1,
                            g.total_degree() + m + n - 1 if n > 0 and g else -1), bound)
@@ -475,20 +469,21 @@ def inner_derivation_spec(h: BivariatePoly) -> KxyOperatorSpec:
     for (a, _b), c in h.terms.items():
         # h(y) - h(x) = -sum c_a (x^a - y^a) = -(x-y) * sum c_a S_a
         g = g - geometric_sum(a, h.bound) * c
-    return KxyOperatorSpec("derivation", f=BivariatePoly.zero(h.bound), g=g)
+    return KxyOperatorSpec("der", f=BivariatePoly.zero(h.bound), g=g)
 
 
 # ---------------------------------------------------------------------------
 # Identity sweeps
 
 
-def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -> dict:
+def _identity_sweep(spec: KxyOperatorSpec, growth: int) -> dict:
     """Compare ``spec(u * v)`` with ``spec(u) o1 v + u o2 spec(v)`` for each
-    ``(*, o1, o2)`` of ``core.RULES[rule]`` on monomial pairs.
+    ``(*, o1, o2)`` of ``core.RULES[spec.kind]`` on monomial pairs.
 
-    Pairs are restricted so that every term of both sides stays within the
-    bound, given that ``spec`` raises degrees by at most ``growth``; the
-    sweep is exact on that set.  Both products of two monomials are
+    The bound is the smaller bound of the spec's two polynomials, the one
+    its images take.  Pairs are restricted so that every term of both
+    sides stays within it, given that ``spec`` raises degrees by at most
+    ``growth``; the sweep is exact on that set.  Both products of two monomials are
     monomials of no larger degree, so every image the sweep compares is
     that of one monomial of degree at most ``bound - growth``; each is
     computed once per call and keyed by monomial number.  Both sides are
@@ -506,6 +501,7 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
     raises degree past the bound leaves no pair to compare, so it raises
     ``DegreeBoundError``.
     """
+    bound = min(spec.f.bound, spec.g.bound)
     limit = bound - growth
     if limit < 0:
         raise DegreeBoundError(
@@ -525,7 +521,7 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
     # side; o1 transposed, so that column v of it is one row
     tables = {"dashv": dv, "vdash": vd}
     by_side: dict[tuple[str, str], list[tuple[str, tuple[Row, ...]]]] = {}
-    for product, o1, o2 in RULES[rule]:
+    for product, o1, o2 in RULES[spec.kind]:
         by_side.setdefault((o1, o2), []).append((product, tables[product]))
     groups = [(tuple(zip(*tables[o1])), tables[o2], checks)
               for (o1, o2), checks in by_side.items()]
@@ -564,9 +560,8 @@ def _identity_sweep(spec: KxyOperatorSpec, growth: int, bound: int, rule: str) -
 def check_derivation_identity(f: BivariatePoly, g: BivariatePoly) -> dict:
     """Check d(a*b) = d(a)*b + a*d(b) for both products on monomial pairs,
     up to the polynomials' bound."""
-    return _identity_sweep(
-        KxyOperatorSpec("derivation", f=f, g=g),
-        max(f.total_degree() - 1, g.total_degree() + 1, 0), min(f.bound, g.bound), "der")
+    return _identity_sweep(KxyOperatorSpec("der", f=f, g=g),
+                           max(f.total_degree() - 1, g.total_degree() + 1, 0))
 
 
 def check_dider_identity(f: BivariatePoly, g: BivariatePoly) -> dict:
@@ -578,9 +573,8 @@ def check_dider_identity(f: BivariatePoly, g: BivariatePoly) -> dict:
     pairs whose product vanishes as well, where the identity is a genuine
     constraint.
     """
-    return _identity_sweep(
-        KxyOperatorSpec("diderivation", f=f, g=g),
-        max(f.total_degree(), g.total_degree(), 1) - 1, min(f.bound, g.bound), "dider")
+    return _identity_sweep(KxyOperatorSpec("dider", f=f, g=g),
+                           max(f.total_degree(), g.total_degree(), 1) - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -554,7 +554,7 @@ def test_criterion_09_polynomial_dialgebra_suite():
 
     one, zero = BivariatePoly.one(bound), BivariatePoly.zero(bound)
     x, y = BivariatePoly.var_x(bound), BivariatePoly.var_y(bound)
-    split_spec = KxyOperatorSpec("diderivation", f=one, g=zero)
+    split_spec = KxyOperatorSpec("dider", f=one, g=zero)
     split = check_dider_identity(BivariatePoly.one(6), BivariatePoly.zero(6))
     first = split["violations"][0] if split["violations"] else None
     residual = (dashv(split_spec.apply(one), x) + vdash(one, split_spec.apply(x))

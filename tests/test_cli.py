@@ -388,10 +388,8 @@ dashv 2 2 -> 2:-1
 
 
 def routes_disagree(real, p, h):
-    """``kxy.inner_dider_apply`` whose two routes disagree, except where
-    p = h, so that the report's closing Ad_x(x) line still prints."""
-    if p == h:
-        return real(p, h)
+    """``kxy.inner_dider_apply`` whose two routes disagree on every pair,
+    the report's closing Ad_x(x) included."""
     raise AssertionError("inner diderivation routes disagree")
 
 
@@ -431,16 +429,32 @@ class TestFailVerdicts:
         ("dashv", lambda real, f, g: real(f, g).rename(1, 0)
          if len(g.terms) == 1 and g.total_degree() > 0 else real(f, g),
          "[axioms]\n  monomial triples: 210\n  violations: 160\n"),
+        # twice the true product where the right factor has degree 2: the
+        # product table cannot be built, and every later sweep reads it
+        ("dashv", lambda real, f, g: real(f, g) * 2 if g.total_degree() == 2 else real(f, g),
+         "[axioms]\n  products of monomials are monomials of coefficient 1: no\n\n"
+         "verdict: fail\n"),
         # membership read off the constant term, which the halo's three
         # differences 0, (y-x)xy and x-1 do not tell from the true test
         ("ann_membership", lambda real, h: (0, 0) not in h.terms,
          "membership matches divisibility (200 seeded): no"),
+        # nothing a member: the halo's two routes disagree on 1 and on
+        # 1 + (y-x)xy, and agree on x
+        ("ann_membership", lambda real, h: False,
+         "  1 in halo, routes agree: no\n  1 + (y-x)xy in halo, routes agree: no\n"
+         "  x in halo: no\n"),
         # the right verdict with a wrong quotient, 0
         ("divides_x_minus_y", lambda real, h: (real(h)[0], h - h),
          "membership matches divisibility (200 seeded): no"),
+        # every h divisible, with quotient h: times x - y, an h of degree
+        # 4 passes the bound
+        ("divides_x_minus_y", lambda real, h: (True, h),
+         "membership matches divisibility (200 seeded): no"),
         ("inner_dider_apply", lambda real, p, h: p * h, "image in annihilator: no"),
+        # Ad_x(x) as well, so its line is left out
         ("inner_dider_apply", routes_disagree,
-         "closed form equals operator route (40 seeded): no"),
+         "  closed form equals operator route (40 seeded): no\n"
+         "  image in annihilator: yes\n\n"),
     ])
     def test_kxy_fail(self, monkeypatch, capsys, name, wrong, line):
         monkeypatch.setattr(kxy, name, functools.partial(wrong, getattr(kxy, name)))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diaskit import cli, kxy
-from diaskit.core import DialgebraError
+from diaskit.core import RULES, DialgebraError
 from diaskit.kxy import (
     BivariatePoly,
     DegreeBoundError,
@@ -22,8 +22,6 @@ from diaskit.kxy import (
     check_derivation_identity,
     check_dider_identity,
     dashv,
-    derivation_apply,
-    diderivation_apply,
     divides_x_minus_y,
     format_poly,
     geometric_sum,
@@ -182,20 +180,20 @@ class TestDerivationForm:
 
     def test_closed_form_samples(self):
         one, zero = BivariatePoly.one(B), BivariatePoly.zero(B)
-        assert derivation_apply((one, zero), 1, 0) == one
-        assert derivation_apply((one, zero), 0, 1) == one
+        assert KxyOperatorSpec("der", one, zero).apply_monomial(1, 0) == one
+        assert KxyOperatorSpec("der", one, zero).apply_monomial(0, 1) == one
         # pure multiplier part: d(x^2) gains the (x - y) g correction
         g = BivariatePoly.one(B)
-        out = derivation_apply((zero, g), 2, 0)
+        out = KxyOperatorSpec("der", zero, g).apply_monomial(2, 0)
         x_minus_y = BivariatePoly.var_x(B) - BivariatePoly.var_y(B)
         assert out == mono(2, 0) * x_minus_y * g
 
-    @pytest.mark.parametrize("image", [derivation_apply, diderivation_apply])
-    def test_negative_exponents_are_rejected(self, image):
+    @pytest.mark.parametrize("kind", sorted(RULES))
+    def test_negative_exponents_are_rejected(self, kind):
         one = BivariatePoly.one(B)
         for m, n in ((-1, 0), (0, -1)):
             with pytest.raises(ValueError, match="no monomial"):
-                image((one, one), m, n)
+                KxyOperatorSpec(kind, one, one).apply_monomial(m, n)
 
     def test_identity_holds_for_valid_specs(self):
         f = BivariatePoly({(1, 0): 2, (0, 0): -1}, 6)
@@ -206,12 +204,12 @@ class TestDerivationForm:
 
     def test_derivation_spec_requires_univariate_f(self):
         with pytest.raises(ValueError, match="univariate"):
-            KxyOperatorSpec("derivation", f=mono(0, 1), g=mono(0, 0))
+            KxyOperatorSpec("der", f=mono(0, 1), g=mono(0, 0))
 
     def test_inner_derivations_take_this_form(self):
         h = BivariatePoly({(2, 0): 1, (1, 0): -3}, 6)
         spec = inner_derivation_spec(h)
-        assert spec.kind == "derivation"
+        assert spec.kind == "der"
         report = check_derivation_identity(spec.f, spec.g)
         assert report["violations"] == []
 
@@ -220,13 +218,21 @@ class TestDerivationForm:
         (lambda: geometric_sum(-1, B), "m must be nonnegative"),
         (lambda: KxyOperatorSpec("other", f=mono(0, 0), g=mono(0, 0)),
          "unknown operator kind 'other'"),
-        (lambda: derivation_apply((mono(0, 1), mono(0, 0)), 1, 0),
-         "derivation spec requires univariate f(x)"),
     ])
     def test_bad_arguments_are_rejected(self, call, message):
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("kind", ["der", "dider", "derivation", "diderivation", "inn"])
+    def test_kinds_are_the_rule_names(self, kind):
+        # a spec's kind is the core.RULES key of its rule, and nothing else
+        one = BivariatePoly.one(B)
+        if kind in RULES:
+            assert KxyOperatorSpec(kind, one, one).kind == kind
+        else:
+            with pytest.raises(ValueError, match=f"^unknown operator kind '{kind}'$"):
+                KxyOperatorSpec(kind, one, one)
 
     def test_inner_derivation_spec_rejects_bivariate(self):
         with pytest.raises(ValueError):
@@ -250,26 +256,27 @@ class TestDiderivationForm:
     def test_split_pair_counterexample_by_hand(self):
         one, zero = BivariatePoly.one(B), BivariatePoly.zero(B)
         u, v = mono(0, 0), mono(1, 0)
-        lhs = diderivation_apply((one, zero), 0, 1)    # image of u -| v = y
-        du = diderivation_apply((one, zero), 0, 0)
-        dv = diderivation_apply((one, zero), 1, 0)
+        spec = KxyOperatorSpec("dider", one, zero)
+        lhs = spec.apply_monomial(0, 1)    # image of u -| v = y
+        du = spec.apply_monomial(0, 0)
+        dv = spec.apply_monomial(1, 0)
         rhs = dashv(du, v) + vdash(u, dv)
         assert lhs != rhs
 
     def test_monomial_image_telescopes(self):
         w = BivariatePoly({(0, 1): 1, (0, 0): 1}, B)
+        spec = KxyOperatorSpec("dider", w, w)
         for m in range(1, 6):
-            assert diderivation_apply((w, w), m, 0) == \
-                w * geometric_sum(m, B)
+            assert spec.apply_monomial(m, 0) == w * geometric_sum(m, B)
 
     def test_kills_halo_members(self):
         w = mono(1, 0) + mono(0, 1)
-        spec = KxyOperatorSpec("diderivation", f=w, g=w)
+        spec = KxyOperatorSpec("dider", f=w, g=w)
         x_minus_y = BivariatePoly.var_x(B) - BivariatePoly.var_y(B)
         member = BivariatePoly.one(B) + x_minus_y * mono(1, 1)
         assert not spec.apply(member)
 
-    @pytest.mark.parametrize("kind", ["derivation", "diderivation"])
+    @pytest.mark.parametrize("kind", sorted(RULES))
     def test_apply_takes_the_smallest_bound(self, kind):
         spec = KxyOperatorSpec(kind, f=BivariatePoly.one(6), g=BivariatePoly.one(7))
         # the zero polynomial as well as any other argument
@@ -281,7 +288,7 @@ class TestDiderivationForm:
 def composed_derivation_apply(spec, m, n):
     """The derivation image of x^m y^n composed from ``BivariatePoly``
     products, each summand formed, checked against the bound and added on
-    its own: the reference for ``kxy.derivation_apply``."""
+    its own: the reference for the images of ``KxyOperatorSpec("der", f, g)``."""
     f, g = spec
     bound = min(f.bound, g.bound)
     out = BivariatePoly.zero(bound)
@@ -296,8 +303,8 @@ def composed_derivation_apply(spec, m, n):
 
 def composed_diderivation_apply(spec, m, n):
     """The diderivation image of x^m y^n composed from ``BivariatePoly``
-    products, as ``composed_derivation_apply``: the reference for
-    ``kxy.diderivation_apply``."""
+    products, as ``composed_derivation_apply``: the reference for the
+    images of ``KxyOperatorSpec("dider", f, g)``."""
     f, g = spec
     bound = min(f.bound, g.bound)
     out = BivariatePoly.zero(bound)
@@ -308,17 +315,16 @@ def composed_diderivation_apply(spec, m, n):
     return out
 
 
-IMAGES = {"derivation": (derivation_apply, composed_derivation_apply),
-          "diderivation": (diderivation_apply, composed_diderivation_apply)}
+COMPOSED = {"der": composed_derivation_apply, "dider": composed_diderivation_apply}
 
 
 @st.composite
 def closed_form_cases(draw):
     """(kind, f, g, m, n): f and g of bounds 3 to 8, f univariate for a
     derivation, and m, n up to one past the smaller bound."""
-    kind = draw(st.sampled_from(sorted(IMAGES)))
+    kind = draw(st.sampled_from(sorted(COMPOSED)))
     spec = []
-    for univariate in (kind == "derivation", False):
+    for univariate in (kind == "der", False):
         bound = draw(st.integers(3, 8))
         if univariate:
             exps = st.integers(0, bound).map(lambda a: (a, 0))
@@ -340,22 +346,22 @@ class TestClosedFormsAgainstComposedProducts:
     @given(closed_form_cases())
     @settings(max_examples=300)
     # f y S_1 + g x S_1 = x^7 y - x^7 y: the sum is 0, the summands pass bound 7
-    @example(("diderivation", BivariatePoly({(7, 0): 1}, 7),
+    @example(("dider", BivariatePoly({(7, 0): 1}, 7),
               BivariatePoly({(6, 1): -1}, 7), 1, 1))
     # f = g = 0, yet the factor m x^(m-1) y^n alone passes the bound
-    @example(("derivation", BivariatePoly.zero(8), BivariatePoly.zero(8), 9, 1))
+    @example(("der", BivariatePoly.zero(8), BivariatePoly.zero(8), 9, 1))
     def test_images_equal_the_composed_formula(self, case):
         kind, f, g, m, n = case
-        single, composed = IMAGES[kind]
+        spec = KxyOperatorSpec(kind, f, g)
         try:
-            expected = composed((f, g), m, n)
+            expected = COMPOSED[kind]((f, g), m, n)
         except DegreeBoundError:
             bound = min(f.bound, g.bound)
             with pytest.raises(DegreeBoundError,
                                match=f"^degree bound exceeded: .* with bound {bound}$"):
-                single((f, g), m, n)
+                spec.apply_monomial(m, n)
             return
-        image = single((f, g), m, n)
+        image = spec.apply_monomial(m, n)
         assert type(image) is BivariatePoly and image.bound == expected.bound
         assert {e: (c, type(c)) for e, c in image.terms.items()} == \
             {e: (c, type(c)) for e, c in expected.terms.items()}
@@ -623,9 +629,9 @@ class TestAgainstOracle:
 
     def test_monomial_images(self):
         for spec_kind, specs, image in (
-                ("derivation", KXY_DERIVATIONS + FRACTIONAL_DERIVATIONS,
+                ("der", KXY_DERIVATIONS + FRACTIONAL_DERIVATIONS,
                  oracle.derivation_image),
-                ("diderivation", KXY_DIDERIVATIONS + FRACTIONAL_DIDERIVATIONS,
+                ("dider", KXY_DIDERIVATIONS + FRACTIONAL_DIDERIVATIONS,
                  oracle.diderivation_image)):
             for f, g in specs:
                 spec = KxyOperatorSpec(spec_kind, f=BivariatePoly(f, 12),
@@ -756,7 +762,7 @@ class TestTruncation:
         ({(1, 0): 1}, {(1, 1): 1}),    # f=x, g=xy of the kxy report
     ])
     def test_derivation_forms_lie_in_der(self, f, g):
-        spec = KxyOperatorSpec("derivation", f=BivariatePoly(f, 9), g=BivariatePoly(g, 9))
+        spec = KxyOperatorSpec("der", f=BivariatePoly(f, 9), g=BivariatePoly(g, 9))
         assert derivation_space(truncation(5)).contains(truncated_operator(spec, 5).flatten())
         assert check_derivation_identity(spec.f, spec.g)["violations"] == []
 
@@ -767,7 +773,7 @@ class TestTruncation:
         ({(0, 1): 1}, {(1, 0): 1}, False),
     ])
     def test_diderivation_forms_against_dider(self, f, g, member):
-        spec = KxyOperatorSpec("diderivation", f=BivariatePoly(f, 9), g=BivariatePoly(g, 9))
+        spec = KxyOperatorSpec("dider", f=BivariatePoly(f, 9), g=BivariatePoly(g, 9))
         assert diderivation_space(truncation(5)).contains(
             truncated_operator(spec, 5).flatten()) is member
         assert (check_dider_identity(spec.f, spec.g)["violations"] == []) is member
