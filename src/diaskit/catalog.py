@@ -29,8 +29,9 @@ hand-picked sample points.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
 
 from . import poly, spaces
 from .entries import (DIAS3_16_PARAMS, ENTRY_NAMES, CatalogEntry, Params,
@@ -115,7 +116,7 @@ def delta2(k: Fraction, m: Fraction, n: Fraction, p: Fraction,
     return (k + n) * (p + 1) - m * q
 
 
-class Dias316Branch(NamedTuple):
+class Dias316Branch(namedtuple("Dias316Branch", "index conditions dim_text samples")):
     """One printed row of the case table; ``branch_for_params`` resolves
     which row a parameter point falls in.
 
@@ -127,10 +128,7 @@ class Dias316Branch(NamedTuple):
     n+k = 0).  Row 13's conditions pin a single parameter point.
     """
 
-    index: int
-    conditions: str
-    dim_text: str
-    samples: tuple[tuple[int | Fraction, ...], ...]
+    __slots__ = ()
 
 
 BRANCHES: tuple[Dias316Branch, ...] = (

@@ -18,8 +18,9 @@ and ``kxy`` (with ``poly``) in ``kxy``.
 No module builds classes with ``dataclasses``, and ``json`` loads only
 for ``--machine``.  Where bytecode is not written, every start compiles
 each loaded module again, so what a command loads is most of its start-up.
-A call builds the argument parser of its own subcommand only; help, no
-arguments or an unknown command build all six, and nothing is kept
+A call that names its subcommand builds that subcommand's parser alone
+and parses the rest of its arguments with it; help, no arguments or an
+unknown command build the full parser with all six, and nothing is kept
 between calls.
 
 INPUT is either a path to a structure-constants file (format written by
@@ -48,8 +49,8 @@ import os
 import random
 import re
 import sys
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .core import Dialgebra, DialgebraError, parse_dialgebra, parse_rational
 from .ratlin import Row
@@ -620,32 +621,42 @@ _COMMANDS = {
 }
 
 
+def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the arguments of subcommand ``name`` and its defaults
+    ``command`` and ``run``."""
+    _, arguments, run = _COMMANDS[name]
+    for args, kwargs in arguments:
+        parser.add_argument(*args, **kwargs)
+    parser.add_argument("--machine", action="store_true",
+                        help="emit one JSON document instead of text")
+    parser.set_defaults(command=name, run=run)
+    return parser
+
+
 def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The parser for ``argv``.  It holds only the subcommand ``argv[0]``
-    names, the one that parses it; when ``argv[0]`` names none (no
-    arguments, ``--help``, an unknown name, an option first) it holds all
-    six, so the help and the invalid-choice error list them all."""
+    """The parser of ``argv``.  When ``argv[0]`` names a subcommand it is
+    that subcommand's own parser, the one the full parser hands the rest of
+    ``argv`` to, and it parses ``argv[1:]``.  Otherwise (no arguments,
+    ``--help``, an unknown name, an option first) it is the full parser,
+    which holds all six, so the help and the invalid-choice error list them
+    all, and it parses ``argv``."""
+    if argv and argv[0] in _COMMANDS:
+        return _fill(_Parser(prog=f"diaskit {argv[0]}"), argv[0])
     parser = _Parser(
         prog="diaskit",
         description="exact workbench for finite-dimensional dialgebras")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = argv[:1] if argv and argv[0] in _COMMANDS else _COMMANDS
-    for name in names:
-        help_text, arguments, run = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for args, kwargs in arguments:
-            p.add_argument(*args, **kwargs)
-        p.set_defaults(run=run)
-        p.add_argument("--machine", action="store_true",
-                       help="emit one JSON document instead of text")
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _fill(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    named = bool(argv) and argv[0] in _COMMANDS
     try:
-        args = build_parser(argv).parse_args(argv)
+        args = build_parser(argv).parse_args(argv[1:] if named else argv)
         report = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

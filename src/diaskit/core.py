@@ -36,8 +36,8 @@ and ``verify_axioms()``, empty exactly for a dialgebra, the axiom check.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
 
 # The text grammar of a rational, ``parse_rational`` and its digit cap
 # ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;

@@ -28,8 +28,9 @@ loads no solver.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
-from typing import Mapping, NamedTuple
 
 from .core import Dialgebra, DialgebraError
 from .ratlin import frac
@@ -65,16 +66,13 @@ def _rel(*items: tuple[str, int, int, object]) -> Relations:
 # Entry records
 
 
-class CatalogEntry(NamedTuple):
+class CatalogEntry(namedtuple("CatalogEntry",
+                              "name dim param_names relations printed note",
+                              defaults=("",))):
     """One printed class: its relation table, whose coefficients name the
     entry's ``param_names`` where the printed list has a parameter."""
 
-    name: str
-    dim: int
-    param_names: tuple[str, ...]
-    relations: Relations
-    printed: tuple[str, ...]
-    note: str = ""
+    __slots__ = ()
 
 
 def _both(*items: tuple[int, int, object]) -> list[tuple[str, int, int, object]]:

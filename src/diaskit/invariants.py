@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .core import Dialgebra
 from .ratlin import (

@@ -58,9 +58,10 @@ back from text, so there is no parser.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, NamedTuple
 
 from .core import AXIOM_NAMES, RULES, Dialgebra, check_dim
 from .poly import DegreeBoundError, Poly
@@ -317,12 +318,8 @@ def halo_membership(h: BivariatePoly) -> bool:
 # Closed operator formulas
 
 
-# A NamedTuple's own body may not define ``__new__``, so the checks at
-# construction sit in a subclass.
-class _SpecFields(NamedTuple):
-    kind: str
-    f: BivariatePoly
-    g: BivariatePoly
+# The fields of ``KxyOperatorSpec``, whose ``__new__`` checks them.
+_SpecFields = namedtuple("_SpecFields", "kind f g")
 
 
 class KxyOperatorSpec(_SpecFields):

@@ -17,8 +17,8 @@ arithmetic of a bounded and an unbounded polynomial raises ``ValueError``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from operator import add, itemgetter
-from typing import Mapping, Optional, Sequence, Union
 
 from .ratlin import Exact, Scalar, int_or_fraction
 
@@ -45,7 +45,7 @@ class Poly:
     __slots__ = ("nvars", "terms")
     # no total-degree bound; a subclass that has one sets it per instance,
     # before this constructor runs
-    bound: Optional[int] = None
+    bound: int | None = None
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Scalar]):
         self.nvars = nvars
@@ -108,7 +108,7 @@ class Poly:
                             f"degree bound exceeded: a term {exps} with bound {bound}")
         return p
 
-    def _operand(self, other: Union["Poly", Scalar]) -> "Poly":
+    def _operand(self, other: Poly | Scalar) -> "Poly":
         if not isinstance(other, Poly):
             return self._clean({(0,) * self.nvars: int_or_fraction(other)})
         if other.nvars != self.nvars:
@@ -129,7 +129,7 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({self.nvars}, {self.terms!r})"
 
-    def __add__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __add__(self, other: Poly | Scalar) -> "Poly":
         if not isinstance(other, Poly) or other.nvars != self.nvars:
             other = self._operand(other)
         out = dict(self.terms)
@@ -140,10 +140,10 @@ class Poly:
     def __neg__(self) -> "Poly":
         return self._clean({key: -c for key, c in self.terms.items()})
 
-    def __sub__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __sub__(self, other: Poly | Scalar) -> "Poly":
         return self + -self._operand(other)
 
-    def __mul__(self, other: Union["Poly", Scalar]) -> "Poly":
+    def __mul__(self, other: Poly | Scalar) -> "Poly":
         if not isinstance(other, Poly) or other.nvars != self.nvars:
             other = self._operand(other)
         out: dict[Exponents, Exact] = {}

@@ -61,11 +61,12 @@ from __future__ import annotations
 
 import math
 import re
+from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
 
-Scalar = Union[int, str, Fraction]
-Exact = Union[int, Fraction]
+Scalar = int | str | Fraction
+Exact = int | Fraction
 Vector = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 
@@ -461,12 +462,11 @@ class Subspace:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim}: {rows})"
 
 
-class AffineSubspace(NamedTuple):
+class AffineSubspace(namedtuple("AffineSubspace", "point direction")):
     """A coset ``point + direction`` of a subspace, or, with no point, the
     empty set.  Equality is that of the pair (point, direction)."""
 
-    point: Vector | None
-    direction: Subspace
+    __slots__ = ()
 
     @property
     def is_empty(self) -> bool:

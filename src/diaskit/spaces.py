@@ -53,7 +53,7 @@ holds the coordinates of ``T(e_j)``.  Flattening is row-major, matching
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .core import RULES, Dialgebra
 from .ratlin import (

@@ -1,7 +1,8 @@
 """Each derivation and diderivation space is solved once per dialgebra,
 each public call computes each invariant set, basis bracket and
-polynomial operator image once, and a CLI call builds the parser of its
-own subcommand only.
+polynomial operator image once, and a CLI call that names its subcommand
+builds that subcommand's parser alone (help, no arguments or an unknown
+command build the full parser with all six).
 
 The counts are taken by wrapping the solvers through monkeypatch, so a
 change that solves a space twice, re-runs a sweep or goes back to a cubic
@@ -784,10 +785,19 @@ def test_identity_sweep_adds_fractions_only_in_the_images(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, parsers", [
-    # the top-level parser and the one of the subcommand argv names
-    (["verify", "catalog:Dias3_8", "--machine"], 2),
-    # names no subcommand, so the help lists all six
+    # the parser of the subcommand argv names, alone
+    (["verify", "catalog:Dias3_8", "--machine"], 1),
+    (["spaces", "catalog:Dias2_1", "--which", "der"], 1),
+    (["invariants", "catalog:Dias2_1"], 1),
+    (["bider", "catalog:Dias2_1"], 1),
+    (["catalog", "Dias2_1", "--samples", "1"], 1),
+    (["kxy", "--bound", "4"], 1),
+    # names no subcommand, so the help or the error lists all six: the
+    # top-level parser and the six of the subcommands
     (["--help"], 7),
+    ([], 7),
+    (["nosuch", "X"], 7),
+    (["--machine", "verify", "X"], 7),
 ])
 def test_cli_call_builds_the_parsers_it_uses(monkeypatch, argv, parsers):
     calls = Counter()

@@ -1,6 +1,8 @@
 """Command-line interface: selectors, verdicts, exit codes, machine mode."""
 
+import contextlib
 import functools
+import io
 import json
 import os
 import subprocess
@@ -262,20 +264,52 @@ def test_main_dispatches_to_the_module_attribute(monkeypatch, capsys, argv, name
     assert calls == [expected]
 
 
+def parse_outcome(parser, argv):
+    """What ``parser.parse_args(argv)`` gives: the namespace without
+    ``run``, the ``InputError`` message, or the ``SystemExit`` code and
+    what was printed."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = vars(parser.parse_args(argv))
+    except cli.InputError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, out.getvalue()
+    del args["run"]
+    return "namespace", args
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
 @pytest.mark.parametrize("argv", [
     ["spaces", "--machine", "--which", "der", "catalog:Dias2_1"],
     ["spaces", "catalog:Dias2_1", "--which=inn"],
     ["catalog", "--samp", "2", "--mach"],
     ["catalog"],
     ["kxy"],
+    ["verify", "-h", "X"],
+    ["verify", "--he"],
+    ["verify"],
+    ["verify", "X", "extra"],
+    ["verify", "X", "--bogus"],
+    ["verify", "--", "catalog:Dias2_1"],
+    ["verify", "--machine=1", "X"],
+    ["spaces", "X", "--which"],
+    ["spaces", "X", "--which", "bad"],
+    ["spaces", "X", "--wh", "dinn"],
+    ["catalog", "--s", "3"],
+    ["catalog", "--seed", "x"],
+    ["catalog", "--seed", "-3", "--samples", "1", "Dias2_1"],
+    ["kxy", "--bou=4", "--mach"],
+    ["kxy", "extra"],
 ])
-def test_parser_of_one_subcommand_parses_as_the_full_parser(argv):
-    # ``build_parser(argv)`` holds only the subcommand ``argv[0]`` names;
-    # ``build_parser([])`` holds all six
-    own = vars(cli.build_parser(argv).parse_args(argv))
-    full = vars(cli.build_parser([]).parse_args(argv))
-    del own["run"], full["run"]
-    assert own == full
+def test_parser_of_one_subcommand_parses_as_the_full_parser(monkeypatch, argv, columns):
+    # ``build_parser(argv)`` is the parser of the subcommand ``argv[0]``
+    # names and parses ``argv[1:]``; ``build_parser([])`` holds all six
+    # and hands that parser the rest of ``argv``
+    monkeypatch.setenv("COLUMNS", columns)
+    own = parse_outcome(cli.build_parser(argv), argv[1:])
+    assert own == parse_outcome(cli.build_parser([]), argv)
 
 
 def test_console_script_reads_sys_argv(monkeypatch, capsys):

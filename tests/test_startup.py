@@ -8,13 +8,15 @@ selector loads the table module ``entries`` and nothing more; ``catalog``
 loads ``catalog``, which imports ``entries``, ``poly`` and ``spaces``;
 ``kxy`` loads ``kxy`` and ``poly``.  No command loads ``dataclasses`` or
 ``inspect``, whose import and generated code would be paid at every start,
-and ``json`` loads only to write ``--machine`` output.
+or ``typing``, and ``json`` loads only to write ``--machine`` output.
 
 Each check starts a fresh interpreter, so the modules this test session
 has already imported do not count: it notes ``sys.modules``, imports
 ``diaskit.cli``, optionally runs ``main`` on the given arguments, and
 prints the modules then in ``sys.modules`` that were not there before
-(``site`` may import some of its own first).
+(``site`` may import some of its own first).  The ``typing`` check runs
+the interpreter with ``-S``, so that neither ``site`` nor a ``.pth`` file
+it reads imports ``typing`` before the probe looks.
 """
 
 import ast
@@ -45,12 +47,12 @@ SOLVERS = {"diaskit.spaces", "diaskit.invariants"}
 GENERATED = {"dataclasses", "inspect"}
 
 
-def added_modules(*argv):
+def added_modules(*argv, flags=()):
     """Exit status of ``main(argv)`` (None for a bare import) and the
     modules that importing ``diaskit.cli`` and running the command added
-    to a fresh process; fails if they include ``dataclasses`` or
-    ``inspect``."""
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], capture_output=True,
+    to a fresh process started with the interpreter ``flags``; fails if
+    they include ``dataclasses`` or ``inspect``."""
+    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], capture_output=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60, check=True)
     code, added = ast.literal_eval(proc.stdout.decode())
     assert not GENERATED & set(added)
@@ -116,6 +118,18 @@ def test_catalog_command_loads_the_study_but_not_invariants_or_kxy():
     assert code == 0
     assert {"diaskit.catalog", "diaskit.entries", "diaskit.spaces", "diaskit.poly"} <= modules
     assert not modules & {"diaskit.invariants", "diaskit.kxy"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "catalog:Dias3_8"],
+    ["catalog", "--samples", "1"],
+    ["kxy", "--bound", "4"],
+    ["bider", "catalog:Dias3_8", "--machine"],
+])
+def test_no_command_loads_typing(argv):
+    code, added = added_modules(*argv, flags=("-S",))
+    assert code == 0
+    assert "typing" not in added
 
 
 def test_json_loads_only_for_machine_output(dlg_file):
