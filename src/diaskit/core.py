@@ -67,11 +67,11 @@ RULES = {
 
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation space of ``phi_dialgebra`` (weights
-# 1, -2, 3, -1, ...) takes 0.10 to 0.18 s to solve, and its diderivation
-# space, 0 and so read off its first n^2 rows, 0.017 to 0.03 s;
+# 1, -2, 3, -1, ...) takes 0.04 to 0.06 s to solve, and its diderivation
+# space, 0 and so read off its first n^2 rows, 0.03 to 0.04 s;
 # ``diaskit spaces --which der --machine`` with both operator routes takes
-# 0.38 to 0.57 s and ``--which dider`` 0.10 to 0.12 s (three to six runs
-# each, Python 3.11, one core of a shared 2-vCPU Xeon).
+# 0.26 to 0.35 s and ``--which dider`` 0.13 to 0.19 s (ten runs each, in
+# two processes, Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_DIM = 32
 
 

@@ -22,7 +22,7 @@ is pivoted on its highest column, and every division by a pivot goes
 through ``_quotient``.  The kernel read off that form is already in
 canonical form (see ``kernel``), so the structure-constant systems, which
 have 2n^3 rows of at most 3n nonzeros over n^2 unknowns, are solved in
-one pass.  Their builders in ``spaces`` drop each row whose terms
+one pass.  Their builders in ``spaces`` form no row whose terms
 cancel, but many rows left repeat an earlier row (Der of phi at n = 12:
 288 rows, 12 of them distinct), and other callers hand over empty rows
 too (the systems of ``invariants.halo``, ``bar_center`` and

@@ -21,18 +21,20 @@ the dialgebra's sparse structure-constant tables (``Dialgebra.table``),
 which are built once and never written: the operator route takes the
 entries of each basis operator straight off them.  Integral constants are
 ``int`` there and both routes keep them that way: integer structure
-constants give integer rows.  A route hands the elimination core
-(``kernel``) only rows with a nonzero entry: a slot no constant reaches
-forms no row, and a slot whose terms cancel once summed is dropped.  On
-``phi_dialgebra`` every slot of the Der systems has a term, but only 2n^2
-of the 2n^3 keep one (288 of 3,456 at n = 12), on each route.  The
-operator route writes each commutator from the gap between two diagonal
-entries and the off-diagonal ones, terms that never share an unknown, so
-a slot forms a row only where it has a gap, an off-diagonal entry or a
-term of the subscripted operator, and only that last part can cancel the
-rest: on phi, whose ``L^vdash`` and ``R^dashv`` basis operators are
-scalar, each Der operator route forms n^3 + n^2 rows (1,872 at n = 12)
-for the same 2n^2.  Rows
+constants give integer rows.  A route forms a row only for a slot whose
+summed row is nonzero, and hands the elimination core (``kernel``) just
+those rows.  Each builder splits a slot's terms by unknown.  In slot
+(i, j, r) of the rule system with i != j, the terms of ``T(e_i * e_j)``
+meet the others only at T[r][i] and T[r][j]; in slot (i, r, s) of an
+operator condition with s != i, the commutator's terms never share an
+unknown and the S part meets them only at T[r][i].  Those few entries
+are summed as numbers, every other entry is assigned, and a slot with
+nothing left to write is skipped before any row is built.  Whole lists
+of terms share unknowns only in the slots i = j and s = i; only there
+are entries summed in the row, which is dropped if it comes out empty.
+On ``phi_dialgebra`` every slot of the Der systems has a term, but only
+2n^2 of the 2n^3 keep one (288 of 3,456 at n = 12), and each Der route
+forms just those 2n^2 rows.  Rows
 equal up to a scalar are all formed: skipping them by a normalised key
 made the Dider solve of phi at n = 12 over twice as slow.  Both routes
 yield their rows one at a time, so the rows after the elimination core
@@ -86,40 +88,84 @@ def _add(row: Row, key: int, value: Exact) -> None:
     row[key] = value
 
 
-def _rule_kernel(d: Dialgebra, rule: str) -> Subspace:
-    """Kernel of the system of ``RULES[rule]``: for each ``(*, o1, o2)``
-    and basis pair, ``T(e_i * e_j) - T(e_i) o1 e_j - e_i o2 T(e_j) = 0``.
+def _split(n: int, planes: Sequence[Sequence[Row]]) -> tuple[list, list]:
+    """The entries ``-planes[j][k][r]`` of the o1 or o2 terms of a rule
+    system, split by whether k = r: ``(rr, off)``, where ``rr[j][r]`` is
+    the entry at k = r (0 if none) and ``off[j][r]`` lists the nonzero
+    ``(k*n, entry)`` for k != r, by k."""
+    rr = [[0] * n for _ in range(n)]
+    off = [[[] for _ in range(n)] for _ in range(n)]
+    for j, plane in enumerate(planes):
+        for k, terms in enumerate(plane):
+            for r, x in terms.items():
+                if r == k:
+                    rr[j][r] = -x
+                else:
+                    off[j][r].append((k * n, -x))
+    return rr, off
+
+
+def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
+    """The rows of the system of ``RULES[rule]``: for each ``(*, o1, o2)``
+    and basis pair, ``T(e_i * e_j) - T(e_i) o1 e_j - e_i o2 T(e_j) = 0``,
+    one per slot (product, i, j, r) whose row is nonzero, in that order.
     Unknown T[a][b] sits at flat index a*n + b.  Rows are built sparse,
     from the nonzero structure constants only.
+
+    Slot r of (i, j) holds ``sum_l c[i][j][l] T[r][l]``, ``-sum_k
+    c_o1[k][j][r] T[k][i]`` and ``-sum_k c_o2[i][k][r] T[k][j]``.  For
+    i != j the c-term meets the o1 terms only at T[r][i] (k = r) and the
+    o2 terms only at T[r][j], and every other term has an unknown of its
+    own: those two entries are summed first, a slot with nothing to write
+    is skipped, and the row is written by plain assignment.  For i = j the
+    o1 and o2 terms also share each T[k][i]; only there are entries summed
+    in the row, which is dropped if they all cancel.
     """
     n = d.dim
+    for product, o1, o2 in RULES[rule]:
+        c = d.table(product)
+        # o1 terms of slot (i, j, r) are -c_o1[k][j][r], o2 terms -c_o2[i][k][r]
+        first_rr, first_off = _split(n, list(zip(*d.table(o1))))
+        second_rr, second_off = _split(n, d.table(o2))
+        for i in range(n):
+            s_rr, s_off = second_rr[i], second_off[i]
+            for j in range(n):
+                f_rr, f_off, cij = first_rr[j], first_off[j], c[i][j]
+                c_i, c_j = cij.get(i, 0), cij.get(j, 0) if i != j else 0
+                c_off = [(l, x) for l, x in cij.items() if l != i and l != j] if cij else ()
+                same = i == j
+                for r in range(n) if cij else [  # the slots with a term
+                        r for r in range(n) if f_rr[r] or s_rr[r] or f_off[r] or s_off[r]]:
+                    # the summed entries at T[r][i] and T[r][j], one entry if i = j
+                    a, b = c_i + f_rr[r], c_j + s_rr[r]
+                    if same:
+                        a, b = a + b, 0
+                    if not (c_off or a or b or f_off[r] or s_off[r]):
+                        continue
+                    rn = r * n
+                    row: Row = {}
+                    for l, x in c_off:
+                        row[rn + l] = x
+                    if a:
+                        row[rn + i] = a if type(a) is int else int_or_fraction(a)
+                    if b:
+                        row[rn + j] = b if type(b) is int else int_or_fraction(b)
+                    for kn, x in f_off[r]:
+                        row[kn + i] = x
+                    if not same:
+                        for kn, x in s_off[r]:
+                            row[kn + j] = x
+                    else:  # the o1 and o2 terms share each T[k][i], and may cancel
+                        for kn, x in s_off[r]:
+                            _add(row, kn + j, x)
+                        if not row:
+                            continue
+                    yield row
 
-    def rows():
-        for product, o1, o2 in RULES[rule]:
-            c, c_first, c_second = d.table(product), d.table(o1), d.table(o2)
-            # first[j][r]: the (k, -c_first[k][j][r]) that are nonzero;
-            # second[i][r]: the (k, -c_second[i][k][r]) that are nonzero.
-            first = [[[] for _ in range(n)] for _ in range(n)]
-            second = [[[] for _ in range(n)] for _ in range(n)]
-            for k in range(n):
-                for j in range(n):
-                    for r, x in c_first[k][j].items():
-                        first[j][r].append((k, -x))
-                    for r, x in c_second[j][k].items():
-                        second[j][r].append((k, -x))
-            for i in range(n):
-                for j in range(n):
-                    for r in range(n) if c[i][j] else [  # the slots with a term
-                            r for r in range(n) if first[j][r] or second[i][r]]:
-                        row = {r * n + l: x for l, x in c[i][j].items()}
-                        for k, a in first[j][r]:
-                            _add(row, k * n + i, a)
-                        for k, b in second[i][r]:
-                            _add(row, k * n + j, b)
-                        if row:  # its terms may all cancel
-                            yield row
 
-    return kernel(n * n, rows())
+def _rule_kernel(d: Dialgebra, rule: str) -> Subspace:
+    """Kernel of the rows of ``_rule_rows``."""
+    return kernel(d.dim ** 2, _rule_rows(d, rule))
 
 
 def rule_holds(d: Dialgebra, rule: str, op: Row) -> bool:
@@ -193,9 +239,7 @@ def _operator_rows(
     conditions: Sequence[tuple[tuple[str, str], tuple[str, str]]],
 ) -> Iterator[Row]:
     """The rows of stacked conditions ``S_{T(e_i)} = [T, M_{e_i}]`` for all
-    i, one per slot (condition, i, r, s) that has a term, in that order; a
-    row whose terms all cancel comes out empty, and ``_operator_route_kernel``
-    drops it.
+    i, one per slot (condition, i, r, s) whose row is nonzero, in that order.
 
     Each condition is a pair of (side, product) operator kinds, as
     ``Dialgebra.basis_ops`` takes them: ``S`` is the operator on the left of
@@ -205,46 +249,69 @@ def _operator_rows(
         -[T, M](r, s) = (M[r][r] - M[s][s]) T[r][s]
                         - sum_{t != s} M[t][s] T[r][t] + sum_{t != r} M[r][t] T[t][s],
 
-    whose terms each have an unknown of their own: only the S part can
-    cancel against them.  So a slot with no diagonal gap, no off-diagonal
-    entry of M in row r or column s and no S part forms no row.
+    whose terms each have an unknown of their own.  For s != i the S part
+    meets them only at T[r][i] (k = r against t = i): that entry is summed
+    first, a slot with nothing to write is skipped, and the row is written
+    by plain assignment.  For s = i the S part also shares each T[k][i]
+    with the terms of M's row r; only there are entries summed in the row,
+    which is dropped if they all cancel.
     """
     n = d.dim
     for subscript, inside in conditions:
-        # subs_at[r][s]: the (k, S_k[r][s]) that are nonzero
-        subs_at = [[[] for _ in range(n)] for _ in range(n)]
+        # sub_rr[r][s] = S_r[r][s]; sub_off[r][s]: the (k*n, S_k[r][s]) for k != r that are nonzero
+        sub_rr = [[0] * n for _ in range(n)]
+        sub_off = [[[] for _ in range(n)] for _ in range(n)]
         for k, op in enumerate(d.basis_ops(*subscript)):
             for j, x in op.items():
                 r, s = divmod(j, n)
-                subs_at[r][s].append((k, x))
+                if r == k:
+                    sub_rr[r][s] = x
+                else:
+                    sub_off[r][s].append((k * n, x))
+        sub_slots = [[s for s in range(n) if x[s] or y[s]] for x, y in zip(sub_rr, sub_off)]
         for i, op in enumerate(d.basis_ops(*inside)):
-            # off_row[r]: the (t, M[r][t]); off_col[s]: the (t, -M[t][s]); t off the diagonal
-            diag = [0] * n
-            off_row = [[] for _ in range(n)]
-            off_col = [[] for _ in range(n)]
+            # off_row[r]: the (t*n, M[r][t]); col_i[s] = -M[i][s]; off_col[s]: the
+            # (t, -M[t][s]) for t != i; t off the diagonal
+            diag, col_i = [0] * n, [0] * n
+            off_row, off_col = [[] for _ in range(n)], [[] for _ in range(n)]
             for j, x in op.items():
                 r, t = divmod(j, n)
                 if r == t:
                     diag[r] = x
                 else:
-                    off_row[r].append((t, x))
-                    off_col[t].append((r, -x))
-            gapped = diag.count(diag[0]) != n
+                    off_row[r].append((t * n, x))
+                    if r == i:
+                        col_i[t] = -x
+                    else:
+                        off_col[t].append((r, -x))
+            # a scalar M has no commutator part: only the slots with an S term
+            scalar = diag.count(diag[0]) == n and not any(off_row)
             for r in range(n):
-                m_rr, subs_r, row_r = diag[r], subs_at[r], off_row[r]
-                for s in range(n) if row_r else [  # the slots with a term
-                        s for s in range(n)
-                        if off_col[s] or subs_r[s] or gapped and diag[s] != m_rr]:
+                m_rr, s_rr, s_off, row_r, rn = diag[r], sub_rr[r], sub_off[r], off_row[r], r * n
+                for s in sub_slots[r] if scalar else range(n):
+                    # the summed entries at T[r][s] and T[r][i], one entry if s = i
+                    gap, a = m_rr - diag[s], col_i[s] + s_rr[s]
+                    if s == i:
+                        gap, a = 0, a + gap
+                    if not (gap or a or off_col[s] or row_r or s_off[s]):
+                        continue
                     row: Row = {}
-                    gap = m_rr - diag[s]
                     if gap:
-                        row[r * n + s] = gap if type(gap) is int else int_or_fraction(gap)
+                        row[rn + s] = gap if type(gap) is int else int_or_fraction(gap)
+                    if a:
+                        row[rn + i] = a if type(a) is int else int_or_fraction(a)
                     for t, v in off_col[s]:
-                        row[r * n + t] = v
-                    for t, w in row_r:
-                        row[t * n + s] = w
-                    for k, v in subs_r[s]:
-                        _add(row, k * n + i, v)
+                        row[rn + t] = v
+                    for tn, w in row_r:
+                        row[tn + s] = w
+                    if s != i:
+                        for kn, v in s_off[s]:
+                            row[kn + i] = v
+                    else:  # the S terms share each T[k][i] with M's row r, and may cancel
+                        for kn, v in s_off[s]:
+                            _add(row, kn + i, v)
+                        if not row:
+                            continue
                     yield row
 
 
@@ -252,8 +319,8 @@ def _operator_route_kernel(
     d: Dialgebra,
     conditions: Sequence[tuple[tuple[str, str], tuple[str, str]]],
 ) -> Subspace:
-    """Kernel of the rows of ``_operator_rows``, the empty ones left out."""
-    return kernel(d.dim ** 2, filter(None, _operator_rows(d, conditions)))
+    """Kernel of the rows of ``_operator_rows``."""
+    return kernel(d.dim ** 2, _operator_rows(d, conditions))
 
 
 def derivation_space_via_left_ops(d: Dialgebra) -> Subspace:

@@ -111,3 +111,50 @@ def test_runs_read_and_write_no_bytecode_in_either_tree(tmp_path, monkeypatch):
         assert not s["cache"].exists()
         for tree in (parent, change):
             assert os.path.commonpath([s["cache"], tree]) != str(tree)
+
+
+def test_json_records_the_comparison(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    canned = {parent: iter(PARENT[:4]), change: iter(CHANGE[:4])}
+    seeds = []
+
+    def fake_run(tree, workload, seed):
+        assert workload == "solve_ladder"
+        seeds.append(seed)
+        return next(canned[tree])
+
+    monkeypatch.setattr(bench_pairs, "run", fake_run)
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "solve_ladder",
+                             "--pairs", "4", "--seed-start", "11", "--json", str(out)]) == 0
+    assert seeds == [11, 11, 12, 12, 13, 13, 14, 14]
+    data = json.loads(out.read_text())
+    assert (data["workload"], data["seeds"]) == ("solve_ladder", [11, 12, 13, 14])
+    assert set(data["metrics"]) == {"slowest_op_s", "peak_rss_mib"}
+    slowest = data["metrics"]["slowest_op_s"]
+    assert (slowest["unit"], slowest["better"], slowest["bound"]) == ("s", "lower", 0.15)
+    assert slowest["parent"]["values"] == [0.030, 0.031, 0.032, 0.033]
+    assert slowest["change"]["values"] == [0.025, 0.026, 0.027, 0.028]
+    assert slowest["parent"]["median"] == pytest.approx(0.0315)
+    assert (slowest["parent"]["q1"], slowest["parent"]["q3"]) == \
+        pytest.approx((0.03075, 0.03225))
+    assert slowest["change"]["median"] == pytest.approx(0.0265)
+    assert slowest["gain"] == pytest.approx(0.005)
+    assert slowest["parent_iqr"] == pytest.approx(0.0015)
+    assert (slowest["wins"], slowest["pairs"]) == (4, 4)
+    assert slowest["within_bound"] is True and slowest["claimable"] is True
+    rss = data["metrics"]["peak_rss_mib"]
+    assert (rss["wins"], rss["within_bound"], rss["claimable"]) == (0, True, False)
+
+
+def test_without_json_no_file_is_written(tmp_path, monkeypatch):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    monkeypatch.setattr(bench_pairs, "run", lambda tree, workload, seed: PARENT[0])
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["change", "parent"]

@@ -357,29 +357,6 @@ def test_operator_route_stops_at_full_rank(monkeypatch):
     assert runs == [1717]  # of 2n^3 = 3456
 
 
-def operator_slots(d, conditions) -> int:
-    """The (condition, i, r, s) of the operator-route system with a term
-    that summing cannot remove, or a term of S, read densely from the
-    cubes: a gap M_i[r][r] - M_i[s][s], an off-diagonal entry of M_i in
-    row r or column s, or a nonzero S_k[r][s]."""
-    n, total = d.dim, 0
-
-    def matrix(kind, k):
-        return [[operator_entry(d, kind, k, r, s) for s in range(n)] for r in range(n)]
-
-    for sub, inside in conditions:
-        subs = [matrix(sub, k) for k in range(n)]
-        for i in range(n):
-            m = matrix(inside, i)
-            for r in range(n):
-                for s in range(n):
-                    total += (m[r][r] != m[s][s]
-                              or any(m[r][t] for t in range(n) if t != r)
-                              or any(m[t][s] for t in range(n) if t != s)
-                              or any(s_k[r][s] for s_k in subs))
-    return total
-
-
 @pytest.mark.parametrize("make", [
     pytest.param(lambda: phi_dialgebra(PHI8[:5]), id="phi5"),
     pytest.param(lambda: phi_dialgebra([Fraction(1, 2), 0, -3]), id="phi3[1/2,0,-3]"),
@@ -388,45 +365,66 @@ def operator_slots(d, conditions) -> int:
                                                               "Dias2_4"))), id="sum8"),
 ])
 def test_operator_rows_are_formed_only_where_a_term_cannot_cancel_away(make):
-    # The commutator part of a slot has one term per unknown, so only a
-    # slot with no gap, no off-diagonal entry of M in its row or column and
-    # no S term is skipped; a row whose S part cancels the rest comes out
-    # empty (the nonempty ones are pinned by the test above).
+    # A slot's entries are summed before its row is built, so a slot whose
+    # terms all cancel forms no row: the rows formed are the slots with a
+    # nonzero dense row (tests/test_row_builders.py checks them row by row).
     d = make()
     for _, conditions in ROUTES:
         assert sum(1 for _ in spaces._operator_rows(d, conditions)) == \
-            operator_slots(d, conditions)
+            operator_rows(d, conditions)
 
 
-def formed_rows(monkeypatch) -> list:
-    """The rows ``spaces._operator_rows`` forms in each operator-route
-    call, empty ones included."""
+def formed_rows(monkeypatch, builder) -> list:
+    """The rows the builder ``spaces.<builder>`` forms in each call."""
     formed = []
-    original = spaces._operator_rows
+    original = getattr(spaces, builder)
 
-    def counted(d, conditions):
+    def counted(*args):
         formed.append(0)
-        for row in original(d, conditions):
+        for row in original(*args):
             formed[-1] += 1
             yield row
 
-    monkeypatch.setattr(spaces, "_operator_rows", counted)
+    monkeypatch.setattr(spaces, builder, counted)
     return formed
 
 
-@pytest.mark.parametrize("n, formed", [(3, 36), (5, 150), (8, 576), (12, 1872)])
+@pytest.mark.parametrize("n, formed", [(3, 18), (5, 50), (8, 128), (12, 288)])
 def test_phi_der_operator_routes_skip_the_scalar_conditions(monkeypatch, n, formed):
     # L^vdash and R^dashv of phi are scalar, so their condition forms a row
-    # only where S has a term, on the diagonal (n^2 slots); the other
-    # condition forms one in each of its n^3 slots.  Each route formed
-    # 2n^3 (3,456 at n = 12), and hands the core the same 2n^2 rows.
+    # only where S has a term, on the diagonal; in the other condition the
+    # S part cancels the commutator in every slot but the n per i that
+    # touch row or column i.  Each route forms just the 2n^2 rows the core
+    # reads.  It adds terms into a row, n(n - 1) of them, only in the n
+    # slots s = i = r of the scalar condition, where S has terms off k = r.
     d = phi_dialgebra((PHI8 * 2)[:n])
-    counts = formed_rows(monkeypatch)
+    counts = formed_rows(monkeypatch, "_operator_rows")
     runs = eliminate_runs(monkeypatch)
+    summed = Counter()
+    counting(monkeypatch, spaces, "_add", summed)
     spaces.derivation_space_via_left_ops(d)
     spaces.derivation_space_via_right_ops(d)
-    assert counts == [formed] * 2 == [n ** 3 + n ** 2] * 2
+    assert counts == [formed] * 2 == [2 * n * n] * 2
     assert runs == [2 * n * n] * 2
+    assert summed["_add"] == 2 * n * (n - 1)
+
+
+@pytest.mark.parametrize("n, formed", [(3, 18), (5, 50), (8, 128), (12, 288)])
+def test_phi_der_identity_route_forms_only_the_rows_that_do_not_cancel(monkeypatch, n, formed):
+    # Every one of the 2n^3 slots of phi's Der system has a term, but in
+    # 2n^3 - 2n^2 of them the terms cancel: the identity route forms just
+    # the 2n^2 rows the core reads.  It adds terms into a row, n(n - 1) of
+    # them, only in the n slots i = j = r of the dashv product, where o2
+    # has terms off k = r.
+    d = phi_dialgebra((PHI8 * 2)[:n])
+    counts = formed_rows(monkeypatch, "_rule_rows")
+    runs = eliminate_runs(monkeypatch)
+    summed = Counter()
+    counting(monkeypatch, spaces, "_add", summed)
+    spaces.derivation_space(d)
+    assert counts == [formed] == [2 * n * n]
+    assert runs == [2 * n * n]
+    assert summed["_add"] == n * (n - 1)
 
 
 @pytest.mark.parametrize("make, targets", [

@@ -3,6 +3,7 @@
 Usage:
 
     python3 tools/bench_pairs.py PARENT_DIR CHANGE_DIR --workload W --pairs N [--seed-start S]
+        [--json PATH]
 
 Pair i runs ``python3 perfbench/run.py --workload W --seed S+i`` once in
 each checkout, from its root: the parent first in even pairs, the change
@@ -21,6 +22,11 @@ bound of the parent's, and whether a gain can be claimed: the change wins
 at least nine tenths of the pairs, and its median is better than the
 parent's by more than the parent's interquartile range.  Standard library
 only.
+
+With ``--json PATH`` it also writes that comparison to PATH: the
+workload, the seeds, and for each metric both sides' quartiles (the
+median in the middle) and values pair by pair, the wins, the gain, the
+parent's IQR, whether it is within bound and whether a gain is claimable.
 
 Compare ``peak_rss_mib`` only between two fresh exports.  The same
 ``src/`` and ``perfbench/`` have read about 0.15 MiB higher in one
@@ -92,11 +98,25 @@ def summarize(spec: list[dict], parent: list[dict[str, float]],
         rows.append({
             "name": name, "unit": metric["unit"], "better": metric["better"],
             "bound": metric["bound"], "parent": p_q, "change": c_q,
+            "parent_values": p, "change_values": c,
             "wins": wins, "pairs": len(p), "gap": gap, "parent_iqr": iqr,
             "within_bound": -gap <= metric["bound"] * p_q[1],
             "claim": 10 * wins >= 9 * len(p) and gap > iqr,
         })
     return rows
+
+
+def record(workload: str, seeds: list[int], rows: list[dict]) -> dict:
+    """The comparison as ``--json`` writes it, from the rows of ``summarize``."""
+    def side(name, r):
+        q1, median, q3 = r[name]
+        return {"median": median, "q1": q1, "q3": q3, "values": r[f"{name}_values"]}
+
+    return {"workload": workload, "seeds": seeds, "metrics": {r["name"]: {
+        "unit": r["unit"], "better": r["better"], "bound": r["bound"],
+        "parent": side("parent", r), "change": side("change", r),
+        "wins": r["wins"], "pairs": r["pairs"], "gain": r["gap"], "parent_iqr": r["parent_iqr"],
+        "within_bound": r["within_bound"], "claimable": r["claim"]} for r in rows}}
 
 
 def render(rows: list[dict]) -> str:
@@ -123,6 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed-start", type=int, default=1)
+    parser.add_argument("--json", type=Path, help="also write the comparison to this file")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
@@ -139,7 +160,12 @@ def main(argv: list[str] | None = None) -> int:
     except RunRefused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(render(summarize(spec, parent, change)))
+    rows = summarize(spec, parent, change)
+    print(render(rows))
+    if args.json:
+        seeds = list(range(args.seed_start, args.seed_start + args.pairs))
+        args.json.write_text(json.dumps(record(args.workload, seeds, rows), indent=1) + "\n",
+                             encoding="utf-8")
     return 0
 
 
