@@ -88,21 +88,28 @@ def _add(row: Row, key: int, value: Exact) -> None:
     row[key] = value
 
 
-def _split(n: int, planes: Sequence[Sequence[Row]]) -> tuple[list, list]:
+# The split terms of a slot that has none: no entry at k = r, none off it.
+_NO_TERMS = (0, ())
+
+
+def _split(n: int, planes: Sequence[Sequence[Row]]) -> list[list]:
     """The entries ``-planes[j][k][r]`` of the o1 or o2 terms of a rule
-    system, split by whether k = r: ``(rr, off)``, where ``rr[j][r]`` is
-    the entry at k = r (0 if none) and ``off[j][r]`` lists the nonzero
-    ``(k*n, entry)`` for k != r, by k."""
-    rr = [[0] * n for _ in range(n)]
-    off = [[[] for _ in range(n)] for _ in range(n)]
+    system, split by whether k = r: ``at[j][r]`` is None where all are
+    zero, and otherwise ``[entry at k = r (or 0), list of the nonzero
+    (k*n, entry) for k != r, by k]``."""
+    at = [[None] * n for _ in range(n)]
     for j, plane in enumerate(planes):
+        at_j = at[j]
         for k, terms in enumerate(plane):
             for r, x in terms.items():
+                part = at_j[r]
+                if part is None:
+                    part = at_j[r] = [0, []]
                 if r == k:
-                    rr[j][r] = -x
+                    part[0] = -x
                 else:
-                    off[j][r].append((k * n, -x))
-    return rr, off
+                    part[1].append((k * n, -x))
+    return at
 
 
 def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
@@ -124,23 +131,24 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
     n = d.dim
     for product, o1, o2 in RULES[rule]:
         c = d.table(product)
-        # o1 terms of slot (i, j, r) are -c_o1[k][j][r], o2 terms -c_o2[i][k][r]
-        first_rr, first_off = _split(n, list(zip(*d.table(o1))))
-        second_rr, second_off = _split(n, d.table(o2))
+        # the o1 terms of slot (i, j, r) are -c_o1[k][j][r], the o2 terms -c_o2[i][k][r]
+        first, second = _split(n, list(zip(*d.table(o1)))), _split(n, d.table(o2))
         for i in range(n):
-            s_rr, s_off = second_rr[i], second_off[i]
+            s_at = second[i]
             for j in range(n):
-                f_rr, f_off, cij = first_rr[j], first_off[j], c[i][j]
+                f_at, cij = first[j], c[i][j]
                 c_i, c_j = cij.get(i, 0), cij.get(j, 0) if i != j else 0
                 c_off = [(l, x) for l, x in cij.items() if l != i and l != j] if cij else ()
                 same = i == j
                 for r in range(n) if cij else [  # the slots with a term
-                        r for r in range(n) if f_rr[r] or s_rr[r] or f_off[r] or s_off[r]]:
+                        r for r in range(n) if f_at[r] or s_at[r]]:
+                    f_rr, f_off = f_at[r] or _NO_TERMS
+                    s_rr, s_off = s_at[r] or _NO_TERMS
                     # the summed entries at T[r][i] and T[r][j], one entry if i = j
-                    a, b = c_i + f_rr[r], c_j + s_rr[r]
+                    a, b = c_i + f_rr, c_j + s_rr
                     if same:
                         a, b = a + b, 0
-                    if not (c_off or a or b or f_off[r] or s_off[r]):
+                    if not (c_off or a or b or f_off or s_off):
                         continue
                     rn = r * n
                     row: Row = {}
@@ -150,13 +158,13 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
                         row[rn + i] = a if type(a) is int else int_or_fraction(a)
                     if b:
                         row[rn + j] = b if type(b) is int else int_or_fraction(b)
-                    for kn, x in f_off[r]:
+                    for kn, x in f_off:
                         row[kn + i] = x
                     if not same:
-                        for kn, x in s_off[r]:
+                        for kn, x in s_off:
                             row[kn + j] = x
                     else:  # the o1 and o2 terms share each T[k][i], and may cancel
-                        for kn, x in s_off[r]:
+                        for kn, x in s_off:
                             _add(row, kn + j, x)
                         if not row:
                             continue
@@ -258,17 +266,20 @@ def _operator_rows(
     """
     n = d.dim
     for subscript, inside in conditions:
-        # sub_rr[r][s] = S_r[r][s]; sub_off[r][s]: the (k*n, S_k[r][s]) for k != r that are nonzero
-        sub_rr = [[0] * n for _ in range(n)]
-        sub_off = [[[] for _ in range(n)] for _ in range(n)]
+        # sub_at[r][s]: None where every S_k[r][s] is 0, else [S_r[r][s] (or 0),
+        # the nonzero (k*n, S_k[r][s]) for k != r]
+        sub_at = [[None] * n for _ in range(n)]
         for k, op in enumerate(d.basis_ops(*subscript)):
             for j, x in op.items():
                 r, s = divmod(j, n)
+                part = sub_at[r][s]
+                if part is None:
+                    part = sub_at[r][s] = [0, []]
                 if r == k:
-                    sub_rr[r][s] = x
+                    part[0] = x
                 else:
-                    sub_off[r][s].append((k * n, x))
-        sub_slots = [[s for s in range(n) if x[s] or y[s]] for x, y in zip(sub_rr, sub_off)]
+                    part[1].append((k * n, x))
+        sub_slots = [[s for s, part in enumerate(at) if part] for at in sub_at]
         for i, op in enumerate(d.basis_ops(*inside)):
             # off_row[r]: the (t*n, M[r][t]); col_i[s] = -M[i][s]; off_col[s]: the
             # (t, -M[t][s]) for t != i; t off the diagonal
@@ -287,13 +298,14 @@ def _operator_rows(
             # a scalar M has no commutator part: only the slots with an S term
             scalar = diag.count(diag[0]) == n and not any(off_row)
             for r in range(n):
-                m_rr, s_rr, s_off, row_r, rn = diag[r], sub_rr[r], sub_off[r], off_row[r], r * n
+                m_rr, s_at, row_r, rn = diag[r], sub_at[r], off_row[r], r * n
                 for s in sub_slots[r] if scalar else range(n):
+                    s_rr, s_off = s_at[s] or _NO_TERMS
                     # the summed entries at T[r][s] and T[r][i], one entry if s = i
-                    gap, a = m_rr - diag[s], col_i[s] + s_rr[s]
+                    gap, a = m_rr - diag[s], col_i[s] + s_rr
                     if s == i:
                         gap, a = 0, a + gap
-                    if not (gap or a or off_col[s] or row_r or s_off[s]):
+                    if not (gap or a or off_col[s] or row_r or s_off):
                         continue
                     row: Row = {}
                     if gap:
@@ -305,10 +317,10 @@ def _operator_rows(
                     for tn, w in row_r:
                         row[tn + s] = w
                     if s != i:
-                        for kn, v in s_off[s]:
+                        for kn, v in s_off:
                             row[kn + i] = v
                     else:  # the S terms share each T[k][i] with M's row r, and may cancel
-                        for kn, v in s_off[s]:
+                        for kn, v in s_off:
                             _add(row, kn + i, v)
                         if not row:
                             continue
