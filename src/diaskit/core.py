@@ -68,9 +68,9 @@ RULES = {
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation space of ``phi_dialgebra`` (weights
 # 1, -2, 3, -1, ...) takes 0.04 to 0.06 s to solve, and its diderivation
-# space, 0 and so read off its first n^2 rows, 0.03 to 0.04 s;
+# space, 0 and so read off its first n^2 rows, 0.02 to 0.04 s;
 # ``diaskit spaces --which der --machine`` with both operator routes takes
-# 0.26 to 0.35 s and ``--which dider`` 0.13 to 0.19 s (ten runs each, in
+# 0.19 to 0.35 s and ``--which dider`` 0.09 to 0.16 s (ten runs each, in
 # two processes, Python 3.11, one core of a shared 2-vCPU Xeon).
 MAX_DIM = 32
 

@@ -129,10 +129,12 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
     in the row, which is dropped if they all cancel.
     """
     n = d.dim
+    # the o1 terms of slot (i, j, r) are -c_o1[k][j][r], the o2 terms -c_o2[i][k][r];
+    # both products of Dider share them
+    firsts = {o1: _split(n, list(zip(*d.table(o1)))) for o1 in {t[1] for t in RULES[rule]}}
+    seconds = {o2: _split(n, d.table(o2)) for o2 in {t[2] for t in RULES[rule]}}
     for product, o1, o2 in RULES[rule]:
-        c = d.table(product)
-        # the o1 terms of slot (i, j, r) are -c_o1[k][j][r], the o2 terms -c_o2[i][k][r]
-        first, second = _split(n, list(zip(*d.table(o1)))), _split(n, d.table(o2))
+        c, first, second = d.table(product), firsts[o1], seconds[o2]
         for i in range(n):
             s_at = second[i]
             for j in range(n):
