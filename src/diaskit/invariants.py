@@ -23,10 +23,14 @@ Dider block followed by the Der block; flattened, that is already the
 RREF basis of the combined space.  ``<x, (s', 0)>`` is 0, so
 ``check_bider_leibniz`` forms only the |Der| * b sparse brackets
 ``[s, d']`` and ``[d, d']`` of basis elements and reads their coordinates
-in Dider and in Der.  Closure, both Leibniz identities, the two ideal
+in Dider and in Der.  Closure, both Leibniz identities and the two ideal
 checks (each ideal generator written in coordinates over the same basis)
-and the span of symmetrised squares follow from that table by
-bilinearity.
+follow from that table by bilinearity.  The symmetrised squares need no
+table of their own: ``<x, y> + <y, x>`` is ``(0, [d, d'] + [d', d]) = 0``
+for x, y in the Der block, 0 for two Dider elements, and ``([s, d'], 0)``
+for x = (s, 0) and y = (0, d').  Their span, the Leibniz kernel, is the
+span of the [Dider, Der] brackets ``[s, d']`` already formed, whatever
+the structure constants.
 
 Every span here (the annihilator, the halo's direction, each ideal and
 the square span) is formed from sparse rows by ``ratlin.span``, one run of
@@ -214,6 +218,11 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     bracket, both Leibniz chiralities, that inner-diderivations-plus-
     derivations and inner-diderivations-plus-inner-derivations are
     two-sided ideals, and where the span of symmetrised squares lands.
+    That span is the span of the [Dider, Der] brackets ``[s, d']``:
+    ``<x, y> + <y, x>`` is ``([s, d'], 0)`` for x = (s, 0) and
+    y = (0, d'), and 0 when x and y lie in the same block, since
+    ``[d, d'] + [d', d] = 0``.  The identity is exact for any structure
+    constants, closed or not.
     A closure failure can only come from a wrong kernel, since [s, d] is
     a diderivation and [d, d'] a derivation whenever both kernels are
     right; the identities and both ideals are then reported as failing
@@ -225,7 +234,6 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     the combined basis has more than ``MAX_BIDER_DIM`` elements.
     """
     n = d.dim
-    nn = n * n
     der, dider = derivation_space(d), diderivation_space(d)
     b = dider.dim + der.dim
     if b > MAX_BIDER_DIM:
@@ -233,17 +241,18 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
             f"combined bracket checks take a basis of at most {MAX_BIDER_DIM} "
             f"elements, this one has {b}")
 
-    # values[i][j]: <x_i, x_j> flattened into Q^(2n^2); table[i][j]: its
-    # coordinates, or None outside the combined space.  Only the Der
-    # columns are nonzero: <(s, 0), (0, d')> = ([s, d'], 0) has its
-    # coordinates in Dider, <(0, d), (0, d')> = (0, [d, d']) in Der.
-    values: list[list[Row]] = [[{} for _ in range(b)] for _ in range(b)]
+    # table[i][j]: the coordinates of <x_i, x_j>, or None outside the
+    # combined space.  Only the Der columns are nonzero: <(s, 0), (0, d')>
+    # = ([s, d'], 0) has its coordinates in Dider, <(0, d), (0, d')> =
+    # (0, [d, d']) in Der.  dider_der keeps the [s, d']: they span the squares.
     table: list[list[Row | None]] = [[{} for _ in range(b)] for _ in range(b)]
-    for start, space, flat_start in ((0, dider, 0), (dider.dim, der, nn)):
+    dider_der: list[Row] = []
+    for start, space in ((0, dider), (dider.dim, der)):
         for i, x in enumerate(space.rows, start=start):
             for j, y in enumerate(der.rows, start=dider.dim):
                 bracket = commutator(n, x, y)
-                values[i][j] = _shifted(bracket, flat_start)
+                if i < dider.dim:
+                    dider_der.append(bracket)
                 table[i][j] = _shifted(space.coordinates(bracket), start)
     closed = all(c is not None for row in table for c in row)
 
@@ -266,9 +275,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
             for m in members
         )
 
-    squares = [lincomb(((1, values[i][j]), (1, values[j][i])))
-               for i in range(b) for j in range(i + 1)]
-    square_span = span(2 * nn, squares)
+    square_span = span(n * n, dider_der)
 
     leibniz = _violations(table, True) if closed else None
     return {
@@ -280,7 +287,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
         "dinn_inn_ideal": is_ideal(dinn + inn),
         "square_span_dim": square_span.dim,
         "square_span_in_dider_component": all(
-            max(row) < nn and dider.coordinates(row) is not None for row in square_span.rows),
+            dider.coordinates(row) is not None for row in square_span.rows),
     }
 
 

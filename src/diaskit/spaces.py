@@ -19,7 +19,10 @@ the defining-identity rows or kernels, and it is not memoised: every call
 solves its system again.  Both routes read
 the dialgebra's sparse structure-constant tables (``Dialgebra.table``),
 which are built once and never written: the operator route takes the
-entries of each basis operator straight off them.  Integral constants are
+entries of each basis operator straight off them.  Each operator set is
+read once per condition, when the route reaches that condition: a Der
+condition, whose S and M are one set, reads one, a Dider condition two.
+Integral constants are
 ``int`` there and both routes keep them that way: integer structure
 constants give integer rows.  A route forms a row only for a slot whose
 summed row is nonzero, and hands the elimination core (``kernel``) just
@@ -271,7 +274,8 @@ def _operator_rows(
         # sub_at[r][s]: None where every S_k[r][s] is 0, else [S_r[r][s] (or 0),
         # the nonzero (k*n, S_k[r][s]) for k != r]
         sub_at = [[None] * n for _ in range(n)]
-        for k, op in enumerate(d.basis_ops(*subscript)):
+        sub_ops = d.basis_ops(*subscript)
+        for k, op in enumerate(sub_ops):
             for j, x in op.items():
                 r, s = divmod(j, n)
                 part = sub_at[r][s]
@@ -282,7 +286,7 @@ def _operator_rows(
                 else:
                     part[1].append((k * n, x))
         sub_slots = [[s for s, part in enumerate(at) if part] for at in sub_at]
-        for i, op in enumerate(d.basis_ops(*inside)):
+        for i, op in enumerate(sub_ops if inside == subscript else d.basis_ops(*inside)):
             # off_row[r]: the (t*n, M[r][t]); col_i[s] = -M[i][s]; off_col[s]: the
             # (t, -M[t][s]) for t != i; t off the diagonal
             diag, col_i = [0] * n, [0] * n

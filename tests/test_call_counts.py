@@ -236,49 +236,71 @@ def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, make):
     assert all(type(x) is int for x in tables + rows) is integral
 
 
-def rule_rows(d, twisted) -> int:
-    """The (product, i, j, r) of the Leibniz-rule system whose terms do not
-    all cancel, summed densely from the cubes: c[i][j][l] at T[r][l],
-    -c_first[k][j][r] at T[k][i] and -c_second[i][k][r] at T[k][j]."""
-    n, total = d.dim, 0
-    for c in (d.c_dashv, d.c_vdash):
-        c_first = d.c_dashv if twisted else c
-        c_second = d.c_vdash if twisted else c
+# (product, o1, o2) of T(e_i * e_j) = T(e_i) o1 e_j + e_i o2 T(e_j)
+RULE_TRIPLES = {
+    "der": [("dashv", "dashv", "dashv"), ("vdash", "vdash", "vdash")],
+    "dider": [("dashv", "dashv", "vdash"), ("vdash", "dashv", "vdash")],
+}
+
+
+def cube(d, product):
+    return d.c_dashv if product == "dashv" else d.c_vdash
+
+
+def nonzero(row):
+    return {col: x for col, x in enumerate(row) if x}
+
+
+def rule_slot_rows(d, rule):
+    """((i, j, r), row) for each slot of the rule system, in order, the row
+    summed densely: c[i][j][l] at T[r][l], -c_o1[k][j][r] at T[k][i] and
+    -c_o2[i][k][r] at T[k][j]."""
+    n = d.dim
+    for product, o1, o2 in RULE_TRIPLES[rule]:
+        c, c_first, c_second = cube(d, product), cube(d, o1), cube(d, o2)
         for i in range(n):
             for j in range(n):
                 for r in range(n):
-                    row = [0] * (n * n)
+                    row = [Fraction(0)] * (n * n)
                     for k in range(n):
                         row[r * n + k] += c[i][j][k]
                         row[k * n + i] -= c_first[k][j][r]
                         row[k * n + j] -= c_second[i][k][r]
-                    total += any(row)
-    return total
+                    yield (i, j, r), nonzero(row)
 
 
 def operator_entry(d, kind, k, r, s):
     """Entry (r, s) of L_{e_k} or R_{e_k}: e_k * e_s or e_s * e_k, at e_r."""
     side, product = kind
-    c = d.c_dashv if product == "dashv" else d.c_vdash
+    c = cube(d, product)
     return c[k][s][r] if side == "left" else c[s][k][r]
 
 
-def operator_rows(d, conditions) -> int:
-    """The (condition, i, r, s) of the operator-route system whose terms do
-    not all cancel, summed densely from the cubes: S_k[r][s] at T[k][i],
-    -M_i[t][s] at T[r][t] and M_i[r][t] at T[t][s]."""
-    n, total = d.dim, 0
+def operator_slot_rows(d, conditions):
+    """((i, r, s), row) for each slot of ``S_{T(e_i)} = [T, M_{e_i}]``, in
+    order, the row summed densely: S_k[r][s] at T[k][i], -M_i[t][s] at
+    T[r][t] and M_i[r][t] at T[t][s]."""
+    n = d.dim
     for sub, inside in conditions:
         for i in range(n):
             for r in range(n):
                 for s in range(n):
-                    row = [0] * (n * n)
+                    row = [Fraction(0)] * (n * n)
                     for k in range(n):
                         row[k * n + i] += operator_entry(d, sub, k, r, s)
                         row[r * n + k] -= operator_entry(d, inside, i, k, s)
                         row[k * n + s] += operator_entry(d, inside, i, r, k)
-                    total += any(row)
-    return total
+                    yield (i, r, s), nonzero(row)
+
+
+def rule_rows(d, rule) -> int:
+    """The slots of the system of ``rule`` whose terms do not all cancel."""
+    return sum(1 for _, row in rule_slot_rows(d, rule) if row)
+
+
+def operator_rows(d, conditions) -> int:
+    """The slots of the operator-route system whose terms do not all cancel."""
+    return sum(1 for _, row in operator_slot_rows(d, conditions) if row)
 
 
 ROUTES = [
@@ -315,7 +337,7 @@ def test_row_builders_form_one_row_per_slot_with_a_term(monkeypatch, make):
     spaces.diderivation_space(d)
     for name, _ in ROUTES:
         getattr(spaces, name)(d)
-    expected = [rule_rows(d, False), rule_rows(d, True)]
+    expected = [rule_rows(d, "der"), rule_rows(d, "dider")]
     expected += [operator_rows(d, conditions) for _, conditions in ROUTES]
     assert sizes == expected
     if d.dim == 8:  # the sum is sparse: most of the 2n^3 slots have no term
@@ -355,6 +377,25 @@ def test_operator_route_stops_at_full_rank(monkeypatch):
     runs = rows_read(monkeypatch)
     assert spaces.diderivation_space_via_ops(d).dim == 0
     assert runs == [1717]  # of 2n^3 = 3456
+
+
+@pytest.mark.parametrize("make, reads", [
+    # the Dider route reaches full rank inside its first condition on phi
+    pytest.param(lambda: phi_dialgebra((PHI8 * 2)[:12]), [2, 2, 2], id="phi12"),
+    pytest.param(lambda: catalog.instantiate("Dias3_13"), [2, 2, 4], id="Dias3_13"),
+])
+def test_operator_routes_read_each_operator_set_once(monkeypatch, make, reads):
+    # A Der condition's S and M are one set, read once; a Dider condition
+    # reads its two, and only when the route reaches that condition.
+    d = make()
+    calls = Counter()
+    counting(monkeypatch, core.Dialgebra, "basis_ops", calls)
+    counts = []
+    for name, _ in ROUTES:
+        calls.clear()
+        getattr(spaces, name)(d)
+        counts.append(calls["basis_ops"])
+    assert counts == reads
 
 
 @pytest.mark.parametrize("make", [

@@ -300,26 +300,38 @@ class TestCombinedSpace:
             instantiate("Dias2_3", {"lam": Fraction(1)}))
         assert report["dinn_der_ideal"] is False
 
-    def test_left_identity_and_squares_match_oracle(self):
+    def test_left_identity_and_squares_match_oracle(self, monkeypatch):
         # The report reads these from the bracket table by bilinearity;
-        # the oracle brackets the basis operators directly.
-        cases = [(name, None) for name in FIXED_ENTRIES] + [
-            ("Dias2_3", {"lam": Fraction(1)}),
-            ("Dias3_16", dict(zip("kmnpq", map(Fraction, (0, 0, 0, -1, 0))))),
-            ("Dias3_16", dict(zip("kmnpq", map(Fraction, (1, 1, 1, 1, 1))))),
+        # the oracle brackets the basis operators directly.  The last two
+        # cases serve wrong kernels, set on invariants so that the oracle
+        # reads the same spaces: with Dider served as span(E11) the square
+        # span leaves the Dider component, and with Der served as the
+        # non-closed span(E12, E21) (Dider is 0) its brackets, which leave
+        # Der, cancel in every symmetrised square.
+        e11, off_diagonal = Subspace(4, [(1, 0, 0, 0)]), Subspace(4, [(0, 1, 0, 0), (0, 0, 1, 0)])
+        cases = [(name, None, {}) for name in FIXED_ENTRIES] + [
+            ("Dias2_3", {"lam": Fraction(1)}, {}),
+            ("Dias3_16", dict(zip("kmnpq", map(Fraction, (0, 0, 0, -1, 0)))), {}),
+            ("Dias3_16", dict(zip("kmnpq", map(Fraction, (1, 1, 1, 1, 1)))), {}),
+            ("Dias2_4", None, {"diderivation_space": e11}),
+            ("Dias2_4", None, {"derivation_space": off_diagonal}),
         ]
-        for name, params in cases:
+        keys = []
+        for name, params, served in cases:
             d = instantiate(name, params)
             n = d.dim
             zero = [[Fraction(0)] * n for _ in range(n)]
+            monkeypatch.undo()
+            for solver, space in served.items():
+                monkeypatch.setattr(invariants, solver, lambda d, s=space: s)
 
             def mats(space):
                 return [[list(v[r * n:(r + 1) * n]) for r in range(n)]
                         for v in space.basis]
 
-            dider = mats(diderivation_space(d))
+            dider = mats(invariants.diderivation_space(d))
             basis = [(s, zero) for s in dider]
-            basis += [(zero, t) for t in mats(derivation_space(d))]
+            basis += [(zero, t) for t in mats(invariants.derivation_space(d))]
 
             def br(x, y):
                 return oracle.bider_bracket(x, y)
@@ -335,10 +347,13 @@ class TestCombinedSpace:
             squares = [add(br(x, y), br(y, x)) for x in basis for y in basis]
             component = [flat((s, zero)) for s in dider]
             report = check_bider_leibniz(d)
-            assert report["left_identity"] is left, name
+            # neither served kernel is closed, so the report fails both identities
+            assert report["left_identity"] is (left and not served), name
             assert report["square_span_dim"] == oracle.rank(squares), name
             assert report["square_span_in_dider_component"] is all(
                 oracle.in_span(component, v) for v in squares), name
+            keys.append((report["square_span_dim"], report["square_span_in_dider_component"]))
+        assert keys[-2:] == [(1, False), (0, True)]
 
     def test_wrong_kernel_breaks_closure(self, monkeypatch):
         # span(E12, E21) is not closed under commutators: [E12, E21] =

@@ -15,58 +15,10 @@ import pytest
 from diaskit import catalog, spaces
 from diaskit.core import Dialgebra, phi_dialgebra
 
-from test_call_counts import ROUTES, operator_entry
+from test_call_counts import (
+    ROUTES, RULE_TRIPLES, operator_entry, operator_slot_rows, rule_slot_rows,
+)
 from test_ratlin import direct_sum
-
-# (product, o1, o2) of T(e_i * e_j) = T(e_i) o1 e_j + e_i o2 T(e_j)
-RULE_TRIPLES = {
-    "der": [("dashv", "dashv", "dashv"), ("vdash", "vdash", "vdash")],
-    "dider": [("dashv", "dashv", "vdash"), ("vdash", "dashv", "vdash")],
-}
-
-
-def cube(d, product):
-    return d.c_dashv if product == "dashv" else d.c_vdash
-
-
-def nonzero(row):
-    return {col: x for col, x in enumerate(row) if x}
-
-
-def rule_slot_rows(d, rule):
-    """((i, j, r), row) for each slot of the rule system, in order, the row
-    summed densely: c[i][j][l] at T[r][l], -c_o1[k][j][r] at T[k][i] and
-    -c_o2[i][k][r] at T[k][j]."""
-    n = d.dim
-    for product, o1, o2 in RULE_TRIPLES[rule]:
-        c, c_first, c_second = cube(d, product), cube(d, o1), cube(d, o2)
-        for i in range(n):
-            for j in range(n):
-                for r in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        row[r * n + k] += c[i][j][k]
-                        row[k * n + i] -= c_first[k][j][r]
-                        row[k * n + j] -= c_second[i][k][r]
-                    yield (i, j, r), nonzero(row)
-
-
-def operator_slot_rows(d, conditions):
-    """((i, r, s), row) for each slot of ``S_{T(e_i)} = [T, M_{e_i}]``, in
-    order, the row summed densely: S_k[r][s] at T[k][i], -M_i[t][s] at
-    T[r][t] and M_i[r][t] at T[t][s]."""
-    n = d.dim
-    for sub, inside in conditions:
-        for i in range(n):
-            for r in range(n):
-                for s in range(n):
-                    row = [Fraction(0)] * (n * n)
-                    for k in range(n):
-                        row[k * n + i] += operator_entry(d, sub, k, r, s)
-                        row[r * n + k] -= operator_entry(d, inside, i, k, s)
-                        row[k * n + s] += operator_entry(d, inside, i, r, k)
-                    yield (i, r, s), nonzero(row)
-
 
 PHI8 = [1, -1, 2, -2, 3, -3, 1, -1]
 # The bracket [e_0, e_1] = e_1 of the non-abelian Lie algebra of dimension 2,
