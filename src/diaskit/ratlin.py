@@ -27,13 +27,14 @@ cancel, but many rows left repeat an earlier row (Der of phi at n = 12:
 288 rows, 12 of them distinct), and other callers hand over empty rows
 too (the systems of ``invariants.halo``, ``bar_center`` and
 ``annihilator``).  The core still skips both before any arithmetic: a
-row equal, entry for entry
-once normalised, to an earlier row of the same elimination already lies
-in the reduced span, so it would reduce to zero.  Skipping it changes
-neither the reduced rows nor the pivot scales, and so no kernel, RREF or
-determinant.  The core also stops reading rows once it holds one pivot
-per column: the reduced rows then span all of Q^ncols, so no later row
-can change a pivot.  The systems are built by lazy generators, so the
+row equal, entry for entry as given, to an earlier row of the same
+elimination is looked up before its entries are normalised; it already
+lies in the reduced span, so it would reduce to zero.  Skipping it
+changes neither the reduced rows nor the pivot scales, and so no kernel,
+RREF or determinant.  A new pivot is back-substituted only into the
+reduced rows that hold an entry.  The core also stops reading rows once
+it holds one pivot per column: the reduced rows then span all of
+Q^ncols, so no later row can change a pivot.  The systems are built by lazy generators, so the
 rows after that point are never built: the Dider system of
 ``phi_dialgebra`` at n = 12 has full rank after its first 144 of 3,456
 rows.  Two readouts of the core hand back a canonical ``Subspace``:
@@ -219,12 +220,21 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     columns below its pivot.  Input rows are not changed; their entries
     are taken as ``int`` where integral.
 
-    Once its entries are normalised, a row that is empty, or equal to an
-    earlier row of the same call, is skipped before any reduction.  That
-    is exact: an earlier row already lies in the span of the reduced rows,
-    so its repeat would reduce to zero and add neither a pivot nor a
-    scale.  Any other row with a column outside ``range(ncols)`` raises
-    ``ValueError``.
+    A row equal, entry for entry as given, to an earlier row of the same
+    call is skipped before its entries are read or checked, as the rows
+    after the ncols-th pivot are: a repeat with a ``float`` entry does not
+    raise.  That is exact: an earlier row already lies in the span of the
+    reduced rows, so its repeat would reduce to zero and add neither a
+    pivot nor a scale.  An ``int`` and an equal integral ``Fraction`` hash
+    and compare equal, so they make the same repeat; a row that differs
+    from an earlier one only by an explicit zero entry is not a repeat,
+    but reduces to zero.  A row that is empty once normalised is skipped
+    too.  Any other row with a column outside ``range(ncols)`` raises
+    ``ValueError``, and one with a ``float`` entry ``TypeError``.
+
+    Back-substitution visits only the reduced rows that held an entry
+    when they were found: a reduced row with none is changed by no later
+    pivot, since only a row holding the pivot's column is.
 
     The core stops reading rows once it holds ``ncols`` pivots: the
     reduced rows then span Q^ncols, so every later row would reduce to
@@ -232,16 +242,17 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     iterable never builds them.
     """
     reduced: dict[int, Row] = {}
+    filled: list[Row] = []  # the reduced rows that held an entry when found
     scales: list[Exact] = []
     seen: set[frozenset] = set()
     for row in rows:
-        row = {j: x if type(x) is int else int_or_fraction(x) for j, x in row.items() if x}
-        if not row:
-            continue
         key = frozenset(row.items())
         if key in seen:
             continue
         seen.add(key)
+        row = {j: x if type(x) is int else int_or_fraction(x) for j, x in row.items() if x}
+        if not row:
+            continue
         # Reduced rows are zero at other pivots, so one pass clears them all.
         for c in [c for c in row if c in reduced]:
             _axpy(row, -row.pop(c), reduced[c])
@@ -255,10 +266,12 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
         s = row.pop(p)
         if s != 1:
             row = {j: _quotient(x, s) for j, x in row.items()}
-        for other in reduced.values():
+        for other in filled:
             if p in other:
                 _axpy(other, -other.pop(p), row)
         reduced[p] = row
+        if row:
+            filled.append(row)
         scales.append(s)
         if len(reduced) == ncols:
             break
@@ -338,8 +351,11 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     only for p > f.  By f, these vectors are the kernel's RREF basis.
 
     A row with a column outside ``range(ncols)`` raises ``ValueError``,
-    unless it is empty or repeats an earlier row.  Rows after the ncols-th
-    pivot are not read, so they are not checked: the kernel is then 0.
+    unless it is empty or repeats an earlier row.  A repeat is skipped
+    before its entries are read or checked, as the rows after the ncols-th
+    pivot are, so a repeat with a ``float`` entry does not raise; the
+    kernel is 0 once the ncols-th pivot is found.  Back-substitution
+    visits only the reduced rows that hold an entry (see ``_eliminate``).
     """
     reduced, _ = _eliminate(rows, ncols)
     free: dict[int, Row] = {f: {f: 1} for f in range(ncols) if f not in reduced}

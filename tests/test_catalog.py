@@ -252,6 +252,7 @@ class TestCaseTable:
         ((1, 1, -3, 1, -4), 4, 4),     # both deltas vanish
         ((1, 1, 1, -1, 0), 5, 4),      # p = -1, q = 0 composes row 3 plus one
         ((1, 1, -1, -1, 0), 5, 5),     # same locus with delta1 = 0
+        ((1, 1, 1, -1, 1), 1, 2),      # p = -1 with q nonzero: no overlay
         ((1, 0, 1, 2, 1), 6, 2),
         ((2, 0, 1, 2, 1), 7, 3),       # k = np
         ((2, 0, -2, 1, 1), 9, 3),      # n + k = 0, q nonzero

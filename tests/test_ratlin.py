@@ -354,6 +354,66 @@ class TestSkippedRows:
         assert value == 0 == oracle.det(rows)
 
 
+def as_vector(row, ncols):
+    """A sparse row as a dense list of ``Fraction``, without ``ratlin``."""
+    return [Fraction(row.get(j, 0)) for j in range(ncols)]
+
+
+def oracle_kernel_and_span(rows, ncols):
+    """The canonical kernel basis and RREF span of sparse rows, from the
+    textbook oracle alone."""
+    vectors = [as_vector(row, ncols) for row in rows]
+    return oracle.rref(oracle.nullspace(vectors, ncols))[0], oracle.rref(vectors)[0]
+
+
+class TestRowsAsGivenAgainstOracle:
+    """``kernel`` and ``span`` against ``exact_oracle``, whatever order the
+    rows come in and however often and in whatever spelling they repeat:
+    the core looks a repeat up before it normalises the row, and
+    back-substitutes only into the reduced rows that hold an entry."""
+
+    @given(sparse_rows, st.data())
+    def test_shuffled_repeated_and_respelled_rows(self, rows, data):
+        expected = oracle_kernel_and_span(rows, 4)
+        mixed = list(rows)
+        for _ in range(data.draw(st.integers(0, 6))):
+            row = rows[data.draw(st.integers(0, len(rows) - 1))]
+            spelling = data.draw(st.sampled_from(["same", "fraction", "zeros", "empty"]))
+            if spelling == "same":
+                mixed.append(dict(row))
+            elif spelling == "fraction":  # integral entries as Fraction, and back
+                mixed.append(written_otherwise(row, [], data.draw(st.booleans())))
+            elif spelling == "zeros":
+                mixed.append({**row, **{j: 0 for j in range(4) if j not in row}})
+            else:
+                mixed.append({j: 0 for j in data.draw(st.lists(columns, max_size=2))})
+        mixed = data.draw(st.permutations(mixed))
+        assert oracle_kernel_and_span(mixed, 4) == expected
+        assert [list(v) for v in kernel(4, mixed).basis] == expected[0]
+        assert [list(v) for v in span(4, mixed).basis] == expected[1]
+
+    def test_a_reduced_row_emptied_before_a_later_pivot(self):
+        # pivot 1 leaves {0: 1/2}, pivot 0 empties it, and pivots 4 and 3
+        # arrive after that: 4's row reduces through the emptied row
+        rows = [{0: 1, 1: 2}, {0: 3}, {1: 1, 2: 1, 4: 1}, {2: 1, 3: 1}]
+        assert _eliminate(rows[:1], 5)[0] == {1: {0: Fraction(1, 2)}}
+        reduced, scales = _eliminate(rows, 5)
+        assert list(reduced.items()) == [(1, {}), (0, {}), (4, {2: 1}), (3, {2: 1})]
+        assert scales == [2, 3, 1, 1]
+        expected = oracle_kernel_and_span(rows, 5)
+        assert [list(v) for v in kernel(5, rows).basis] == expected[0] == \
+            [[0, 0, 1, -1, -1]]
+        assert [list(v) for v in span(5, rows).basis] == expected[1]
+        assert [list(v) for v in kernel(5, rows + rows[::-1]).basis] == expected[0]
+
+    @pytest.mark.parametrize("solve", [kernel, span])
+    def test_a_float_in_a_row_that_repeats_none_raises(self, solve):
+        with pytest.raises(TypeError):
+            solve(2, [{0: 0.5}])
+        with pytest.raises(TypeError):
+            solve(2, [{0: 1}, {0: 1, 1: 1.0}])
+
+
 # n rows of Q^n with full column rank, then up to three more sparse rows:
 # a square or a tall system whose first rows already fix every pivot.
 full_rank_systems = st.integers(1, 4).flatmap(lambda n: st.tuples(
