@@ -34,10 +34,10 @@ changes neither the reduced rows nor the pivot scales, and so no kernel,
 RREF or determinant.  A new pivot is back-substituted only into the
 reduced rows that hold an entry.  The core also stops reading rows once
 it holds one pivot per column: the reduced rows then span all of
-Q^ncols, so no later row can change a pivot.  The systems are built by lazy generators, so the
-rows after that point are never built: the Dider system of
-``phi_dialgebra`` at n = 12 has full rank after its first 144 of 3,456
-rows.  Two readouts of the core hand back a canonical ``Subspace``:
+Q^ncols, so no later row can change a pivot.  The systems are built by
+lazy generators, so the rows after that point are never built: the
+Dider system of ``phi_dialgebra`` at n = 12 has full rank after its
+first 144 of 3,456 rows.  Two readouts of the core hand back a canonical ``Subspace``:
 ``kernel``, the one place a kernel is read off it, and ``span``, the
 RREF of a span of sparse rows, which lays the columns in reverse so that
 each row is pivoted on its lowest column.  ``rref`` is the dense view of
@@ -351,10 +351,10 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     only for p > f.  By f, these vectors are the kernel's RREF basis.
 
     A row with a column outside ``range(ncols)`` raises ``ValueError``,
-    unless it is empty or repeats an earlier row.  A repeat is skipped
-    before its entries are read or checked, as the rows after the ncols-th
-    pivot are, so a repeat with a ``float`` entry does not raise; the
-    kernel is 0 once the ncols-th pivot is found.  Back-substitution
+    unless it is empty or repeats an earlier row.  Rows after the ncols-th
+    pivot are not read, so they are not checked: the kernel is then 0.  A
+    repeat is likewise skipped before its entries are read or checked, so
+    a repeat with a ``float`` entry does not raise.  Back-substitution
     visits only the reduced rows that hold an entry (see ``_eliminate``).
     """
     reduced, _ = _eliminate(rows, ncols)

@@ -354,15 +354,10 @@ class TestSkippedRows:
         assert value == 0 == oracle.det(rows)
 
 
-def as_vector(row, ncols):
-    """A sparse row as a dense list of ``Fraction``, without ``ratlin``."""
-    return [Fraction(row.get(j, 0)) for j in range(ncols)]
-
-
 def oracle_kernel_and_span(rows, ncols):
     """The canonical kernel basis and RREF span of sparse rows, from the
     textbook oracle alone."""
-    vectors = [as_vector(row, ncols) for row in rows]
+    vectors = [dense(ncols, row) for row in rows]
     return oracle.rref(oracle.nullspace(vectors, ncols))[0], oracle.rref(vectors)[0]
 
 
