@@ -218,7 +218,8 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     and each pivot's entry before its row was scaled to 1.  A reduced row
     omits its pivot entry (an implicit 1); its entries lie at non-pivot
     columns below its pivot.  Input rows are not changed; their entries
-    are taken as ``int`` where integral.
+    are taken as ``int`` where integral, and an entry that is zero once
+    converted (``"0"``, ``"0/5"``) is dropped.
 
     A row equal, entry for entry as given, to an earlier row of the same
     call is skipped before its entries are read or checked, as the rows
@@ -245,12 +246,16 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     filled: list[Row] = []  # the reduced rows that held an entry when found
     scales: list[Exact] = []
     seen: set[frozenset] = set()
-    for row in rows:
-        key = frozenset(row.items())
+    for given in rows:
+        key = frozenset(given.items())
         if key in seen:
             continue
         seen.add(key)
-        row = {j: x if type(x) is int else int_or_fraction(x) for j, x in row.items() if x}
+        # a loop: a comprehension is one more call per row, which mostly holds one or two entries
+        row: Row = {}
+        for j, x in given.items():
+            if x and (type(x) is int or (x := int_or_fraction(x))):
+                row[j] = x
         if not row:
             continue
         # Reduced rows are zero at other pivots, so one pass clears them all.
@@ -320,8 +325,13 @@ def columns(n: int, op: Row) -> list[Row]:
 
 
 def sparse(v: Sequence[Scalar]) -> Row:
-    """The nonzero entries of a vector, as a sparse row."""
-    return {j: int_or_fraction(x) for j, x in enumerate(v) if x}
+    """The nonzero entries of a vector, as a sparse row; an entry is
+    tested again once converted, so ``"0"`` is dropped."""
+    row: Row = {}
+    for j, x in enumerate(v):
+        if x and (x := int_or_fraction(x)):
+            row[j] = x
+    return row
 
 
 def dense(ncols: int, row: Row) -> Vector:

@@ -1,8 +1,9 @@
 """Each derivation and diderivation space is solved once per dialgebra,
 each public call computes each invariant set, basis bracket and
-polynomial operator image once, and a CLI call that names its subcommand
-builds that subcommand's parser alone (help, no arguments or an unknown
-command build the full parser with all six).
+polynomial operator image once, and a CLI call builds no argument parser
+when it names its subcommand and every token reads one way, that
+subcommand's parser alone when it names its subcommand otherwise, and the
+full parser with all six for help, no arguments or an unknown command.
 
 The counts are taken by wrapping the solvers through monkeypatch, so a
 change that solves a space twice, re-runs a sweep or goes back to a cubic
@@ -824,19 +825,26 @@ def test_identity_sweep_adds_fractions_only_in_the_images(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, parsers", [
-    # the parser of the subcommand argv names, alone
-    (["verify", "catalog:Dias3_8", "--machine"], 1),
-    (["spaces", "catalog:Dias2_1", "--which", "der"], 1),
-    (["invariants", "catalog:Dias2_1"], 1),
-    (["bider", "catalog:Dias2_1"], 1),
-    (["catalog", "Dias2_1", "--samples", "1"], 1),
-    (["kxy", "--bound", "4"], 1),
+    # a plain call of the subcommand argv names: read by hand, no parser
+    (["verify", "catalog:Dias3_8", "--machine"], 0),
+    (["spaces", "catalog:Dias2_1", "--which", "der"], 0),
+    (["invariants", "catalog:Dias2_1"], 0),
+    (["bider", "catalog:Dias2_1"], 0),
+    (["catalog", "Dias2_1", "--samples", "1"], 0),
+    (["kxy", "--bound", "4"], 0),
     # names no subcommand, so the help or the error lists all six: the
     # top-level parser and the six of the subcommands
     (["--help"], 7),
     ([], 7),
     (["nosuch", "X"], 7),
     (["--machine", "verify", "X"], 7),
+    # an abbreviation, ``--opt=value``, a bad choice or a signed number:
+    # the parser of the subcommand argv names, alone
+    (["verify", "--he"], 1),
+    (["catalog", "--s", "3"], 1),
+    (["kxy", "--bound=4"], 1),
+    (["spaces", "X", "--which", "bad"], 1),
+    (["catalog", "--seed", "-3", "--samples", "1", "Dias2_1"], 1),
 ])
 def test_cli_call_builds_the_parsers_it_uses(monkeypatch, argv, parsers):
     calls = Counter()

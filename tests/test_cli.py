@@ -5,8 +5,10 @@ import functools
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -310,6 +312,110 @@ def test_parser_of_one_subcommand_parses_as_the_full_parser(monkeypatch, argv, c
     monkeypatch.setenv("COLUMNS", columns)
     own = parse_outcome(cli.build_parser(argv), argv[1:])
     assert own == parse_outcome(cli.build_parser([]), argv)
+
+
+# Tokens for the hand-parser corpus: every declared option, ``--machine``,
+# good and bad values, signed, padded, underscored, non-ASCII and
+# over-long numbers, and the spellings only argparse reads
+HAND_ALPHABET = [
+    "--which", "--samples", "--seed", "--bound", "--machine",
+    "der", "dider", "inn", "dinn", "bad", "X", "catalog:Dias2_1", "Dias2_1",
+    "0", "1", "3", "12", "x", "-3", "+3", "007", "1_0", "\u0663", "9" * 5000, " 3",
+    "--which=der", "--mach", "--", "-h", "--help", "-", "",
+]
+
+
+def test_hand_parser_reads_as_argparse():
+    # every token list the hand parser takes, argparse reads to the same
+    # namespace; the rest it leaves to argparse
+    rng = random.Random("hand-parser")
+    taken = Counter()
+    for _ in range(12000):
+        name = rng.choice(list(cli._COMMANDS))
+        rest = [rng.choice(HAND_ALPHABET) for _ in range(rng.randint(0, 5))]
+        got = cli.read_plain(name, rest)
+        if got is not None:
+            taken[name] += 1
+            assert parse_outcome(cli.build_parser([name]), rest) == (
+                "namespace", {k: v for k, v in vars(got).items() if k != "run"}), rest
+            assert got.run is cli._COMMANDS[name][2]
+    assert taken.keys() == cli._COMMANDS.keys()
+    assert sum(taken.values()) > 1000
+
+
+def argv_column(test):
+    """The ``argv`` column of the ``parametrize`` table of ``test``."""
+    for mark in test.pytestmark:
+        names = mark.args[0].split(", ")
+        if mark.name == "parametrize" and names[0] == "argv":
+            return [row if len(names) == 1 else row[0] for row in mark.args[1]]
+    raise LookupError(test)
+
+
+MAIN_ARGVS = [
+    *argv_column(TestInputErrors.test_option_error_is_one_line),
+    *argv_column(TestInputErrors.test_help_prints_usage_and_exits_zero),
+    *argv_column(test_main_dispatches_to_the_module_attribute),
+    *argv_column(test_parser_of_one_subcommand_parses_as_the_full_parser),
+    # one run of each subcommand, and an int past the digit limit
+    ["verify", "catalog:Dias3_8"],
+    ["spaces", "catalog:Dias2_1", "--which", "der", "--machine"],
+    ["invariants", "catalog:Dias2_1"],
+    ["bider", "catalog:Dias2_1", "--machine"],
+    ["catalog", "Dias2_1", "--samples", "1", "--seed", "2"],
+    ["kxy", "--bound", "4"],
+    ["kxy", "--bound", "9" * 5000],
+]
+
+
+def main_outcome(capsys, argv):
+    """What ``main(argv)`` returns or exits with, and what it printed."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+def test_main_prints_as_with_argparse_alone(monkeypatch, capsys, columns):
+    # the hand parser changes no byte: with it off, argparse reads every call
+    monkeypatch.setenv("COLUMNS", columns)
+    hand = [main_outcome(capsys, argv) for argv in MAIN_ARGVS]
+    monkeypatch.setattr(cli, "read_plain", lambda name, rest: None)
+    assert [main_outcome(capsys, argv) for argv in MAIN_ARGVS] == hand
+
+
+@pytest.mark.parametrize("name", list(cli._COMMANDS))
+def test_hand_parser_reads_every_declaration(name):
+    # the required positionals alone, and then every argument with a good value
+    _, arguments, _ = cli._COMMANDS[name]
+    positionals = [kwargs for (flag,), kwargs in arguments if not flag.startswith("-")]
+    options = [(flag, str(kwargs.get("choices", [2])[-1]))
+               for (flag,), kwargs in arguments if flag.startswith("-")]
+    least = ["X" for kwargs in positionals if "nargs" not in kwargs]
+    most = ["X"] * len(positionals) + [token for pair in options for token in pair]
+    for rest in least, most + ["--machine"]:
+        got = cli.read_plain(name, rest)
+        assert got is not None, rest
+        assert parse_outcome(cli.build_parser([name]), rest) == (
+            "namespace", {k: v for k, v in vars(got).items() if k != "run"})
+
+
+@pytest.mark.parametrize("arguments, rest, reads", [
+    ([(("--samples",), {"type": int, "default": 3})], ["--samples", "1"], True),
+    ([(("--samples",), {"type": float, "default": 3})], ["--samples", "1"], False),
+    ([(("--samples",), {"action": "append"})], ["--samples", "1"], False),
+    ([(("-s", "--samples"), {"type": int, "default": 3})], ["--samples", "1"], False),
+    ([(("-s",), {"type": int, "default": 3})], [], False),
+    ([(("--seed",), {"nargs": 2})], [], False),
+    ([(("first",), {}), (("second",), {"nargs": "?"})], ["a", "b"], False),
+])
+def test_hand_parser_leaves_other_declarations_to_argparse(monkeypatch, arguments, rest,
+                                                           reads):
+    monkeypatch.setitem(cli._COMMANDS, "kxy", ("stub", arguments, None))
+    assert (cli.read_plain("kxy", rest) is not None) == reads
 
 
 def test_console_script_reads_sys_argv(monkeypatch, capsys):

@@ -409,6 +409,34 @@ class TestRowsAsGivenAgainstOracle:
             solve(2, [{0: 1}, {0: 1, 1: 1.0}])
 
 
+class TestStringZeros:
+    """An entry that reads zero once converted is no entry: ``"0"`` and
+    ``"0/5"`` are nonempty strings, so the core and ``sparse`` test an
+    entry after converting it."""
+
+    @pytest.mark.parametrize("zero", ["0", "0/5"])
+    @pytest.mark.parametrize("rows", [
+        [{1: "Z"}],
+        [{0: "Z", 1: 1}],
+        [{0: 1, 1: "Z"}, {0: "Z", 1: "2/3"}],
+        [{0: "Z"}, {1: "Z", 2: "1"}, {2: "Z"}],
+    ])
+    def test_kernel_and_span_against_oracle(self, zero, rows):
+        rows = [{j: zero if x == "Z" else x for j, x in row.items()} for row in rows]
+        expected = oracle_kernel_and_span(rows, 3)
+        for solve, basis in zip((kernel, span), expected):
+            space = solve(3, rows)
+            assert [list(v) for v in space.basis] == basis
+            assert all(x for row in space.rows for x in row.values())
+
+    @pytest.mark.parametrize("zero", ["0", "0/5"])
+    def test_a_zero_string_adds_no_pivot(self, zero):
+        assert kernel(2, [{1: zero}]).dim == 2
+        assert span(2, [{1: zero}]).rows == ()
+        assert kernel(2, [{0: zero, 1: 1}]).rows == ({0: 1},)
+        assert sparse([zero, 1, "3/3"]) == {1: 1, 2: 1}
+
+
 # n rows of Q^n with full column rank, then up to three more sparse rows:
 # a square or a tall system whose first rows already fix every pivot.
 full_rank_systems = st.integers(1, 4).flatmap(lambda n: st.tuples(

@@ -9,12 +9,15 @@ loads ``catalog``, which imports ``entries``, ``poly`` and ``spaces``;
 ``kxy`` loads ``kxy`` and ``poly``.  No command loads ``dataclasses`` or
 ``inspect``, whose import and generated code would be paid at every start,
 or ``typing``, and ``json`` loads only to write ``--machine`` output.
+``argparse`` loads only where a call needs its help or its error
+messages: a plain call of a subcommand is read without it.
 
 Each check starts a fresh interpreter, so the modules this test session
 has already imported do not count: it notes ``sys.modules``, imports
-``diaskit.cli``, optionally runs ``main`` on the given arguments, and
-prints the modules then in ``sys.modules`` that were not there before
-(``site`` may import some of its own first).  The ``typing`` check runs
+``diaskit.cli``, optionally runs ``main`` on the given arguments (help's
+``SystemExit`` gives its status), and prints the modules then in
+``sys.modules`` that were not there before (``site`` may import some of
+its own first).  The ``typing`` check runs
 the interpreter with ``-S``, so that neither ``site`` nor a ``.pth`` file
 it reads imports ``typing`` before the probe looks.
 """
@@ -39,7 +42,10 @@ from diaskit import cli
 code = None
 if sys.argv[1:]:
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(sys.argv[1:])
+        try:
+            code = cli.main(sys.argv[1:])
+        except SystemExit as exc:  # help
+            code = exc.code
 print([code, sorted(set(sys.modules) - before)])
 """
 
@@ -135,3 +141,17 @@ def test_no_command_loads_typing(argv):
 def test_json_loads_only_for_machine_output(dlg_file):
     assert "json" not in added_modules("verify", dlg_file)[1]
     assert "json" in added_modules("verify", dlg_file, "--machine")[1]
+
+
+@pytest.mark.parametrize("argv, status, parses", [
+    (["verify", "catalog:Dias3_8"], 0, False),
+    (["kxy", "--bound", "4"], 0, False),
+    (["--help"], 0, True),
+    (["verify"], 2, True),
+])
+def test_argparse_loads_only_for_help_and_errors(argv, status, parses):
+    # a plain call is read without a parser; help and the missing input's
+    # error are argparse's own
+    code, added = added_modules(*argv)
+    assert code == status
+    assert ("argparse" in added) == parses
