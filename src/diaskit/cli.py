@@ -664,7 +664,7 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
 _PLAIN_KEYWORDS = {"default", "type", "choices", "nargs", "help"}
 
 
-def _plain_value(kwargs: dict, token: str):
+def _plain_value(kwargs: dict, token: str) -> int | str:
     """``token`` as the value of the argument declared with ``kwargs``;
     ``ValueError`` where argparse would refuse it or might read it
     otherwise."""

@@ -325,6 +325,11 @@ HAND_ALPHABET = [
 ]
 
 
+def read_outcome(args):
+    """A namespace ``read_plain`` gave, as ``parse_outcome`` puts one."""
+    return "namespace", {k: v for k, v in vars(args).items() if k != "run"}
+
+
 def test_hand_parser_reads_as_argparse():
     # every token list the hand parser takes, argparse reads to the same
     # namespace; the rest it leaves to argparse
@@ -336,8 +341,7 @@ def test_hand_parser_reads_as_argparse():
         got = cli.read_plain(name, rest)
         if got is not None:
             taken[name] += 1
-            assert parse_outcome(cli.build_parser([name]), rest) == (
-                "namespace", {k: v for k, v in vars(got).items() if k != "run"}), rest
+            assert parse_outcome(cli.build_parser([name]), rest) == read_outcome(got), rest
             assert got.run is cli._COMMANDS[name][2]
     assert taken.keys() == cli._COMMANDS.keys()
     assert sum(taken.values()) > 1000
@@ -399,8 +403,7 @@ def test_hand_parser_reads_every_declaration(name):
     for rest in least, most + ["--machine"]:
         got = cli.read_plain(name, rest)
         assert got is not None, rest
-        assert parse_outcome(cli.build_parser([name]), rest) == (
-            "namespace", {k: v for k, v in vars(got).items() if k != "run"})
+        assert parse_outcome(cli.build_parser([name]), rest) == read_outcome(got)
 
 
 @pytest.mark.parametrize("arguments, rest, reads", [
