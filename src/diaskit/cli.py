@@ -18,15 +18,15 @@ and ``kxy`` (with ``poly``) in ``kxy``.
 No module builds classes with ``dataclasses``, and ``json`` loads only
 for ``--machine``.  Where bytecode is not written, every start compiles
 each loaded module again, so what a command loads is most of its start-up.
-A call that names its subcommand, and whose every other token reads one
-way (``--machine``, a declared option in full with a plain value, the
-declared positionals), is read by hand from that subcommand's
-``_COMMANDS`` declaration, with no parser and without importing
-``argparse``.  Any other call that names its subcommand builds that
-subcommand's argparse parser alone and parses the rest of its arguments
-with it, so help, usage and every option error are argparse's own; help,
-no arguments or an unknown command build the full parser with all six.
-Nothing is kept between calls.
+A call is read one of two ways.  A call that names its subcommand, and
+whose every other token reads one way (``--machine``, a declared option
+in full with a plain value, the declared positional), is read by hand
+from that subcommand's ``_COMMANDS`` declaration, with no parser and
+without importing ``argparse``.  Every other call (help, no arguments, an
+unknown command, an abbreviation, a bad value) builds the full argparse
+parser with all six subcommands and parses the whole command line with
+it, so help, usage and every option error are argparse's own.  Nothing is
+kept between calls.
 
 INPUT is either a path to a structure-constants file (format written by
 ``serialize_dialgebra``) or a selector ``catalog:<Name>`` with optional
@@ -618,27 +618,11 @@ _COMMANDS = {
 }
 
 
-def _fill(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    """Give ``parser`` the arguments of subcommand ``name`` and its defaults
-    ``command`` and ``run``."""
-    _, arguments, run = _COMMANDS[name]
-    for args, kwargs in arguments:
-        parser.add_argument(*args, **kwargs)
-    parser.add_argument("--machine", action="store_true",
-                        help="emit one JSON document instead of text")
-    parser.set_defaults(command=name, run=run)
-    return parser
-
-
-def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
-    """The argparse parser of ``argv``, for what ``read_plain`` leaves:
-    help, usage and every option error.  When ``argv[0]`` names a
-    subcommand it is that subcommand's own parser, the one the full parser
-    hands the rest of ``argv`` to, and it parses ``argv[1:]``.  Otherwise
-    (no arguments, ``--help``, an unknown name, an option first) it is the
-    full parser, which holds all six, so the help and the invalid-choice
-    error list them all, and it parses ``argv``.  ``argparse`` loads here
-    and nowhere else."""
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of every call ``read_plain`` leaves: help, usage
+    and every option error.  It holds all six subcommands, so the help and
+    the invalid-choice error list them all, and it parses the whole
+    ``argv``.  ``argparse`` loads here and nowhere else."""
     import argparse
 
     class Parser(argparse.ArgumentParser):
@@ -648,57 +632,39 @@ def build_parser(argv: Sequence[str]) -> argparse.ArgumentParser:
         def error(self, message: str):
             raise InputError(message)
 
-    if argv and argv[0] in _COMMANDS:
-        return _fill(Parser(prog=f"diaskit {argv[0]}"), argv[0])
     parser = Parser(
         prog="diaskit",
         description="exact workbench for finite-dimensional dialgebras")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _fill(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, arguments, run) in _COMMANDS.items():
+        one = sub.add_parser(name, help=help_text)
+        for args, kwargs in arguments:
+            one.add_argument(*args, **kwargs)
+        one.add_argument("--machine", action="store_true",
+                         help="emit one JSON document instead of text")
+        one.set_defaults(run=run)
     return parser
 
 
-# The ``add_argument`` keywords ``read_plain`` reads, ``type`` only as
-# ``int`` and ``nargs`` only as "?"
-_PLAIN_KEYWORDS = {"default", "type", "choices", "nargs", "help"}
-
-
-def _plain_value(kwargs: dict, token: str) -> int | str:
-    """``token`` as the value of the argument declared with ``kwargs``;
-    ``ValueError`` where argparse would refuse it or might read it
-    otherwise."""
-    number = kwargs.get("type") is int
-    value = int(token) if number else token  # ValueError past sys.get_int_max_str_digits()
-    if (token.startswith("-") or number and not (token.isascii() and token.isdigit())
-            or value not in kwargs.get("choices", (value,))):
-        raise ValueError(token)
-    return value
-
-
 def read_plain(name: str, rest: Sequence[str]) -> SimpleNamespace | None:
-    """The namespace ``build_parser([name]).parse_args(rest)`` gives, read
-    from the declaration of subcommand ``name`` without argparse, when
+    """The namespace ``build_parser().parse_args([name, *rest])`` gives,
+    read from the declaration of subcommand ``name`` without argparse, when
     every token of ``rest`` reads one way: ``--machine``, a declared option
     spelt in full and a value not starting with ``-`` (an ``int`` value of
-    ASCII digits, a ``choices`` value one of them), or a positional, no
-    more than declared and each required one present.  Anything else (help,
-    an abbreviation, ``--opt=value``, ``--``, a signed number, a bad value)
-    and a declaration with more than one positional or another keyword
-    give None, so that argparse reads the call."""
+    ASCII digits, a ``choices`` value one of them), or the positional, once
+    at most and present when required.  Anything else (help, an
+    abbreviation, ``--opt=value``, ``--``, a signed number, a bad value)
+    gives None, so that argparse reads the call.  The declarations are read
+    as the six are written: one flag each, at most one positional, and no
+    keywords but ``default``, ``type=int``, ``choices``, ``nargs="?"`` and
+    ``help``."""
     _, arguments, run = _COMMANDS[name]
     # a value takes no token starting with "-", so a "--machine" in a call
     # that is read is the flag
     ns = {"command": name, "run": run, "machine": "--machine" in rest}
     options, positionals = {}, []
-    # One positional at most: with two, argparse can fill a "?" one with
-    # nothing before an option and refuse the token after it.
-    for (flag, *more), kwargs in arguments:
-        dest = flag[2:] if flag.startswith("--") else flag
-        if (more or kwargs.keys() - _PLAIN_KEYWORDS or kwargs.get("type", int) is not int
-                or kwargs.get("nargs", "?") != "?" or not dest.isidentifier()
-                or positionals and dest == flag):
-            return None
+    for (flag,), kwargs in arguments:
+        dest = flag.removeprefix("--")
         ns[dest] = kwargs.get("default")
         if dest == flag:
             positionals.append((dest, kwargs))
@@ -712,9 +678,14 @@ def read_plain(name: str, rest: Sequence[str]) -> SimpleNamespace | None:
                 token = next(tokens, "-")
             elif token == "--machine":
                 continue
-            else:  # a positional, one too many, or another option
+            else:  # the positional, one too many, or another option
                 dest, kwargs = positionals.pop()
-            ns[dest] = _plain_value(kwargs, token)
+            number = kwargs.get("type") is int
+            value = int(token) if number else token  # ValueError past sys.get_int_max_str_digits()
+            if (token.startswith("-") or number and not (token.isascii() and token.isdigit())
+                    or value not in kwargs.get("choices", (value,))):
+                return None
+            ns[dest] = value
     except (IndexError, ValueError):
         return None
     # a positional left over must be optional
@@ -724,15 +695,14 @@ def read_plain(name: str, rest: Sequence[str]) -> SimpleNamespace | None:
 def main(argv: Sequence[str] | None = None) -> int:
     """Run the command line ``argv`` (``sys.argv[1:]`` if None) and return
     its exit status.  A call that names its subcommand and that
-    ``read_plain`` reads builds no parser; the rest go to ``build_parser``
-    and argparse."""
+    ``read_plain`` reads builds no parser; the rest go to the full parser
+    of ``build_parser``."""
     if argv is None:
         argv = sys.argv[1:]
-    named = bool(argv) and argv[0] in _COMMANDS
     try:
-        args = read_plain(argv[0], argv[1:]) if named else None
+        args = read_plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
         if args is None:
-            args = build_parser(argv).parse_args(argv[1:] if named else argv)
+            args = build_parser().parse_args(argv)
         report = args.run(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

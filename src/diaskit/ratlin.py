@@ -452,11 +452,15 @@ class Subspace:
 
     def coordinates(self, v: Row) -> Row | None:
         """The coordinates of the sparse vector v, keyed by basis index in
-        ascending order, or ``None`` when v lies outside the span."""
+        ascending order, or ``None`` when v lies outside the span.  An
+        entry is tested once converted, so ``"0"`` is no entry."""
         # A member's coordinate on a basis vector is its entry at that
         # vector's pivot, where the others are 0: only the pivots in v are
         # visited, ascending as the basis index does.  What is left must be 0.
-        rest = {j: x for j, x in v.items() if x}
+        rest: Row = {}
+        for j, x in v.items():
+            if x and (type(x) is int or (x := int_or_fraction(x))):
+                rest[j] = x
         coords: Row = {}
         for p in sorted(p for p in rest if p in self._pivots):
             k = self._pivots[p]

@@ -282,8 +282,9 @@ def parse_outcome(parser, argv):
     return "namespace", args
 
 
-@pytest.mark.parametrize("columns", ["80", "40"])
-@pytest.mark.parametrize("argv", [
+# Calls that argparse reads: abbreviations, ``--opt=value``, ``--``,
+# missing and extra arguments, bad values and signed numbers
+PARSER_ARGVS = [
     ["spaces", "--machine", "--which", "der", "catalog:Dias2_1"],
     ["spaces", "catalog:Dias2_1", "--which=inn"],
     ["catalog", "--samp", "2", "--mach"],
@@ -304,14 +305,7 @@ def parse_outcome(parser, argv):
     ["catalog", "--seed", "-3", "--samples", "1", "Dias2_1"],
     ["kxy", "--bou=4", "--mach"],
     ["kxy", "extra"],
-])
-def test_parser_of_one_subcommand_parses_as_the_full_parser(monkeypatch, argv, columns):
-    # ``build_parser(argv)`` is the parser of the subcommand ``argv[0]``
-    # names and parses ``argv[1:]``; ``build_parser([])`` holds all six
-    # and hands that parser the rest of ``argv``
-    monkeypatch.setenv("COLUMNS", columns)
-    own = parse_outcome(cli.build_parser(argv), argv[1:])
-    assert own == parse_outcome(cli.build_parser([]), argv)
+]
 
 
 # Tokens for the hand-parser corpus: every declared option, ``--machine``,
@@ -335,13 +329,14 @@ def test_hand_parser_reads_as_argparse():
     # namespace; the rest it leaves to argparse
     rng = random.Random("hand-parser")
     taken = Counter()
+    parser = cli.build_parser()
     for _ in range(12000):
         name = rng.choice(list(cli._COMMANDS))
         rest = [rng.choice(HAND_ALPHABET) for _ in range(rng.randint(0, 5))]
         got = cli.read_plain(name, rest)
         if got is not None:
             taken[name] += 1
-            assert parse_outcome(cli.build_parser([name]), rest) == read_outcome(got), rest
+            assert parse_outcome(parser, [name, *rest]) == read_outcome(got), rest
             assert got.run is cli._COMMANDS[name][2]
     assert taken.keys() == cli._COMMANDS.keys()
     assert sum(taken.values()) > 1000
@@ -360,7 +355,7 @@ MAIN_ARGVS = [
     *argv_column(TestInputErrors.test_option_error_is_one_line),
     *argv_column(TestInputErrors.test_help_prints_usage_and_exits_zero),
     *argv_column(test_main_dispatches_to_the_module_attribute),
-    *argv_column(test_parser_of_one_subcommand_parses_as_the_full_parser),
+    *PARSER_ARGVS,
     # one run of each subcommand, and an int past the digit limit
     ["verify", "catalog:Dias3_8"],
     ["spaces", "catalog:Dias2_1", "--which", "der", "--machine"],
@@ -400,25 +395,45 @@ def test_hand_parser_reads_every_declaration(name):
                for (flag,), kwargs in arguments if flag.startswith("-")]
     least = ["X" for kwargs in positionals if "nargs" not in kwargs]
     most = ["X"] * len(positionals) + [token for pair in options for token in pair]
+    parser = cli.build_parser()
     for rest in least, most + ["--machine"]:
         got = cli.read_plain(name, rest)
         assert got is not None, rest
-        assert parse_outcome(cli.build_parser([name]), rest) == read_outcome(got)
+        assert parse_outcome(parser, [name, *rest]) == read_outcome(got)
 
 
-@pytest.mark.parametrize("arguments, rest, reads", [
-    ([(("--samples",), {"type": int, "default": 3})], ["--samples", "1"], True),
-    ([(("--samples",), {"type": float, "default": 3})], ["--samples", "1"], False),
-    ([(("--samples",), {"action": "append"})], ["--samples", "1"], False),
-    ([(("-s", "--samples"), {"type": int, "default": 3})], ["--samples", "1"], False),
-    ([(("-s",), {"type": int, "default": 3})], [], False),
-    ([(("--seed",), {"nargs": 2})], [], False),
-    ([(("first",), {}), (("second",), {"nargs": "?"})], ["a", "b"], False),
-])
-def test_hand_parser_leaves_other_declarations_to_argparse(monkeypatch, arguments, rest,
-                                                           reads):
-    monkeypatch.setitem(cli._COMMANDS, "kxy", ("stub", arguments, None))
-    assert (cli.read_plain("kxy", rest) is not None) == reads
+def test_benchmark_cli_calls_are_read_by_hand(monkeypatch):
+    # every ``cli.main`` call of the benchmark workloads, as its op makes
+    # it, runs with no argparse parser
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    argvs = []
+    monkeypatch.setattr(cli, "main", lambda argv: argvs.append(argv) or 0)
+    points = workloads.points(1)
+    for name in workloads.WORKLOADS:
+        for op in workloads.build(name, 1, points):
+            if op.label.split()[0] in cli._COMMANDS:
+                op.call()
+    assert {argv[0] for argv in argvs} == cli._COMMANDS.keys()
+
+    def no_parser():
+        raise AssertionError("argparse parser built")
+
+    ran = []
+
+    def stub(*args):
+        ran.append(args)
+        return cli.Report("stub", "stub")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    for cmd in ("cmd_verify", "cmd_spaces", "cmd_invariants", "cmd_bider", "cmd_catalog",
+                "cmd_kxy"):
+        monkeypatch.setattr(cli, cmd, stub)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    assert len(ran) == len(argvs)
 
 
 def test_console_script_reads_sys_argv(monkeypatch, capsys):

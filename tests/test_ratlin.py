@@ -411,8 +411,8 @@ class TestRowsAsGivenAgainstOracle:
 
 class TestStringZeros:
     """An entry that reads zero once converted is no entry: ``"0"`` and
-    ``"0/5"`` are nonempty strings, so the core and ``sparse`` test an
-    entry after converting it."""
+    ``"0/5"`` are nonempty strings, so the core, ``sparse`` and
+    ``Subspace.coordinates`` test an entry after converting it."""
 
     @pytest.mark.parametrize("zero", ["0", "0/5"])
     @pytest.mark.parametrize("rows", [
@@ -435,6 +435,28 @@ class TestStringZeros:
         assert span(2, [{1: zero}]).rows == ()
         assert kernel(2, [{0: zero, 1: 1}]).rows == ({0: 1},)
         assert sparse([zero, 1, "3/3"]) == {1: 1, 2: 1}
+
+    @pytest.mark.parametrize("zero", ["0", "0/5"])
+    @pytest.mark.parametrize("v", [
+        {1: "Z"},
+        {0: "Z", 1: 0},
+        {0: "2"},
+        {0: "2", 2: "-2"},
+        {0: "1/2", 1: "Z", 2: "-1/2"},
+        {1: "3", 2: "Z"},
+    ])
+    def test_coordinates_and_contains_against_oracle(self, zero, v):
+        rows = [{0: 1, 2: "-1"}, {1: "2/3"}]
+        v = {j: zero if x == "Z" else x for j, x in v.items()}
+        vectors = [dense(3, row) for row in rows]
+        w = dense(3, v)
+        # on the RREF basis, a member's coordinates are its pivot entries
+        expected = None
+        if oracle.in_span(vectors, w):
+            expected = {k: w[p] for k, p in enumerate(oracle.rref(vectors)[1]) if w[p]}
+        space = span(3, rows)
+        assert space.coordinates(v) == expected
+        assert space.contains([v.get(j, zero) for j in range(3)]) == (expected is not None)
 
 
 # n rows of Q^n with full column rank, then up to three more sparse rows:

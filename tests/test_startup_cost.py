@@ -19,6 +19,8 @@ import time:      6729 |       6729 |       diaskit.ratlin
 import time:      7703 |      17889 |     diaskit.core
 import time:       400 |      18288 |   diaskit
 import time:      9428 |      32890 | diaskit.cli
+import time:       670 |        670 |   gettext
+import time:       936 |       1606 | argparse
 import time:        41 |         41 |   diaskitty
 import time:      2953 |       2953 |   diaskit.poly
 import time:      7318 |      10270 | diaskit.kxy
@@ -34,17 +36,27 @@ def test_reads_the_diaskit_modules_in_line_order():
 def test_ignores_lines_that_are_not_import_times():
     text = "Traceback (most recent call last):\nimport time: self [us] | cumulative\n"
     assert startup_cost.diaskit_self_us(text) == []
+    assert startup_cost.loaded_us(text) == 0
+
+
+def test_total_counts_each_top_level_import_from_the_cli_on():
+    # diaskit.cli, argparse and diaskit.kxy, each with what it imports;
+    # typing and the others nested in diaskit.cli are inside its time
+    assert startup_cost.loaded_us(IMPORTTIME) == 32890 + 1606 + 10270
+    earlier = "import time:       500 |        500 | site\n"
+    assert startup_cost.loaded_us(earlier + IMPORTTIME) == 32890 + 1606 + 10270
 
 
 def test_render_lists_each_modules_median_and_the_totals_range():
-    modules = startup_cost.diaskit_self_us(IMPORTTIME)  # total 34.53 ms
-    slower = [(name, us + 1000) for name, us in modules]  # total 40.53 ms
-    runs = [(0, modules), (1, slower), (0, modules)]
+    modules = startup_cost.diaskit_self_us(IMPORTTIME)
+    total = startup_cost.loaded_us(IMPORTTIME)  # 44.77 ms
+    slower = [(name, us + 1000) for name, us in modules]
+    runs = [(0, modules, total), (1, slower, total + 6000), (0, modules, total)]
     lines = startup_cost.render(["kxy", "--bound", "6"], runs).splitlines()
     # each exit status once, in order
     assert lines[0] == "$ diaskit kxy --bound 6  (exit 0, 1; median of 3 runs)"
     assert lines[1] == "  diaskit.ratlin     6.73 ms"
-    assert lines[-1] == "  total             34.53 ms  (min 34.53, max 40.53)"
+    assert lines[-1] == "  total             44.77 ms  (min 44.77, max 50.77)"
     assert len(lines) == 8
 
 
@@ -53,7 +65,7 @@ def test_each_command_runs_a_fixed_number_of_times(monkeypatch, capsys):
 
     def measure(argv):
         calls.append(argv)
-        return 0, [("diaskit", 1000 * len(calls))]
+        return 0, [("diaskit", 1000 * len(calls))], 1000 * len(calls)
 
     monkeypatch.setattr(startup_cost, "measure", measure)
     assert startup_cost.main(["--", "verify", "--", "kxy"]) == 0

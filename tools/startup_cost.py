@@ -16,8 +16,12 @@ of each diaskit module loaded, in the order their imports ended, and the
 median, least and greatest of the runs' totals.  A module's self time is
 the time to find, compile and run it, without the modules it imports;
 where bytecode is not written (``PYTHONDONTWRITEBYTECODE``) every start
-compiles every line again.  The report goes to stdout, the command's own
-output nowhere.  Standard library only.
+compiles every line again.  A run's total is the import time of every
+module the command loads, standard library included: the cumulative time
+of each top-level import from ``diaskit.cli`` on, so a module that
+``diaskit.cli`` or a command imports (``argparse``, ``json``) counts.
+The report goes to stdout, the command's own output nowhere.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 RUNS = 5
 RUN = "import sys; from diaskit.cli import main; sys.exit(main(sys.argv[1:]))"
 # "import time:  self [us] | cumulative | imported package", the name
-# indented by two spaces per level of nesting
-_LINE = re.compile(r"import time:\s*(\d+)\s*\|\s*\d+\s*\|\s*(\S+)\s*$")
+# after one space and two more per level of nesting
+_LINE = re.compile(r"import time:\s*(\d+)\s*\|\s*(\d+)\s*\| ( *)(\S+)\s*$")
 
 
 def split_commands(argv: list[str]) -> list[list[str]]:
@@ -59,20 +63,33 @@ def diaskit_self_us(text: str) -> list[tuple[str, int]]:
     out = []
     for line in text.splitlines():
         m = _LINE.match(line)
-        if m and (m[2] == "diaskit" or m[2].startswith("diaskit.")):
-            out.append((m[2], int(m[1])))
+        if m and (m[4] == "diaskit" or m[4].startswith("diaskit.")):
+            out.append((m[4], int(m[1])))
     return out
 
 
-def render(argv: list[str], runs: list[tuple[int, list[tuple[str, int]]]]) -> str:
-    """The report on the runs of one command: each run's exit status and
-    diaskit modules' self times, as ``measure`` gives them."""
+def loaded_us(text: str) -> int:
+    """The import time in microseconds of everything a command loads: the
+    cumulative times of the top-level lines of ``-X importtime`` output
+    ``text`` from the ``diaskit.cli`` line on."""
+    total, started = 0, False
+    for line in text.splitlines():
+        m = _LINE.match(line)
+        if m and not m[3]:
+            started = started or m[4] == "diaskit.cli"
+            total += int(m[2]) if started else 0
+    return total
+
+
+def render(argv: list[str], runs: list[tuple[int, list[tuple[str, int]], int]]) -> str:
+    """The report on the runs of one command: each run's exit status,
+    diaskit modules' self times and total, as ``measure`` gives them."""
     times: dict[str, list[int]] = {}
-    for _, modules in runs:
+    for _, modules, _ in runs:
         for name, us in modules:
             times.setdefault(name, []).append(us)
-    totals = [sum(us for _, us in modules) / 1000 for _, modules in runs]
-    codes = ", ".join(str(code) for code in sorted({code for code, _ in runs}))
+    totals = [total / 1000 for _, _, total in runs]
+    codes = ", ".join(str(code) for code in sorted({code for code, _, _ in runs}))
     width = max([len(name) for name in times] + [len("total")])
     lines = [f"$ diaskit {' '.join(argv)}  (exit {codes}; median of {len(runs)} runs)"]
     lines += [f"  {name:{width}}  {statistics.median(us) / 1000:7.2f} ms"
@@ -82,14 +99,14 @@ def render(argv: list[str], runs: list[tuple[int, list[tuple[str, int]]]]) -> st
     return "\n".join(lines)
 
 
-def measure(argv: list[str]) -> tuple[int, list[tuple[str, int]]]:
-    """Exit status of one command in a fresh process, and its diaskit
-    modules' self import times."""
+def measure(argv: list[str]) -> tuple[int, list[tuple[str, int]], int]:
+    """Exit status of one command in a fresh process, its diaskit modules'
+    self import times and the import time of all it loads."""
     proc = subprocess.run(
         [sys.executable, "-X", "importtime", "-c", RUN, *argv],
         env=dict(os.environ, PYTHONPATH=str(SRC)), stdout=subprocess.DEVNULL,
         stderr=subprocess.PIPE, text=True)
-    return proc.returncode, diaskit_self_us(proc.stderr)
+    return proc.returncode, diaskit_self_us(proc.stderr), loaded_us(proc.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
