@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -342,6 +343,39 @@ def test_hand_parser_reads_as_argparse():
     assert sum(taken.values()) > 1000
 
 
+CMD_NAMES = ("cmd_verify", "cmd_spaces", "cmd_invariants", "cmd_bider", "cmd_catalog",
+             "cmd_kxy")
+
+
+@pytest.mark.parametrize("columns", ["80", "40"])
+@pytest.mark.parametrize("argv", PARSER_ARGVS)
+def test_main_reads_as_the_full_parser(monkeypatch, capsys, argv, columns):
+    # ``main`` runs the command the full parser reads from ``argv``, or
+    # prints that parser's help or one-line error, at either width; the
+    # hand reader takes a call only to the parser's own namespace
+    monkeypatch.setenv("COLUMNS", columns)
+    calls = []
+    for cmd in CMD_NAMES:
+        monkeypatch.setattr(cli, cmd, lambda *args, cmd=cmd: calls.append((cmd, args))
+                            or cli.Report("stub", "stub"))
+    expected = parse_outcome(cli.build_parser(), argv)
+    got = cli.read_plain(argv[0], argv[1:])
+    if got is not None:
+        assert read_outcome(got) == expected
+    code, out, err = main_outcome(capsys, argv)
+    if expected[0] == "namespace":
+        args = expected[1]
+        cli._COMMANDS[args["command"]][2](SimpleNamespace(**args))
+        assert (code, err) == (0, "")
+        assert len(calls) == 2 and calls[0] == calls[1]
+    elif expected[0] == "error":
+        assert (code, out, err) == (2, "", f"error: {expected[1]}\n")
+        assert calls == []
+    else:
+        assert (code, out, err) == (("exit", expected[1]), expected[2], "")
+        assert calls == []
+
+
 def argv_column(test):
     """The ``argv`` column of the ``parametrize`` table of ``test``."""
     for mark in test.pytestmark:
@@ -428,8 +462,7 @@ def test_benchmark_cli_calls_are_read_by_hand(monkeypatch):
         return cli.Report("stub", "stub")
 
     monkeypatch.setattr(cli, "build_parser", no_parser)
-    for cmd in ("cmd_verify", "cmd_spaces", "cmd_invariants", "cmd_bider", "cmd_catalog",
-                "cmd_kxy"):
+    for cmd in CMD_NAMES:
         monkeypatch.setattr(cli, cmd, stub)
     with contextlib.redirect_stdout(io.StringIO()):
         assert [main(argv) for argv in argvs] == [0] * len(argvs)
