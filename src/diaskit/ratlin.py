@@ -27,9 +27,19 @@ cancel, but many rows left repeat an earlier row (Der of phi at n = 12:
 288 rows, 12 of them distinct), and other callers hand over empty rows
 too (the systems of ``invariants.halo``, ``bar_center`` and
 ``annihilator``).  The core still skips both before any arithmetic: a
-row equal, entry for entry as given, to an earlier row of the same
-elimination is looked up before its entries are normalised; it already
-lies in the reduced span, so it would reduce to zero.  Skipping it
+row is looked up among the earlier rows of the same elimination before
+its entries are normalised, and a row found there already lies in the
+reduced span, so it would reduce to zero.  A longer row is keyed as
+written, entry for entry.  A row of one nonzero ``int`` or ``Fraction``
+entry, an equation T[a][b] = 0, is keyed by its column, so every later
+one-entry row in that column is skipped whatever its entry; if the
+column is not yet a pivot, the row becomes its pivot with no arithmetic.
+Most rows are of that kind, and the column key catches the multiples a
+key as written misses: one seed-1 pass of the benchmark's
+``solve_ladder`` hands the core 10,650 rows, 8,984 with one entry, 1,860
+of which repeat an earlier one's column in another value, and only 32
+longer rows that are a multiple of an earlier row without being written
+alike (``cli_session``: 9,534 rows, 6,745, 985 and 27).  Skipping a row
 changes neither the reduced rows nor the pivot scales, and so no kernel,
 RREF or determinant.  A new pivot is back-substituted only into the
 reduced rows that hold an entry.  The core also stops reading rows once
@@ -188,17 +198,19 @@ Row = dict[int, Exact]
 
 
 def _axpy(row: Row, a: Exact, other: Row) -> None:
-    """``row += a * other`` in place, keeping only nonzero entries."""
+    """``row += a * other`` in place, keeping only nonzero entries, each an
+    ``int`` when integral: a product or sum of ``Fraction`` entries may be
+    an integral ``Fraction``."""
     for j, x in other.items():
         y = row.get(j)
         if y is None:
-            row[j] = a * x
+            y = a * x
         else:
             y += a * x
-            if y:
-                row[j] = y
-            else:
+            if not y:
                 del row[j]
+                continue
+        row[j] = y if type(y) is int or y.denominator != 1 else y.numerator
 
 
 def _quotient(x: Exact, s: Exact) -> Exact:
@@ -219,7 +231,8 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     omits its pivot entry (an implicit 1); its entries lie at non-pivot
     columns below its pivot.  Input rows are not changed; their entries
     are taken as ``int`` where integral, and an entry that is zero once
-    converted (``"0"``, ``"0/5"``) is dropped.
+    converted (``"0"``, ``"0/5"``) is dropped.  Every reduced entry and
+    every scale is an ``int`` when integral, a ``Fraction`` otherwise.
 
     A row equal, entry for entry as given, to an earlier row of the same
     call is skipped before its entries are read or checked, as the rows
@@ -233,6 +246,17 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     too.  Any other row with a column outside ``range(ncols)`` raises
     ``ValueError``, and one with a ``float`` entry ``TypeError``.
 
+    A row whose one entry is a nonzero ``int`` or ``Fraction`` is keyed
+    by its column j instead, so it is skipped, unread, after any earlier
+    such row in column j, whatever either entry: the earlier row put e_j
+    in the span.  Otherwise, if j is in ``range(ncols)`` and not yet a
+    pivot, the row becomes the pivot j with an empty reduced row and its
+    entry as the scale, and j's entry is dropped from the reduced rows
+    that hold one: no copy, division or ``_axpy``.  A one-entry row with
+    a zero, string or ``float`` entry, or in a column that is already a
+    pivot or outside ``range(ncols)``, goes the general way, and a zero
+    entry keys no column.
+
     Back-substitution visits only the reduced rows that held an entry
     when they were found: a reduced row with none is changed by no later
     pivot, since only a row holding the pivot's column is.
@@ -245,8 +269,24 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     reduced: dict[int, Row] = {}
     filled: list[Row] = []  # the reduced rows that held an entry when found
     scales: list[Exact] = []
-    seen: set[frozenset] = set()
+    seen: set[int | frozenset] = set()
     for given in rows:
+        # one nonzero int or Fraction: keyed by its column, pivoted on unread
+        if len(given) == 1:
+            [(j, x)] = given.items()
+            if x and (type(x) is int or type(x) is Fraction):
+                if j in seen:
+                    continue
+                seen.add(j)
+                if j not in reduced and 0 <= j < ncols:
+                    for other in filled:
+                        if j in other:
+                            del other[j]
+                    reduced[j] = {}
+                    scales.append(int_or_fraction(x))
+                    if len(reduced) == ncols:
+                        break
+                    continue
         key = frozenset(given.items())
         if key in seen:
             continue
@@ -364,7 +404,10 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     unless it is empty or repeats an earlier row.  Rows after the ncols-th
     pivot are not read, so they are not checked: the kernel is then 0.  A
     repeat is likewise skipped before its entries are read or checked, so
-    a repeat with a ``float`` entry does not raise.  Back-substitution
+    a repeat with a ``float`` entry does not raise.  A repeat is an earlier
+    row as written, and for a row of one nonzero ``int`` or ``Fraction``
+    entry any earlier such row in its column; a one-entry row in a column
+    that is no pivot yet becomes one with no arithmetic.  Back-substitution
     visits only the reduced rows that hold an entry (see ``_eliminate``).
     """
     reduced, _ = _eliminate(rows, ncols)
@@ -383,8 +426,10 @@ def span(ncols: int, rows: Iterable[Row]) -> "Subspace":
     each row on its lowest column; the reduced row of the pivot c, laid
     back, is the RREF basis vector with pivot c.
 
-    Rows are checked as by ``kernel``; rows after the ncols-th pivot are
-    not read, so they are not checked: the span is then all of Q^ncols.
+    Rows are checked and skipped as by ``kernel``: a one-entry row is
+    keyed by its column, laid or not, so the same rows are skipped.  Rows
+    after the ncols-th pivot are not read, so they are not checked: the
+    span is then all of Q^ncols.
     """
     last = ncols - 1
     reduced, _ = _eliminate(({last - j: x for j, x in row.items()} for row in rows), ncols)

@@ -379,6 +379,51 @@ def test_operator_route_stops_at_full_rank(monkeypatch):
     assert runs == [1717]  # of 2n^3 = 3456
 
 
+DIAS3_16_POINT = dict(zip("kmnpq", map(Fraction, (-2, 3, -3, -3, -2))))
+
+
+@pytest.mark.parametrize("make, solve", [
+    # the 1,717 rows read are all one-entry rows, in 144 columns
+    pytest.param(lambda: phi_dialgebra((PHI8 * 2)[:12]), spaces.diderivation_space_via_ops,
+                 id="phi12-dider-ops"),
+    # 16 of the 28 rows are one-entry rows, in 2 columns
+    pytest.param(lambda: catalog.instantiate("Dias3_16", DIAS3_16_POINT),
+                 spaces.diderivation_space, id="Dias3_16-dider"),
+    pytest.param(lambda: direct_sum(catalog.instantiate("Dias3_10"),
+                                    catalog.instantiate("Dias3_13"),
+                                    catalog.instantiate("Dias3_16", DIAS3_16_POINT)),
+                 spaces.derivation_space, id="sum9-der"),
+])
+def test_one_entry_multiples_reach_no_arithmetic(monkeypatch, make, solve):
+    # A one-entry row T[a][b] = x after an earlier one-entry row in the
+    # same column is skipped by its column before any arithmetic, however
+    # its entry is written: the system costs the core no more calls than
+    # the system without those rows, and gives the same result.
+    eliminate = ratlin._eliminate
+    runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: (rows, ncols))
+    solve(make())
+    [(rows, ncols)] = runs
+    first: dict = {}
+    kept, respelled = [], 0
+    for row in rows:
+        if len(row) == 1:
+            [j] = row
+            if j in first:
+                respelled += row != first[j]
+                continue
+            first[j] = row
+        kept.append(row)
+    assert respelled  # a key of the row as written would not skip these
+    calls = Counter()
+    for name in ("_axpy", "_quotient", "int_or_fraction"):
+        counting(monkeypatch, ratlin, name, calls)
+    expected = eliminate(kept, ncols)
+    without = Counter(calls)
+    calls.clear()
+    assert eliminate(rows, ncols) == expected
+    assert calls == without
+
+
 @pytest.mark.parametrize("make, reads", [
     # the Dider route reaches full rank inside its first condition on phi
     pytest.param(lambda: phi_dialgebra((PHI8 * 2)[:12]), [2, 2, 2], id="phi12"),

@@ -511,6 +511,97 @@ class TestFullRank:
         assert solve(2, [{column: 0}]).dim == (2 if solve is kernel else 0)
 
 
+def typed(reduced, scales):
+    """The core's result with each entry's type: the reduced rows in pivot
+    order, and the scales."""
+    return ([(p, [(j, type(x), x) for j, x in row.items()]) for p, row in reduced.items()],
+            [(type(s), s) for s in scales])
+
+
+nonzero_rationals = rationals.filter(bool)
+
+
+def spelt(x, how):
+    """The nonzero rational x as a one-entry row may give it."""
+    if how == "int" and x.denominator == 1:
+        return x.numerator
+    if how == "string":
+        return str(x)
+    return Fraction(x)  # an integral Fraction too
+
+
+spellings = st.sampled_from(["int", "Fraction", "string"])
+
+
+class TestOneEntryRows:
+    """A one-entry row with a nonzero ``int`` or ``Fraction`` entry is keyed
+    by its column, so every later one-entry row in that column is skipped,
+    and it is pivoted on without arithmetic; every other row goes the
+    general way.  Neither changes the core's result."""
+
+    @given(sparse_rows, columns, nonzero_rationals, spellings,
+           st.lists(st.tuples(nonzero_rationals, spellings), min_size=1, max_size=4),
+           st.data())
+    def test_later_rows_in_a_column_change_nothing(self, rows, j, x, how, later, data):
+        # int, Fraction, integral Fraction, negative and string multiples
+        # of the first one-entry row in column j, anywhere after it
+        at = data.draw(st.integers(0, len(rows)))
+        alone = rows[:at] + [{j: spelt(x, how)}] + rows[at:]
+        mixed = list(alone)
+        for y, how in later:
+            mixed.insert(data.draw(st.integers(at + 1, len(mixed))), {j: spelt(y, how)})
+        assert typed(*_eliminate(mixed, 4)) == typed(*_eliminate(alone, 4))
+
+    def test_a_one_entry_row_in_every_spelling(self):
+        # the first row in column 1 pivots on column 0 through {0: 1, 1: 1}
+        for first in (2, Fraction(2), "2", "4/2"):
+            for later in (3, -2, Fraction(-1, 3), Fraction(6, 3), "2", "-4/3"):
+                rows = [{0: 1, 1: 1}, {1: first}, {1: later}, {2: Fraction(1, 2)}]
+                assert typed(*_eliminate(rows, 3)) == ([(1, []), (0, []), (2, [])], [
+                    (int, 1), (int, -2), (Fraction, Fraction(1, 2))])
+
+    @pytest.mark.parametrize("zero", [0, Fraction(0), "0", "0/5"])
+    def test_a_zero_entry_does_not_mark_its_column(self, zero):
+        assert _eliminate([{1: zero}, {1: 3}], 2) == ({1: {}}, [3])
+        assert _eliminate([{0: 1, 1: 1}, {1: zero}, {1: Fraction(1, 2)}], 2) == \
+            ({1: {}, 0: {}}, [1, Fraction(-1, 2)])
+        assert kernel(2, [{1: zero}, {1: 2}]).rows == ({0: 1},)
+
+    def test_a_float_still_raises(self):
+        # a float keys no column, even one an earlier one-entry row holds
+        for rows in ([{0: 1}, {0: 0.5}], [{0: 2}, {1: 1.5}]):
+            with pytest.raises(TypeError):
+                _eliminate(rows, 2)
+
+    @pytest.mark.parametrize("column", [2, 5, -1])
+    @pytest.mark.parametrize("x", [1, Fraction(1, 2), Fraction(3)])
+    def test_a_column_outside_the_space_still_raises(self, column, x):
+        for rows in ([{column: x}], [{0: 1}, {column: x}], [{0: 1, 1: 1}, {column: x}]):
+            with pytest.raises(ValueError, match=r"outside range\(2\)"):
+                _eliminate(rows, 2)
+
+    @given(sparse_rows, st.lists(st.tuples(columns, st.one_of(
+        nonzero_rationals.map(lambda x: (x, "int")), nonzero_rationals.map(lambda x: (x, "Fraction")),
+        st.sampled_from([(1, "string"), (Fraction(-2, 3), "string"), (0, "int"), (0, "string")]))),
+        min_size=1, max_size=8), st.data())
+    def test_shuffled_mixes_against_the_oracle(self, rows, singles, data):
+        mixed = data.draw(st.permutations(rows + [{j: spelt(Fraction(x), how)}
+                                                 for j, (x, how) in singles]))
+        expected = oracle_kernel_and_span(mixed, 4)
+        assert [list(v) for v in kernel(4, mixed).basis] == expected[0]
+        assert [list(v) for v in span(4, mixed).basis] == expected[1]
+
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(st.one_of(
+        st.lists(sparse_entries, min_size=n, max_size=n),
+        st.tuples(st.integers(0, n - 1), nonzero_rationals).map(
+            lambda e: [e[1] if k == e[0] else 0 for k in range(n)])),
+        min_size=n, max_size=n)))
+    def test_det_of_rows_with_one_entry_against_the_oracle(self, rows):
+        value = det(Matrix(rows))
+        assert type(value) is Fraction
+        assert value == oracle.det(rows)
+
+
 def all_fractions(entries) -> bool:
     return all(type(x) is Fraction for x in entries)
 
@@ -523,6 +614,24 @@ class TestNoFloats:
     """The elimination core keeps integral entries as ``int`` internally;
     everything it hands back is ``Fraction``, never ``int`` and never a
     ``float`` from a true division."""
+
+    def test_core_keeps_an_integral_sum_of_fractions_as_int(self):
+        # 1 - 4 * 1/2 is the scale of the second pivot
+        assert typed(*_eliminate([{0: 1, 1: 2}, {0: 1, 1: 4}], 2)) == \
+            ([(1, []), (0, [])], [(int, 2), (int, -1)])
+        # 1/3 + 1/3 * 2 is pivot 2's entry at column 0 once pivot 1 is found
+        assert typed(*_eliminate([{0: 1, 1: 1, 2: 3}, {0: -2, 1: 1}], 3)) == \
+            ([(2, [(0, int, 1)]), (1, [(0, int, -2)])], [(int, 3), (int, 1)])
+        assert typed(*_eliminate([{0: Fraction(1, 2), 1: Fraction(3, 2)}], 2)) == \
+            ([(1, [(0, Fraction, Fraction(1, 3))])], [(Fraction, Fraction(3, 2))])
+        assert det(Matrix([[1, 2], [1, 4]])) == 2
+        assert type(det(Matrix([[1, 2], [1, 4]]))) is Fraction
+
+    @given(sparse_rows)
+    def test_core_stores_each_entry_as_int_when_integral(self, rows):
+        reduced, scales = _eliminate(rows, 4)
+        entries = [x for row in reduced.values() for x in row.values()] + scales
+        assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in entries)
 
     @given(integer_squares)
     def test_det_of_integer_matrices(self, rows):
