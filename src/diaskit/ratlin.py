@@ -255,7 +255,9 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     that hold one: no copy, division or ``_axpy``.  A one-entry row with
     a zero, string or ``float`` entry, or in a column that is already a
     pivot or outside ``range(ncols)``, goes the general way, and a zero
-    entry keys no column.
+    entry keys no column.  A row keyed by its column is not keyed as
+    written, so a later ``{j: 2.0}`` raises ``TypeError`` after ``{j: 2}``
+    as after ``{j: 3}``.
 
     Back-substitution visits only the reduced rows that held an entry
     when they were found: a reduced row with none is changed by no later
@@ -405,9 +407,10 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     pivot are not read, so they are not checked: the kernel is then 0.  A
     repeat is likewise skipped before its entries are read or checked, so
     a repeat with a ``float`` entry does not raise.  A repeat is an earlier
-    row as written, and for a row of one nonzero ``int`` or ``Fraction``
-    entry any earlier such row in its column; a one-entry row in a column
-    that is no pivot yet becomes one with no arithmetic.  Back-substitution
+    row as written, except that a row of one nonzero ``int`` or ``Fraction``
+    entry is keyed by its column instead: every later such row in that
+    column repeats it, and no ``float`` row does.  A one-entry row in a
+    column that is no pivot yet becomes one with no arithmetic.  Back-substitution
     visits only the reduced rows that hold an entry (see ``_eliminate``).
     """
     reduced, _ = _eliminate(rows, ncols)

@@ -568,8 +568,10 @@ class TestOneEntryRows:
         assert kernel(2, [{1: zero}, {1: 2}]).rows == ({0: 1},)
 
     def test_a_float_still_raises(self):
-        # a float keys no column, even one an earlier one-entry row holds
-        for rows in ([{0: 1}, {0: 0.5}], [{0: 2}, {1: 1.5}]):
+        # a float keys no column, even one an earlier one-entry row holds,
+        # and repeats no one-entry row as written, even one of equal value
+        for rows in ([{0: 1}, {0: 0.5}], [{0: 2}, {1: 1.5}], [{0: 2}, {0: 2.0}],
+                     [{0: Fraction(1, 2)}, {0: 0.5}]):
             with pytest.raises(TypeError):
                 _eliminate(rows, 2)
 
