@@ -31,6 +31,10 @@ is the product of two basis vectors, ``multiply(product, x, y)`` that of
 two coordinate vectors, ``left_op``/``right_op`` the matrix of a
 multiplication operator (``basis_ops`` the sparse operators of the basis)
 and ``verify_axioms()``, empty exactly for a dialgebra, the axiom check.
+The check compares composite products, (e_i * e_j) *' e_k and
+e_i *' (e_j * e_k), as ``composite`` builds them from any two square
+sparse tables, at the triples ``unequal_triples`` finds; ``invariants``
+checks both Leibniz identities of a bracket table the same way.
 """
 
 from __future__ import annotations
@@ -251,37 +255,16 @@ class Dialgebra:
         by axiom; none means the constants define a dialgebra.  Each carries
         the axiom name, the basis triple (0-based), and both sides.  A side
         is a composite product, (e_i * e_j) *' e_k or e_i *' (e_j * e_k),
-        built from the nonzero constants alone and keyed by
-        ((i*n + j)*n + k)*n + r; only unequal sides are walked by triple.
+        built by ``composite`` from the nonzero constants alone and keyed
+        by ((i*n + j)*n + k)*n + r; only the triples ``unequal_triples``
+        finds are walked.
         """
         n, dashv, vdash = self.dim, self.table("dashv"), self.table("vdash")
-
-        def composite(inner: Table, outer: Table, nested_left: bool) -> dict[int, Exact]:
-            # by_m[m]: (key offset of k, row) of each nonzero e_m *' e_k when
-            # nested left, else (key offset of i, row) of each nonzero e_i *' e_m
-            by_m: list[list[tuple[int, Row]]] = [[] for _ in range(n)]
-            for a, plane in enumerate(outer):
-                for b, row in enumerate(plane):
-                    if row:
-                        m, offset = (a, b * n) if nested_left else (b, a * n ** 3)
-                        by_m[m].append((offset, row))
-            scale, out = n * n if nested_left else n, {}
-            for a, plane in enumerate(inner):
-                for b, ab in enumerate(plane):
-                    base = (a * n + b) * scale
-                    for m, x in ab.items():
-                        for offset, row in by_m[m]:
-                            for r, y in row.items():
-                                key = base + offset + r
-                                out[key] = out.get(key, 0) + x * y
-            return {key: x for key, x in out.items() if x}
-
         found = []
 
         def compare(axiom: int, lhs: dict[int, Exact], rhs: dict[int, Exact]) -> None:
-            if lhs != rhs:
-                bad = {key // n: ({}, {}) for key in lhs.keys() | rhs.keys()
-                       if lhs.get(key) != rhs.get(key)}
+            bad = {t: ({}, {}) for t in unequal_triples(n, lhs, rhs)}
+            if bad:
                 for side, tensor in enumerate((lhs, rhs)):
                     for key, x in tensor.items():
                         if key // n in bad:
@@ -290,14 +273,14 @@ class Dialgebra:
 
         # each tensor is built for its first axiom and dropped after its
         # last, so at most three are alive at once
-        dd_right = composite(dashv, dashv, False)
-        compare(0, composite(dashv, dashv, True), dd_right)
-        compare(1, dd_right, composite(vdash, dashv, False))
+        dd_right = composite(n, dashv, dashv, False)
+        compare(0, composite(n, dashv, dashv, True), dd_right)
+        compare(1, dd_right, composite(n, vdash, dashv, False))
         del dd_right
-        compare(2, composite(vdash, dashv, True), composite(dashv, vdash, False))
-        vv_left = composite(vdash, vdash, True)
-        compare(3, composite(dashv, vdash, True), vv_left)
-        compare(4, vv_left, composite(vdash, vdash, False))
+        compare(2, composite(n, vdash, dashv, True), composite(n, dashv, vdash, False))
+        vv_left = composite(n, vdash, vdash, True)
+        compare(3, composite(n, dashv, vdash, True), vv_left)
+        compare(4, vv_left, composite(n, vdash, vdash, False))
         return [{"axiom": AXIOM_NAMES[axiom], "triple": (t // n // n, t // n % n, t % n),
                  "lhs": dense(n, lhs), "rhs": dense(n, rhs)}
                 for t, axiom, lhs, rhs in sorted(found, key=lambda f: f[:2])]
@@ -333,6 +316,41 @@ class Dialgebra:
             for (p, i, j), terms in sorted(rels.items())
         )
         return f"Dialgebra(dim {self.dim}: {body or '0'})"
+
+
+def composite(n: int, inner: Sequence[Sequence[Row]], outer: Sequence[Sequence[Row]],
+              nested_left: bool) -> dict[int, Exact]:
+    """The composite product of two bilinear maps on n basis vectors,
+    (e_i * e_j) *' e_k when ``nested_left``, else e_i *' (e_j * e_k), where
+    ``inner[a][b]`` and ``outer[a][b]`` hold the sparse coordinates of
+    e_a * e_b and e_a *' e_b.  Its nonzero coordinates are keyed by
+    ((i*n + j)*n + k)*n + r and built from the nonzero constants alone."""
+    # by_m[m]: (key offset of k, row) of each nonzero e_m *' e_k when
+    # nested left, else (key offset of i, row) of each nonzero e_i *' e_m
+    by_m: list[list[tuple[int, Row]]] = [[] for _ in range(n)]
+    for a, plane in enumerate(outer):
+        for b, row in enumerate(plane):
+            if row:
+                m, offset = (a, b * n) if nested_left else (b, a * n ** 3)
+                by_m[m].append((offset, row))
+    scale, out = n * n if nested_left else n, {}
+    for a, plane in enumerate(inner):
+        for b, ab in enumerate(plane):
+            base = (a * n + b) * scale
+            for m, x in ab.items():
+                for offset, row in by_m[m]:
+                    for r, y in row.items():
+                        key = base + offset + r
+                        out[key] = out.get(key, 0) + x * y
+    return {key: x for key, x in out.items() if x}
+
+
+def unequal_triples(n: int, lhs: dict[int, Exact], rhs: dict[int, Exact]) -> set[int]:
+    """The triples, flattened as (i*n + j)*n + k, at which two tensors
+    keyed as ``composite`` keys them have unequal coordinates."""
+    if lhs == rhs:
+        return set()
+    return {key // n for key in lhs.keys() | rhs.keys() if lhs.get(key) != rhs.get(key)}
 
 
 def _check_cube(n: int, cube: Sequence, name: str) -> Sums:

@@ -12,10 +12,12 @@ Skew-symmetrising the two products gives the bracket
 identity in one chirality only; rather than hard-coding which one, the
 checks below evaluate both on all basis triples and report what holds.
 Both brackets here are kept as tables of sparse coordinates, one per
-pair of basis elements, and every identity is evaluated from such a
-table by ``ratlin.bilinear``: ``bilinear(LeibnizAlgebra(d).table, u, v)``
-is the bracket of two sparse vectors.  ``_violations`` is the one Leibniz
-sweep, and it evaluates the terms both chiralities share once per triple.
+pair of basis elements: ``bilinear(LeibnizAlgebra(d).table, u, v)`` is
+the bracket of two sparse vectors.  ``_violations`` is the one Leibniz
+check.  It builds the two composites both chiralities share,
+[[e_i,e_j],e_k] and [e_i,[e_j,e_k]], once with ``core.composite``, as
+``verify_axioms`` builds those of the two products, and finds the
+triples where each identity fails with ``core.unequal_triples``.
 
 The combined space pairs diderivations with derivations under the
 bracket ``<(s, d), (s', d')> = ([s, d'], [d, d'])``.  Its basis is the
@@ -51,13 +53,13 @@ is called.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Sequence
 
-from .core import Dialgebra
+from .core import Dialgebra, composite, unequal_triples
 from .ratlin import (
     AffineSubspace,
+    Exact,
     Row,
     Subspace,
     bilinear,
@@ -156,50 +158,50 @@ class LeibnizAlgebra:
 
     def _side(self, side: str) -> list[tuple[int, int, int]]:
         if self._sweep is None:
-            self._sweep = _violations(self.table, False)
+            self._sweep = _violations(self.table)
         return list(self._sweep[side])
 
 
-def _violations(table: Sequence[Sequence[Row]],
-                first_only: bool) -> dict[str, list[tuple[int, int, int]]]:
+def _violations(table: Sequence[Sequence[Row]]) -> dict[str, list[tuple[int, int, int]]]:
     """For each side, "right" and "left", the basis triples, in order,
     where the bracket whose value on (e_i, e_j) has the coordinates
     ``table[i][j]`` breaks that Leibniz identity.
 
-    Both identities share ``[[x,y],z]`` and ``[x,[y,z]]``, which are
-    evaluated once per triple for both sides.  With ``first_only`` a side
-    is no longer checked after its first violation, and the sweep ends
-    once both have one.
+    Both sides are read off the two composites ``core.composite`` builds
+    from the table, L(i,j,k) = [[e_i,e_j],e_k] and R(i,j,k) = [e_i,[e_j,e_k]]:
+    the right identity fails where L(i,j,k) != L(i,k,j) + R(i,j,k), the
+    left where R(i,j,k) != L(i,j,k) + R(j,i,k).
     """
-    unit: list[Row] = [{i: 1} for i in range(len(table))]
-    found: dict[str, list[tuple[int, int, int]]] = {"right": [], "left": []}
-    open_sides = list(found)
-    for i, j, k in itertools.product(range(len(table)), repeat=3):
-        xy_z = bilinear(table, table[i][j], unit[k])
-        x_yz = bilinear(table, unit[i], table[j][k])
-        broken = False
-        for side in open_sides:
-            if side == "right":
-                holds = xy_z == lincomb(((1, bilinear(table, table[i][k], unit[j])), (1, x_yz)))
-            else:
-                holds = x_yz == lincomb(((1, xy_z), (1, bilinear(table, unit[j], table[i][k]))))
-            if not holds:
-                found[side].append((i, j, k))
-                broken = True
-        if broken and first_only:
-            open_sides = [side for side in open_sides if not found[side]]
-            if not open_sides:
-                break
-    return found
+    b = len(table)
+    xy_z, x_yz = composite(b, table, table, True), composite(b, table, table, False)
+
+    def plus(tensor: dict[int, Exact], weights: tuple[int, int],
+             other: dict[int, Exact]) -> dict[int, Exact]:
+        # other(i,j,k) + tensor(i,j,k) with the two indices of tensor's
+        # triple whose weights in the key are ``weights`` swapped, zeros
+        # dropped; i, j and k weigh b**3, b**2 and b
+        hi, lo = weights
+        out = dict(other)
+        for key, x in tensor.items():
+            key += (key // lo % b - key // hi % b) * (hi - lo)
+            out[key] = out.get(key, 0) + x
+        return {key: x for key, x in out.items() if x}
+
+    sides = (("right", xy_z, plus(xy_z, (b * b, b), x_yz)),
+             ("left", x_yz, plus(x_yz, (b ** 3, b * b), xy_z)))
+    return {side: [(t // b // b, t // b % b, t % b) for t in sorted(unequal_triples(b, lhs, rhs))]
+            for side, lhs, rhs in sides}
 
 
 # -- combined derivation space -------------------------------------------
 
 # Largest combined basis b (Dider block plus Der block) that
-# ``check_bider_leibniz`` accepts.  Its time grows as b^3: on
-# ``phi_dialgebra((1, -1, 2, -2, 3, -3, 1))`` (b = 42) it takes 0.59 to 0.64 s,
-# with a last weight -1 added (b = 56, cap lifted) 1.1 to 1.4 s (best and
-# median of five runs, Python 3.11, one core of a shared 2-vCPU Xeon).
+# ``check_bider_leibniz`` accepts.  The Leibniz check dominates its time,
+# which follows the nonzero terms of the two composites, not b^3: on
+# ``phi_dialgebra((1, -1, 2, -2, 3, -3, 1))`` (b = 42) it takes 0.046 to
+# 0.049 s, with a last weight -1 added (b = 56, cap lifted) 0.084 to 0.086 s
+# (ten runs each in two processes, Python 3.11, one core of a shared 2-vCPU
+# Xeon).
 MAX_BIDER_DIM = 42
 
 
@@ -277,7 +279,7 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
 
     square_span = span(n * n, dider_der)
 
-    leibniz = _violations(table, True) if closed else None
+    leibniz = _violations(table) if closed else None
     return {
         "bider_dim": b,
         "bracket_closed": closed,

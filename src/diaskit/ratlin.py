@@ -59,9 +59,9 @@ direction and the membership of a vector v through
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
-the coordinates of its values on basis pairs; both Leibniz identities of
-a bracket go through these two (the dialgebra axioms compare composite
-products, built in ``Dialgebra.verify_axioms``).  An n-by-n operator is a
+the coordinates of its values on basis pairs (the dialgebra axioms and
+both Leibniz identities of a bracket compare composite products of such
+tables, built by ``core.composite``).  An n-by-n operator is a
 sparse row over the row-major flat index ``r*n + c``; ``columns`` splits
 it by column.  Every bracket of operators goes through ``commutator`` and
 ``Subspace.coordinates``, which also decides membership and visits only

@@ -613,6 +613,7 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
         counting(monkeypatch, invariants.LeibnizAlgebra, name, calls)
     brackets = Counter()
     counting(monkeypatch, invariants, "bilinear", brackets)
+    counting(monkeypatch, invariants, "composite", brackets)
     assert run_cli("invariants", "catalog:Dias3_1") == 0
     # the bar-center is solved on its own, as a check on the halo's direction
     assert calls == {
@@ -620,25 +621,23 @@ def test_invariants_runs_each_sweep_and_set_once(monkeypatch):
         "left_identity_violations": 1, "right_identity_violations": 1,
         "der": 1, "dider": 1,
     }
-    # both Leibniz identities come from one sweep: four brackets per
-    # triple of the three-dimensional algebra, not three for each identity
-    assert brackets["bilinear"] == 4 * 3 ** 3
+    # both Leibniz identities come from one sweep over two composite
+    # tensors, not from a bracket per basis triple
+    assert brackets == {"composite": 2}
 
 
 def test_leibniz_sweep_evaluates_the_shared_brackets_once(monkeypatch):
     leib = invariants.LeibnizAlgebra(catalog.instantiate("Dias3_1"))
-    right, left = leib.right_identity_violations(), leib.left_identity_violations()
-    assert not right and left
     calls = Counter()
     counting(monkeypatch, invariants, "bilinear", calls)
-    n = leib.dim
-    # [[x,y],z] and [x,[y,z]] once per triple, then one bracket per identity
-    assert invariants._violations(leib.table, False) == \
-        {"right": right, "left": left}
-    assert calls["bilinear"] == 4 * n ** 3
-    # each side stops at its first violation; the right one has none
-    assert invariants._violations(leib.table, True) == \
-        {"right": [], "left": left[:1]}
+    counting(monkeypatch, invariants, "composite", calls,
+             key=lambda n, inner, outer, nested_left: ("composite", n, nested_left))
+    right, left = leib.right_identity_violations(), leib.left_identity_violations()
+    assert not right and left
+    # [[x,y],z] and [x,[y,z]] once each over the bracket table, for both
+    # identities, and no bracket per triple
+    assert calls == {("composite", leib.dim, True): 1, ("composite", leib.dim, False): 1}
+    assert invariants._violations(leib.table) == {"right": right, "left": left}
 
 
 def test_instantiate_reads_each_coefficient_once(monkeypatch):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,74 @@ class TestBracketAgainstOracle:
     @pytest.mark.parametrize("d", [pytest.param(d, id=label) for label, d in kernel_cases()])
     def test_catalog(self, d):
         self.check(d)
+
+
+def dense_leibniz_violations(table):
+    """Both sides of ``invariants._violations``, one basis triple at a
+    time, with the bracket expanded over a dense cube of the table."""
+    b = len(table)
+    cube = [[[table[i][j].get(k, 0) for k in range(b)] for j in range(b)] for i in range(b)]
+
+    def br(u, v):
+        out = [0] * b
+        for i, x in enumerate(u):
+            for j, y in enumerate(v):
+                if x and y:
+                    out = [w + x * y * c for w, c in zip(out, cube[i][j])]
+        return out
+
+    def add(u, v):
+        return [x + y for x, y in zip(u, v)]
+
+    e = [[int(i == j) for j in range(b)] for i in range(b)]
+    found = {"right": [], "left": []}
+    for i in range(b):
+        for j in range(b):
+            for k in range(b):
+                x, y, z = e[i], e[j], e[k]
+                if br(br(x, y), z) != add(br(br(x, z), y), br(x, br(y, z))):
+                    found["right"].append((i, j, k))
+                if br(x, br(y, z)) != add(br(br(x, y), z), br(y, br(x, z))):
+                    found["left"].append((i, j, k))
+    return found
+
+
+class TestViolationsOnAnyTable:
+    """``_violations`` on bracket tables that no dialgebra gives, against
+    a dense evaluation triple by triple."""
+
+    def test_random_tables(self):
+        rng = random.Random(46)
+        both = 0
+        for _ in range(60):
+            b = rng.randint(1, 6)
+            density = rng.random()
+            table = [[{k: Fraction(rng.choice((-2, -1, 1, 3)), rng.randint(1, 3))
+                       for k in range(b) if rng.random() < density}
+                      for _ in range(b)] for _ in range(b)]
+            found = invariants._violations(table)
+            assert found == dense_leibniz_violations(table)
+            both += bool(found["right"]) and bool(found["left"])
+        # some tables break both identities, so each side is found in full
+        # while the other has violations too
+        assert both >= 10
+
+    def test_bider_table_with_an_empty_dider_block(self, monkeypatch):
+        # phi has Dider = 0, so its combined table is the Der block alone
+        tables = []
+
+        def violations(table):
+            tables.append(table)
+            return sweep(table)
+
+        sweep = invariants._violations
+        monkeypatch.setattr(invariants, "_violations", violations)
+        d = phi_dialgebra((1, -2, 3))
+        report = check_bider_leibniz(d)
+        assert diderivation_space(d).dim == 0
+        (table,) = tables
+        assert len(table) == report["bider_dim"] > 0
+        assert sweep(table) == dense_leibniz_violations(table) == {"right": [], "left": []}
 
 
 class TestActions:
