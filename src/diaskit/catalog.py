@@ -116,9 +116,12 @@ def delta2(k: Fraction, m: Fraction, n: Fraction, p: Fraction,
     return (k + n) * (p + 1) - m * q
 
 
-class Dias316Branch(namedtuple("Dias316Branch", "index conditions dim_text samples")):
+class Dias316Branch(namedtuple("Dias316Branch", "index conditions dim samples")):
     """One printed row of the case table; ``branch_for_params`` resolves
     which row a parameter point falls in.
+
+    ``dim`` is the row's printed dimension.  Row 5 holds 1, its printed
+    "+1": an overlay one above the row its point is in.
 
     ``samples`` are hand-picked small parameter points satisfying the row's
     conditions, the start of ``branch_samples``.  Rows 6, 7 and 11 contain
@@ -132,31 +135,31 @@ class Dias316Branch(namedtuple("Dias316Branch", "index conditions dim_text sampl
 
 
 BRANCHES: tuple[Dias316Branch, ...] = (
-    Dias316Branch(1, "m != 0; D1 != 0, D2 != 0", "2",
+    Dias316Branch(1, "m != 0; D1 != 0, D2 != 0", 2,
                   ((1, 1, 1, 1, 1), (2, 1, 1, 1, 1), (0, 1, 0, 0, 1))),
-    Dias316Branch(2, "m != 0; D1 = 0, D2 != 0", "3",
+    Dias316Branch(2, "m != 0; D1 = 0, D2 != 0", 3,
                   ((1, 1, 2, 1, 1), (2, 1, 1, 2, 0), (0, 2, 3, 0, 0))),
-    Dias316Branch(3, "m != 0; D1 != 0, D2 = 0", "3",
+    Dias316Branch(3, "m != 0; D1 != 0, D2 = 0", 3,
                   ((1, 1, 1, 1, 4), (1, 1, 0, 1, 2), (1, 2, 1, 0, 1))),
-    Dias316Branch(4, "m != 0; D1 = D2 = 0", "4",
+    Dias316Branch(4, "m != 0; D1 = D2 = 0", 4,
                   ((1, 1, -3, 1, -4), (2, 1, -4, 0, -2),
                    (1, 2, -2, 0, Fraction(-1, 2)))),
-    Dias316Branch(5, "m != 0; additionally p = -1, q = 0", "+1",
+    Dias316Branch(5, "m != 0; additionally p = -1, q = 0", 1,
                   ((1, 1, 1, -1, 0), (1, 1, -1, -1, 0), (2, 1, 5, -1, 0))),
-    Dias316Branch(6, "m = 0; n+k != 0, k != np", "2",
+    Dias316Branch(6, "m = 0; n+k != 0, k != np", 2,
                   ((1, 0, 1, 2, 1), (1, 0, 2, 0, 1), (2, 0, 1, 1, 3))),
-    Dias316Branch(7, "m = 0; n+k != 0, k = np", "3",
+    Dias316Branch(7, "m = 0; n+k != 0, k = np", 3,
                   ((2, 0, 1, 2, 1), (2, 0, 2, 1, 3), (6, 0, 2, 3, 1))),
-    Dias316Branch(8, "m = 0; n+k != 0, k = np, p = -1, q = 0", "4", ()),
-    Dias316Branch(9, "m = 0; n+k = 0, q != 0", "3",
+    Dias316Branch(8, "m = 0; n+k != 0, k = np, p = -1, q = 0", 4, ()),
+    Dias316Branch(9, "m = 0; n+k = 0, q != 0", 3,
                   ((2, 0, -2, 1, 1), (3, 0, -3, 2, 1), (2, 0, -2, 0, 3))),
-    Dias316Branch(10, "m = 0; n+k = 0, q != 0, k = -1", "4",
+    Dias316Branch(10, "m = 0; n+k = 0, q != 0, k = -1", 4,
                   ((-1, 0, 1, 1, 1), (-1, 0, 1, 2, 1), (-1, 0, 1, 0, 3))),
-    Dias316Branch(11, "m = 0; n+k = 0, q = 0", "4",
+    Dias316Branch(11, "m = 0; n+k = 0, q = 0", 4,
                   ((2, 0, -2, 1, 0), (1, 0, -1, 2, 0), (3, 0, -3, 0, 0))),
-    Dias316Branch(12, "m = n = k = q = 0; p != -1", "5",
+    Dias316Branch(12, "m = n = k = q = 0; p != -1", 5,
                   ((0, 0, 0, 1, 0), (0, 0, 0, 0, 0), (0, 0, 0, 2, 0))),
-    Dias316Branch(13, "m = n = k = q = 0; p = -1", "6", ((0, 0, 0, -1, 0),)),
+    Dias316Branch(13, "m = n = k = q = 0; p = -1", 6, ((0, 0, 0, -1, 0),)),
 )
 
 
@@ -179,7 +182,7 @@ def branch_for_params(k, m, n, p, q) -> tuple[Dias316Branch, int]:
         row = 1 + (d1 == 0) + 2 * (d2 == 0)
         if p == -1 and q == 0:
             overlay = BRANCHES[4]
-            return overlay, int(BRANCHES[row - 1].dim_text) + int(overlay.dim_text)
+            return overlay, BRANCHES[row - 1].dim + overlay.dim
     elif n == 0 and k == 0 and q == 0:
         row = 13 if p == -1 else 12
     elif n + k != 0:
@@ -189,7 +192,7 @@ def branch_for_params(k, m, n, p, q) -> tuple[Dias316Branch, int]:
     else:
         row = 11
     branch = BRANCHES[row - 1]
-    return branch, int(branch.dim_text)
+    return branch, branch.dim
 
 
 # The point at which each case of ``case_family_vectors`` is checked: the

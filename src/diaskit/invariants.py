@@ -32,7 +32,8 @@ table of their own: ``<x, y> + <y, x>`` is ``(0, [d, d'] + [d', d]) = 0``
 for x, y in the Der block, 0 for two Dider elements, and ``([s, d'], 0)``
 for x = (s, 0) and y = (0, d').  Their span, the Leibniz kernel, is the
 span of the [Dider, Der] brackets ``[s, d']`` already formed, whatever
-the structure constants.
+the structure constants, and it lies in the Dider component exactly when
+each ``[s, d']`` does: when no entry of the table's Dider rows is None.
 
 Every span here (the annihilator, the halo's direction, each ideal and
 the square span) is formed from sparse rows by ``ratlin.span``, one run of
@@ -246,7 +247,8 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
     # table[i][j]: the coordinates of <x_i, x_j>, or None outside the
     # combined space.  Only the Der columns are nonzero: <(s, 0), (0, d')>
     # = ([s, d'], 0) has its coordinates in Dider, <(0, d), (0, d')> =
-    # (0, [d, d']) in Der.  dider_der keeps the [s, d']: they span the squares.
+    # (0, [d, d']) in Der.  dider_der keeps the [s, d']: they span the squares,
+    # which lie in Dider when no entry of the Dider rows is None.
     table: list[list[Row | None]] = [[{} for _ in range(b)] for _ in range(b)]
     dider_der: list[Row] = []
     for start, space in ((0, dider), (dider.dim, der)):
@@ -277,8 +279,6 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
             for m in members
         )
 
-    square_span = span(n * n, dider_der)
-
     leibniz = _violations(table) if closed else None
     return {
         "bider_dim": b,
@@ -287,9 +287,9 @@ def check_bider_leibniz(d: Dialgebra) -> dict:
         "left_identity": closed and not leibniz["left"],
         "dinn_der_ideal": is_ideal(dinn + unit[dider.dim:]),
         "dinn_inn_ideal": is_ideal(dinn + inn),
-        "square_span_dim": square_span.dim,
+        "square_span_dim": span(n * n, dider_der).dim,
         "square_span_in_dider_component": all(
-            dider.coordinates(row) is not None for row in square_span.rows),
+            c is not None for row in table[:dider.dim] for c in row),
     }
 
 

@@ -34,11 +34,13 @@ every sweep reads its products from one table per bound.  It numbers the
 monomials of degree at most the bound in lexicographic order of their
 exponent pairs and holds, for every pair (i, j) of degree sum at most the
 bound, the numbers of ``e_i -| e_j`` and ``e_i |- e_j``; each is computed
-once by ``dashv`` and ``vdash`` and checked to be such a monomial.  The
-last table is kept, keyed on the bound and on the two product functions
-it was built with, so the sweeps of one bound share it and a replaced
-product never reads a stale one.  The axiom sweep reads every product of
-a triple from it by list indexing.  The derivation and diderivation
+once by ``dashv`` and ``vdash`` and checked to be such a monomial.  Each
+table is kept, keyed on the bound and on the two product functions it
+was built with, so every sweep of a bound shares it, also after sweeps
+at other bounds, and a replaced product never reads a stale one.  At
+bound B a table holds 2 N^2 entries, N = (B + 1)(B + 2)/2 monomials.
+The axiom sweep reads every product of a triple from it by list
+indexing.  The derivation and diderivation
 identities are checked by one bounded sweep over monomial pairs that
 reads the products of the spec's kind from ``core.RULES``.  Its bound
 is the smaller bound of the spec's two polynomials, the one its images
@@ -61,7 +63,7 @@ import math
 from collections import namedtuple
 from collections.abc import Callable, Mapping
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .core import AXIOM_NAMES, RULES, Dialgebra, check_dim
 from .poly import DegreeBoundError, Poly
@@ -177,15 +179,15 @@ def _product_table(bound: int) -> ProductTable:
     summed degree, so ``dv[i][j]`` and ``vd[i][j]`` are the indices of
     ``e_i -| e_j`` and ``e_i |- e_j``, and ``None`` for a pair past the
     bound.  Each is computed once, by the ``dashv`` and ``vdash`` in force
-    when the table is built.  The last table is kept, keyed on the bound
-    and on those two functions, so the sweeps of one bound share it and a
-    replaced product builds a new one.  Callers share the table: it is
-    read-only.
+    when the table is built.  Each table is kept, keyed on the bound and
+    on those two functions, so every sweep of one bound shares it and a
+    replaced product builds a new one; at bound B it holds 2 N^2 entries,
+    N = (B + 1)(B + 2) / 2.  Callers share the table: it is read-only.
     """
     return _build_product_table(bound, dashv, vdash)
 
 
-@lru_cache(maxsize=1)
+@cache
 def _build_product_table(bound: int, dashv: Product, vdash: Product) -> ProductTable:
     exps = _exponents_up_to(bound)
     index = {e: i for i, e in enumerate(exps)}

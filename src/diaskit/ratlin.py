@@ -20,42 +20,23 @@ return, ``Subspace.rows``, ``Dialgebra.table`` and ``Dialgebra.basis_ops``.
 All elimination goes through one sparse core, ``_eliminate``: each row
 is pivoted on its highest column, and every division by a pivot goes
 through ``_quotient``.  The kernel read off that form is already in
-canonical form (see ``kernel``), so the structure-constant systems, which
-have 2n^3 rows of at most 3n nonzeros over n^2 unknowns, are solved in
-one pass.  Their builders in ``spaces`` form no row whose terms
-cancel, but many rows left repeat an earlier row (Der of phi at n = 12:
-288 rows, 12 of them distinct), and other callers hand over empty rows
-too (the systems of ``invariants.halo``, ``bar_center`` and
-``annihilator``).  The core still skips both before any arithmetic: a
-row is looked up among the earlier rows of the same elimination before
-its entries are normalised, and a row found there already lies in the
-reduced span, so it would reduce to zero.  A longer row is keyed as
-written, entry for entry.  A row of one nonzero ``int`` or ``Fraction``
-entry, an equation T[a][b] = 0, is keyed by its column, so every later
-one-entry row in that column is skipped whatever its entry; if the
-column is not yet a pivot, the row becomes its pivot with no arithmetic.
-Most rows are of that kind, and the column key catches the multiples a
-key as written misses: one seed-1 pass of the benchmark's
-``solve_ladder`` hands the core 10,650 rows, 8,984 with one entry, 1,860
-of which repeat an earlier one's column in another value, and only 32
-longer rows that are a multiple of an earlier row without being written
-alike (``cli_session``: 9,534 rows, 6,745, 985 and 27).  Skipping a row
-changes neither the reduced rows nor the pivot scales, and so no kernel,
-RREF or determinant.  A new pivot is back-substituted only into the
-reduced rows that hold an entry.  The core also stops reading rows once
-it holds one pivot per column: the reduced rows then span all of
-Q^ncols, so no later row can change a pivot.  The systems are built by
-lazy generators, so the rows after that point are never built: the
-Dider system of ``phi_dialgebra`` at n = 12 has full rank after its
-first 144 of 3,456 rows.  Two readouts of the core hand back a canonical ``Subspace``:
-``kernel``, the one place a kernel is read off it, and ``span``, the
-RREF of a span of sparse rows, which lays the columns in reverse so that
-each row is pivoted on its lowest column.  ``rref`` is the dense view of
-``span``.  An affine system is solved as the kernel of its homogenised
-form (see ``invariants.halo``) and handed back as an ``AffineSubspace``,
-the plain pair (point, direction): a coset is compared through its
-direction and the membership of a vector v through
-``direction.contains(v - point)``.
+canonical form (see ``kernel``), so the structure-constant systems,
+which have 2n^3 rows of at most 3n nonzeros over n^2 unknowns, are
+solved in one pass.  Many of their rows repeat an earlier one (Der of
+phi at n = 12: 288 rows, 12 of them distinct), and other callers hand
+over empty rows too (the systems of ``invariants.halo``, ``bar_center``
+and ``annihilator``).  The core skips such rows before any arithmetic
+and stops at full column rank; ``_eliminate`` states which rows it
+skips, how it keys them and where it stops.  The systems are built by
+lazy generators, so the rows after the stop are never built.  Two
+readouts of the core hand back a canonical ``Subspace``: ``kernel``, the
+one place a kernel is read off it, and ``span``, the RREF of a span of
+sparse rows, which lays the columns in reverse so that each row is
+pivoted on its lowest column.  ``rref`` is the dense view of ``span``.
+An affine system is solved as the kernel of its homogenised form (see
+``invariants.halo``) and handed back as an ``AffineSubspace``, the plain
+pair (point, direction): a coset is compared through its direction and
+the membership of a vector v through ``direction.contains(v - point)``.
 
 The same sparse rows carry coordinates: ``lincomb`` forms linear
 combinations of them, and ``bilinear`` evaluates a bilinear map given by
@@ -257,7 +238,9 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     pivot or outside ``range(ncols)``, goes the general way, and a zero
     entry keys no column.  A row keyed by its column is not keyed as
     written, so a later ``{j: 2.0}`` raises ``TypeError`` after ``{j: 2}``
-    as after ``{j: 3}``.
+    as after ``{j: 3}``.  Most rows of the solver systems have one
+    entry, and the column key skips the multiples among them that a key
+    as written would not.
 
     Back-substitution visits only the reduced rows that held an entry
     when they were found: a reduced row with none is changed by no later
@@ -402,16 +385,8 @@ def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
     and at each pivot column p the negated entry of p's row at f, nonzero
     only for p > f.  By f, these vectors are the kernel's RREF basis.
 
-    A row with a column outside ``range(ncols)`` raises ``ValueError``,
-    unless it is empty or repeats an earlier row.  Rows after the ncols-th
-    pivot are not read, so they are not checked: the kernel is then 0.  A
-    repeat is likewise skipped before its entries are read or checked, so
-    a repeat with a ``float`` entry does not raise.  A repeat is an earlier
-    row as written, except that a row of one nonzero ``int`` or ``Fraction``
-    entry is keyed by its column instead: every later such row in that
-    column repeats it, and no ``float`` row does.  A one-entry row in a
-    column that is no pivot yet becomes one with no arithmetic.  Back-substitution
-    visits only the reduced rows that hold an entry (see ``_eliminate``).
+    Rows are checked, skipped and read up to the ncols-th pivot as
+    ``_eliminate`` states; when that pivot is found, the kernel is 0.
     """
     reduced, _ = _eliminate(rows, ncols)
     free: dict[int, Row] = {f: {f: 1} for f in range(ncols) if f not in reduced}
@@ -429,10 +404,10 @@ def span(ncols: int, rows: Iterable[Row]) -> "Subspace":
     each row on its lowest column; the reduced row of the pivot c, laid
     back, is the RREF basis vector with pivot c.
 
-    Rows are checked and skipped as by ``kernel``: a one-entry row is
-    keyed by its column, laid or not, so the same rows are skipped.  Rows
-    after the ncols-th pivot are not read, so they are not checked: the
-    span is then all of Q^ncols.
+    The laid rows are checked, skipped and read up to the ncols-th pivot
+    as ``_eliminate`` states; laying moves columns only, so the same rows
+    are skipped as unlaid.  When that pivot is found, the span is all of
+    Q^ncols.
     """
     last = ncols - 1
     reduced, _ = _eliminate(({last - j: x for j, x in row.items()} for row in rows), ncols)

@@ -37,16 +37,12 @@ of terms share unknowns only in the slots i = j and s = i; only there
 are entries summed in the row, which is dropped if it comes out empty.
 On ``phi_dialgebra`` every slot of the Der systems has a term, but only
 2n^2 of the 2n^3 keep one (288 of 3,456 at n = 12), and each Der route
-forms just those 2n^2 rows.  Rows
-equal up to a scalar are all formed: skipping them by a normalised key
-made the Dider solve of phi at n = 12 over twice as slow.  The core skips
-the one-entry ones, which are most of them, by their column (see
-``ratlin._eliminate``): of the 10,650 rows a seed-1 ``solve_ladder``
-pass hands it, 8,984 have one entry and 1,860 of those repeat an earlier
-one's column in another value, while only 32 longer rows are a multiple
-of an earlier row not written alike, so longer rows are keyed as written.  Both routes
-yield their rows one at a time, so the rows after the elimination core
-has a pivot in every column are never built.  The closure report
+forms just those 2n^2 rows.  Rows equal up to a scalar are all formed:
+skipping them by a normalised key made the Dider solve of phi at n = 12
+over twice as slow.  The core skips the repeats it finds before any
+arithmetic (``ratlin._eliminate`` states which).  Both routes yield their
+rows one at a time, and each solver hands them straight to ``kernel``,
+so the rows after the core stops are never built.  The closure report
 brackets operators as sparse rows, through ``ratlin.commutator``; the
 inner operators ``R_{e_i} - L_{e_i}`` are formed as sparse rows too, from
 ``Dialgebra.basis_ops``; their spans are read off the elimination core
@@ -181,11 +177,6 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
                     yield row
 
 
-def _rule_kernel(d: Dialgebra, rule: str) -> Subspace:
-    """Kernel of the rows of ``_rule_rows``."""
-    return kernel(d.dim ** 2, _rule_rows(d, rule))
-
-
 def rule_holds(d: Dialgebra, rule: str, op: Row) -> bool:
     """Whether the operator T, a sparse row over r*n + c, obeys
     ``RULES[rule]`` on every basis pair: ``T(e_i * e_j)`` equals
@@ -206,7 +197,7 @@ def _solved(d: Dialgebra, rule: str) -> Subspace:
     call and kept on d."""
     space = d._spaces.get(rule)
     if space is None:
-        space = d._spaces[rule] = _rule_kernel(d, rule)
+        space = d._spaces[rule] = kernel(d.dim ** 2, _rule_rows(d, rule))
     return space
 
 
@@ -338,26 +329,16 @@ def _operator_rows(
                     yield row
 
 
-def _operator_route_kernel(
-    d: Dialgebra,
-    conditions: Sequence[tuple[tuple[str, str], tuple[str, str]]],
-) -> Subspace:
-    """Kernel of the rows of ``_operator_rows``."""
-    return kernel(d.dim ** 2, _operator_rows(d, conditions))
-
-
 def derivation_space_via_left_ops(d: Dialgebra) -> Subspace:
     """Derivations characterised by ``L_{T(a)} = [T, L_a]`` per product."""
-    return _operator_route_kernel(
-        d, [(("left", "dashv"), ("left", "dashv")), (("left", "vdash"), ("left", "vdash"))]
-    )
+    return kernel(d.dim ** 2, _operator_rows(
+        d, [(("left", "dashv"), ("left", "dashv")), (("left", "vdash"), ("left", "vdash"))]))
 
 
 def derivation_space_via_right_ops(d: Dialgebra) -> Subspace:
     """Derivations characterised by ``R_{T(a)} = [T, R_a]`` per product."""
-    return _operator_route_kernel(
-        d, [(("right", "dashv"), ("right", "dashv")), (("right", "vdash"), ("right", "vdash"))]
-    )
+    return kernel(d.dim ** 2, _operator_rows(
+        d, [(("right", "dashv"), ("right", "dashv")), (("right", "vdash"), ("right", "vdash"))]))
 
 
 def diderivation_space_via_ops(d: Dialgebra) -> Subspace:
@@ -367,9 +348,8 @@ def diderivation_space_via_ops(d: Dialgebra) -> Subspace:
     and ``R^vdash_{delta(a)} = [delta, R^dashv_a]`` the dashv rule;
     stacking both recovers the full diderivation condition.
     """
-    return _operator_route_kernel(
-        d, [(("left", "dashv"), ("left", "vdash")), (("right", "vdash"), ("right", "dashv"))]
-    )
+    return kernel(d.dim ** 2, _operator_rows(
+        d, [(("left", "dashv"), ("left", "vdash")), (("right", "vdash"), ("right", "dashv"))]))
 
 
 def check_characterizations(d: Dialgebra) -> dict:

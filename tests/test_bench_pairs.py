@@ -1,6 +1,6 @@
 """``tools/bench_pairs.py``: the summary of paired benchmark runs, read
-from canned results, the refusal of a run that is not correct, and the
-bytecode settings of each run."""
+from canned results, the refusal of a run that is not correct, the exit
+status on a metric past its bound, and the bytecode settings of each run."""
 
 import importlib.util
 import json
@@ -158,3 +158,21 @@ def test_without_json_no_file_is_written(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "run", lambda tree, workload, seed: PARENT[0])
     assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "2"]) == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == ["change", "parent"]
+
+
+@pytest.mark.parametrize("scale, status", [(1.1, 0), (1.2, 1)])
+def test_exit_status_is_1_when_a_metric_is_past_its_bound(tmp_path, monkeypatch, scale, status):
+    # slowest_op_s 10 % worse is within its 0.15 bound, 20 % worse is not;
+    # the comparison is printed and written either way
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir()
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": SPEC}))
+    canned = {parent: iter(PARENT[:4]),
+              change: iter(runs([r["slowest_op_s"] * scale for r in PARENT[:4]], [20.0] * 4))}
+    monkeypatch.setattr(bench_pairs, "run", lambda tree, workload, seed: next(canned[tree]))
+    out = tmp_path / "BENCH_test.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "w", "--pairs", "4",
+                             "--json", str(out)]) == status
+    slowest = json.loads(out.read_text())["metrics"]["slowest_op_s"]
+    assert slowest["within_bound"] is (status == 0)

@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import io
 import math
+import os
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -43,10 +44,11 @@ def run_cli(*argv):
 
 
 def kernel_calls(monkeypatch) -> Counter:
-    """Tally both solver cores: the rule system by rule, the operator route."""
+    """Tally both row builders, each called once per solve: the rule system
+    by rule, the operator route."""
     calls = Counter()
-    counting(monkeypatch, spaces, "_rule_kernel", calls, key=lambda d, rule: rule)
-    counting(monkeypatch, spaces, "_operator_route_kernel", calls)
+    counting(monkeypatch, spaces, "_rule_rows", calls, key=lambda d, rule: rule)
+    counting(monkeypatch, spaces, "_operator_rows", calls)
     return calls
 
 
@@ -563,7 +565,7 @@ def test_each_rule_is_solved_once_per_dialgebra(monkeypatch, make):
     solves = kernel_calls(monkeypatch)
     checks_on(d)
     # the operator routes are a cross-check: three per check_characterizations
-    assert solves == {"der": 1, "dider": 1, "_operator_route_kernel": 6}
+    assert solves == {"der": 1, "dider": 1, "_operator_rows": 6}
     assert spaces.derivation_space(d) is spaces.derivation_space(d)
     assert spaces.diderivation_space(d) is spaces.diderivation_space(d)
     # and those four calls solved nothing
@@ -594,8 +596,8 @@ def test_invariants_solves_the_bar_unit_system_once(monkeypatch, name, unital):
 
 
 @pytest.mark.parametrize("which, expected", [
-    ("der", {"der": 1, "_operator_route_kernel": 2}),
-    ("dider", {"dider": 1, "_operator_route_kernel": 1}),
+    ("der", {"der": 1, "_operator_rows": 2}),
+    ("dider", {"dider": 1, "_operator_rows": 1}),
     ("inn", {}),
     ("dinn", {}),
 ])
@@ -795,11 +797,34 @@ def test_kxy_command_builds_one_product_table(monkeypatch):
     assert kxy.check_axioms_truncated(8)["violations"] == []
     assert not calls
 
-    # another bound replaces it
+    # another bound builds its own table, and going back to bound 8 reads
+    # the kept one
     assert kxy.check_axioms_truncated(6)["violations"] == []
     assert kxy.check_axioms_truncated(8)["violations"] == []
-    assert calls == {("dashv", "_build_product_table"): math.comb(10, 4) + pairs,
-                     ("vdash", "_build_product_table"): math.comb(10, 4) + pairs}
+    assert calls == {("dashv", "_build_product_table"): math.comb(10, 4),
+                     ("vdash", "_build_product_table"): math.comb(10, 4)}
+
+
+def test_kxy_benchmark_ops_build_each_bound_table_once(monkeypatch):
+    # the kxy_sweep workload's ops, in its order: kxy at bounds 6, 8 and 10,
+    # then two library sweeps at bound 8, which read the bound-8 table kept
+    # since the second op
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench"))
+    import workloads
+
+    calls, reads = product_calls(monkeypatch), []
+    table = kxy._product_table
+    monkeypatch.setattr(kxy, "_product_table", lambda bound: reads.append(bound) or table(bound))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for op in workloads.build("kxy_sweep", 1, workloads.points(1)):
+            op.call()
+    bounds = {*workloads.KXY_BOUNDS, workloads.KXY_IDENTITY_BOUND}
+    assert set(reads) == bounds == {6, 8, 10}
+    assert reads[-1] == 8 and 10 in reads[reads.index(8):]
+    pairs = sum(math.comb(bound + 4, 4) for bound in bounds)
+    assert {key: n for key, n in calls.items() if key[1] == "_build_product_table"} == \
+        {("dashv", "_build_product_table"): pairs, ("vdash", "_build_product_table"): pairs}
 
 
 def test_replaced_product_builds_a_fresh_table(monkeypatch):

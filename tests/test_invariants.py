@@ -450,6 +450,46 @@ class TestCombinedSpace:
         assert report["dinn_der_ideal"] is False
         assert report["dinn_inn_ideal"] is False
 
+    def test_dinn_inn_ideal_fails_on_its_right_side_only(self, monkeypatch):
+        # Dias3_14 has DInn = span(E21) and Inn = span(E23).  Served as Der,
+        # span(E13, E23) holds Inn and commutes with it, and span(E21, E23)
+        # as Dider is closed under it, so the table is closed and both
+        # generators lie in the combined space.  Every <x, m> of a generator
+        # m stays in DInn + Inn, but <(E21, 0), (0, E13)> = ([E21, E13], 0)
+        # = (E23, 0) leaves it: only the right side of the ideal check can
+        # see that.  For true kernels [Ad_a, d'] = -Ad_(d'(a)) lies in DInn.
+        d = instantiate("Dias3_14")
+        n = d.dim
+        e13, e21, e23 = ([int(j == k) for j in range(n * n)] for k in (2, 3, 5))
+        monkeypatch.setattr(invariants, "diderivation_space", lambda d: Subspace(9, [e21, e23]))
+        monkeypatch.setattr(invariants, "derivation_space", lambda d: Subspace(9, [e13, e23]))
+        zero = [[Fraction(0)] * n for _ in range(n)]
+
+        def mats(space):
+            return [[list(v[r * n:(r + 1) * n]) for r in range(n)] for v in space.basis]
+
+        def flat(x):
+            return oracle.flatten(x[0]) + oracle.flatten(x[1])
+
+        basis = [(s, zero) for s in mats(invariants.diderivation_space(d))]
+        basis += [(zero, t) for t in mats(invariants.derivation_space(d))]
+        units = [oracle.unit(n, a) for a in range(n)]
+        members = [(oracle.inner_diderivation(d.c_vdash, d.c_dashv, a), zero) for a in units]
+        members += [(zero, oracle.inner_derivation(d.c_vdash, d.c_dashv, a)) for a in units]
+        combined, ideal = [flat(x) for x in basis], [flat(m) for m in members]
+        assert all(oracle.in_span(combined, flat(oracle.bider_bracket(x, y)))
+                   for x in basis for y in basis)
+        assert all(oracle.in_span(combined, v) for v in ideal)
+        assert oracle.rank(ideal) == 2
+        assert all(oracle.in_span(ideal, flat(oracle.bider_bracket(x, m)))
+                   for x in basis for m in members)
+        assert not all(oracle.in_span(ideal, flat(oracle.bider_bracket(m, x)))
+                       for x in basis for m in members)
+
+        report = check_bider_leibniz(d)
+        assert report["bracket_closed"] is True
+        assert report["dinn_inn_ideal"] is False
+
     @given(phis)
     @settings(max_examples=6, deadline=None)
     def test_bider_report_on_phi_family(self, weights):

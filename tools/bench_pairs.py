@@ -28,6 +28,10 @@ workload, the seeds, and for each metric both sides' quartiles (the
 median in the middle) and values pair by pair, the wins, the gain, the
 parent's IQR, whether it is within bound and whether a gain is claimable.
 
+It exits with status 0 when every metric is within its bound, and with
+status 1, after printing and after writing ``--json``, when some metric
+is not, or at once when a run is refused.
+
 Compare ``peak_rss_mib`` only between two fresh exports.  The same
 ``src/`` and ``perfbench/`` have read about 0.15 MiB higher in one
 checkout than in another (a working tree against an export, with no cause
@@ -166,7 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         seeds = list(range(args.seed_start, args.seed_start + args.pairs))
         args.json.write_text(json.dumps(record(args.workload, seeds, rows), indent=1) + "\n",
                              encoding="utf-8")
-    return 0
+    return 0 if all(r["within_bound"] for r in rows) else 1
 
 
 if __name__ == "__main__":
