@@ -9,6 +9,10 @@ operator identities that characterise derivations and diderivations.
 
 Modules
 -------
+base
+    The exact-scalar grammar (``parse_rational``, ``frac``,
+    ``int_or_fraction``) and the rule tables ``PRODUCTS``,
+    ``AXIOM_NAMES`` and ``RULES``, standard library only.
 ratlin
     Exact rational linear algebra: matrices and one sparse elimination
     core behind RREF, kernels, determinants and subspaces.
@@ -37,10 +41,12 @@ kxy
     products, on ``poly`` polynomials under a degree bound, exact.
 cli
     Command line entry points; ``diaskit --help`` lists them.
-"""
 
-from .core import Dialgebra, DialgebraError, parse_dialgebra, serialize_dialgebra
-from .ratlin import Matrix, Subspace
+Importing the package loads none of them.  Each name of ``__all__``
+loads its module on first use (``Matrix`` and ``Subspace`` from
+``ratlin``, the rest from ``core``), so a command that never reads a
+dialgebra, such as ``diaskit kxy``, compiles neither.
+"""
 
 __all__ = [
     "Dialgebra",
@@ -52,3 +58,16 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The ``__all__`` name ``name``, imported from its module on first use
+    and kept in the package namespace after that."""
+    if name in ("Matrix", "Subspace"):
+        from . import ratlin as home
+    elif name in __all__:
+        from . import core as home
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(home, name)
+    return value

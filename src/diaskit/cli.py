@@ -9,12 +9,13 @@ Subcommands::
     diaskit catalog    [FILTER]       reproduce the classification tables
     diaskit kxy                       polynomial-dialgebra checks
 
-Start-up loads ``core`` and ``ratlin``, all that ``verify`` of a file
-needs.  Each other module loads in the command that runs it: ``spaces``
+Importing this module loads no other diaskit module; each loads in the
+command that runs it.  ``core`` (with ``ratlin`` and ``base``) loads
+where an input is read, and ``verify`` of a file needs no more; ``spaces``
 in ``spaces``, ``invariants`` (with ``spaces``) in ``invariants`` and
 ``bider``, the table module ``entries`` on a ``catalog:`` selector,
 ``catalog`` (with ``entries``, ``poly`` and ``spaces``) in ``catalog``,
-and ``kxy`` (with ``poly``) in ``kxy``.
+and ``kxy`` (with ``poly`` and ``base``) in ``kxy``.
 No module builds classes with ``dataclasses``, and ``json`` loads only
 for ``--machine``.  Where bytecode is not written, every start compiles
 each loaded module again, so what a command loads is most of its start-up.
@@ -56,9 +57,6 @@ import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from types import SimpleNamespace
-
-from .core import Dialgebra, DialgebraError, parse_dialgebra, parse_rational
-from .ratlin import Row
 
 PASS, FINDINGS, FAIL = "pass", "findings", "fail"
 # Upper limits of the run-length options.  Case-table row 12 of Dias3_16
@@ -172,6 +170,8 @@ def render_machine(report: Report) -> str:
 
 
 def _parse_param_query(query: str) -> dict[str, Fraction]:
+    from .base import parse_rational
+
     params: dict[str, Fraction] = {}
     for piece in query.split(","):
         piece = piece.strip()
@@ -194,6 +194,8 @@ def _parse_param_query(query: str) -> dict[str, Fraction]:
 
 def load_input(selector: str) -> tuple[str, Dialgebra]:
     """Resolve a file path or ``catalog:<Name>?k=v,...`` selector."""
+    from .core import DialgebraError, parse_dialgebra
+
     if selector.startswith("catalog:"):
         from . import entries
 

@@ -43,31 +43,13 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
 
-# The text grammar of a rational, ``parse_rational`` and its digit cap
-# ``MAX_RATIONAL_DIGITS``, lives in ratlin so that ``frac`` applies it too;
-# both stay importable from here.
-from .ratlin import (
-    MAX_RATIONAL_DIGITS, Exact, Matrix, Row, Scalar, Subspace, Vector, bilinear, dense, frac,
-    lincomb, parse_rational, sparse, vector,
+# The exact-scalar grammar (``parse_rational``, its digit cap
+# ``MAX_RATIONAL_DIGITS``, ``frac``) and the rule tables ``PRODUCTS``,
+# ``AXIOM_NAMES`` and ``RULES`` live in ``base``; all stay importable from here.
+from .base import (
+    AXIOM_NAMES, MAX_RATIONAL_DIGITS, PRODUCTS, RULES, Exact, Scalar, frac, parse_rational,
 )
-
-PRODUCTS = ("dashv", "vdash")
-
-AXIOM_NAMES = (
-    "assoc_dashv",
-    "absorb_dashv",
-    "inner",
-    "absorb_vdash",
-    "assoc_vdash",
-)
-
-# The Leibniz-type rules ``T(a * b) = T(a) o1 b + a o2 T(b)``, one
-# ``(*, o1, o2)`` per product ``*``.  Every solver and evaluator of a rule
-# reads its products from here.
-RULES = {
-    "der": (("dashv", "dashv", "dashv"), ("vdash", "vdash", "vdash")),
-    "dider": (("dashv", "dashv", "vdash"), ("vdash", "dashv", "vdash")),
-}
+from .ratlin import Matrix, Row, Subspace, Vector, bilinear, dense, lincomb, sparse, vector
 
 # Largest accepted dimension.  The rule systems have 2n^3 rows over n^2
 # unknowns; at n = 32 the derivation space of ``phi_dialgebra`` (weights

@@ -19,7 +19,7 @@ inner diderivation h |-> p * (h(x,x) - h(y,y)).  Geometric sums are always
 assembled term by term, never via division by (x-y); the one place a
 division appears (the annihilator divisibility oracle) is an independent
 synthetic-division cross-check, not a computational shortcut.  A closed
-form is one ``KxyOperatorSpec``: its kind is the ``core.RULES`` key of
+form is one ``KxyOperatorSpec``: its kind is the ``base.RULES`` key of
 its rule, ``"der"`` or ``"dider"``, and its ``apply_monomial`` is the one
 way to its images.  Each image is written out term by term in one dict
 and built as one polynomial from it.  Each summand's degree is
@@ -42,7 +42,7 @@ bound B a table holds 2 N^2 entries, N = (B + 1)(B + 2)/2 monomials.
 The axiom sweep reads every product of a triple from it by list
 indexing.  The derivation and diderivation
 identities are checked by one bounded sweep over monomial pairs that
-reads the products of the spec's kind from ``core.RULES``.  Its bound
+reads the products of the spec's kind from ``base.RULES``.  Its bound
 is the smaller bound of the spec's two polynomials, the one its images
 take.  It computes the operator image of each monomial once, keys it by
 monomial number and scales every image by one common denominator, so
@@ -65,9 +65,8 @@ from collections.abc import Callable, Mapping
 from fractions import Fraction
 from functools import cache
 
-from .core import AXIOM_NAMES, RULES, Dialgebra, check_dim
+from .base import AXIOM_NAMES, RULES, Scalar
 from .poly import DegreeBoundError, Poly
-from .ratlin import Scalar
 
 Exponents = tuple[int, int]
 
@@ -244,8 +243,11 @@ def truncation(n: int) -> Dialgebra:
     in lexicographic order of (a, b); a product past the bound is zero.
     The structure constants are read from the same table as
     ``check_axioms_truncated``.  ``core.MAX_DIM`` limits ``n`` to 6; a
-    larger ``n`` is rejected before the table is built.
+    larger ``n`` is rejected before the table is built.  The one function
+    here that builds a ``Dialgebra``, it alone imports ``core``.
     """
+    from .core import Dialgebra, check_dim
+
     if n < 0:
         raise ValueError("truncation degree must be nonnegative")
     check_dim((n + 1) * (n + 2) // 2)
@@ -328,7 +330,7 @@ class KxyOperatorSpec(_SpecFields):
     """A closed-form operator on the truncated polynomial dialgebra, and
     the one way to its images: ``apply_monomial`` and ``apply``.
 
-    kind, a key of ``core.RULES``:
+    kind, a key of ``base.RULES``:
       * ``"der"``: the derivation form, data (f, g) with f univariate in x
       * ``"dider"``: the two-generator diderivation form, data (f, g) =
         images of x and y
@@ -477,7 +479,7 @@ def inner_derivation_spec(h: BivariatePoly) -> KxyOperatorSpec:
 
 def _identity_sweep(spec: KxyOperatorSpec, growth: int) -> dict:
     """Compare ``spec(u * v)`` with ``spec(u) o1 v + u o2 spec(v)`` for each
-    ``(*, o1, o2)`` of ``core.RULES[spec.kind]`` on monomial pairs.
+    ``(*, o1, o2)`` of ``base.RULES[spec.kind]`` on monomial pairs.
 
     The bound is the smaller bound of the spec's two polynomials, the one
     its images take.  Pairs are restricted so that every term of both
@@ -567,7 +569,7 @@ def check_dider_identity(f: BivariatePoly, g: BivariatePoly) -> dict:
     """Check delta(a*b) = delta(a) -| b + a |- delta(b) for both products,
     up to the polynomials' bound.
 
-    This is the diderivation rule of ``core.RULES``: both products share
+    This is the diderivation rule of ``base.RULES``: both products share
     one right side, so it is formed once per pair.  Note the sweep covers
     pairs whose product vanishes as well, where the identity is a genuine
     constraint.

@@ -2,7 +2,7 @@
 
 A ``Poly`` maps exponent tuples, one exponent per variable, to nonzero
 coefficients.  A coefficient is an ``int`` when integral and a
-``Fraction`` otherwise (``ratlin.int_or_fraction``), as in sparse rows.
+``Fraction`` otherwise (``base.int_or_fraction``), as in sparse rows.
 Nothing here divides, so a polynomial with integer coefficients evaluated
 at an integer point gives an ``int``.  Besides the ring operations and
 evaluation, ``rename`` puts variables in place of variables and
@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from operator import add, itemgetter
 
-from .ratlin import Exact, Scalar, int_or_fraction
+from .base import Exact, Scalar, int_or_fraction
 
 Exponents = tuple[int, ...]
 

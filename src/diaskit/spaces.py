@@ -1,7 +1,7 @@
 """Derivation and diderivation spaces of a dialgebra.
 
 Both are Leibniz-type rules ``T(a * b) = T(a) o1 b + a o2 T(b)``, one
-identity per product ``*``, and ``core.RULES`` holds each rule's
+identity per product ``*``, and ``base.RULES`` holds each rule's
 ``(*, o1, o2)`` triples: a derivation takes ``o1 = o2 = *``, a
 diderivation ``o1 = dashv`` and ``o2 = vdash`` for both products.  A rule
 is linear in the matrix of the map, so its space is the kernel of an
@@ -61,7 +61,8 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 
-from .core import RULES, Dialgebra
+from .base import RULES
+from .core import Dialgebra
 from .ratlin import (
     Exact, Matrix, Row, Subspace, bilinear, commutator, columns, int_or_fraction, kernel, lincomb,
     span,

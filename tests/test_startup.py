@@ -1,12 +1,15 @@
 """The command line loads each diaskit module only in the commands that
 run it.
 
-Importing ``diaskit.cli`` loads ``core`` and ``ratlin``, and ``verify`` of
-a file needs no more.  ``spaces`` loads ``spaces``; ``invariants`` and
-``bider`` load ``invariants``, which imports ``spaces``; a ``catalog:``
-selector loads the table module ``entries`` and nothing more; ``catalog``
-loads ``catalog``, which imports ``entries``, ``poly`` and ``spaces``;
-``kxy`` loads ``kxy`` and ``poly``.  No command loads ``dataclasses`` or
+Importing ``diaskit.cli`` loads no other diaskit module: the package root
+resolves its ``__all__`` names on first use, so ``import diaskit`` loads
+nothing more either.  ``verify`` of a file loads ``core``, which imports
+``ratlin`` and ``base``, and needs no more.  ``spaces`` loads ``spaces``;
+``invariants`` and ``bider`` load ``invariants``, which imports
+``spaces``; a ``catalog:`` selector adds the table module ``entries`` and
+nothing more; ``catalog`` loads ``catalog``, which imports ``entries``,
+``poly`` and ``spaces``; ``kxy`` loads ``kxy``, ``poly`` and ``base``, and
+neither ``core`` nor ``ratlin``.  No command loads ``dataclasses`` or
 ``inspect``, whose import and generated code would be paid at every start,
 or ``typing``, and ``json`` loads only to write ``--machine`` output.
 ``argparse`` loads only where a call needs its help or its error
@@ -53,14 +56,20 @@ SOLVERS = {"diaskit.spaces", "diaskit.invariants"}
 GENERATED = {"dataclasses", "inspect"}
 
 
+def fresh(source, *argv, flags=()):
+    """The value that ``source`` prints with repr, run with ``argv`` in a
+    fresh process started with the interpreter ``flags``."""
+    proc = subprocess.run([sys.executable, *flags, "-c", source, *argv], capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60, check=True)
+    return ast.literal_eval(proc.stdout.decode())
+
+
 def added_modules(*argv, flags=()):
     """Exit status of ``main(argv)`` (None for a bare import) and the
     modules that importing ``diaskit.cli`` and running the command added
     to a fresh process started with the interpreter ``flags``; fails if
     they include ``dataclasses`` or ``inspect``."""
-    proc = subprocess.run([sys.executable, *flags, "-c", PROBE, *argv], capture_output=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=60, check=True)
-    code, added = ast.literal_eval(proc.stdout.decode())
+    code, added = fresh(PROBE, *argv, flags=flags)
     assert not GENERATED & set(added)
     return code, set(added)
 
@@ -78,23 +87,28 @@ def dlg_file(tmp_path_factory):
     return str(path)
 
 
-def test_import_loads_core_and_ratlin_only():
+# what reading an input file loads
+READER = {"diaskit", "diaskit.cli", "diaskit.core", "diaskit.ratlin", "diaskit.base"}
+
+
+def test_import_loads_cli_only():
     code, modules = loaded()
     assert code is None
-    assert modules == {"diaskit", "diaskit.cli", "diaskit.core", "diaskit.ratlin"}
+    assert modules == {"diaskit", "diaskit.cli"}
 
 
 def test_verify_of_a_file_loads_no_solver(dlg_file):
     code, modules = loaded("verify", dlg_file)
     assert code == 0
-    assert modules == {"diaskit", "diaskit.cli", "diaskit.core", "diaskit.ratlin"}
+    assert modules == READER
 
 
 def test_kxy_loads_kxy_but_no_solver_and_not_catalog():
+    # neither core nor ratlin: kxy and poly read the scalars and rule
+    # tables from base, and only kxy.truncation builds a Dialgebra
     code, modules = loaded("kxy", "--bound", "4")
     assert code == 0
-    assert {"diaskit.kxy", "diaskit.poly"} <= modules
-    assert not modules & (SOLVERS | {"diaskit.catalog"})
+    assert modules == {"diaskit", "diaskit.cli", "diaskit.kxy", "diaskit.poly", "diaskit.base"}
 
 
 def test_spaces_loads_spaces_but_not_invariants(dlg_file):
@@ -115,8 +129,7 @@ def test_invariants_and_bider_load_both_solvers(dlg_file, command):
 def test_catalog_selector_loads_the_table_only():
     code, modules = loaded("verify", "catalog:Dias3_8")
     assert code == 0
-    assert modules == {"diaskit", "diaskit.cli", "diaskit.core", "diaskit.ratlin",
-                       "diaskit.entries"}
+    assert modules == READER | {"diaskit.entries"}
 
 
 def test_catalog_command_loads_the_study_but_not_invariants_or_kxy():
@@ -155,3 +168,50 @@ def test_argparse_loads_only_for_help_and_errors(argv, status, parses):
     code, added = added_modules(*argv)
     assert code == status
     assert ("argparse" in added) == parses
+
+
+# The package root resolves its ``__all__`` names on first use.
+
+def test_importing_the_package_loads_nothing_else():
+    added = fresh("import sys; before = set(sys.modules); import diaskit\n"
+                  "print(sorted(m for m in set(sys.modules) - before if m.startswith('diaskit')))")
+    assert added == ["diaskit"]
+
+
+def test_reading_matrix_loads_ratlin_but_not_core():
+    added = fresh("import sys, diaskit; before = set(sys.modules); diaskit.Matrix\n"
+                  "print(sorted(m for m in set(sys.modules) - before if m.startswith('diaskit')))")
+    assert added == ["diaskit.base", "diaskit.ratlin"]
+
+
+def test_every_exported_name_is_the_one_of_its_module():
+    same = fresh("import diaskit\n"
+                 "from diaskit import core, ratlin\n"
+                 "print({name: getattr(diaskit, name) is getattr(ratlin if name in "
+                 "('Matrix', 'Subspace') else core, name) for name in diaskit.__all__})")
+    assert same == {name: True for name in ("Dialgebra", "DialgebraError", "Matrix", "Subspace",
+                                            "parse_dialgebra", "serialize_dialgebra")}
+
+
+def test_star_import_binds_exactly_all():
+    names = fresh("import diaskit\n"
+                  "namespace = {}\n"
+                  "exec('from diaskit import *', namespace)\n"
+                  "print([sorted(set(namespace) - {'__builtins__'}), sorted(diaskit.__all__)])")
+    assert names[0] == names[1]
+
+
+def test_from_import_still_imports_a_submodule():
+    assert fresh("from diaskit import cli\nprint(repr(cli.__name__))") == "diaskit.cli"
+
+
+def test_an_unknown_name_is_an_attribute_error_and_an_import_error():
+    errors = fresh("import diaskit\n"
+                   "out = []\n"
+                   "for source in ('diaskit.nosuch', 'from diaskit import nosuch'):\n"
+                   "    try:\n"
+                   "        exec(source)\n"
+                   "    except Exception as exc:\n"
+                   "        out.append(type(exc).__name__)\n"
+                   "print(out)")
+    assert errors == ["AttributeError", "ImportError"]

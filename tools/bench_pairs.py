@@ -13,7 +13,13 @@ sides alike.  ``S`` is 1 unless given.  A run that does not end with
 no bytecode and reads none from either tree's ``__pycache__``: its cache
 prefix is a fresh, empty directory, removed afterwards.  So stale bytecode
 in one tree cannot skew that side, and every run compiles each module it
-loads, the standard library's included.
+loads, the standard library's included.  Hence ``setup_s`` reads more here
+than from ``perfbench/run.py`` in a checkout, which reads the standard
+library's stored bytecode: on ``kxy_sweep`` about 0.09 to 0.10 s against
+about 0.04 s.  A change to diaskit's own start-up reads at most about
+half as large here, as a share of ``setup_s``, and the standard library's
+compile time widens the spread between runs, so such a gain can be
+confirmed in a checkout and still not be claimable here.
 
 For each end-to-end metric of the change's ``BENCHMARK.json`` it prints
 both sides' medians and quartiles, the pairs the change wins (a tie counts
