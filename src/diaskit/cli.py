@@ -16,8 +16,9 @@ in ``spaces``, ``invariants`` (with ``spaces``) in ``invariants`` and
 ``bider``, the table module ``entries`` on a ``catalog:`` selector,
 ``catalog`` (with ``entries``, ``poly`` and ``spaces``) in ``catalog``,
 and ``kxy`` (with ``poly`` and ``base``) in ``kxy``.
-No module builds classes with ``dataclasses``, and ``json`` loads only
-for ``--machine``.  Where bytecode is not written, every start compiles
+No module builds classes with ``dataclasses``, ``json`` loads only
+for ``--machine``, and ``random`` only in ``catalog`` and ``kxy``, the
+commands that draw seeded samples.  Where bytecode is not written, every start compiles
 each loaded module again, so what a command loads is most of its start-up.
 A call is read one of two ways.  A call that names its subcommand, and
 whose every other token reads one way (``--machine``, a declared option
@@ -51,7 +52,6 @@ All numeric values are exact rationals rendered as strings.
 from __future__ import annotations
 
 import os
-import random
 import re
 import sys
 from collections.abc import Sequence
@@ -362,6 +362,8 @@ def _det_probe_samples(seed: int) -> list[tuple]:
     """Seeded determinant-probe sample set covering the relevant strata:
     ``DET_PROBE_GENERIC`` generic points plus m=0, both factor loci, and
     the p=k slice."""
+    import random
+
     rng = random.Random(f"detprobe:{seed}")
     out: list[tuple] = []
     for _ in range(DET_PROBE_GENERIC):
@@ -466,6 +468,8 @@ def cmd_catalog(name_filter: str | None, samples: int, seed: int) -> Report:
 
 
 def cmd_kxy(bound: int) -> Report:
+    import random
+
     from . import kxy
 
     if bound < 4:

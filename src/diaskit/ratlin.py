@@ -160,7 +160,7 @@ def _quotient(x: Exact, s: Exact) -> Exact:
     return int_or_fraction(Fraction(x, s))
 
 
-def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Exact]]:
+def _eliminate(rows: Iterable[Row | int], ncols: int) -> tuple[dict[int, Row], list[Exact]]:
     """Fully reduce sparse rows of Q^ncols, pivoting each on its highest
     column.
 
@@ -199,6 +199,15 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     entry, and the column key skips the multiples among them that a key
     as written would not.
 
+    A row may also be given as a bare ``int`` j, the equation x_j = 0:
+    the one-unknown equations of the solver systems travel that way (see
+    ``kernel``), so no dict is built or unpacked for them.  Column j is
+    keyed by j as a one-entry row is, so it and ``{j: x}`` skip each
+    other, and where that row would become a pivot, j becomes the pivot j
+    with an empty reduced row and scale 1.  A column that is already a
+    pivot, or outside ``range(ncols)``, goes the general way as ``{j: 1}``
+    and so raises ``ValueError`` when out of range.
+
     Back-substitution visits only the reduced rows that held an entry
     when they were found: a reduced row with none is changed by no later
     pivot, since only a row holding the pivot's column is.
@@ -213,8 +222,23 @@ def _eliminate(rows: Iterable[Row], ncols: int) -> tuple[dict[int, Row], list[Ex
     scales: list[Exact] = []
     seen: set[int | frozenset] = set()
     for given in rows:
+        # a column j, the equation x_j = 0: keyed by j, pivoted on with scale 1
+        if type(given) is int:
+            if given in seen:
+                continue
+            seen.add(given)
+            if given not in reduced and 0 <= given < ncols:
+                for other in filled:
+                    if given in other:
+                        del other[given]
+                reduced[given] = {}
+                scales.append(1)
+                if len(reduced) == ncols:
+                    break
+                continue
+            given = {given: 1}  # not through the branch below, which would skip it by its key
         # one nonzero int or Fraction: keyed by its column, pivoted on unread
-        if len(given) == 1:
+        elif len(given) == 1:
             [(j, x)] = given.items()
             if x and (type(x) is int or type(x) is Fraction):
                 if j in seen:
@@ -334,13 +358,18 @@ def _subspace(ncols: int, by_pivot: dict[int, Row]) -> "Subspace":
     return space
 
 
-def kernel(ncols: int, rows: Iterable[Row]) -> "Subspace":
+def kernel(ncols: int, rows: Iterable[Row | int]) -> "Subspace":
     """The kernel ``{x in Q^ncols : sum_j row[j] x_j = 0 for every row}``
     in canonical form, from one elimination.
 
     The vector of free column f has 1 at f, 0 at the other free columns,
     and at each pivot column p the negated entry of p's row at f, nonzero
     only for p > f.  By f, these vectors are the kernel's RREF basis.
+
+    A row may be a bare column number j in place of a row with one
+    nonzero entry at j: the equation x_j = 0, which is all such a row
+    says.  The solvers of ``spaces`` hand their one-unknown equations over
+    that way; every other caller of the core gives dict rows.
 
     Rows are checked, skipped and read up to the ncols-th pivot as
     ``_eliminate`` states; when that pivot is found, the kernel is 0.

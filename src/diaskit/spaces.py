@@ -26,7 +26,11 @@ Integral constants are
 ``int`` there and both routes keep them that way: integer structure
 constants give integer rows.  A route forms a row only for a slot whose
 summed row is nonzero, and hands the elimination core (``kernel``) just
-those rows.  Each builder splits a slot's terms by unknown.  In slot
+those rows.  A slot left with one unknown T[a][b] is the equation
+T[a][b] = 0, whatever its entry, and travels as its bare column
+``a*n + b``, an ``int``, in the same place: no dict is built for it
+(most slots of the solver systems are such, all of them in Dider of phi
+at n = 12).  Each builder splits a slot's terms by unknown.  In slot
 (i, j, r) of the rule system with i != j, the terms of ``T(e_i * e_j)``
 meet the others only at T[r][i] and T[r][j]; in slot (i, r, s) of an
 operator condition with s != i, the commutator's terms never share an
@@ -117,21 +121,24 @@ def _split(n: int, planes: Sequence[Sequence[Row]]) -> list[list]:
     return at
 
 
-def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
+def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row | int]:
     """The rows of the system of ``RULES[rule]``: for each ``(*, o1, o2)``
     and basis pair, ``T(e_i * e_j) - T(e_i) o1 e_j - e_i o2 T(e_j) = 0``,
     one per slot (product, i, j, r) whose row is nonzero, in that order.
     Unknown T[a][b] sits at flat index a*n + b.  Rows are built sparse,
-    from the nonzero structure constants only.
+    from the nonzero structure constants only, and a row with one entry,
+    at T[a][b], is yielded as its column ``a*n + b`` alone (see
+    ``ratlin.kernel``).
 
     Slot r of (i, j) holds ``sum_l c[i][j][l] T[r][l]``, ``-sum_k
     c_o1[k][j][r] T[k][i]`` and ``-sum_k c_o2[i][k][r] T[k][j]``.  For
     i != j the c-term meets the o1 terms only at T[r][i] (k = r) and the
     o2 terms only at T[r][j], and every other term has an unknown of its
     own: those two entries are summed first, a slot with nothing to write
-    is skipped, and the row is written by plain assignment.  For i = j the
-    o1 and o2 terms also share each T[k][i]; only there are entries summed
-    in the row, which is dropped if they all cancel.
+    is skipped, a slot with only one of them yields its column unbuilt,
+    and the row is written by plain assignment.  For i = j the o1 and o2
+    terms also share each T[k][i]; only there are entries summed in the
+    row, which is dropped if they all cancel.
     """
     n = d.dim
     # the o1 terms of slot (i, j, r) are -c_o1[k][j][r], the o2 terms -c_o2[i][k][r];
@@ -158,6 +165,13 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
                     if not (c_off or a or b or f_off or s_off):
                         continue
                     rn = r * n
+                    if not (c_off or f_off or s_off):  # one unknown, unless a and b
+                        if not b:
+                            yield rn + i
+                            continue
+                        if not a:
+                            yield rn + j
+                            continue
                     row: Row = {}
                     for l, x in c_off:
                         row[rn + l] = x
@@ -175,7 +189,7 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row]:
                             _add(row, kn + j, x)
                         if not row:
                             continue
-                    yield row
+                    yield row if len(row) > 1 else next(iter(row))
 
 
 def rule_holds(d: Dialgebra, rule: str, op: Row) -> bool:
@@ -247,9 +261,11 @@ def inner_diderivations(d: Dialgebra) -> Subspace:
 def _operator_rows(
     d: Dialgebra,
     conditions: Sequence[tuple[tuple[str, str], tuple[str, str]]],
-) -> Iterator[Row]:
+) -> Iterator[Row | int]:
     """The rows of stacked conditions ``S_{T(e_i)} = [T, M_{e_i}]`` for all
-    i, one per slot (condition, i, r, s) whose row is nonzero, in that order.
+    i, one per slot (condition, i, r, s) whose row is nonzero, in that order;
+    a row with one entry, at T[a][b], is yielded as its column ``a*n + b``
+    alone (see ``ratlin.kernel``).
 
     Each condition is a pair of (side, product) operator kinds, as
     ``Dialgebra.basis_ops`` takes them: ``S`` is the operator on the left of
@@ -261,8 +277,9 @@ def _operator_rows(
 
     whose terms each have an unknown of their own.  For s != i the S part
     meets them only at T[r][i] (k = r against t = i): that entry is summed
-    first, a slot with nothing to write is skipped, and the row is written
-    by plain assignment.  For s = i the S part also shares each T[k][i]
+    first, a slot with nothing to write is skipped, a slot with only that
+    entry or only the T[r][s] one yields its column unbuilt, and the row
+    is written by plain assignment.  For s = i the S part also shares each T[k][i]
     with the terms of M's row r; only there are entries summed in the row,
     which is dropped if they all cancel.
     """
@@ -310,6 +327,13 @@ def _operator_rows(
                         gap, a = 0, a + gap
                     if not (gap or a or off_col[s] or row_r or s_off):
                         continue
+                    if not (off_col[s] or row_r or s_off):  # one unknown, unless gap and a
+                        if not a:
+                            yield rn + s
+                            continue
+                        if not gap:
+                            yield rn + i
+                            continue
                     row: Row = {}
                     if gap:
                         row[rn + s] = gap if type(gap) is int else int_or_fraction(gap)
@@ -327,7 +351,7 @@ def _operator_rows(
                             _add(row, kn + i, v)
                         if not row:
                             continue
-                    yield row
+                    yield row if len(row) > 1 else next(iter(row))
 
 
 def derivation_space_via_left_ops(d: Dialgebra) -> Subspace:

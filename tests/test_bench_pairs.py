@@ -4,7 +4,6 @@ status on a metric past its bound, and the bytecode settings of each run."""
 
 import importlib.util
 import json
-import os
 import pathlib
 import subprocess
 
@@ -87,15 +86,18 @@ def test_correct_runs_give_their_values():
 
 
 def test_runs_read_and_write_no_bytecode_in_either_tree(tmp_path, monkeypatch):
+    # each run writes no bytecode and has no cache prefix, even one set
+    # for this process, so it reads the standard library's stored bytecode
+    # as a run started in a checkout does; a tree holding bytecode of its
+    # own is refused before anything runs in it
     parent, change = tmp_path / "parent", tmp_path / "change"
-    parent.mkdir()
-    change.mkdir()
+    for tree in (parent, change):
+        (tree / "src" / "diaskit").mkdir(parents=True)
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "cache"))
     seen = []
 
     def fake_run(cmd, cwd, env, **kwargs):
-        cache = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
-        seen.append({"tree": cwd, "dont_write": env["PYTHONDONTWRITEBYTECODE"],
-                     "cache": cache, "empty": cache.is_dir() and not any(cache.iterdir())})
+        seen.append((cwd, env.get("PYTHONDONTWRITEBYTECODE"), "PYTHONPYCACHEPREFIX" in env))
         line = json.dumps({"correct": True, "failed": 0,
                            "metrics": {"run_s": {"value": 0.06, "unit": "s"}}})
         return subprocess.CompletedProcess(cmd, 0, stdout=line + "\n", stderr="")
@@ -103,14 +105,12 @@ def test_runs_read_and_write_no_bytecode_in_either_tree(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
     for tree in (parent, change):
         assert bench_pairs.run(tree, "kxy_sweep", 1) == {"run_s": 0.06}
-    assert [(s["tree"], s["dont_write"], s["empty"]) for s in seen] == \
-        [(parent, "1", True), (change, "1", True)]
-    assert seen[0]["cache"] != seen[1]["cache"]
-    for s in seen:
-        # removed afterwards, and never inside either tree
-        assert not s["cache"].exists()
-        for tree in (parent, change):
-            assert os.path.commonpath([s["cache"], tree]) != str(tree)
+    assert seen == [(parent, "1", False), (change, "1", False)]
+    (change / "src" / "diaskit" / "__pycache__").mkdir()
+    with pytest.raises(bench_pairs.RunRefused, match="__pycache__ holds bytecode"):
+        bench_pairs.run(change, "kxy_sweep", 1)
+    assert len(seen) == 2
+    assert bench_pairs.run(parent, "kxy_sweep", 1) == {"run_s": 0.06}
 
 
 def test_json_records_the_comparison(tmp_path, monkeypatch):

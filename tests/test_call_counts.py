@@ -101,7 +101,8 @@ def eliminate_runs(monkeypatch, record=lambda rows, ncols: len(rows)) -> list:
 
 def rows_read(monkeypatch) -> list:
     """The number of rows each ``ratlin._eliminate`` run pulls from its
-    input, counted lazily as the core reads them; an empty row fails."""
+    input, counted lazily as the core reads them; a column number, the
+    equation of one unknown, is a row, and an empty dict row fails."""
     runs = []
     original = ratlin._eliminate
 
@@ -110,7 +111,7 @@ def rows_read(monkeypatch) -> list:
 
         def counted():
             for row in rows:
-                assert row, "an empty row reached the core"
+                assert type(row) is int or row, "an empty row reached the core"
                 runs[-1] += 1
                 yield row
 
@@ -219,7 +220,8 @@ def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, make):
     # Integer structure constants reach the elimination as ints; a Fraction
     # only where the constant, or a sum of constants, is not an integer.
     # In either solver route, contributions that cancel leave no key: a row
-    # maps columns to nonzero entries.
+    # maps columns to nonzero entries, and a one-unknown equation is its
+    # column number alone, an int in range.
     d = make()
     runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: rows)
     spaces.derivation_space(d)
@@ -229,7 +231,12 @@ def test_tables_and_rule_rows_stay_int_while_integral(monkeypatch, make):
     spaces.diderivation_space_via_ops(d)
     tables = [x for p in ("dashv", "vdash") for plane in d.table(p)
               for row in plane for x in row.values()]
-    rows = [x for route_rows in runs for row in route_rows for x in row.values()]
+    handed = [row for route_rows in runs for row in route_rows]
+    columns = [row for row in handed if type(row) is int]
+    dict_rows = [row for row in handed if type(row) is dict]
+    assert len(columns) + len(dict_rows) == len(handed)
+    assert columns and all(0 <= j < d.dim ** 2 for j in columns)
+    rows = [x for row in dict_rows for x in row.values()]
     assert len(runs) == 5 and tables and rows
     assert all(stored_exactly(x) for x in tables + rows)
     assert all(x != 0 for x in rows)
@@ -271,10 +278,16 @@ def rule_slot_rows(d, rule):
                     yield (i, j, r), nonzero(row)
 
 
-def operator_entry(d, kind, k, r, s):
-    """Entry (r, s) of L_{e_k} or R_{e_k}: e_k * e_s or e_s * e_k, at e_r."""
+def cubes(d):
+    """Both dense cubes of d, by product, each read once."""
+    return {"dashv": d.c_dashv, "vdash": d.c_vdash}
+
+
+def operator_entry(c, kind, k, r, s):
+    """Entry (r, s) of L_{e_k} or R_{e_k}: e_k * e_s or e_s * e_k, at e_r,
+    from the cubes ``c`` by product."""
     side, product = kind
-    c = cube(d, product)
+    c = c[product]
     return c[k][s][r] if side == "left" else c[s][k][r]
 
 
@@ -282,16 +295,16 @@ def operator_slot_rows(d, conditions):
     """((i, r, s), row) for each slot of ``S_{T(e_i)} = [T, M_{e_i}]``, in
     order, the row summed densely: S_k[r][s] at T[k][i], -M_i[t][s] at
     T[r][t] and M_i[r][t] at T[t][s]."""
-    n = d.dim
+    n, c = d.dim, cubes(d)
     for sub, inside in conditions:
         for i in range(n):
             for r in range(n):
                 for s in range(n):
                     row = [Fraction(0)] * (n * n)
                     for k in range(n):
-                        row[k * n + i] += operator_entry(d, sub, k, r, s)
-                        row[r * n + k] -= operator_entry(d, inside, i, k, s)
-                        row[k * n + s] += operator_entry(d, inside, i, r, k)
+                        row[k * n + i] += operator_entry(c, sub, k, r, s)
+                        row[r * n + k] -= operator_entry(c, inside, i, k, s)
+                        row[k * n + s] += operator_entry(c, inside, i, r, k)
                     yield (i, r, s), nonzero(row)
 
 
@@ -330,7 +343,7 @@ def test_row_builders_form_one_row_per_slot_with_a_term(monkeypatch, make):
 
     def counted(ncols, rows):
         rows = list(rows)
-        assert all(rows), "an empty row reached the kernel"
+        assert all(type(row) is int or row for row in rows), "an empty row reached the kernel"
         sizes.append(len(rows))
         return original(ncols, rows)
 
@@ -384,27 +397,35 @@ def test_operator_route_stops_at_full_rank(monkeypatch):
 DIAS3_16_POINT = dict(zip("kmnpq", map(Fraction, (-2, 3, -3, -3, -2))))
 
 
-@pytest.mark.parametrize("make, solve", [
+def dider_ops_slot_rows(d):
+    return operator_slot_rows(d, dict(ROUTES)["diderivation_space_via_ops"])
+
+
+@pytest.mark.parametrize("make, solve, slot_rows", [
     # the 1,717 rows read are all one-entry rows, in 144 columns
     pytest.param(lambda: phi_dialgebra((PHI8 * 2)[:12]), spaces.diderivation_space_via_ops,
-                 id="phi12-dider-ops"),
+                 dider_ops_slot_rows, id="phi12-dider-ops"),
     # 16 of the 28 rows are one-entry rows, in 2 columns
     pytest.param(lambda: catalog.instantiate("Dias3_16", DIAS3_16_POINT),
-                 spaces.diderivation_space, id="Dias3_16-dider"),
+                 spaces.diderivation_space, lambda d: rule_slot_rows(d, "dider"),
+                 id="Dias3_16-dider"),
     pytest.param(lambda: direct_sum(catalog.instantiate("Dias3_10"),
                                     catalog.instantiate("Dias3_13"),
                                     catalog.instantiate("Dias3_16", DIAS3_16_POINT)),
-                 spaces.derivation_space, id="sum9-der"),
+                 spaces.derivation_space, lambda d: rule_slot_rows(d, "der"), id="sum9-der"),
 ])
-def test_one_entry_multiples_reach_no_arithmetic(monkeypatch, make, solve):
+def test_one_entry_multiples_reach_no_arithmetic(monkeypatch, make, solve, slot_rows):
     # A one-entry row T[a][b] = x after an earlier one-entry row in the
     # same column is skipped by its column before any arithmetic, however
     # its entry is written: the system costs the core no more calls than
-    # the system without those rows, and gives the same result.
+    # the system without those rows, and gives the same result.  The
+    # solvers hand a one-entry row over as its column alone, so the system
+    # is fed here as the dense slot oracle writes it, entries and all; the
+    # solver's own system reduces to the same rows.
     eliminate = ratlin._eliminate
-    runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: (rows, ncols))
-    solve(make())
-    [(rows, ncols)] = runs
+    d = make()
+    ncols = d.dim ** 2
+    rows = [row for _, row in slot_rows(d) if row]
     first: dict = {}
     kept, respelled = [], 0
     for row in rows:
@@ -424,6 +445,56 @@ def test_one_entry_multiples_reach_no_arithmetic(monkeypatch, make, solve):
     calls.clear()
     assert eliminate(rows, ncols) == expected
     assert calls == without
+    runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: rows)
+    solve(d)
+    [handed] = runs
+    assert eliminate(handed, ncols)[0] == expected[0]
+
+
+def handed_kinds(rows) -> tuple[int, int]:
+    """How many of the rows handed to the core are column numbers and how
+    many are dict rows; nothing else is handed over."""
+    columns = sum(type(row) is int for row in rows)
+    dict_rows = sum(type(row) is dict for row in rows)
+    assert columns + dict_rows == len(rows)
+    return columns, dict_rows
+
+
+def slot_kinds(slots) -> tuple[int, int]:
+    """How many slots of a dense slot oracle have a row with exactly one
+    nonzero entry, and how many have more."""
+    lengths = [len(row) for _, row in slots]
+    return lengths.count(1), sum(k > 1 for k in lengths)
+
+
+SUM9 = pytest.param(lambda: direct_sum(catalog.instantiate("Dias3_10"),
+                                       catalog.instantiate("Dias3_13"),
+                                       catalog.instantiate("Dias3_16", DIAS3_16_POINT)),
+                    ["derivation_space", "diderivation_space"] + [name for name, _ in ROUTES],
+                    [(378, 34), (370, 36), (378, 34), (378, 34), (370, 36)], id="sum9")
+
+
+@pytest.mark.parametrize("make, routes, expected", [
+    # every slot of phi's Dider systems with a term has one unknown
+    pytest.param(lambda: phi_dialgebra((PHI8 * 2)[:12]),
+                 ["diderivation_space", "diderivation_space_via_ops"],
+                 [(3456, 0), (3456, 0)], id="phi12-dider"),
+    SUM9,
+])
+def test_one_unknown_equations_reach_the_core_as_columns(monkeypatch, make, routes, expected):
+    # Each route hands the core a column number for every slot whose dense
+    # row has exactly one nonzero entry, and a dict row for every slot
+    # whose dense row has more (tests/test_row_builders.py checks them one
+    # by one); the whole system is built here, past the core's stop.
+    d = make()
+    runs = eliminate_runs(monkeypatch, record=lambda rows, ncols: rows)
+    for name in routes:
+        getattr(spaces, name)(d)
+    slots = {"derivation_space": lambda: rule_slot_rows(d, "der"),
+             "diderivation_space": lambda: rule_slot_rows(d, "dider"),
+             **{name: lambda c=c: operator_slot_rows(d, c) for name, c in ROUTES}}
+    assert [handed_kinds(rows) for rows in runs] == \
+        [slot_kinds(slots[name]()) for name in routes] == expected
 
 
 @pytest.mark.parametrize("make, reads", [

@@ -1,5 +1,6 @@
 """Exact linear algebra: unit tests plus algebraic property checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -602,6 +603,77 @@ class TestOneEntryRows:
         value = det(Matrix(rows))
         assert type(value) is Fraction
         assert value == oracle.det(rows)
+
+
+def canonical(space):
+    """A subspace's canonical rows, each entry with its type, in order."""
+    return [[(j, type(x), x) for j, x in row.items()] for row in space.rows]
+
+
+def seeded_one_entry_system(rng):
+    """(ncols, rows): a few longer rows, the first at the front and a
+    one-entry row in its highest column, already a pivot, right after it,
+    then one-entry rows in few columns, so that columns repeat with other
+    entries, shuffled among the other longer rows."""
+    ncols = rng.randint(2, 6)
+
+    def entry():
+        x = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+        return x.numerator if x.denominator == 1 and rng.random() < 0.5 else x
+
+    longer = [{j: entry() for j in rng.sample(range(ncols), rng.randint(2, ncols))}
+              for _ in range(rng.randint(1, 4))]
+    few = rng.sample(range(ncols), rng.randint(1, ncols))
+    rest = longer[1:] + [{rng.choice(few): entry()} for _ in range(rng.randint(2, 3 * ncols))]
+    rng.shuffle(rest)
+    return ncols, [longer[0], {max(longer[0]): entry()}] + rest
+
+
+def as_columns(rows):
+    """Each one-entry row ``{j: x}`` replaced by its column j."""
+    return [next(iter(row)) if len(row) == 1 else row for row in rows]
+
+
+class TestColumnRows:
+    """A bare column number j is the equation x_j = 0, as any one-entry row
+    ``{j: x}`` is: ``kernel`` gives the same canonical rows either way."""
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_one_entry_rows_as_columns_give_the_same_kernel(self, seed):
+        rng = random.Random(f"columns:{seed}")
+        ncols, rows = seeded_one_entry_system(rng)
+        columns = as_columns(rows)
+        assert any(type(row) is int for row in columns)
+        expected = kernel(ncols, rows)
+        assert canonical(kernel(ncols, columns)) == canonical(expected)
+        assert [list(v) for v in expected.basis] == oracle_kernel_and_span(rows, ncols)[0]
+        # a column outside range(ncols) raises in both forms wherever the
+        # core reads it, which is anywhere before its ncols-th pivot
+        bad = rng.choice([ncols, ncols + 3, -1])
+        at = rng.randint(0, len(rows))
+        read = oracle.rank([dense(ncols, row) for row in rows[:at]]) < ncols
+        for system in (rows[:at] + [{bad: rng.choice([1, -2, Fraction(1, 2)])}] + rows[at:],
+                       columns[:at] + [bad] + columns[at:]):
+            if read:
+                with pytest.raises(ValueError, match=rf"outside range\({ncols}\)"):
+                    kernel(ncols, system)
+            else:
+                assert canonical(kernel(ncols, system)) == canonical(expected)
+
+    def test_a_column_that_is_already_a_pivot_goes_the_general_way(self):
+        # pivot 2 has the row {0: -1}; the column 2 then pivots on 0, and
+        # its own repeat, and {2: 5}, are skipped by its key
+        for rows in ([{0: 1, 2: 1}, 2, 2, {2: 5}], [{0: 1, 2: 1}, {2: 3}, 2, {2: 5}]):
+            reduced, scales = _eliminate(rows, 3)
+            assert list(reduced.items()) == [(2, {}), (0, {})]
+            assert kernel(3, rows).rows == ({1: 1},)
+        assert _eliminate([1, {1: 4}, 1], 2) == ({1: {}}, [1])
+
+    @pytest.mark.parametrize("column", [2, 5, -1])
+    def test_a_column_outside_the_space_raises(self, column):
+        for rows in ([column], [0, column], [{0: 1, 1: 1}, column]):
+            with pytest.raises(ValueError, match=r"outside range\(2\)"):
+                kernel(2, rows)
 
 
 def all_fractions(entries) -> bool:

@@ -4,8 +4,9 @@ densely from the structure-constant cubes.
 ``spaces._rule_rows`` and ``spaces._operator_rows`` write most entries of
 a row by plain assignment and sum terms only where two of them share an
 unknown.  Each must yield, in slot order, exactly the slots whose dense
-row is nonzero, each as that row; nothing here is read from ``spaces``
-but the builders under test.
+row is nonzero: a slot whose dense row has one nonzero entry as the
+column number of that entry, every other slot as its row; nothing here
+is read from ``spaces`` but the builders under test.
 """
 
 from fractions import Fraction
@@ -16,7 +17,7 @@ from diaskit import catalog, spaces
 from diaskit.core import Dialgebra, phi_dialgebra
 
 from test_call_counts import (
-    ROUTES, RULE_TRIPLES, operator_entry, operator_slot_rows, rule_slot_rows,
+    ROUTES, RULE_TRIPLES, cubes, operator_entry, operator_slot_rows, rule_slot_rows,
 )
 from test_ratlin import direct_sum
 
@@ -38,13 +39,27 @@ CASES = [
 WITH_LIE2 = CASES + [pytest.param(lambda: Dialgebra(2, LIE2, LIE2), id="lie2")]
 
 
+def handed_over(row):
+    """A nonzero dense slot row as a builder yields it: the column of its
+    one entry, or the row itself when it has more."""
+    if len(row) == 1:
+        [column] = row
+        return column
+    return row
+
+
 def assert_builder_yields(built, oracle):
-    """``built`` is exactly the nonzero oracle rows, in order, each entry
-    an ``int`` when integral and a ``Fraction`` when not."""
+    """``built`` is exactly the nonzero oracle rows, in order, each with
+    one entry as that entry's column, an ``int``, and each other one with
+    every entry an ``int`` when integral and a ``Fraction`` when not."""
     built = list(built)
-    assert built == [row for _, row in oracle if row]
+    assert built == [handed_over(row) for _, row in oracle if row]
+    columns = [row for row in built if type(row) is int]
+    rows = [row for row in built if type(row) is dict]
+    assert len(columns) + len(rows) == len(built)
+    assert all(len(row) > 1 for row in rows)
     assert all(type(x) is (int if x.denominator == 1 else Fraction)
-               for row in built for x in row.values())
+               for row in rows for x in row.values())
 
 
 @pytest.mark.parametrize("rule", ["der", "dider"])
@@ -86,5 +101,6 @@ def test_overlapping_slots_whose_terms_cancel_form_no_row():
     assert c[0][1][1] == -c[1][0][1] != 0
     assert dict(rule_slot_rows(d, "der"))[1, 1, 1] == {}
     left = dict(ROUTES)["derivation_space_via_left_ops"]
-    assert operator_entry(d, left[0][0], 0, 1, 1) == -operator_entry(d, left[0][1], 1, 1, 0) != 0
+    c = cubes(d)
+    assert operator_entry(c, left[0][0], 0, 1, 1) == -operator_entry(c, left[0][1], 1, 1, 0) != 0
     assert dict(operator_slot_rows(d, left[:1]))[1, 1, 1] == {}

@@ -11,7 +11,8 @@ nothing more; ``catalog`` loads ``catalog``, which imports ``entries``,
 ``poly`` and ``spaces``; ``kxy`` loads ``kxy``, ``poly`` and ``base``, and
 neither ``core`` nor ``ratlin``.  No command loads ``dataclasses`` or
 ``inspect``, whose import and generated code would be paid at every start,
-or ``typing``, and ``json`` loads only to write ``--machine`` output.
+or ``typing``; ``json`` loads only to write ``--machine`` output, and
+``random`` only in ``catalog`` and ``kxy``, which draw seeded samples.
 ``argparse`` loads only where a call needs its help or its error
 messages: a plain call of a subcommand is read without it.
 
@@ -21,8 +22,9 @@ has already imported do not count: it notes ``sys.modules``, imports
 ``SystemExit`` gives its status), and prints the modules then in
 ``sys.modules`` that were not there before (``site`` may import some of
 its own first).  The ``typing`` check runs
-the interpreter with ``-S``, so that neither ``site`` nor a ``.pth`` file
-it reads imports ``typing`` before the probe looks.
+the interpreter with ``-S``, and so do the ``random`` checks, so that
+neither ``site`` nor a ``.pth`` file it reads imports either module
+before the probe looks.
 """
 
 import ast
@@ -149,6 +151,22 @@ def test_no_command_loads_typing(argv):
     code, added = added_modules(*argv, flags=("-S",))
     assert code == 0
     assert "typing" not in added
+
+
+@pytest.mark.parametrize("command", ["verify", "spaces", "invariants", "bider"])
+def test_only_the_sampling_commands_load_random(dlg_file, command):
+    # run with -S, as for typing: a .pth file that site reads may import
+    # random (through tempfile) before the probe looks
+    code, added = added_modules(command, dlg_file, flags=("-S",))
+    assert code == 0
+    assert "random" not in added
+
+
+@pytest.mark.parametrize("argv", [["kxy", "--bound", "4"], ["catalog", "Dias2_1", "--samples", "1"]])
+def test_the_sampling_commands_load_random(argv):
+    code, added = added_modules(*argv, flags=("-S",))
+    assert code == 0
+    assert "random" in added
 
 
 def test_json_loads_only_for_machine_output(dlg_file):

@@ -10,16 +10,13 @@ each checkout, from its root: the parent first in even pairs, the change
 first in odd ones, so that a drift in the machine's speed falls on both
 sides alike.  ``S`` is 1 unless given.  A run that does not end with
 ``correct: true`` and 0 failed ops stops the comparison.  Each run writes
-no bytecode and reads none from either tree's ``__pycache__``: its cache
-prefix is a fresh, empty directory, removed afterwards.  So stale bytecode
-in one tree cannot skew that side, and every run compiles each module it
-loads, the standard library's included.  Hence ``setup_s`` reads more here
-than from ``perfbench/run.py`` in a checkout, which reads the standard
-library's stored bytecode: on ``kxy_sweep`` about 0.09 to 0.10 s against
-about 0.04 s.  A change to diaskit's own start-up reads at most about
-half as large here, as a share of ``setup_s``, and the standard library's
-compile time widens the spread between runs, so such a gain can be
-confirmed in a checkout and still not be claimable here.
+no bytecode (``PYTHONDONTWRITEBYTECODE=1``) and is started with no
+``PYTHONPYCACHEPREFIX``, as ``perfbench/run.py`` is in a checkout: it
+reads the installed standard library's stored bytecode and compiles every
+diaskit and perfbench module it loads.  A tree that holds a
+``__pycache__`` directory is refused, so no side reads bytecode of its
+own that may be stale; a fresh ``git archive`` export (below) holds none,
+and no run writes one.
 
 For each end-to-end metric of the change's ``BENCHMARK.json`` it prints
 both sides' medians and quartiles, the pairs the change wins (a tie counts
@@ -55,7 +52,6 @@ import os
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 
@@ -73,12 +69,16 @@ def checked_metrics(result: dict) -> dict[str, float]:
 
 
 def run(tree: Path, workload: str, seed: int) -> dict[str, float]:
-    """One benchmark run in ``tree``, past any bytecode; its metric values."""
-    with tempfile.TemporaryDirectory() as cache:
-        env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPYCACHEPREFIX=cache)
-        proc = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
-            cwd=tree, env=env, capture_output=True, text=True)
+    """One benchmark run in ``tree``, which must hold no bytecode, writing
+    none; its metric values."""
+    cached = next(tree.rglob("__pycache__"), None)
+    if cached is not None:
+        raise RunRefused(f"{cached} holds bytecode: compare fresh exports")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=tree, env=env, capture_output=True, text=True)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
         raise RunRefused(f"{tree}: exit {proc.returncode}\n{proc.stderr}")
