@@ -165,13 +165,9 @@ def _rule_rows(d: Dialgebra, rule: str) -> Iterator[Row | int]:
                     if not (c_off or a or b or f_off or s_off):
                         continue
                     rn = r * n
-                    if not (c_off or f_off or s_off):  # one unknown, unless a and b
-                        if not b:
-                            yield rn + i
-                            continue
-                        if not a:
-                            yield rn + j
-                            continue
+                    if not (c_off or f_off or s_off or a and b):  # one unknown
+                        yield rn + i if a else rn + j
+                        continue
                     row: Row = {}
                     for l, x in c_off:
                         row[rn + l] = x
@@ -327,13 +323,9 @@ def _operator_rows(
                         gap, a = 0, a + gap
                     if not (gap or a or off_col[s] or row_r or s_off):
                         continue
-                    if not (off_col[s] or row_r or s_off):  # one unknown, unless gap and a
-                        if not a:
-                            yield rn + s
-                            continue
-                        if not gap:
-                            yield rn + i
-                            continue
+                    if not (off_col[s] or row_r or s_off or gap and a):  # one unknown
+                        yield rn + i if a else rn + s
+                        continue
                     row: Row = {}
                     if gap:
                         row[rn + s] = gap if type(gap) is int else int_or_fraction(gap)
