@@ -16,10 +16,11 @@ in ``spaces``, ``invariants`` (with ``spaces``) in ``invariants`` and
 ``bider``, the table module ``entries`` on a ``catalog:`` selector,
 ``catalog`` (with ``entries``, ``poly`` and ``spaces``) in ``catalog``,
 and ``kxy`` (with ``poly`` and ``base``) in ``kxy``.
-No module builds classes with ``dataclasses``, ``json`` loads only
-for ``--machine``, and ``random`` only in ``catalog`` and ``kxy``, the
-commands that draw seeded samples.  Where bytecode is not written, every start compiles
-each loaded module again, so what a command loads is most of its start-up.
+No module builds classes with ``dataclasses``, ``json`` loads only for
+``--machine``, and ``random`` only in ``catalog`` and ``kxy``, the
+commands that draw seeded samples.  Where bytecode is not written, every
+start compiles each loaded module again, so what a command loads is most
+of its start-up.
 A call is read one of two ways.  A call that names its subcommand, and
 whose every other token reads one way (``--machine``, a declared option
 in full with a plain value, the declared positional), is read by hand

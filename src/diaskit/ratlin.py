@@ -195,13 +195,12 @@ def _eliminate(rows: Iterable[Row | int], ncols: int) -> tuple[dict[int, Row], l
     pivot or outside ``range(ncols)``, goes the general way, and a zero
     entry keys no column.  A row keyed by its column is not keyed as
     written, so a later ``{j: 2.0}`` raises ``TypeError`` after ``{j: 2}``
-    as after ``{j: 3}``.  Most rows of the solver systems have one
-    entry, and the column key skips the multiples among them that a key
-    as written would not.
+    as after ``{j: 3}``.  The column key skips the multiples among such
+    rows that a key as written would not.
 
-    A row may also be given as a bare ``int`` j, the equation x_j = 0:
-    the one-unknown equations of the solver systems travel that way (see
-    ``kernel``), so no dict is built or unpacked for them.  Column j is
+    A row may also be given as a bare ``int`` j, the equation x_j = 0.
+    Many equations of the solver systems have one unknown, and they travel
+    that way (see ``kernel``), so no dict is unpacked for them.  Column j is
     keyed by j as a one-entry row is, so it and ``{j: x}`` skip each
     other, and where that row would become a pivot, j becomes the pivot j
     with an empty reduced row and scale 1.  A column that is already a

@@ -28,9 +28,11 @@ constants give integer rows.  A route forms a row only for a slot whose
 summed row is nonzero, and hands the elimination core (``kernel``) just
 those rows.  A slot left with one unknown T[a][b] is the equation
 T[a][b] = 0, whatever its entry, and travels as its bare column
-``a*n + b``, an ``int``, in the same place: no dict is built for it
-(most slots of the solver systems are such, all of them in Dider of phi
-at n = 12).  Each builder splits a slot's terms by unknown.  In slot
+``a*n + b``, an ``int``, in the same place; where its unknown is one of
+the summed entries below, no dict is built for it.  Every row of the
+Dider systems of phi is such an equation, no row of its Der systems, and
+about nine in ten rows of the benchmark's direct sums.
+Each builder splits a slot's terms by unknown.  In slot
 (i, j, r) of the rule system with i != j, the terms of ``T(e_i * e_j)``
 meet the others only at T[r][i] and T[r][j]; in slot (i, r, s) of an
 operator condition with s != i, the commutator's terms never share an
@@ -275,9 +277,9 @@ def _operator_rows(
     meets them only at T[r][i] (k = r against t = i): that entry is summed
     first, a slot with nothing to write is skipped, a slot with only that
     entry or only the T[r][s] one yields its column unbuilt, and the row
-    is written by plain assignment.  For s = i the S part also shares each T[k][i]
-    with the terms of M's row r; only there are entries summed in the row,
-    which is dropped if they all cancel.
+    is written by plain assignment.  For s = i the S part also shares each
+    T[k][i] with the terms of M's row r; only there are entries summed in
+    the row, which is dropped if they all cancel.
     """
     n = d.dim
     for subscript, inside in conditions:
